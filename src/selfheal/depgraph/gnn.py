@@ -155,6 +155,19 @@ def init_gnn(
     )
 
 
+def gnn_param_shapes(
+    input_width: int, hidden_widths: tuple[int, ...]
+) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape of a GNN with these widths, in `init_gnn` order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    fan_in = input_width
+    for i, width in enumerate(hidden_widths):
+        shapes[f"layer{i}.W"], shapes[f"layer{i}.b"] = (fan_in, width), (width,)
+        fan_in = width
+    shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
+    return shapes
+
+
 def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
     """Per-node failure probabilities; works on arrays or tape leaves.
 

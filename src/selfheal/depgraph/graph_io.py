@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import SchemaError
-from ..numerics import ParamSet, Tensor
+from ..numerics import params_from_payload
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
-from .gnn import GnnParams
+from .gnn import GnnParams, gnn_param_shapes
 
 _NODE_FIELDS = {"id", "kind", "static_features"}
 _EDGE_FIELDS = {"from", "to", "weight"}
@@ -83,6 +81,9 @@ def read_graph(path: str | Path) -> ComponentGraph:
 
 _GNN_FORMAT = "selfheal-gnn"
 _GNN_VERSION = 1
+_GNN_FIELDS = {
+    "input_width", "hidden_widths", "hidden_activation", "label_horizon", "params",
+}
 
 
 def save_gnn(gnn: GnnParams, path: str | Path) -> None:
@@ -102,20 +103,24 @@ def save_gnn(gnn: GnnParams, path: str | Path) -> None:
 
 
 def load_gnn(path: str | Path) -> GnnParams:
+    """Read a `save_gnn` file; parameter names and shapes must match its
+    hidden widths and every value must be finite (SchemaError otherwise)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != _GNN_FORMAT:
         raise SchemaError(f"{path}: not a GNN checkpoint")
     if payload.get("version") != _GNN_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
-    params = ParamSet(
-        {
-            name: Tensor(np.array(entry["values"]).reshape(entry["shape"]))
-            for name, entry in payload["params"].items()
-        }
+    missing = sorted(_GNN_FIELDS - set(payload))
+    if missing:
+        raise SchemaError(f"{path}: missing fields: {missing}")
+    input_width = int(payload["input_width"])
+    hidden_widths = tuple(int(w) for w in payload["hidden_widths"])
+    params = params_from_payload(
+        payload["params"], gnn_param_shapes(input_width, hidden_widths), path
     )
     return GnnParams(
-        input_width=int(payload["input_width"]),
-        hidden_widths=tuple(int(w) for w in payload["hidden_widths"]),
+        input_width=input_width,
+        hidden_widths=hidden_widths,
         params=params,
         hidden_activation=str(payload["hidden_activation"]),
         label_horizon=int(payload["label_horizon"]),

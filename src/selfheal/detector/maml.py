@@ -22,6 +22,9 @@ from ..numerics import (
     finite_diff_grad,
     forward_mlp,
     grad,
+    mlp_loss_and_grad,
+    mlp_params,
+    mlp_weights,
     sgd_step,
     tape,
 )
@@ -77,6 +80,8 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mlp_loss(layer_spec):
+    """The detector loss on the tape; the exact_fd_oracle objective uses it."""
+
     def loss_fn(params_map, x, y):
         pred = forward_mlp(params_map, x, layer_spec)
         if isinstance(pred, tape.Node):
@@ -86,10 +91,68 @@ def _mlp_loss(layer_spec):
     return loss_fn
 
 
+def _taped_grad(loss_fn, params: ParamSet, x, y) -> ParamSet:
+    recorder = GradientTape(params)
+    return grad(loss_fn(recorder.leaves, x, y), params)
+
+
+def _descend(weights, grads, lr: float) -> list[np.ndarray]:
+    """One SGD step on raw arrays, with the finiteness check a Tensor makes."""
+    out = [w - lr * g for w, g in zip(weights, grads)]
+    if not all(np.isfinite(w).all() for w in out):
+        raise InputError("parameters are not finite after a descent step")
+    return out
+
+
+def _adapt(weights, x, y, lr: float, steps: int, layer_spec) -> list[np.ndarray]:
+    """`steps` fused SGD steps on (x, y); identity when lr == 0."""
+    if lr != 0.0:
+        for _ in range(steps):
+            weights = _descend(
+                weights, mlp_loss_and_grad(weights, x, y, layer_spec)[1], lr
+            )
+    return weights
+
+
+_TASK_FIELDS = ("support_x", "support_y", "query_x", "query_y")
+
+
+def _first_order(weights, tasks: list[Task], cfg: MetaConfig, layer_spec):
+    """First-order meta-gradient and summed query loss of `tasks` at `weights`.
+
+    Each task adapts on its support set, then takes its query loss and
+    gradient at the adapted weights; both are summed in task order. Tasks
+    whose support and query shapes all agree are stacked on a leading task
+    axis and run as one batch; otherwise they run one at a time.
+    """
+
+    def query_loss_and_grad(support_x, support_y, query_x, query_y):
+        adapted = _adapt(weights, support_x, support_y, cfg.inner_lr,
+                         cfg.inner_steps, layer_spec)
+        return mlp_loss_and_grad(adapted, query_x, query_y, layer_spec)
+
+    shapes = {tuple(getattr(t, f).shape for f in _TASK_FIELDS) for t in tasks}
+    if len(shapes) == 1:
+        losses, grads = query_loss_and_grad(
+            *(np.stack([getattr(t, f) for t in tasks]) for f in _TASK_FIELDS)
+        )
+        per_task = [(losses[i], [g[i] for g in grads]) for i in range(len(tasks))]
+    else:
+        per_task = [
+            query_loss_and_grad(*(getattr(t, f) for f in _TASK_FIELDS))
+            for t in tasks
+        ]
+    batch_loss, total = 0.0, None
+    for loss, grads in per_task:
+        batch_loss += float(loss)
+        total = grads if total is None else [a + b for a, b in zip(total, grads)]
+    return total, batch_loss
+
+
 def task_loss(params: ParamSet, data, layer_spec=DEFAULT_LAYER_SPEC) -> float:
     """Mean BCE of the model's outputs over a labeled dataset."""
     x, y = _as_xy(data)
-    return float(tape.value_of(_mlp_loss(layer_spec)(params, x, y)))
+    return float(mlp_loss_and_grad(mlp_weights(params, layer_spec), x, y, layer_spec)[0])
 
 
 def inner_adapt(
@@ -102,19 +165,23 @@ def inner_adapt(
 ) -> ParamSet:
     """`steps` gradient steps on the support loss; the input set is untouched.
 
-    With inner_lr == 0 or steps == 0 this is exactly the identity.
+    With inner_lr == 0 or steps == 0 this is exactly the identity. Without a
+    `loss_fn` the steps run on the fused MLP kernel; a custom `loss_fn` runs
+    on the tape.
     """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
     if steps == 0 or inner_lr == 0.0:
         return params
-    loss_fn = loss_fn or _mlp_loss(layer_spec)
+    if inner_lr < 0:
+        raise InputError(f"learning rate must be >= 0, got {inner_lr}")
     x, y = _as_xy(support)
+    if loss_fn is None:
+        weights = mlp_weights(params, layer_spec)
+        return mlp_params(_adapt(weights, x, y, inner_lr, steps, layer_spec), layer_spec)
     current = params
     for _ in range(steps):
-        recorder = GradientTape(current)
-        loss = loss_fn(recorder.leaves, x, y)
-        current = sgd_step(current, grad(loss, current), inner_lr)
+        current = sgd_step(current, _taped_grad(loss_fn, current, x, y), inner_lr)
     return current
 
 
@@ -128,12 +195,16 @@ def meta_gradient(
     """Gradient of the summed post-adaptation query losses w.r.t. `params`.
 
     first_order evaluates each task's query gradient at the adapted
-    parameters (inner Jacobian taken as identity) and sums in task order.
-    exact_fd_oracle differentiates the full two-loop objective by central
-    finite differences; intended for small verification models.
+    parameters (inner Jacobian taken as identity) and sums in task order,
+    on the fused MLP kernel unless a custom `loss_fn` is given.
+    exact_fd_oracle differentiates the full two-loop objective on the tape by
+    central finite differences; intended for small verification models.
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
+    if cfg.meta_mode == "first_order" and loss_fn is None:
+        total, _ = _first_order(mlp_weights(params, layer_spec), tasks, cfg, layer_spec)
+        return mlp_params(total, layer_spec)
     loss_fn = loss_fn or _mlp_loss(layer_spec)
 
     if cfg.meta_mode == "first_order":
@@ -143,9 +214,7 @@ def meta_gradient(
                 params, (task.support_x, task.support_y), cfg.inner_lr,
                 cfg.inner_steps, layer_spec, loss_fn,
             )
-            recorder = GradientTape(adapted)
-            loss = loss_fn(recorder.leaves, *_as_xy((task.query_x, task.query_y)))
-            g = grad(loss, adapted)
+            g = _taped_grad(loss_fn, adapted, *_as_xy((task.query_x, task.query_y)))
             total = g if total is None else ParamSet(
                 {k: total[k].values + g[k].values for k in total}
             )
@@ -191,49 +260,37 @@ class MetaTrainResult:
 def meta_train(
     init: DetectorModel, tasks: list[Task], cfg: MetaConfig, seed: int
 ) -> MetaTrainResult:
-    """Run `meta_iterations` meta-updates over seeded task minibatches."""
+    """Run `meta_iterations` meta-updates over seeded task minibatches.
+
+    The parameters stay raw arrays on the fused MLP kernel throughout and
+    become a ParamSet once, at the end.
+    """
     if len(tasks) < cfg.meta_batch:
         raise InputError(
             f"need at least meta_batch={cfg.meta_batch} tasks, got {len(tasks)}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = init.params
-    loss_fn = _mlp_loss(init.layer_spec)
+    spec = init.layer_spec
+    weights = mlp_weights(init.params, spec)
     curve: list[float] = []
     for iteration in range(cfg.meta_iterations):
         picked = rng.choice(len(tasks), size=cfg.meta_batch, replace=False)
         batch = [tasks[int(i)] for i in picked]
-        batch_loss = 0.0
-        total: ParamSet | None = None
         try:
-            for task in batch:
-                adapted = inner_adapt(
-                    params, (task.support_x, task.support_y), cfg.inner_lr,
-                    cfg.inner_steps, init.layer_spec, loss_fn,
-                )
-                if cfg.meta_mode == "first_order":
-                    recorder = GradientTape(adapted)
-                    loss = loss_fn(recorder.leaves, task.query_x, task.query_y)
-                    g = grad(loss, adapted)
-                    total = g if total is None else ParamSet(
-                        {k: total[k].values + g[k].values for k in total}
-                    )
-                    batch_loss += float(tape.value_of(loss))
-                else:
-                    batch_loss += task_loss(
-                        adapted, (task.query_x, task.query_y), init.layer_spec
-                    )
+            total, batch_loss = _first_order(weights, batch, cfg, spec)
             if not np.isfinite(batch_loss):
                 raise TrainingError("meta-loss is not finite", iteration)
             if cfg.meta_mode == "first_order":
-                params = sgd_step(params, total, cfg.meta_lr)
+                weights = _descend(weights, total, cfg.meta_lr)
             else:
-                params = meta_update(params, batch, cfg, init.layer_spec, loss_fn)
+                params = meta_update(mlp_params(weights, spec), batch, cfg, spec)
+                weights = mlp_weights(params, spec)
         except InputError as err:
-            # non-finite parameters surface as tensor construction failures
             raise TrainingError(f"parameters diverged: {err}", iteration) from err
         curve.append(batch_loss / cfg.meta_batch)
-    return MetaTrainResult(model=init.with_params(params), loss_curve=curve)
+    return MetaTrainResult(
+        model=init.with_params(mlp_params(weights, spec)), loss_curve=curve
+    )
 
 
 @dataclass(frozen=True)
@@ -261,21 +318,20 @@ def evaluate(model: DetectorModel, task: Task, cfg: MetaConfig) -> EvalReport:
     reaches ADAPT_LOSS_BOUND, or cfg.inner_steps if it never does within the
     budget.
     """
-    loss_fn = _mlp_loss(model.layer_spec)
-    support = (task.support_x, task.support_y)
-    params = model.params
-    adaptation_steps = cfg.inner_steps
-    if task_loss(params, support, model.layer_spec) <= ADAPT_LOSS_BOUND:
-        adaptation_steps = 0
-    for step in range(1, cfg.inner_steps + 1):
-        params = inner_adapt(params, support, cfg.inner_lr, 1, model.layer_spec, loss_fn)
-        if (
-            adaptation_steps == cfg.inner_steps
-            and task_loss(params, support, model.layer_spec) <= ADAPT_LOSS_BOUND
-        ):
+    spec = model.layer_spec
+    x, y = _as_xy((task.support_x, task.support_y))
+    weights = mlp_weights(model.params, spec)
+    adaptation_steps = None
+    for step in range(cfg.inner_steps + 1):
+        if step:
+            weights = _descend(weights, grads, cfg.inner_lr)
+        loss, grads = mlp_loss_and_grad(weights, x, y, spec)
+        if adaptation_steps is None and loss <= ADAPT_LOSS_BOUND:
             adaptation_steps = step
+    if adaptation_steps is None:
+        adaptation_steps = cfg.inner_steps
 
-    adapted = model.with_params(params)
+    adapted = model.with_params(mlp_params(weights, spec))
     tp = fp = fn = tn = 0
     for row, label in zip(task.query_x, task.query_y):
         _, flag = detect(adapted, row)

@@ -9,12 +9,19 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigurationError, InputError, SchemaError
-from ..numerics import ParamSet, Tensor, forward_mlp, init_mlp_params
+from ..numerics import (
+    ParamSet,
+    forward_mlp,
+    init_mlp_params,
+    mlp_param_shapes,
+    params_from_payload,
+)
 
 DEFAULT_LAYER_SPEC = ((32, "relu"), (16, "relu"), (1, "sigmoid"))
 
 CHECKPOINT_FORMAT = "selfheal-detector"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_FIELDS = {"input_width", "threshold", "layer_spec", "params"}
 
 
 @dataclass(frozen=True)
@@ -81,20 +88,24 @@ def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> DetectorModel:
+    """Read a `save_checkpoint` file; parameter names and shapes must match
+    its layer spec and every value must be finite (SchemaError otherwise)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError(f"{path}: not a detector checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
-    params = ParamSet(
-        {
-            name: Tensor(np.array(entry["values"]).reshape(entry["shape"]))
-            for name, entry in payload["params"].items()
-        }
+    missing = sorted(_CHECKPOINT_FIELDS - set(payload))
+    if missing:
+        raise SchemaError(f"{path}: missing fields: {missing}")
+    input_width = int(payload["input_width"])
+    layer_spec = tuple((int(w), str(a)) for w, a in payload["layer_spec"])
+    params = params_from_payload(
+        payload["params"], mlp_param_shapes(input_width, layer_spec), path
     )
     return DetectorModel(
-        input_width=int(payload["input_width"]),
-        layer_spec=tuple((int(w), str(a)) for w, a in payload["layer_spec"]),
+        input_width=input_width,
+        layer_spec=layer_spec,
         params=params,
         threshold=float(payload["threshold"]),
     )

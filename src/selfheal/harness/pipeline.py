@@ -16,6 +16,7 @@ from .. import __version__
 from ..errors import StageError
 from ..seeding import derive_seed
 from ..detector import (
+    ADAPT_LOSS_BOUND,
     DetectorModel,
     MetaConfig,
     detect,
@@ -153,7 +154,7 @@ def _train_and_eval_detector(cfg: RunConfig, train_tasks, eval_tasks):
         "median_proposed": float(statistics.median(p for p, _ in pairs)),
         "median_baseline": float(statistics.median(b for _, b in pairs)),
         "max_steps": det.adapt_max_steps,
-        "loss_bound": 0.35,
+        "loss_bound": ADAPT_LOSS_BOUND,
     }
     return result.model, detection, adaptation
 

@@ -7,10 +7,14 @@ from .nets import (
     finite_diff_grad,
     forward_mlp,
     init_mlp_params,
+    mlp_loss_and_grad,
+    mlp_param_shapes,
+    mlp_params,
+    mlp_weights,
     sgd_step,
 )
 from .tape import GradientTape, Node, grad
-from .tensor import ParamSet, Tensor
+from .tensor import ParamSet, Tensor, params_from_payload
 
 __all__ = [
     "LOG_CLAMP",
@@ -23,6 +27,11 @@ __all__ = [
     "forward_mlp",
     "grad",
     "init_mlp_params",
+    "mlp_loss_and_grad",
+    "mlp_param_shapes",
+    "mlp_params",
+    "mlp_weights",
+    "params_from_payload",
     "sgd_step",
     "tape",
 ]

@@ -1,5 +1,9 @@
 """Small dense networks over the tape: MLP forward pass, BCE, SGD, and the
-finite-difference oracle every gradient in this package is checked against."""
+finite-difference oracle every gradient in this package is checked against.
+
+`mlp_loss_and_grad` is the same MLP loss and gradient in closed form on raw
+arrays, optionally batched over tasks; the detector trains with it, and the
+tape stays its reference."""
 
 from __future__ import annotations
 
@@ -25,6 +29,19 @@ _ACTIVATIONS: dict[str, Callable] = {
 
 def layer_param_names(layer_index: int) -> tuple[str, str]:
     return f"layer{layer_index}.W", f"layer{layer_index}.b"
+
+
+def mlp_param_shapes(
+    input_width: int, layer_spec: LayerSpec
+) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape of the MLP described by `layer_spec`."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    fan_in = input_width
+    for i, (width, _activation) in enumerate(layer_spec):
+        w_name, b_name = layer_param_names(i)
+        shapes[w_name], shapes[b_name] = (fan_in, width), (width,)
+        fan_in = width
+    return shapes
 
 
 def init_mlp_params(
@@ -109,6 +126,84 @@ def bce_loss(pred, label):
         tape.mul(1.0 - labels, tape.log(tape.sub(1.0, p))),
     )
     return tape.mul(tape.mean(term), -1.0)
+
+
+# Forward op and the tape's vector-Jacobian product of each activation, as
+# (forward(z), vjp(g, z, out)); the vjps repeat tape.relu/sigmoid/tanh exactly.
+_FUSED_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda g, z, out: g * (z > 0.0)),
+    "sigmoid": (
+        lambda z: 1.0 / (1.0 + np.exp(-z)),
+        lambda g, z, out: g * out * (1.0 - out),
+    ),
+    "tanh": (np.tanh, lambda g, z, out: g * (1.0 - out * out)),
+    "linear": (lambda z: z, lambda g, z, out: g),
+}
+
+
+def _mlp_names(layer_spec: LayerSpec) -> list[str]:
+    return [name for i in range(len(layer_spec)) for name in layer_param_names(i)]
+
+
+def mlp_weights(params: ParamSet, layer_spec: LayerSpec) -> list[np.ndarray]:
+    """The MLP's parameter arrays in layer order: [W0, b0, W1, b1, ...]."""
+    return [_entry(params, name) for name in _mlp_names(layer_spec)]
+
+
+def mlp_params(weights: Sequence[np.ndarray], layer_spec: LayerSpec) -> ParamSet:
+    """Inverse of `mlp_weights`: name the arrays and wrap them as Tensors."""
+    return ParamSet(dict(zip(_mlp_names(layer_spec), weights)))
+
+
+def mlp_loss_and_grad(
+    weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray, layer_spec: LayerSpec
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Mean BCE of a dense MLP and its gradient, in closed form on raw arrays.
+
+    `weights` is [W0, b0, W1, b1, ...] as from `mlp_weights`; `x` is (n, d)
+    and `y` (n,) of 0/1 labels. Any of them may carry a leading task axis of
+    length B, e.g. x (B, n, d) with weights (B, d, h) and (B, h), and then the
+    loss has shape (B,) and every gradient a leading B axis. The pass replays
+    the operation order of `grad(bce_loss(forward_mlp(...)))` on the tape, so
+    each task's loss and gradient equal the taped ones bitwise.
+    """
+    labels = np.asarray(y, dtype=np.float64)[..., None]
+    _check_labels(labels)
+    layer_inputs, pre, out = [], [], np.asarray(x, dtype=np.float64)
+    width = out.shape[-1]
+    for i, (out_width, activation) in enumerate(layer_spec):
+        if activation not in _FUSED_ACTIVATIONS:
+            raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
+        w, b = weights[2 * i], weights[2 * i + 1]
+        if w.shape[-2:] != (width, out_width) or b.shape[-1:] != (out_width,):
+            raise ConfigurationError(
+                f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
+                f"got W{tuple(w.shape)} and b{tuple(b.shape)}"
+            )
+        layer_inputs.append(out)
+        pre.append(out @ w + b[..., None, :])
+        out = _FUSED_ACTIVATIONS[activation][0](pre[-1])
+        width = out_width
+
+    # bce_loss: clip, two logs, mean, negate; then the adjoint of each op
+    n = out.shape[-2] * out.shape[-1]
+    clipped = np.clip(out, LOG_CLAMP, 1.0 - LOG_CLAMP)
+    complement = 1.0 - clipped
+    term = labels * np.log(clipped) + (1.0 - labels) * np.log(complement)
+    loss = term.sum(axis=(-2, -1)) / n * -1.0
+    g_term = -1.0 / n
+    g = (g_term * labels) / clipped - (g_term * (1.0 - labels)) / complement
+    g = g * ((out >= LOG_CLAMP) & (out <= 1.0 - LOG_CLAMP))
+
+    grads: list = [None] * len(weights)
+    for i in reversed(range(len(layer_spec))):
+        g = _FUSED_ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], out)
+        grads[2 * i + 1] = g.sum(axis=-2)
+        grads[2 * i] = np.swapaxes(layer_inputs[i], -1, -2) @ g
+        if i:
+            g = g @ np.swapaxes(weights[2 * i], -1, -2)
+            out = layer_inputs[i]
+    return loss, grads
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, SchemaError
 
 
 class Tensor:
@@ -134,3 +134,47 @@ class ParamSet(Mapping[str, Tensor]):
     @staticmethod
     def zeros_like(other: "ParamSet") -> "ParamSet":
         return ParamSet({k: Tensor.zeros(v.shape) for k, v in other.items()})
+
+
+def params_from_payload(
+    entries, expected: Mapping[str, tuple[int, ...]], source
+) -> ParamSet:
+    """Rebuild a saved {name: {"shape", "values"}} map as a ParamSet.
+
+    Names must be exactly those of `expected`, each shape must equal the
+    expected one and every value must be finite; anything else raises a
+    SchemaError that names the offending field.
+    """
+    if not isinstance(entries, dict):
+        raise SchemaError(f"{source}: field 'params' must be an object")
+    missing = sorted(set(expected) - set(entries))
+    unknown = sorted(set(entries) - set(expected))
+    if missing or unknown:
+        raise SchemaError(
+            f"{source}: field 'params' has missing names {missing} "
+            f"and unknown names {unknown}"
+        )
+    out: dict[str, Tensor] = {}
+    for name, shape in expected.items():
+        field = f"params.{name}"
+        entry = entries[name]
+        if not isinstance(entry, dict) or {"shape", "values"} - set(entry):
+            raise SchemaError(f"{source}: field '{field}' needs 'shape' and 'values'")
+        if entry["shape"] != list(shape):
+            raise SchemaError(
+                f"{source}: field '{field}' has shape {entry['shape']}, "
+                f"expected {list(shape)}"
+            )
+        try:
+            values = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{source}: field '{field}' holds non-numbers") from None
+        if values.size != int(np.prod(shape)) or values.ndim != 1:
+            raise SchemaError(
+                f"{source}: field '{field}' has {values.size} values for shape "
+                f"{list(shape)}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise SchemaError(f"{source}: field '{field}' holds non-finite values")
+        out[name] = Tensor(values.reshape(shape))
+    return ParamSet(out)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from selfheal.depgraph import (
     gnn_layer,
     init_embeddings,
     init_gnn,
+    load_gnn,
     mttfp,
     predict_failures,
     prediction_rates,
     read_graph,
+    save_gnn,
     train_gnn,
     write_graph,
 )
@@ -314,3 +318,30 @@ class TestGraphIo:
         path.write_text('{"nodes": []}')
         with pytest.raises(SchemaError, match="edges"):
             read_graph(path)
+
+    def test_gnn_roundtrip_bitwise(self, tmp_path):
+        gnn = init_gnn(chain3(), seed=8, hidden_widths=(4, 3), label_horizon=3)
+        path = tmp_path / "gnn.json"
+        save_gnn(gnn, path)
+        loaded = load_gnn(path)
+        assert loaded == gnn
+        for k in gnn.params:
+            assert loaded.params[k].values.tobytes() == gnn.params[k].values.tobytes()
+
+    def test_gnn_shape_disagreeing_with_widths_rejected(self, tmp_path):
+        path = tmp_path / "gnn.json"
+        save_gnn(init_gnn(chain3(), seed=8, hidden_widths=(4,)), path)
+        payload = json.loads(path.read_text())
+        payload["hidden_widths"] = [5]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="params.layer0.W"):
+            load_gnn(path)
+
+    def test_gnn_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "gnn.json"
+        save_gnn(init_gnn(chain3(), seed=8, hidden_widths=(4,)), path)
+        payload = json.loads(path.read_text())
+        payload["params"]["readout.b"]["values"] = [float("inf")]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="params.readout.b"):
+            load_gnn(path)

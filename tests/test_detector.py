@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from selfheal.errors import InputError
+from selfheal.errors import InputError, SchemaError
 from selfheal.detector import (
     DetectorModel,
     MetaConfig,
@@ -18,7 +19,16 @@ from selfheal.detector import (
     save_checkpoint,
     task_loss,
 )
-from selfheal.numerics import ParamSet, Tensor, tape
+from selfheal.numerics import (
+    GradientTape,
+    ParamSet,
+    Tensor,
+    bce_loss,
+    forward_mlp,
+    grad,
+    sgd_step,
+    tape,
+)
 from selfheal.simulator import Task, default_patterns, make_tasks
 
 
@@ -244,32 +254,38 @@ class TestMetaTrain:
         with pytest.raises(InputError):
             meta_train(model, [tiny_task(0)], MetaConfig(meta_batch=2), seed=0)
 
-    def test_divergence_reports_iteration(self, monkeypatch):
-        from selfheal.detector import maml
+    def test_divergence_reports_iteration(self):
+        # Balanced tasks with tiny features train quietly; the poisoned task's
+        # 1e300 feature overflows its first inner step to inf. Only the
+        # finiteness check after each update can report that: past the
+        # overflow the sigmoid saturates and every loss stays finite.
         from selfheal.errors import TrainingError
 
-        real = maml._mlp_loss
-        calls = {"n": 0}
+        rng = np.random.default_rng(4)
+        tasks = []
+        for _ in range(5):
+            x = np.zeros((8, 4))
+            x[:, 1:] = 1e-12 * rng.normal(size=(8, 3))
+            y = np.array([0.0, 1.0] * 4)
+            tasks.append(Task(x[:4], y[:4], x[4:], y[4:], "quiet"))
+        poison = np.zeros((4, 4))
+        poison[:, 0] = 1e300
+        tasks.append(Task(poison, np.ones(4), poison, np.ones(4), "poison"))
+        model = DetectorModel(4, ((1, "sigmoid"),), ParamSet(
+            {"layer0.W": Tensor(np.zeros((4, 1))), "layer0.b": Tensor(np.zeros(1))}
+        ))
 
-        def poisoned(layer_spec):
-            fn = real(layer_spec)
+        def cfg(iterations):
+            return MetaConfig(inner_lr=1e9, meta_lr=0.05, inner_steps=1,
+                              meta_batch=2, meta_iterations=iterations)
 
-            def loss_fn(pm, x, y):
-                calls["n"] += 1
-                if calls["n"] > 6:  # blow up partway through training
-                    return tape.Node(np.float64("nan"))
-                return fn(pm, x, y)
-
-            return loss_fn
-
-        monkeypatch.setattr(maml, "_mlp_loss", poisoned)
-        model = init_detector(4, seed=6, layer_spec=((3, "relu"), (1, "sigmoid")))
-        tasks = [tiny_task(s) for s in range(4)]
-        cfg = MetaConfig(inner_lr=0.3, meta_lr=0.05, inner_steps=1,
-                         meta_batch=2, meta_iterations=20)
-        with pytest.raises(TrainingError) as err:
-            meta_train(model, tasks, cfg, seed=9)
-        assert err.value.iteration >= 0
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            meta_train(model, tasks, cfg(30), seed=5)
+        assert "diverged" in str(err.value)
+        assert err.value.iteration > 0
+        # every iteration before the reported one trains cleanly
+        clean = meta_train(model, tasks, cfg(err.value.iteration), seed=5)
+        assert len(clean.loss_curve) == err.value.iteration
 
     def test_loss_halves_on_separable_fixture(self):
         # 8 linearly separable synthetic tasks, shared decision direction.
@@ -287,6 +303,83 @@ class TestMetaTrain:
         early = np.mean(result.loss_curve[:5])
         late = np.mean(result.loss_curve[-5:])
         assert late <= 0.5 * early
+
+
+def taped_meta_train(init, tasks, cfg, seed):
+    """Reference first-order meta-training: one task at a time on the tape."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spec = init.layer_spec
+
+    def loss_and_grad(params, x, y):
+        recorder = GradientTape(params)
+        loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y.reshape(-1, 1))
+        return float(tape.value_of(loss)), grad(loss, params)
+
+    params, curve = init.params, []
+    for _ in range(cfg.meta_iterations):
+        picked = rng.choice(len(tasks), size=cfg.meta_batch, replace=False)
+        total, batch_loss = None, 0.0
+        for i in picked:
+            task = tasks[int(i)]
+            adapted = params
+            for _ in range(cfg.inner_steps):
+                g = loss_and_grad(adapted, task.support_x, task.support_y)[1]
+                adapted = sgd_step(adapted, g, cfg.inner_lr)
+            loss, g = loss_and_grad(adapted, task.query_x, task.query_y)
+            batch_loss += loss
+            total = g if total is None else ParamSet(
+                {k: total[k].values + g[k].values for k in total}
+            )
+        params = sgd_step(params, total, cfg.meta_lr)
+        curve.append(batch_loss / cfg.meta_batch)
+    return params, curve
+
+
+class TestBatchedMetaTrain:
+    SPEC = ((8, "relu"), (4, "tanh"), (1, "sigmoid"))
+
+    def _check_against_reference(self, tasks, cfg, width):
+        model = init_detector(width, seed=21, layer_spec=self.SPEC)
+        result = meta_train(model, tasks, cfg, seed=5)
+        params, curve = taped_meta_train(model, tasks, cfg, seed=5)
+        assert result.loss_curve == curve
+        for k in params:
+            assert result.model.params[k].values.tobytes() == params[k].values.tobytes()
+
+    @pytest.mark.parametrize("inner_steps", [0, 1, 3])
+    def test_equal_shapes_bitwise_equal_to_taped_loop(self, inner_steps):
+        tasks = make_tasks(default_patterns(5, seed=41, anomaly_rate=0.15),
+                           6, 10, 4, seed=2)
+        cfg = MetaConfig(inner_lr=0.5, meta_lr=0.1, inner_steps=inner_steps,
+                         meta_batch=4, meta_iterations=12)
+        self._check_against_reference(tasks, cfg, tasks[0].feature_width)
+
+    def test_mixed_shapes_bitwise_equal_to_taped_loop(self):
+        tasks = [tiny_task(s, n=8 + 2 * (s % 3)) for s in range(6)]
+        cfg = MetaConfig(inner_lr=0.4, meta_lr=0.1, inner_steps=2,
+                         meta_batch=3, meta_iterations=12)
+        self._check_against_reference(tasks, cfg, 4)
+
+    def test_stacks_equal_shapes_and_loops_over_mixed_ones(self, monkeypatch):
+        from selfheal.detector import maml
+
+        seen = []
+        real = maml.mlp_loss_and_grad
+
+        def spy(weights, x, y, layer_spec):
+            seen.append(np.shape(x))
+            return real(weights, x, y, layer_spec)
+
+        monkeypatch.setattr(maml, "mlp_loss_and_grad", spy)
+        params = init_detector(4, seed=3, layer_spec=self.SPEC).params
+        cfg = MetaConfig(inner_lr=0.4, inner_steps=1, meta_batch=3)
+        same = [tiny_task(s) for s in range(3)]
+        meta_gradient(params, same, cfg, self.SPEC)
+        assert seen == [(3, 4, 4), (3, 4, 4)]
+        seen.clear()
+        mixed = [tiny_task(0, n=8), tiny_task(1, n=10), tiny_task(2, n=8)]
+        meta_gradient(params, mixed, cfg, self.SPEC)
+        assert seen == [(4, 4), (4, 4), (5, 4), (5, 4), (4, 4), (4, 4)]
 
 
 class TestDetect:
@@ -384,4 +477,30 @@ class TestCheckpoint:
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(Exception):
+            load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "detector.json"
+        save_checkpoint(init_detector(6, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))), path)
+        return path, json.loads(path.read_text())
+
+    def test_shape_disagreeing_with_layer_spec_rejected(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["params"]["layer0.W"]["shape"] = [3, 6]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="params.layer0.W"):
+            load_checkpoint(path)
+
+    def test_missing_and_unknown_names_rejected(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["params"]["layer2.W"] = payload["params"].pop("layer1.W")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="layer1.W"):
+            load_checkpoint(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["params"]["layer1.b"]["values"] = [float("nan")]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="params.layer1.b"):
             load_checkpoint(path)

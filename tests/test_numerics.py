@@ -5,6 +5,7 @@ import pytest
 
 from selfheal.errors import ConfigurationError, InputError
 from selfheal.numerics import (
+    LOG_CLAMP,
     GradientTape,
     ParamSet,
     Tensor,
@@ -13,6 +14,9 @@ from selfheal.numerics import (
     forward_mlp,
     grad,
     init_mlp_params,
+    mlp_loss_and_grad,
+    mlp_params,
+    mlp_weights,
     sgd_step,
     tape,
 )
@@ -186,6 +190,129 @@ class TestGrad:
         first, second = run(), run()
         for name in params:
             assert np.array_equal(first[name].values, second[name].values)
+
+
+def _taped_loss_and_grad(params, x, y, spec):
+    recorder = GradientTape(params)
+    loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y.reshape(-1, 1))
+    return float(tape.value_of(loss)), grad(loss, params)
+
+
+FUSED_SPECS = [
+    [(4, "relu"), (1, "sigmoid")],
+    [(5, "tanh"), (3, "relu"), (1, "sigmoid")],
+    [(3, "linear"), (1, "sigmoid")],
+    [(4, "sigmoid"), (2, "tanh"), (1, "sigmoid")],
+    [(2, "relu"), (1, "linear")],
+]
+
+
+class TestFusedMlpKernel:
+    @pytest.mark.parametrize("spec", FUSED_SPECS, ids=str)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_tape(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        params = init_mlp_params(3, spec, seed=seed + 2000)
+        x = rng.normal(size=(7, 3)) * 2.0
+        y = rng.integers(0, 2, size=7).astype(float)
+        loss, grads = mlp_loss_and_grad(mlp_weights(params, spec), x, y, spec)
+        taped_loss, taped = _taped_loss_and_grad(params, x, y, spec)
+        assert loss.tobytes() == np.float64(taped_loss).tobytes()
+        fused = mlp_params(grads, spec)
+        for name in params:
+            assert np.array_equal(fused[name].values, taped[name].values), name
+
+    @pytest.mark.parametrize("spec", FUSED_SPECS[:4], ids=str)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_finite_differences(self, spec, seed):
+        rng = np.random.default_rng(seed + 100)
+        params = init_mlp_params(3, spec, seed=seed + 3000)
+
+        def min_relu_margin(x):
+            # |pre-activation| of every relu unit: central differences are
+            # only valid away from the kink at zero
+            return min(
+                (np.abs(forward_mlp(params, x, [*spec[:i], (w, "linear")]).values).min()
+                 for i, (w, act) in enumerate(spec) if act == "relu"),
+                default=np.inf,
+            )
+
+        x = rng.normal(size=(6, 3))
+        while min_relu_margin(x) < 1e-2:
+            x = rng.normal(size=(6, 3))
+        y = rng.integers(0, 2, size=6).astype(float)
+        _, grads = mlp_loss_and_grad(mlp_weights(params, spec), x, y, spec)
+        oracle = finite_diff_grad(
+            lambda p: float(mlp_loss_and_grad(mlp_weights(p, spec), x, y, spec)[0]),
+            params, 1e-4,
+        )
+        fused = mlp_params(grads, spec)
+        for name in params:
+            assert np.allclose(
+                fused[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
+            ), name
+
+    def test_clipped_predictions(self):
+        # rows 0-1 saturate past 1 - LOG_CLAMP, rows 2-3 below LOG_CLAMP, row 4
+        # stays inside: the clip mask zeroes the saturated rows' adjoints
+        spec = [(1, "sigmoid")]
+        params = ParamSet(
+            {"layer0.W": Tensor([[40.0], [0.0]]), "layer0.b": Tensor([0.0])}
+        )
+        x = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [-2.0, 3.0], [0.05, 0.5]])
+        y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+        weights = mlp_weights(params, spec)
+        out = forward_mlp(params, x, spec).values[:, 0]
+        assert np.all(out[:2] > 1.0 - LOG_CLAMP) and np.all(out[2:4] < LOG_CLAMP)
+        loss, grads = mlp_loss_and_grad(weights, x, y, spec)
+        taped_loss, taped = _taped_loss_and_grad(params, x, y, spec)
+        assert float(loss) == taped_loss
+        fused = mlp_params(grads, spec)
+        for name in params:
+            assert np.array_equal(fused[name].values, taped[name].values), name
+        # only row 4 contributes: d/dW = (p - y) x / n, d/db = (p - y) / n
+        p4 = out[4]
+        assert fused["layer0.b"].values[0] == pytest.approx((p4 - 1.0) / 5, rel=1e-12)
+        oracle = finite_diff_grad(
+            lambda p: float(mlp_loss_and_grad(mlp_weights(p, spec), x, y, spec)[0]),
+            params, 1e-4,
+        )
+        for name in params:
+            assert np.allclose(
+                fused[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
+            ), name
+
+    def test_task_axis_equals_one_task_at_a_time(self):
+        rng = np.random.default_rng(7)
+        spec = [(5, "relu"), (3, "tanh"), (1, "sigmoid")]
+        shared = mlp_weights(init_mlp_params(4, spec, seed=1), spec)
+        x = rng.normal(size=(3, 6, 4))
+        y = rng.integers(0, 2, size=(3, 6)).astype(float)
+        per_task = [mlp_loss_and_grad(shared, x[b], y[b], spec) for b in range(3)]
+        # shared weights broadcast over the task axis
+        loss, grads = mlp_loss_and_grad(shared, x, y, spec)
+        # per-task weights stacked on the task axis
+        stacked = [np.stack([w - 0.1 * b for b in range(3)]) for w in shared]
+        loss_s, grads_s = mlp_loss_and_grad(stacked, x, y, spec)
+        for b, (task_loss, task_grads) in enumerate(per_task):
+            assert loss[b] == task_loss
+            for g, ref in zip(grads, task_grads):
+                assert np.array_equal(g[b], ref)
+            own = mlp_loss_and_grad([w[b] for w in stacked], x[b], y[b], spec)
+            assert loss_s[b] == own[0]
+            for g, ref in zip(grads_s, own[1]):
+                assert np.array_equal(g[b], ref)
+
+    def test_rejects_bad_labels_and_shapes(self):
+        spec = [(2, "relu"), (1, "sigmoid")]
+        weights = mlp_weights(init_mlp_params(3, spec, seed=0), spec)
+        with pytest.raises(InputError):
+            mlp_loss_and_grad(weights, np.zeros((2, 3)), np.array([0.0, 2.0]), spec)
+        with pytest.raises(ConfigurationError, match="layer 0"):
+            mlp_loss_and_grad(weights, np.zeros((2, 4)), np.zeros(2), spec)
+        with pytest.raises(ConfigurationError, match="unknown activation"):
+            mlp_loss_and_grad(weights, np.zeros((2, 3)), np.zeros(2),
+                              [(2, "gelu"), (1, "sigmoid")])
 
 
 class TestSgdStep:
