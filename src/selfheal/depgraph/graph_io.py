@@ -9,6 +9,7 @@ parameters bitwise.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from ..errors import SchemaError
@@ -54,13 +55,16 @@ def read_graph(path: str | Path) -> ComponentGraph:
         missing = sorted(_NODE_FIELDS - set(entry))
         if missing:
             raise SchemaError(f"{path}: node {i} missing fields: {missing}")
-        nodes.append(
-            GraphNode(
-                id=str(entry["id"]),
-                kind=str(entry["kind"]),
-                static_features=tuple(float(x) for x in entry["static_features"]),
-            )
-        )
+        try:
+            features = tuple(float(x) for x in entry["static_features"])
+            node = GraphNode(id=str(entry["id"]), kind=str(entry["kind"]),
+                             static_features=features)
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"{path}: node {i}: {err}") from None
+        if not all(map(math.isfinite, features)):
+            raise SchemaError(f"{path}: node {i}.static_features must be finite, "
+                              f"got {list(features)}")
+        nodes.append(node)
     edges = []
     for i, entry in enumerate(payload["edges"]):
         unknown = sorted(set(entry) - _EDGE_FIELDS)
@@ -69,13 +73,11 @@ def read_graph(path: str | Path) -> ComponentGraph:
         missing = sorted(_EDGE_FIELDS - set(entry))
         if missing:
             raise SchemaError(f"{path}: edge {i} missing fields: {missing}")
-        edges.append(
-            GraphEdge(
-                src=str(entry["from"]),
-                dst=str(entry["to"]),
-                weight=float(entry["weight"]),
-            )
-        )
+        try:
+            edges.append(GraphEdge(src=str(entry["from"]), dst=str(entry["to"]),
+                                   weight=float(entry["weight"])))
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"{path}: edge {i}: {err}") from None
     return ComponentGraph(nodes, edges)
 
 

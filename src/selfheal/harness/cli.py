@@ -12,13 +12,21 @@ from pathlib import Path
 
 from ..errors import ConfigurationError, SchemaError, SelfHealError, StageError
 from ..seeding import derive_seed
-from ..detector import MetaConfig, init_detector, meta_train, save_checkpoint
-from ..depgraph import save_gnn, train_gnn, write_graph
-from ..recovery import QHyper, RecoveryEnv, RewardWeights, save_policy, train_agent, weight_sweep
-from ..simulator import augment_tasks, default_patterns, export_csv, generate_trace, make_tasks
-from ..simulator.cascade import make_cascade_dataset, make_tree_graph
-from .config import RunConfig, load_config, resolve_action_costs, resolved_config_json
-from .pipeline import run_pipeline
+from ..detector import save_checkpoint
+from ..depgraph import save_gnn, write_graph
+from ..recovery import save_policy
+from ..simulator import export_csv, generate_trace
+from ..simulator.cascade import make_tree_graph
+from .config import RunConfig, load_config, resolved_config_json
+from .pipeline import (
+    agent_stage,
+    build_tasks,
+    detector_stage,
+    gnn_stage,
+    run_pipeline,
+    sweep_stage,
+    workload_patterns,
+)
 from .report import emit_report, parse_report
 
 EXIT_OK = 0
@@ -74,16 +82,13 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    sim = cfg.simulator
     seed = derive_seed(cfg.seed, "simulator")
-    patterns = default_patterns(sim.n_train_patterns,
-                                seed=derive_seed(seed, "train-patterns"),
-                                anomaly_rate=sim.anomaly_rate)
+    patterns = workload_patterns(cfg, "train")
     for pattern in patterns:
         trace = generate_trace(pattern, derive_seed(seed, "trace", pattern.pattern_id),
                                ticks=600)
         export_csv(trace, out / f"trace-{pattern.pattern_id}.csv")
-    graph = make_tree_graph(sim.cascade_nodes, seed=derive_seed(seed, "graph"))
+    graph = make_tree_graph(cfg.simulator.cascade_nodes, seed=derive_seed(seed, "graph"))
     write_graph(graph, out / "graph.json")
     print(f"wrote {len(patterns)} traces and graph.json to {out}")
     return EXIT_OK
@@ -91,67 +96,33 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_train_detector(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    sim, det = cfg.simulator, cfg.detector
-    seed = derive_seed(cfg.seed, "simulator")
-    patterns = default_patterns(sim.n_train_patterns,
-                                seed=derive_seed(seed, "train-patterns"),
-                                anomaly_rate=sim.anomaly_rate)
-    tasks = make_tasks(patterns, sim.n_support, sim.n_query, sim.window_width,
-                       seed=derive_seed(seed, "train-tasks"))
-    tasks = augment_tasks(tasks, sim.jitter_std, sim.mix_count,
-                          seed=derive_seed(seed, "augment"))
-    det_seed = derive_seed(cfg.seed, "detector")
-    layer_spec = tuple((w, "relu") for w in det.hidden_widths) + ((1, "sigmoid"),)
-    init = init_detector(tasks[0].feature_width, seed=derive_seed(det_seed, "init"),
-                         layer_spec=layer_spec, threshold=det.threshold)
-    meta_cfg = MetaConfig(inner_lr=det.inner_lr, meta_lr=det.meta_lr,
-                          inner_steps=det.inner_steps, meta_batch=det.meta_batch,
-                          meta_iterations=det.meta_iterations, meta_mode=det.meta_mode)
-    result = meta_train(init, tasks, meta_cfg, seed=derive_seed(det_seed, "train"))
+    result = detector_stage(cfg, *build_tasks(cfg))[0]
     save_checkpoint(result.model, out / "detector.json")
     (out / "detector-loss.json").write_text(json.dumps(result.loss_curve))
-    print(f"saved detector checkpoint to {out / 'detector.json'} "
-          f"(final meta-loss {result.loss_curve[-1]:.4f})")
+    note = f" (final meta-loss {result.loss_curve[-1]:.4f})" if result.loss_curve else ""
+    print(f"saved detector checkpoint to {out / 'detector.json'}{note}")
     return EXIT_OK
 
 
 def _cmd_train_gnn(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    sim, gnn_cfg = cfg.simulator, cfg.gnn
-    seed = derive_seed(cfg.seed, "gnn")
-    traces = make_cascade_dataset(sim.n_cascades, seed=derive_seed(seed, "cascades"),
-                                  n_nodes=sim.cascade_nodes,
-                                  horizon=sim.cascade_horizon,
-                                  fail_threshold=sim.fail_threshold)
-    split = int(len(traces) * gnn_cfg.train_fraction)
-    result = train_gnn(traces[:split], hidden_widths=gnn_cfg.hidden_widths,
-                       epochs=gnn_cfg.epochs, lr=gnn_cfg.lr,
-                       seed=derive_seed(seed, "train"),
-                       label_horizon=gnn_cfg.label_horizon)
+    result = gnn_stage(cfg)[0]
     save_gnn(result.gnn, out / "gnn.json")
     (out / "gnn-loss.json").write_text(json.dumps(result.loss_curve))
-    print(f"saved GNN parameters to {out / 'gnn.json'} "
-          f"(final loss {result.loss_curve[-1]:.4f})")
+    note = f" (final loss {result.loss_curve[-1]:.4f})" if result.loss_curve else ""
+    print(f"saved GNN parameters to {out / 'gnn.json'}{note}")
     return EXIT_OK
 
 
 def _cmd_train_agent(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    agent = cfg.agent
-    seed = derive_seed(cfg.seed, "agent")
-    env = RecoveryEnv(episode_ticks=agent.episode_ticks,
-                      action_costs=resolve_action_costs(agent),
-                      seed=derive_seed(seed, "env"))
-    weights = RewardWeights.normalized(*agent.weights)
-    hyper = QHyper(gamma=agent.gamma, lr=agent.lr,
-                   epsilon_start=agent.epsilon_start,
-                   epsilon_end=agent.epsilon_end)
-    result = train_agent(env, weights, episodes=agent.episodes, hyper=hyper,
-                         seed=derive_seed(seed, "train"))
+    result = agent_stage(cfg)[1]
     save_policy(result.policy, out / "policy.tsv")
     (out / "agent-returns.json").write_text(json.dumps(result.returns))
-    print(f"saved policy table to {out / 'policy.tsv'} "
-          f"(mean return of last 20 episodes {sum(result.returns[-20:]) / 20:.4f})")
+    last = result.returns[-20:]
+    note = (f" (mean return of last {len(last)} episodes {sum(last) / len(last):.4f})"
+            if last else "")
+    print(f"saved policy table to {out / 'policy.tsv'}{note}")
     return EXIT_OK
 
 
@@ -176,28 +147,11 @@ def _cmd_report(cfg: RunConfig, input_path: Path) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    agent = cfg.agent
-    env = RecoveryEnv(episode_ticks=agent.episode_ticks,
-                      action_costs=resolve_action_costs(agent),
-                      seed=derive_seed(derive_seed(cfg.seed, "agent"), "env"))
-    grid = [RewardWeights.normalized(*w) for w in agent.sweep_grid]
-    result = weight_sweep(env, grid, episodes=agent.sweep_episodes,
-                          seed=derive_seed(cfg.seed, "agent", "sweep"),
-                          eval_episodes=agent.sweep_eval_episodes)
-    front_ids = {id(e) for e in result.front}
-    payload = [
-        {
-            "weights": [e.weights.latency, e.weights.resource, e.weights.cost],
-            "objectives": [e.objectives.latency, e.objectives.resource,
-                           e.objectives.cost],
-            "on_front": id(e) in front_ids,
-        }
-        for e in result.entries
-    ]
+    pareto = sweep_stage(cfg)
     path = out / "sweep.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"swept {len(grid)} weight vectors; front size "
-          f"{len(result.front)}; wrote {path}")
+    path.write_text(json.dumps(pareto["entries"], indent=2) + "\n")
+    print(f"swept {len(pareto['entries'])} weight vectors; front size "
+          f"{pareto['front_size']}; wrote {path}")
     return EXIT_OK
 
 

@@ -92,34 +92,46 @@ def compare_adaptation(
     return pairs
 
 
+def workload_patterns(cfg: RunConfig, split: str):
+    """The simulator's "train" or "eval" workload patterns."""
+    sim = cfg.simulator
+    count = sim.n_train_patterns if split == "train" else sim.n_eval_patterns
+    return default_patterns(
+        count, seed=derive_seed(derive_seed(cfg.seed, "simulator"), f"{split}-patterns"),
+        anomaly_rate=sim.anomaly_rate,
+    )
+
+
+def _recovery_env(cfg: RunConfig) -> RecoveryEnv:
+    agent = cfg.agent
+    return RecoveryEnv(
+        episode_ticks=agent.episode_ticks,
+        action_costs=resolve_action_costs(agent),
+        seed=derive_seed(derive_seed(cfg.seed, "agent"), "env"),
+    )
+
+
 @_stage("tasks")
-def _build_tasks(cfg: RunConfig):
+def build_tasks(cfg: RunConfig):
     sim = cfg.simulator
     seed = derive_seed(cfg.seed, "simulator")
-    train_patterns = default_patterns(
-        sim.n_train_patterns, seed=derive_seed(seed, "train-patterns"),
-        anomaly_rate=sim.anomaly_rate,
-    )
-    eval_patterns = default_patterns(
-        sim.n_eval_patterns, seed=derive_seed(seed, "eval-patterns"),
-        anomaly_rate=sim.anomaly_rate,
-    )
     train_tasks = make_tasks(
-        train_patterns, sim.n_support, sim.n_query, sim.window_width,
+        workload_patterns(cfg, "train"), sim.n_support, sim.n_query, sim.window_width,
         seed=derive_seed(seed, "train-tasks"),
     )
     train_tasks = augment_tasks(
         train_tasks, sim.jitter_std, sim.mix_count, seed=derive_seed(seed, "augment")
     )
     eval_tasks = make_tasks(
-        eval_patterns, sim.n_support, sim.n_query, sim.window_width,
+        workload_patterns(cfg, "eval"), sim.n_support, sim.n_query, sim.window_width,
         seed=derive_seed(seed, "eval-tasks"),
     )
     return train_tasks, eval_tasks
 
 
 @_stage("detector")
-def _train_and_eval_detector(cfg: RunConfig, train_tasks, eval_tasks):
+def detector_stage(cfg: RunConfig, train_tasks, eval_tasks):
+    """Meta-train and score the detector: (MetaTrainResult, detection, adaptation)."""
     det = cfg.detector
     seed = derive_seed(cfg.seed, "detector")
     width = train_tasks[0].feature_width
@@ -156,11 +168,12 @@ def _train_and_eval_detector(cfg: RunConfig, train_tasks, eval_tasks):
         "max_steps": det.adapt_max_steps,
         "loss_bound": ADAPT_LOSS_BOUND,
     }
-    return result.model, detection, adaptation
+    return result, detection, adaptation
 
 
 @_stage("depgraph")
-def _train_and_eval_gnn(cfg: RunConfig):
+def gnn_stage(cfg: RunConfig):
+    """Train and score the failure predictor: (GnnTrainResult, dependency)."""
     sim, gnn_cfg = cfg.simulator, cfg.gnn
     seed = derive_seed(cfg.seed, "gnn")
     traces = make_cascade_dataset(
@@ -198,18 +211,16 @@ def _train_and_eval_gnn(cfg: RunConfig):
         "held_out_cascades": len(held),
         "training_cascades": len(train),
     }
-    return result.gnn, dependency
+    return result, dependency
 
 
 @_stage("agent")
-def _train_and_eval_agent(cfg: RunConfig):
+def agent_stage(cfg: RunConfig):
+    """Train and score the recovery agent against the random and no-op
+    baselines: (env, AgentTrainResult, weights, normalizers, recovery)."""
     agent = cfg.agent
     seed = derive_seed(cfg.seed, "agent")
-    env = RecoveryEnv(
-        episode_ticks=agent.episode_ticks,
-        action_costs=resolve_action_costs(agent),
-        seed=derive_seed(seed, "env"),
-    )
+    env = _recovery_env(cfg)
     weights = RewardWeights.normalized(*agent.weights)
     hyper = QHyper(gamma=agent.gamma, lr=agent.lr,
                    epsilon_start=agent.epsilon_start, epsilon_end=agent.epsilon_end)
@@ -261,12 +272,16 @@ def _train_and_eval_agent(cfg: RunConfig):
         "episode_seeds": episode_seeds,
         "episodes": len(episode_seeds),
     }
-    return env, result.policy, weights, norms, recovery
+    return env, result, weights, norms, recovery
 
 
 @_stage("sweep")
-def _sweep(cfg: RunConfig, env):
+def sweep_stage(cfg: RunConfig, env: RecoveryEnv | None = None):
+    """Train across the weight grid and mark the Pareto front. Without `env`
+    the sweep runs on a fresh copy of the agent stage's environment."""
     agent = cfg.agent
+    if env is None:
+        env = _recovery_env(cfg)
     grid = [RewardWeights.normalized(*w) for w in agent.sweep_grid]
     result = weight_sweep(
         env, grid, episodes=agent.sweep_episodes,
@@ -405,15 +420,14 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    train_tasks, eval_tasks = _build_tasks(cfg)
-    model, detection, adaptation = _train_and_eval_detector(
-        cfg, train_tasks, eval_tasks
-    )
-    gnn, dependency = _train_and_eval_gnn(cfg)
-    env, policy, weights, norms, recovery = _train_and_eval_agent(cfg)
-    pareto = _sweep(cfg, env)
-    closed_loop = _closed_loop(cfg, model, gnn, env, policy, weights, norms)
-    attribution = _attribution(cfg, model, eval_tasks)
+    train_tasks, eval_tasks = build_tasks(cfg)
+    meta, detection, adaptation = detector_stage(cfg, train_tasks, eval_tasks)
+    gnn, dependency = gnn_stage(cfg)
+    env, agent, weights, norms, recovery = agent_stage(cfg)
+    pareto = sweep_stage(cfg, env)
+    closed_loop = _closed_loop(cfg, meta.model, gnn.gnn, env, agent.policy, weights,
+                               norms)
+    attribution = _attribution(cfg, meta.model, eval_tasks)
     return RunReport(
         provenance={
             "config_hash": cfg.hash(),

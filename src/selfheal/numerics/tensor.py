@@ -108,9 +108,6 @@ class ParamSet(Mapping[str, Tensor]):
         bad += [k for k in self if k in other and self[k].shape != other[k].shape]
         return sorted(set(bad))
 
-    def compatible_with(self, other: "ParamSet") -> bool:
-        return not self.mismatches(other)
-
     def flatten(self) -> np.ndarray:
         """Concatenate all entries (lexicographic order) into one flat vector."""
         if not self._entries:

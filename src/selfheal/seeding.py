@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -26,8 +24,3 @@ def derive_seed(root: int, *names: str | int) -> int:
         h.update(b"/")
         h.update(str(name).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big") & _MASK64
-
-
-def rng_for(root: int, *names: str | int) -> np.random.Generator:
-    """A fresh PCG64 generator for the named substream."""
-    return np.random.Generator(np.random.PCG64(derive_seed(root, *names)))

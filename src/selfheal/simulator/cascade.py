@@ -90,14 +90,6 @@ class ComponentGraph:
     def in_edges(self, node_id: str) -> list[GraphEdge]:
         return [e for e in self.edges if e.dst == node_id]
 
-    def in_adjacency(self, self_loops: bool = True) -> np.ndarray:
-        """A[v, u] = 1 where u is an in-neighbor of v (optionally plus v itself)."""
-        n = len(self.nodes)
-        a = np.eye(n) if self_loops else np.zeros((n, n))
-        for e in self.edges:
-            a[self._index[e.dst], self._index[e.src]] = 1.0
-        return a
-
     def __eq__(self, other):
         if not isinstance(other, ComponentGraph):
             return NotImplemented
@@ -117,9 +109,6 @@ class CascadeTrace:
     @property
     def ticks(self) -> int:
         return next(iter(self.node_telemetry.values())).shape[0]
-
-    def metrics_at(self, tick: int) -> dict[str, np.ndarray]:
-        return {nid: series[tick] for nid, series in self.node_telemetry.items()}
 
     def failed_by(self, tick: int) -> set[str]:
         return {

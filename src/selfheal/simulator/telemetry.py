@@ -273,7 +273,8 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
     `schema_map` maps column names to metric names (plus "label"); it must
     cover all five metrics and the label. Columns not named in the map are
     ignored; ticks are row order. Out-of-range values are clamped and
-    counted.
+    counted; a missing, non-numeric or non-finite cell, or a label other than
+    0 or 1, raises `RowError` with the cell's name and line.
     """
     targets = set(schema_map.values())
     missing_targets = [t for t in _SCHEMA_TARGETS if t not in targets]
@@ -301,26 +302,28 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
         for line, row in enumerate(reader, start=2):
             values: dict[str, float] = {}
             for metric in METRICS:
-                cell = row[positions[metric]] if positions[metric] < len(row) else ""
-                try:
-                    raw = float(cell)
-                except ValueError:
-                    raise RowError(
-                        f"cannot parse {metric} cell {cell!r}", line
-                    ) from None
+                raw = _parse_cell(row, positions[metric], metric, line)
                 clamped = clamp_metric(metric, raw)
                 if clamped != raw:
                     clamp_counts[metric] += 1
                 values[metric] = clamped
-            cell = row[positions["label"]] if positions["label"] < len(row) else ""
-            try:
-                label = int(float(cell))
-            except ValueError:
-                raise RowError(f"cannot parse label cell {cell!r}", line) from None
-            if label not in (0, 1):
-                raise RowError(f"label must be 0 or 1, got {label}", line)
-            windows.append(TelemetryWindow(index=len(windows), label=label, **values))
+            label = _parse_cell(row, positions["label"], "label", line)
+            if label not in (0.0, 1.0):
+                raise RowError(f"label must be 0 or 1, got {label:g}", line)
+            windows.append(TelemetryWindow(index=len(windows), label=int(label), **values))
     return CsvIngest(windows=windows, clamp_counts=clamp_counts)
+
+
+def _parse_cell(row: list[str], position: int, name: str, line: int) -> float:
+    """The finite number in column `position`; a missing cell reads as empty."""
+    cell = row[position] if position < len(row) else ""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise RowError(f"cannot parse {name} cell {cell!r}", line) from None
+    if not math.isfinite(value):
+        raise RowError(f"{name} cell {cell!r} is not finite", line)
+    return value
 
 
 def export_csv(trace: list[TelemetryWindow], path: str | Path) -> None:

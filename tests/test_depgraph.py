@@ -319,6 +319,43 @@ class TestGraphIo:
         with pytest.raises(SchemaError, match="edges"):
             read_graph(path)
 
+    @staticmethod
+    def _graph_file(tmp_path, nodes, edges=()):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"nodes": list(nodes), "edges": list(edges)}))
+        return path
+
+    def _two_nodes(self, tmp_path, edge):
+        nodes = [{"id": n, "kind": "query", "static_features": [0.5]} for n in "ab"]
+        return self._graph_file(tmp_path, nodes, [edge])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_static_feature_rejected(self, tmp_path, bad):
+        path = self._graph_file(
+            tmp_path, [{"id": "a", "kind": "query", "static_features": [bad]}]
+        )
+        with pytest.raises(SchemaError, match=r"node 0\.static_features"):
+            read_graph(path)
+
+    def test_unknown_node_kind_is_schema_error(self, tmp_path):
+        path = self._graph_file(tmp_path, [
+            {"id": "a", "kind": "query", "static_features": []},
+            {"id": "b", "kind": "teapot", "static_features": []},
+        ])
+        with pytest.raises(SchemaError, match="node 1.*teapot"):
+            read_graph(path)
+
+    def test_self_edge_is_schema_error(self, tmp_path):
+        path = self._two_nodes(tmp_path, {"from": "a", "to": "a", "weight": 0.5})
+        with pytest.raises(SchemaError, match="edge 0.*self-edge"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("weight", [0.0, 1.5, float("nan")])
+    def test_edge_weight_outside_unit_interval_is_schema_error(self, tmp_path, weight):
+        path = self._two_nodes(tmp_path, {"from": "a", "to": "b", "weight": weight})
+        with pytest.raises(SchemaError, match=r"edge 0.*\(0, 1\]"):
+            read_graph(path)
+
     def test_gnn_roundtrip_bitwise(self, tmp_path):
         gnn = init_gnn(chain3(), seed=8, hidden_widths=(4, 3), label_horizon=3)
         path = tmp_path / "gnn.json"

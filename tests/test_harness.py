@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from selfheal.detector import load_checkpoint
+from selfheal.depgraph import load_gnn
 from selfheal.errors import ConfigurationError, SchemaError
 from selfheal.harness import (
     RunConfig,
@@ -16,6 +18,7 @@ from selfheal.harness import (
     run_pipeline,
 )
 from selfheal.harness.cli import main
+from selfheal.recovery import load_policy
 
 FAST_CONFIG = {
     "seed": 7,
@@ -238,11 +241,39 @@ class TestCli:
         payload = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert any(entry["on_front"] for entry in payload)
 
-    def test_train_commands_write_artifacts(self, tmp_path, capsys):
+    def test_train_commands_write_artifacts(self, fast_report, tmp_path, capsys):
         config = self._write_config(tmp_path)
-        assert main(["train-detector", "--config", str(config)]) == 0
-        assert main(["train-gnn", "--config", str(config)]) == 0
-        assert main(["train-agent", "--config", str(config)]) == 0
-        out = tmp_path / "out"
-        for artifact in ("detector.json", "gnn.json", "policy.tsv"):
-            assert (out / artifact).exists()
+        for command in ("train-detector", "train-gnn", "train-agent", "sweep"):
+            assert main([command, "--config", str(config)]) == 0
+        out, cfg = tmp_path / "out", config_from_dict(FAST_CONFIG)
+        detector = load_checkpoint(out / "detector.json")
+        assert [w for w, _ in detector.layer_spec] == [*cfg.detector.hidden_widths, 1]
+        assert load_gnn(out / "gnn.json").hidden_widths == cfg.gnn.hidden_widths
+        assert load_policy(out / "policy.tsv").q.any()
+        for curve in ("detector-loss.json", "gnn-loss.json", "agent-returns.json"):
+            assert json.loads((out / curve).read_text())
+        sweep = json.loads((out / "sweep.json").read_text())
+        assert sweep == fast_report.pareto["entries"]
+
+    def test_train_commands_without_training_steps(self, tmp_path, capsys):
+        # zero iterations, epochs and episodes save the initial models, as
+        # `run` scores them; agent.episodes 0 is the zero policy
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps({
+            **FAST_CONFIG, "output_dir": str(tmp_path),
+            "detector": {"meta_iterations": 0}, "gnn": {"epochs": 0},
+            "agent": {"episodes": 0},
+        }))
+        for command in ("train-detector", "train-gnn", "train-agent"):
+            assert main([command, "--config", str(path)]) == 0
+        assert not load_policy(tmp_path / "policy.tsv").q.any()
+        for curve in ("detector-loss.json", "gnn-loss.json", "agent-returns.json"):
+            assert json.loads((tmp_path / curve).read_text()) == []
+        assert "mean return" not in capsys.readouterr().out
+
+    def test_train_detector_failure_names_stage(self, tmp_path, capsys):
+        path = tmp_path / "doomed.json"
+        path.write_text(json.dumps({**FAST_CONFIG, "output_dir": str(tmp_path),
+                                    "simulator": {"n_support": 1}}))
+        assert main(["train-detector", "--config", str(path)]) == 3
+        assert "stage 'tasks'" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from selfheal.errors import GenerationError, InputError, RowError, SchemaError
 from selfheal.simulator import (
@@ -18,7 +20,7 @@ from selfheal.simulator import (
     make_tasks,
     propagate_cascade,
 )
-from selfheal.simulator.telemetry import METRICS
+from selfheal.simulator.telemetry import CSV_COLUMNS, METRICS
 
 
 def flat_pattern(anomaly_rate=0.0, pattern_id="flat") -> WorkloadPattern:
@@ -282,6 +284,37 @@ class TestAugmentTasks:
             assert np.array_equal(ta.support_x, tb.support_x)
 
 
+_VALID_ROW = ("0", "0.3", "0.4", "12.5", "100", "250", "0")
+
+
+@st.composite
+def malformed_csv_rows(draw):
+    """(valid rows before it, one malformed row, the column it names)."""
+    valid_before = draw(st.integers(0, 4))
+    row = list(_VALID_ROW)
+    kind = draw(st.sampled_from(["non_numeric", "non_finite", "short", "label"]))
+    if kind == "short":
+        cut = draw(st.integers(0, len(row) - 1))
+        # a row without its cpu cell names cpu, the first metric read
+        return valid_before, row[:cut], CSV_COLUMNS[max(cut, 1)]
+    if kind == "label":
+        row[-1] = draw(st.one_of(
+            st.integers(-10**6, 10**6).filter(lambda v: v not in (0, 1)).map(str),
+            st.floats(allow_nan=False, allow_infinity=False)
+            .filter(lambda v: v not in (0.0, 1.0)).map(repr),
+        ))
+        return valid_before, row, "label"
+    column = draw(st.integers(1, len(row) - 1))
+    if kind == "non_numeric":
+        # no digits, so nothing drawn parses as a float
+        row[column] = draw(st.text(alphabet="bcxyz!?#% .", max_size=6))
+    else:
+        row[column] = draw(st.sampled_from(
+            ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999"]
+        ))
+    return valid_before, row, CSV_COLUMNS[column]
+
+
 class TestCsv:
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -339,6 +372,22 @@ class TestCsv:
         with pytest.raises(RowError) as err:
             ingest_csv(path, {m: m for m in (*METRICS, "label")})
         assert err.value.line == 3
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=malformed_csv_rows())
+    @example(case=(0, ["0", "nan", "0.4", "12.5", "100", "250", "0"], "cpu"))
+    @example(case=(1, ["0", "0.3", "0.4", "inf", "100", "250", "0"], "latency_ms"))
+    def test_malformed_row_names_cell_and_line(self, tmp_path, case):
+        valid_before, row, name = case
+        good = ",".join(_VALID_ROW)
+        lines = [",".join(CSV_COLUMNS)] + [good] * valid_before + [",".join(row), good]
+        path = tmp_path / "malformed.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RowError) as err:
+            ingest_csv(path, {m: m for m in (*METRICS, "label")})
+        assert err.value.line == valid_before + 2
+        assert name in str(err.value)
 
     def test_export_roundtrip(self, tmp_path):
         pattern = default_patterns(1, seed=7, anomaly_rate=0.1)[0]
