@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
-from ..numerics import GradientTape, ParamSet, Tensor, bce_loss, grad, sgd_step, tape
+from ..numerics import (
+    GradientTape, ParamSet, Tensor, bce_loss, grad, init_uniform_params, sgd_step, tape,
+)
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
 from ..simulator.tasks import FEATURE_UNIT_SCALE
@@ -35,13 +37,6 @@ class GnnParams:
     params: ParamSet
     hidden_activation: str = "relu"
     label_horizon: int = DEFAULT_LABEL_HORIZON
-
-    def layer(self, index: int) -> tuple[Tensor, Tensor, str]:
-        return (
-            self.params[f"layer{index}.W"],
-            self.params[f"layer{index}.b"],
-            self.hidden_activation,
-        )
 
 
 @dataclass(frozen=True)
@@ -136,21 +131,11 @@ def init_gnn(
     label_horizon: int = DEFAULT_LABEL_HORIZON,
 ) -> GnnParams:
     """Seeded uniform init matching the detector's scheme."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    entries: dict[str, Tensor] = {}
-    fan_in = embedding_width(graph)
-    for i, width in enumerate(hidden_widths):
-        bound = 0.5 / np.sqrt(fan_in)
-        entries[f"layer{i}.W"] = Tensor(rng.uniform(-bound, bound, (fan_in, width)))
-        entries[f"layer{i}.b"] = Tensor(rng.uniform(-bound, bound, width))
-        fan_in = width
-    bound = 0.5 / np.sqrt(fan_in)
-    entries["readout.w"] = Tensor(rng.uniform(-bound, bound, (fan_in, 1)))
-    entries["readout.b"] = Tensor(rng.uniform(-bound, bound, 1))
+    width, hidden_widths = embedding_width(graph), tuple(hidden_widths)
     return GnnParams(
-        input_width=embedding_width(graph),
-        hidden_widths=tuple(hidden_widths),
-        params=ParamSet(entries),
+        input_width=width,
+        hidden_widths=hidden_widths,
+        params=init_uniform_params(gnn_param_shapes(width, hidden_widths), seed),
         label_horizon=label_horizon,
     )
 

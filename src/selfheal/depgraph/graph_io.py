@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from ..errors import SchemaError
+from ..errors import InputError, SchemaError
 from ..numerics import params_from_payload
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
 from .gnn import GnnParams, gnn_param_shapes
@@ -49,6 +49,8 @@ def read_graph(path: str | Path) -> ComponentGraph:
         raise SchemaError(f"{path}: missing sections: {missing}")
     nodes = []
     for i, entry in enumerate(payload["nodes"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: node {i} must be an object, got {entry!r}")
         unknown = sorted(set(entry) - _NODE_FIELDS)
         if unknown:
             raise SchemaError(f"{path}: node {i} has unknown fields: {unknown}")
@@ -67,6 +69,8 @@ def read_graph(path: str | Path) -> ComponentGraph:
         nodes.append(node)
     edges = []
     for i, entry in enumerate(payload["edges"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: edge {i} must be an object, got {entry!r}")
         unknown = sorted(set(entry) - _EDGE_FIELDS)
         if unknown:
             raise SchemaError(f"{path}: edge {i} has unknown fields: {unknown}")
@@ -78,7 +82,10 @@ def read_graph(path: str | Path) -> ComponentGraph:
                                    weight=float(entry["weight"])))
         except (TypeError, ValueError) as err:
             raise SchemaError(f"{path}: edge {i}: {err}") from None
-    return ComponentGraph(nodes, edges)
+    try:
+        return ComponentGraph(nodes, edges)
+    except InputError as err:  # duplicate ids, dangling edges, ragged features
+        raise SchemaError(f"{path}: {err}") from None
 
 
 _GNN_FORMAT = "selfheal-gnn"

@@ -7,6 +7,7 @@ from .nets import (
     finite_diff_grad,
     forward_mlp,
     init_mlp_params,
+    init_uniform_params,
     mlp_loss_and_grad,
     mlp_param_shapes,
     mlp_params,
@@ -27,6 +28,7 @@ __all__ = [
     "forward_mlp",
     "grad",
     "init_mlp_params",
+    "init_uniform_params",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
     "mlp_params",

@@ -44,20 +44,23 @@ def mlp_param_shapes(
     return shapes
 
 
+def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
+    """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)], drawn in `shapes`
+    order; each bias takes the fan-in of the weight matrix listed before it."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    entries: dict[str, Tensor] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = 0.5 / np.sqrt(shape[0])
+        entries[name] = Tensor(rng.uniform(-bound, bound, size=shape))
+    return ParamSet(entries)
+
+
 def init_mlp_params(
     input_width: int, layer_spec: LayerSpec, seed: int
 ) -> ParamSet:
     """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)] per layer."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    entries: dict[str, Tensor] = {}
-    fan_in = input_width
-    for i, (width, _activation) in enumerate(layer_spec):
-        bound = 0.5 / np.sqrt(fan_in)
-        w_name, b_name = layer_param_names(i)
-        entries[w_name] = Tensor(rng.uniform(-bound, bound, size=(fan_in, width)))
-        entries[b_name] = Tensor(rng.uniform(-bound, bound, size=(width,)))
-        fan_in = width
-    return ParamSet(entries)
+    return init_uniform_params(mlp_param_shapes(input_width, layer_spec), seed)
 
 
 def _entry(params, name: str):

@@ -17,7 +17,9 @@ import numpy as np
 
 from ..errors import InputError
 from ..seeding import derive_seed
-from ..simulator import WorkloadPattern, default_patterns, generate_trace
+from ..simulator import (
+    TelemetryWindow, WorkloadPattern, default_patterns, generate_trace,
+)
 from ..simulator.telemetry import clamp_metric
 from .objectives import EpisodeTrace, ObjectiveVector
 from .states import (
@@ -111,73 +113,50 @@ class RecoveryEnv:
             float(np.percentile(qps, 33.0)),
             float(np.percentile(qps, 66.0)),
         )
-        self._episode = None
+        self._base = None  # the episode's healthy trace; set by reset()
 
     # -- episode state ---------------------------------------------------
 
     def reset(self, episode_seed: int) -> SystemState:
         rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, "episode")))
-        base = generate_trace(
+        self._base = generate_trace(
             self.pattern, derive_seed(episode_seed, "base-trace"), self.episode_ticks
         )
-        self._episode = {
-            "base": base,
-            "tick": 0,
-            "anomaly_kind": _ANOMALY_KINDS[int(rng.integers(len(_ANOMALY_KINDS)))],
-            "onset": int(rng.integers(self.onset_range[0], self.onset_range[1] + 1)),
-            "active": False,
-            "mitigation": 1.0,  # scales the latency excess while active
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "throttled": False,
-            "hiccup": 0.0,
-            "failed_fraction": 0.0,
-            "cum_cost": 0.0,
-        }
+        self._tick = 0
+        self._kind = _ANOMALY_KINDS[int(rng.integers(len(_ANOMALY_KINDS)))]
+        self._onset = int(rng.integers(self.onset_range[0], self.onset_range[1] + 1))
+        self._active = False
+        self._mitigation = 1.0  # scales the latency excess while active
+        self._scale_ups = 0
+        self._scale_downs = 0
+        self._throttled = False
+        self._hiccup = 0.0
+        self._failed_fraction = 0.0
+        self._cum_cost = 0.0
         return self._observe()
 
-    def _require_episode(self) -> dict:
-        if self._episode is None:
+    def _require_episode(self) -> None:
+        if self._base is None:
             raise InputError("call reset() before stepping the environment")
-        return self._episode
 
-    def _latency_scale(self, ep: dict) -> float:
-        scale = _SCALE_DOWN_LATENCY ** ep["scale_downs"]
-        if ep["throttled"]:
-            scale *= _THROTTLE_LATENCY
-        return scale
-
-    def _resource_shift(self, ep: dict) -> float:
-        return (
-            _SCALE_UP_RESOURCE * ep["scale_ups"]
-            - _SCALE_DOWN_RESOURCE * ep["scale_downs"]
+    def _healthy(self) -> tuple[TelemetryWindow, float, float, float]:
+        """The current tick's base window and its healthy latency, resource
+        (unclipped) and qps under the actions taken so far."""
+        self._require_episode()
+        window = self._base[self._tick]
+        latency_scale = _SCALE_DOWN_LATENCY ** self._scale_downs
+        qps = window.qps
+        if self._throttled:
+            latency_scale *= _THROTTLE_LATENCY
+            qps *= _THROTTLE_QPS
+        resource = 0.5 * (window.cpu + window.memory) + (
+            _SCALE_UP_RESOURCE * self._scale_ups
+            - _SCALE_DOWN_RESOURCE * self._scale_downs
         )
-
-    def _baseline_latency(self, tick: int) -> float:
-        ep = self._require_episode()
-        return ep["base"][tick].latency_ms * self._latency_scale(ep)
-
-    def _latency(self, tick: int) -> float:
-        ep = self._require_episode()
-        value = self._baseline_latency(tick)
-        if ep["active"]:
-            value *= 1.0 + (_LATENCY_INFLATION - 1.0) * ep["mitigation"]
-        if ep["hiccup"] > 0:
-            value *= _RESTART_HICCUP
-        return value
-
-    def _resource(self, tick: int) -> float:
-        ep = self._require_episode()
-        window = ep["base"][tick]
-        value = 0.5 * (window.cpu + window.memory) + self._resource_shift(ep)
-        if ep["active"]:
-            value += _ANOMALY_RESOURCE_BOOST[ep["anomaly_kind"]]
-        return float(np.clip(value, 0.0, 1.0))
+        return window, window.latency_ms * latency_scale, resource, qps
 
     def _observe(self) -> SystemState:
-        ep = self._require_episode()
-        tick = ep["tick"]
-        qps = ep["base"][tick].qps * (_THROTTLE_QPS if ep["throttled"] else 1.0)
+        qps = self._healthy()[3]
         if qps <= self._load_cuts[0]:
             load = "low"
         elif qps <= self._load_cuts[1]:
@@ -186,15 +165,19 @@ class RecoveryEnv:
             load = "high"
         return SystemState(
             load_level=load,
-            anomaly_status=ep["anomaly_kind"] if ep["active"] else "none",
-            failed=failed_bin(ep["failed_fraction"]),
+            anomaly_status=self._kind if self._active else "none",
+            failed=failed_bin(self._failed_fraction),
         )
 
     def snapshot(self) -> ObjectiveVector:
         """Instantaneous (latency, resource, cumulative cost) at the current tick."""
-        ep = self._require_episode()
-        tick = ep["tick"]
-        return ObjectiveVector(self._latency(tick), self._resource(tick), ep["cum_cost"])
+        _, latency, resource, _ = self._healthy()
+        if self._active:
+            latency *= 1.0 + (_LATENCY_INFLATION - 1.0) * self._mitigation
+            resource += _ANOMALY_RESOURCE_BOOST[self._kind]
+        if self._hiccup > 0:
+            latency *= _RESTART_HICCUP
+        return ObjectiveVector(latency, _unit_clip(resource), self._cum_cost)
 
     def current_metrics(self) -> dict[str, float]:
         """The five telemetry metrics a monitor would sample right now.
@@ -203,89 +186,85 @@ class RecoveryEnv:
         the same way the trace simulator's injected anomalies inflate them, so
         a detector trained on simulated traces sees in-distribution windows.
         """
-        ep = self._require_episode()
-        tick = ep["tick"]
-        window = ep["base"][tick]
+        window, latency, _, qps = self._healthy()
         values = {
             "cpu": window.cpu,
             "memory": window.memory,
-            "latency_ms": window.latency_ms * self._latency_scale(ep),
+            "latency_ms": latency,
             "io_ops": window.io_ops,
-            "qps": window.qps * (_THROTTLE_QPS if ep["throttled"] else 1.0),
+            "qps": qps,
         }
-        if ep["active"]:
-            inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * ep["mitigation"]
-            for metric in _OBSERVED_METRICS[ep["anomaly_kind"]]:
+        if self._active:
+            inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * self._mitigation
+            for metric in _OBSERVED_METRICS[self._kind]:
                 values[metric] = clamp_metric(metric, values[metric] * inflation)
-        if ep["hiccup"] > 0:
+        if self._hiccup > 0:
             values["latency_ms"] *= _RESTART_HICCUP
         return values
 
     def true_anomaly_kind(self) -> str | None:
         """Ground-truth active anomaly kind, for evaluation harnesses."""
-        ep = self._require_episode()
-        return ep["anomaly_kind"] if ep["active"] else None
+        self._require_episode()
+        return self._kind if self._active else None
 
     def episode_anomaly(self) -> tuple[str, int]:
         """This episode's (anomaly kind, onset tick), active or not."""
-        ep = self._require_episode()
-        return ep["anomaly_kind"], ep["onset"]
+        self._require_episode()
+        return self._kind, self._onset
 
     def baseline_snapshot(self) -> ObjectiveVector:
         """The healthy counterfactual at the current tick (no anomaly, no cost)."""
-        ep = self._require_episode()
-        tick = ep["tick"]
-        window = ep["base"][tick]
-        return ObjectiveVector(
-            self._baseline_latency(tick),
-            float(
-                np.clip(0.5 * (window.cpu + window.memory) + self._resource_shift(ep), 0, 1)
-            ),
-            0.0,
-        )
+        _, latency, resource, _ = self._healthy()
+        return ObjectiveVector(latency, _unit_clip(resource), 0.0)
 
     def step(self, action: RecoveryAction) -> tuple[SystemState, bool]:
         """Apply the action, advance one tick; returns (state, done)."""
-        ep = self._require_episode()
-        if ep["tick"] >= self.episode_ticks - 1:
+        self._require_episode()
+        if self._tick >= self.episode_ticks - 1:
             raise InputError("episode finished; call reset() to start another")
-        kind = ep["anomaly_kind"]
-        ep["cum_cost"] += self.action_costs[action]
-        ep["hiccup"] = max(0.0, ep["hiccup"] - 1.0)
+        self._cum_cost += self.action_costs[action]
+        self._hiccup = max(0.0, self._hiccup - 1.0)
 
         if action is RecoveryAction.SCALE_UP:
-            ep["scale_ups"] = min(_MAX_SCALE_UPS, ep["scale_ups"] + 1)
+            self._scale_ups = min(_MAX_SCALE_UPS, self._scale_ups + 1)
         elif action is RecoveryAction.SCALE_DOWN:
-            ep["scale_downs"] = min(_MAX_SCALE_DOWNS, ep["scale_downs"] + 1)
+            self._scale_downs = min(_MAX_SCALE_DOWNS, self._scale_downs + 1)
         elif action is RecoveryAction.THROTTLE_ADMISSION:
-            ep["throttled"] = True
+            self._throttled = True
         if action is RecoveryAction.RESTART_COMPONENT:
-            ep["hiccup"] = 1.0
+            self._hiccup = 1.0
 
-        if ep["active"]:
-            if action in CLEARING_ACTIONS[kind]:
-                ep["active"] = False
-                ep["failed_fraction"] = 0.0
-            elif action in MITIGATING_ACTIONS[kind]:
-                ep["mitigation"] *= 0.5
+        if self._active:
+            if action in CLEARING_ACTIONS[self._kind]:
+                self._active = False
+                self._failed_fraction = 0.0
+            elif action in MITIGATING_ACTIONS[self._kind]:
+                self._mitigation *= 0.5
 
-        ep["tick"] += 1
-        tick = ep["tick"]
-        if not ep["active"] and tick == ep["onset"]:
-            ep["active"] = True
-            ep["mitigation"] = 1.0
-        if ep["active"] and kind == "cascade":
-            ep["failed_fraction"] = min(_CASCADE_CAP, ep["failed_fraction"] + _CASCADE_GROWTH)
+        self._tick += 1
+        if not self._active and self._tick == self._onset:
+            self._active = True
+            self._mitigation = 1.0
+        if self._active and self._kind == "cascade":
+            self._failed_fraction = min(
+                _CASCADE_CAP, self._failed_fraction + _CASCADE_GROWTH
+            )
 
-        done = tick >= self.episode_ticks - 1
+        done = self._tick >= self.episode_ticks - 1
         return self._observe(), done
+
+
+def _unit_clip(value: float) -> float:
+    # same bytes as float(np.clip(value, 0, 1)), without the array round trip
+    return min(max(value, 0.0), 1.0)
 
 
 def rollout(env: RecoveryEnv, choose, episode_seed: int) -> EpisodeTrace:
     """Run one episode with `choose(state, tick) -> RecoveryAction`."""
     state = env.reset(episode_seed)
-    latencies = [env.snapshot().latency]
-    resources = [env.snapshot().resource]
+    snap = env.snapshot()
+    latencies = [snap.latency]
+    resources = [snap.resource]
     action_costs: list[float] = []
     tick = 0
     done = False

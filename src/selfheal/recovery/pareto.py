@@ -13,6 +13,16 @@ from .objectives import ObjectiveVector, RewardWeights
 from .qlearning import QHyper, evaluate_policy, train_agent
 
 
+def _non_dominated(points: list[ObjectiveVector]) -> np.ndarray:
+    """Boolean mask of the points no other point dominates (all minimized)."""
+    arr = np.stack([p.as_array() for p in points])
+    # all-pairs dominance: dominated[i] iff some j has arr[j] <= arr[i]
+    # everywhere and arr[j] < arr[i] somewhere
+    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    lt = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
+    return ~(le & lt).any(axis=0)
+
+
 def pareto_front(points: list[ObjectiveVector]) -> list[ObjectiveVector]:
     """The non-dominated subset, minimizing all objectives.
 
@@ -23,13 +33,7 @@ def pareto_front(points: list[ObjectiveVector]) -> list[ObjectiveVector]:
     """
     if not points:
         return []
-    arr = np.stack([p.as_array() for p in points])
-    # all-pairs dominance: dominated[i] iff some j has arr[j] <= arr[i]
-    # everywhere and arr[j] < arr[i] somewhere
-    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    lt = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
-    dominated = (le & lt).any(axis=0)
-    return [p for p, d in zip(points, dominated) if not d]
+    return [p for p, keep in zip(points, _non_dominated(points)) if keep]
 
 
 @dataclass
@@ -68,13 +72,6 @@ def weight_sweep(
         )
         mean_vec, _ = evaluate_policy(env, result.policy.choose, eval_seeds)
         entries.append(SweepEntry(weights=weights, objectives=mean_vec))
-    front_objectives = pareto_front([e.objectives for e in entries])
-    front = []
-    used = set()
-    for e in entries:
-        for i, f in enumerate(front_objectives):
-            if i not in used and e.objectives == f:
-                front.append(e)
-                used.add(i)
-                break
+    mask = _non_dominated([e.objectives for e in entries])
+    front = [e for e, keep in zip(entries, mask) if keep]
     return SweepResult(entries=entries, front=front)

@@ -144,6 +144,7 @@ def train_agent(
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
         epsilon = hyper.epsilon_at(episode, episodes)
         state = env.reset(derive_seed(seed, "episode", episode))
+        prev_cost = env.snapshot().cost  # changes only in step(): carried below
         total = 0.0
         done = False
         while not done:
@@ -152,7 +153,6 @@ def train_agent(
                 action = ACTIONS[int(rng.integers(N_ACTIONS))]
             else:
                 action = ACTIONS[int(np.argmax(q[s]))]
-            prev_cost = env.snapshot().cost
             state, done = env.step(action)
             actual = env.snapshot()
             baseline = env.baseline_snapshot()
@@ -161,6 +161,7 @@ def train_agent(
             target = r if done else r + hyper.gamma * float(np.max(q[state.index()]))
             q[s, action.value] += hyper.lr * (target - q[s, action.value])
             total += r
+            prev_cost = actual.cost
         returns.append(total)
     return AgentTrainResult(policy=Policy(q=q, hyper=hyper), returns=returns,
                             normalizers=normalizers)

@@ -66,16 +66,19 @@ class ComponentGraph:
         self.edges: tuple[GraphEdge, ...] = tuple(
             e if isinstance(e, GraphEdge) else GraphEdge(*e) for e in edges
         )
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise InputError("node ids must be unique")
-        self._index = {n.id: i for i, n in enumerate(self.nodes)}
-        for e in self.edges:
+        self._index: dict[str, int] = {}
+        for i, n in enumerate(self.nodes):
+            if n.id in self._index:
+                raise InputError(f"node {i} repeats the id '{n.id}' of node "
+                                 f"{self._index[n.id]}; node ids must be unique")
+            self._index[n.id] = i
+            width, first = len(n.static_features), len(self.nodes[0].static_features)
+            if width != first:
+                raise InputError(f"node {i} has {width} static features, node 0 "
+                                 f"has {first}; widths must agree")
+        for i, e in enumerate(self.edges):
             if e.src not in self._index or e.dst not in self._index:
-                raise InputError(f"edge {e.src}->{e.dst} references unknown node")
-        widths = {len(n.static_features) for n in self.nodes}
-        if len(widths) > 1:
-            raise InputError("static feature widths differ across nodes")
+                raise InputError(f"edge {i} ({e.src}->{e.dst}) references unknown node")
 
     @property
     def node_ids(self) -> tuple[str, ...]:

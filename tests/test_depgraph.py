@@ -356,6 +356,32 @@ class TestGraphIo:
         with pytest.raises(SchemaError, match=r"edge 0.*\(0, 1\]"):
             read_graph(path)
 
+    def test_duplicate_node_id_is_schema_error(self, tmp_path):
+        node = {"id": "a", "kind": "query", "static_features": [0.5]}
+        path = self._graph_file(tmp_path, [node, node])
+        with pytest.raises(SchemaError, match=r"graph\.json: node 1 repeats .*'a'"):
+            read_graph(path)
+
+    def test_edge_to_unknown_node_is_schema_error(self, tmp_path):
+        path = self._two_nodes(tmp_path, {"from": "a", "to": "zz", "weight": 0.5})
+        with pytest.raises(SchemaError, match=r"graph\.json: edge 0 .*zz.*unknown node"):
+            read_graph(path)
+
+    def test_ragged_static_features_is_schema_error(self, tmp_path):
+        path = self._graph_file(tmp_path, [
+            {"id": "a", "kind": "query", "static_features": [0.5]},
+            {"id": "b", "kind": "query", "static_features": [0.5, 0.25]},
+        ])
+        with pytest.raises(SchemaError, match=r"graph\.json: node 1 has 2 static"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("section", ["nodes", "edges"])
+    def test_non_object_entry_is_schema_error(self, tmp_path, section):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"nodes": [], "edges": [], section: [1]}))
+        with pytest.raises(SchemaError, match=rf"graph\.json: {section[:-1]} 0 must be"):
+            read_graph(path)
+
     def test_gnn_roundtrip_bitwise(self, tmp_path):
         gnn = init_gnn(chain3(), seed=8, hidden_widths=(4, 3), label_horizon=3)
         path = tmp_path / "gnn.json"

@@ -352,6 +352,16 @@ class TestEnv:
         env = RecoveryEnv(seed=2)
         with pytest.raises(InputError):
             env.step(RecoveryAction.NO_OP)
+        for read in (env.snapshot, env.baseline_snapshot, env.current_metrics,
+                     env.true_anomaly_kind, env.episode_anomaly):
+            with pytest.raises(InputError, match="reset"):
+                read()
+        env = RecoveryEnv(episode_ticks=3, onset_range=(1, 2), seed=2)
+        env.reset(0)
+        assert not env.step(RecoveryAction.NO_OP)[1]
+        assert env.step(RecoveryAction.NO_OP)[1]
+        with pytest.raises(InputError, match="episode finished"):
+            env.step(RecoveryAction.NO_OP)
 
 
 class TestPolicyIo:
