@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    GradientTape, ParamSet, Tensor, bce_loss, grad, init_uniform_params, sgd_step, tape,
+    GradientTape, ParamSet, bce_loss, grad, init_uniform_params, sgd_step, tape,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
@@ -24,6 +24,7 @@ from ..simulator.tasks import FEATURE_UNIT_SCALE
 _METRIC_SCALE = np.array([FEATURE_UNIT_SCALE[m] for m in METRICS])
 
 DEFAULT_HIDDEN_WIDTHS = (16, 16)
+HIDDEN_ACTIVATIONS = ("relu", "tanh", "linear")
 DEFAULT_FLAG_THRESHOLD = 0.5
 DEFAULT_LABEL_HORIZON = 2
 
@@ -97,28 +98,30 @@ def edge_arrays(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
+def _message_pass(h, edges, w, b, activation: str):
+    """One layer, act(edge_aggregate(h) @ w + b), on arrays or tape leaves.
+
+    `edges` is the (src_indices, dst_indices) pair; the self term is implicit.
+    """
+    src, dst = edges
+    return tape.activate(
+        activation, tape.add(tape.matmul(tape.edge_aggregate(h, src, dst), w), b)
+    )
+
+
 def gnn_layer(
     graph: ComponentGraph, emb: NodeEmbeddings, layer: tuple
 ) -> NodeEmbeddings:
     """Apply one message-passing layer to the embeddings."""
     w, b, activation = layer
-    w = w.values if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    b = b.values if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    w, b = tape.value_of(w), tape.value_of(b)
     if w.shape[0] != emb.width or b.shape != (w.shape[1],):
         raise ConfigurationError(
             f"layer expects W({emb.width}, out) and b(out,), got W{w.shape} b{b.shape}"
         )
-    if activation not in ("relu", "tanh", "linear"):
+    if activation not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
-    src, dst = edge_arrays(graph)
-    agg = tape.edge_aggregate(emb.vectors, src, dst)
-    pre = agg @ w + b
-    if activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif activation == "tanh":
-        out = np.tanh(pre)
-    else:
-        out = pre
+    out = _message_pass(emb.vectors, edge_arrays(graph), w, b, activation)
     return NodeEmbeddings(
         layer_index=emb.layer_index + 1, node_ids=emb.node_ids, vectors=out
     )
@@ -154,29 +157,21 @@ def gnn_param_shapes(
 
 
 def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
-    """Per-node failure probabilities; works on arrays or tape leaves.
-
-    `edges` is the (src_indices, dst_indices) pair; the self term is implicit.
-    """
-    src, dst = edges
-    act = {"relu": tape.relu, "tanh": tape.tanh, "linear": lambda x: x}[activation]
+    """Per-node failure probabilities; works on arrays or tape leaves."""
     h = h0
     for i in range(len(hidden_widths)):
-        h = act(
-            tape.add(
-                tape.matmul(
-                    tape.edge_aggregate(h, src, dst), params_map[f"layer{i}.W"]
-                ),
-                params_map[f"layer{i}.b"],
-            )
-        )
-    return tape.sigmoid(
-        tape.add(tape.matmul(h, params_map["readout.w"]), params_map["readout.b"])
-    )
+        h = _message_pass(h, edges, params_map[f"layer{i}.W"],
+                          params_map[f"layer{i}.b"], activation)
+    return tape.activate("sigmoid", tape.add(
+        tape.matmul(h, params_map["readout.w"]), params_map["readout.b"]
+    ))
 
 
-def _as_param_arrays(params: ParamSet) -> dict[str, np.ndarray]:
-    return {k: v.values for k, v in params.items()}
+def _node_probs(gnn: GnnParams, graph: ComponentGraph, node_telemetry, tick: int):
+    """Each node's probability of failing within the label horizon of `tick`."""
+    emb = init_embeddings(graph, node_telemetry, tick)
+    return _forward_probs(gnn.params, edge_arrays(graph), emb.vectors,
+                          gnn.hidden_widths, gnn.hidden_activation)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -203,15 +198,11 @@ def predict_failures(
     the maximum seen when the node is never flagged."""
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    arrays = _as_param_arrays(gnn.params)
-    edges = edge_arrays(graph)
     best: dict[str, float] = {nid: 0.0 for nid in graph.node_ids}
     flag_tick: dict[str, int | None] = {nid: None for nid in graph.node_ids}
     flag_prob: dict[str, float] = {}
     for tick in range(horizon):
-        emb = init_embeddings(graph, node_telemetry, tick)
-        probs = _forward_probs(arrays, edges, emb.vectors, gnn.hidden_widths,
-                               gnn.hidden_activation)[:, 0]
+        probs = _node_probs(gnn, graph, node_telemetry, tick)
         for i, nid in enumerate(graph.node_ids):
             p = float(probs[i])
             best[nid] = max(best[nid], p)

@@ -13,9 +13,9 @@ import math
 from pathlib import Path
 
 from ..errors import InputError, SchemaError
-from ..numerics import params_from_payload
+from ..numerics import int_from_payload, params_from_payload
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
-from .gnn import GnnParams, gnn_param_shapes
+from .gnn import HIDDEN_ACTIVATIONS, GnnParams, gnn_param_shapes
 
 _NODE_FIELDS = {"id", "kind", "static_features"}
 _EDGE_FIELDS = {"from", "to", "weight"}
@@ -115,15 +115,26 @@ def load_gnn(path: str | Path) -> GnnParams:
     """Read a `save_gnn` file; parameter names and shapes must match its
     hidden widths and every value must be finite (SchemaError otherwise)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != _GNN_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _GNN_FORMAT:
         raise SchemaError(f"{path}: not a GNN checkpoint")
     if payload.get("version") != _GNN_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
     missing = sorted(_GNN_FIELDS - set(payload))
     if missing:
         raise SchemaError(f"{path}: missing fields: {missing}")
-    input_width = int(payload["input_width"])
-    hidden_widths = tuple(int(w) for w in payload["hidden_widths"])
+    input_width = int_from_payload(payload["input_width"], "input_width", path, 1)
+    widths = payload["hidden_widths"]
+    if not isinstance(widths, list):
+        raise SchemaError(f"{path}: field 'hidden_widths' must be a list")
+    hidden_widths = tuple(
+        int_from_payload(w, f"hidden_widths.{i}", path, 1) for i, w in enumerate(widths)
+    )
+    activation = payload["hidden_activation"]
+    if activation not in HIDDEN_ACTIVATIONS:
+        raise SchemaError(
+            f"{path}: field 'hidden_activation' must be one of "
+            f"{list(HIDDEN_ACTIVATIONS)}, got {activation!r}"
+        )
     params = params_from_payload(
         payload["params"], gnn_param_shapes(input_width, hidden_widths), path
     )
@@ -131,6 +142,6 @@ def load_gnn(path: str | Path) -> GnnParams:
         input_width=input_width,
         hidden_widths=hidden_widths,
         params=params,
-        hidden_activation=str(payload["hidden_activation"]),
-        label_horizon=int(payload["label_horizon"]),
+        hidden_activation=activation,
+        label_horizon=int_from_payload(payload["label_horizon"], "label_horizon", path, 0),
     )

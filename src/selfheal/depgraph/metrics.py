@@ -6,14 +6,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..simulator import CascadeTrace
-from .gnn import (
-    FailurePrediction,
-    GnnParams,
-    _as_param_arrays,
-    _forward_probs,
-    edge_arrays,
-    init_embeddings,
-)
+from .gnn import FailurePrediction, GnnParams, _node_probs
 
 
 def mttfp(
@@ -72,14 +65,7 @@ def node_failure_accuracy(
     total = 0
     for trace in traces:
         tick = min(trace.onset + eval_offset, trace.ticks - 1)
-        emb = init_embeddings(trace.graph, trace.node_telemetry, tick)
-        probs = _forward_probs(
-            _as_param_arrays(gnn.params),
-            edge_arrays(trace.graph),
-            emb.vectors,
-            gnn.hidden_widths,
-            gnn.hidden_activation,
-        )[:, 0]
+        probs = _node_probs(gnn, trace.graph, trace.node_telemetry, tick)
         for i, nid in enumerate(trace.graph.node_ids):
             fail = trace.failure_times[nid]
             label = fail is not None and fail <= tick + gnn.label_horizon

@@ -13,8 +13,10 @@ from ..numerics import (
     ParamSet,
     forward_mlp,
     init_mlp_params,
+    int_from_payload,
     mlp_param_shapes,
     params_from_payload,
+    tape,
 )
 
 DEFAULT_LAYER_SPEC = ((32, "relu"), (16, "relu"), (1, "sigmoid"))
@@ -91,21 +93,40 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
     """Read a `save_checkpoint` file; parameter names and shapes must match
     its layer spec and every value must be finite (SchemaError otherwise)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError(f"{path}: not a detector checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
     missing = sorted(_CHECKPOINT_FIELDS - set(payload))
     if missing:
         raise SchemaError(f"{path}: missing fields: {missing}")
-    input_width = int(payload["input_width"])
-    layer_spec = tuple((int(w), str(a)) for w, a in payload["layer_spec"])
+    input_width = int_from_payload(payload["input_width"], "input_width", path, 1)
+    entries = payload["layer_spec"]
+    if not isinstance(entries, list) or not entries or not all(
+        isinstance(e, list) and len(e) == 2 for e in entries
+    ):
+        raise SchemaError(
+            f"{path}: field 'layer_spec' must be a nonempty list of [width, activation]"
+        )
+    layer_spec = []
+    for i, (width, activation) in enumerate(entries):
+        if not isinstance(activation, str) or activation not in tape.ACTIVATIONS:
+            raise SchemaError(
+                f"{path}: field 'layer_spec.{i}' has unknown activation {activation!r}"
+            )
+        layer_spec.append((int_from_payload(width, f"layer_spec.{i}", path, 1), activation))
+    threshold = payload["threshold"]
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise SchemaError(f"{path}: field 'threshold' must be a number, got {threshold!r}")
     params = params_from_payload(
         payload["params"], mlp_param_shapes(input_width, layer_spec), path
     )
-    return DetectorModel(
-        input_width=input_width,
-        layer_spec=layer_spec,
-        params=params,
-        threshold=float(payload["threshold"]),
-    )
+    try:
+        return DetectorModel(
+            input_width=input_width,
+            layer_spec=tuple(layer_spec),
+            params=params,
+            threshold=float(threshold),
+        )
+    except ConfigurationError as err:  # threshold outside (0, 1), final width != 1
+        raise SchemaError(f"{path}: {err}") from None

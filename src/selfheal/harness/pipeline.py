@@ -111,6 +111,12 @@ def _recovery_env(cfg: RunConfig) -> RecoveryEnv:
     )
 
 
+def _q_hyper(cfg: RunConfig) -> QHyper:
+    agent = cfg.agent
+    return QHyper(gamma=agent.gamma, lr=agent.lr,
+                  epsilon_start=agent.epsilon_start, epsilon_end=agent.epsilon_end)
+
+
 @_stage("tasks")
 def build_tasks(cfg: RunConfig):
     sim = cfg.simulator
@@ -222,8 +228,7 @@ def agent_stage(cfg: RunConfig):
     seed = derive_seed(cfg.seed, "agent")
     env = _recovery_env(cfg)
     weights = RewardWeights.normalized(*agent.weights)
-    hyper = QHyper(gamma=agent.gamma, lr=agent.lr,
-                   epsilon_start=agent.epsilon_start, epsilon_end=agent.epsilon_end)
+    hyper = _q_hyper(cfg)
     if agent.episodes == 0:
         result = AgentTrainResult(policy=zero_policy(hyper), returns=[],
                                   normalizers=(1.0, 1.0, 1.0))
@@ -286,7 +291,7 @@ def sweep_stage(cfg: RunConfig, env: RecoveryEnv | None = None):
     result = weight_sweep(
         env, grid, episodes=agent.sweep_episodes,
         seed=derive_seed(cfg.seed, "agent", "sweep"),
-        eval_episodes=agent.sweep_eval_episodes,
+        eval_episodes=agent.sweep_eval_episodes, hyper=_q_hyper(cfg),
     )
     front_ids = {id(e) for e in result.front}
     return {

@@ -15,7 +15,7 @@ from .nets import (
     sgd_step,
 )
 from .tape import GradientTape, Node, grad
-from .tensor import ParamSet, Tensor, params_from_payload
+from .tensor import ParamSet, Tensor, int_from_payload, params_from_payload
 
 __all__ = [
     "LOG_CLAMP",
@@ -29,6 +29,7 @@ __all__ = [
     "grad",
     "init_mlp_params",
     "init_uniform_params",
+    "int_from_payload",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
     "mlp_params",

@@ -19,13 +19,6 @@ LOG_CLAMP = 1e-7
 
 LayerSpec = Sequence[tuple[int, str]]
 
-_ACTIVATIONS: dict[str, Callable] = {
-    "relu": tape.relu,
-    "sigmoid": tape.sigmoid,
-    "tanh": tape.tanh,
-    "linear": lambda x: x,
-}
-
 
 def layer_param_names(layer_index: int) -> tuple[str, str]:
     return f"layer{layer_index}.W", f"layer{layer_index}.b"
@@ -71,6 +64,20 @@ def _entry(params, name: str):
     return value.values if isinstance(value, Tensor) else value
 
 
+def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> None:
+    """Layer `i` must name an activation of `tape.ACTIVATIONS` and take W
+    (width, out_width) and b (out_width,), behind the same leading task axes."""
+    if activation not in tape.ACTIVATIONS:
+        raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
+    w_shape, b_shape = w.shape, b.shape  # arrays or tape nodes
+    lead = w_shape[:-2]
+    if w_shape != lead + (width, out_width) or b_shape != lead + (out_width,):
+        raise ConfigurationError(
+            f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
+            f"got W{tuple(w_shape)} and b{tuple(b_shape)}"
+        )
+
+
 def forward_mlp(
     params: ParamSet | Mapping[str, tape.Node],
     x,
@@ -89,21 +96,9 @@ def forward_mlp(
     current: object = h
     width = h.shape[-1]
     for i, (out_width, activation) in enumerate(layer_spec):
-        if activation not in _ACTIVATIONS:
-            raise ConfigurationError(
-                f"layer {i}: unknown activation '{activation}'"
-            )
-        w_name, b_name = layer_param_names(i)
-        w = _entry(params, w_name)
-        b = _entry(params, b_name)
-        w_shape = w.shape if not isinstance(w, tape.Node) else w.value.shape
-        b_shape = b.shape if not isinstance(b, tape.Node) else b.value.shape
-        if w_shape != (width, out_width) or b_shape != (out_width,):
-            raise ConfigurationError(
-                f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
-                f"got W{tuple(w_shape)} and b{tuple(b_shape)}"
-            )
-        current = _ACTIVATIONS[activation](tape.add(tape.matmul(current, w), b))
+        w, b = (_entry(params, name) for name in layer_param_names(i))
+        _check_layer(i, activation, width, out_width, w, b)
+        current = tape.activate(activation, tape.add(tape.matmul(current, w), b))
         width = out_width
     if taped:
         return current
@@ -129,19 +124,6 @@ def bce_loss(pred, label):
         tape.mul(1.0 - labels, tape.log(tape.sub(1.0, p))),
     )
     return tape.mul(tape.mean(term), -1.0)
-
-
-# Forward op and the tape's vector-Jacobian product of each activation, as
-# (forward(z), vjp(g, z, out)); the vjps repeat tape.relu/sigmoid/tanh exactly.
-_FUSED_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda g, z, out: g * (z > 0.0)),
-    "sigmoid": (
-        lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda g, z, out: g * out * (1.0 - out),
-    ),
-    "tanh": (np.tanh, lambda g, z, out: g * (1.0 - out * out)),
-    "linear": (lambda z: z, lambda g, z, out: g),
-}
 
 
 def _mlp_names(layer_spec: LayerSpec) -> list[str]:
@@ -175,17 +157,11 @@ def mlp_loss_and_grad(
     layer_inputs, pre, out = [], [], np.asarray(x, dtype=np.float64)
     width = out.shape[-1]
     for i, (out_width, activation) in enumerate(layer_spec):
-        if activation not in _FUSED_ACTIVATIONS:
-            raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
         w, b = weights[2 * i], weights[2 * i + 1]
-        if w.shape[-2:] != (width, out_width) or b.shape[-1:] != (out_width,):
-            raise ConfigurationError(
-                f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
-                f"got W{tuple(w.shape)} and b{tuple(b.shape)}"
-            )
+        _check_layer(i, activation, width, out_width, w, b)
         layer_inputs.append(out)
         pre.append(out @ w + b[..., None, :])
-        out = _FUSED_ACTIVATIONS[activation][0](pre[-1])
+        out = tape.ACTIVATIONS[activation][0](pre[-1])
         width = out_width
 
     # bce_loss: clip, two logs, mean, negate; then the adjoint of each op
@@ -200,7 +176,7 @@ def mlp_loss_and_grad(
 
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
-        g = _FUSED_ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], out)
+        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], out)
         grads[2 * i + 1] = g.sum(axis=-2)
         grads[2 * i] = np.swapaxes(layer_inputs[i], -1, -2) @ g
         if i:

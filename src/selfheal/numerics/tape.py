@@ -49,33 +49,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
 
 def _val(x) -> Array:
     return x.value if isinstance(x, Node) else _as_array(x)
@@ -166,28 +139,28 @@ def matmul(a, b):
     return _make(out, (a, grad_a), (b, grad_b))
 
 
-def relu(x):
+# Each activation as (forward(z), vjp(g, z, out)) on raw arrays, with `out` =
+# forward(z): the one definition `activate` records on the tape and the fused
+# MLP kernel replays.
+ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda g, z, out: g * (z > 0.0)),
+    "sigmoid": (
+        lambda z: 1.0 / (1.0 + np.exp(-z)),
+        lambda g, z, out: g * out * (1.0 - out),
+    ),
+    "tanh": (np.tanh, lambda g, z, out: g * (1.0 - out * out)),
+    "linear": (lambda z: z, lambda g, z, out: g),
+}
+
+
+def activate(name: str, x):
+    """The activation `name` of `ACTIVATIONS`, applied elementwise."""
+    forward, vjp = ACTIVATIONS[name]
     xv = _val(x)
-    out = np.maximum(xv, 0.0)
+    out = forward(xv)
     if not _is_node(x):
         return out
-    return _make(out, (x, lambda g, m=(xv > 0.0): g * m))
-
-
-def sigmoid(x):
-    xv = _val(x)
-    out = 1.0 / (1.0 + np.exp(-xv))
-    if not _is_node(x):
-        return out
-    return _make(out, (x, lambda g, s=out: g * s * (1.0 - s)))
-
-
-def tanh(x):
-    xv = _val(x)
-    out = np.tanh(xv)
-    if not _is_node(x):
-        return out
-    return _make(out, (x, lambda g, t=out: g * (1.0 - t * t)))
+    return _make(out, (x, lambda g, z=xv, o=out: vjp(g, z, o)))
 
 
 def log(x):
@@ -264,13 +237,9 @@ class GradientTape:
     """
 
     def __init__(self, params: ParamSet):
-        self.params = params
         self.leaves: dict[str, Node] = {
             name: Node(tensor.values, name=name) for name, tensor in params.items()
         }
-
-    def gradient(self, loss: Node, params: ParamSet | None = None) -> ParamSet:
-        return grad(loss, self.params if params is None else params)
 
 
 def _topo_order(root: Node) -> list[Node]:

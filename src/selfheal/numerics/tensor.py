@@ -133,6 +133,15 @@ class ParamSet(Mapping[str, Tensor]):
         return ParamSet({k: Tensor.zeros(v.shape) for k, v in other.items()})
 
 
+def int_from_payload(value, field: str, source, minimum: int) -> int:
+    """The saved field `field` as an integer >= `minimum` (SchemaError otherwise)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(
+            f"{source}: field '{field}' must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
 def params_from_payload(
     entries, expected: Mapping[str, tuple[int, ...]], source
 ) -> ParamSet:

@@ -198,10 +198,21 @@ def load_policy(path: str | Path, hyper: QHyper | None = None) -> Policy:
         parts = line.split("\t")
         if len(parts) != 3:
             raise SchemaError(f"{path}: line {i} is not 'state\\taction\\tq'")
-        s = int(parts[0])
-        action = RecoveryAction[parts[1]]
-        q[s, action.value] = float(parts[2])
-        seen[s, action.value] = True
+        try:
+            s, value = int(parts[0]), float(parts[2])
+        except ValueError:
+            raise SchemaError(f"{path}: line {i} has a non-numeric state or q") from None
+        if not 0 <= s < N_STATES:
+            raise SchemaError(f"{path}: line {i} has state {s} outside [0, {N_STATES})")
+        if parts[1] not in RecoveryAction.__members__:
+            raise SchemaError(f"{path}: line {i} has unknown action '{parts[1]}'")
+        if not np.isfinite(value):
+            raise SchemaError(f"{path}: line {i} has non-finite q {parts[2]}")
+        a = RecoveryAction[parts[1]].value
+        if seen[s, a]:
+            raise SchemaError(f"{path}: line {i} repeats state {s} action {parts[1]}")
+        q[s, a] = value
+        seen[s, a] = True
     if not seen.all():
         raise SchemaError(f"{path}: table does not cover every (state, action)")
     return Policy(q=q, hyper=hyper or QHyper())

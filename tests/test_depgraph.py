@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +88,12 @@ class TestGnnLayer:
         # h is nonnegative, so relu(I h + 0) == h
         assert np.array_equal(out.vector("a"), emb.vector("a"))
 
-    def test_two_node_hand_computed_fixture(self):
+    @pytest.mark.parametrize(
+        "activation, act",
+        [("relu", lambda z: np.maximum(z, 0.0)), ("tanh", np.tanh), ("linear", lambda z: z)],
+        ids=["relu", "tanh", "linear"],
+    )
+    def test_two_node_hand_computed_fixture(self, activation, act):
         graph = ComponentGraph(
             [("a", "query", ()), ("b", "table", ())], [("a", "b", 0.9)]
         )
@@ -95,10 +102,10 @@ class TestGnnLayer:
         h = NodeEmbeddings(0, ("a", "b"), np.array([[1.0, 2.0], [0.5, -1.0]]))
         w = np.array([[0.3, -0.2], [0.1, 0.4]])
         b = np.array([0.05, -0.05])
-        out = gnn_layer(graph, h, (w, b, "relu"))
-        # N(a) = {a}: relu([1,2] @ W + b); N(b) = {a,b}: relu([1.5,1] @ W + b)
-        expected_a = np.maximum(np.array([1.0, 2.0]) @ w + b, 0.0)
-        expected_b = np.maximum(np.array([1.5, 1.0]) @ w + b, 0.0)
+        out = gnn_layer(graph, h, (w, b, activation))
+        # N(a) = {a}: act([1,2] @ W + b); N(b) = {a,b}: act([1.5,1] @ W + b)
+        expected_a = act(np.array([1.0, 2.0]) @ w + b)
+        expected_b = act(np.array([1.5, 1.0]) @ w + b)
         assert np.allclose(out.vector("a"), expected_a, atol=1e-12)
         assert np.allclose(out.vector("b"), expected_b, atol=1e-12)
 
@@ -149,6 +156,23 @@ class TestGnnLayer:
         emb = init_embeddings(graph, flat_telemetry(graph), 0)
         with pytest.raises(ConfigurationError):
             gnn_layer(graph, emb, (np.zeros((7, 2)), np.zeros(2), "relu"))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_chained_layers_and_readout_equal_forward_pass(self, activation):
+        traces = make_cascade_dataset(6, seed=4)
+        trained = train_gnn(traces, hidden_widths=(6, 5), epochs=5, seed=3).gnn
+        gnn = replace(trained, hidden_activation=activation)
+        trace = traces[-1]
+        emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset + 1)
+        h0 = emb.vectors
+        for i in range(len(gnn.hidden_widths)):
+            layer = (gnn.params[f"layer{i}.W"], gnn.params[f"layer{i}.b"], activation)
+            emb = gnn_layer(trace.graph, emb, layer)
+        z = emb.vectors @ gnn.params["readout.w"].values + gnn.params["readout.b"].values
+        chained = 1.0 / (1.0 + np.exp(-z))
+        probs = _forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+                               gnn.hidden_widths, activation)
+        assert np.array_equal(chained, probs)
 
 
 class TestPredictFailures:
@@ -407,4 +431,23 @@ class TestGraphIo:
         payload["params"]["readout.b"]["values"] = [float("inf")]
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="params.readout.b"):
+            load_gnn(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hidden_activation", "gelu"),
+            ("label_horizon", -3),
+            ("input_width", "twelve"),
+            ("input_width", 12.5),
+            ("hidden_widths", [4.0]),
+        ],
+    )
+    def test_gnn_bad_field_names_path_and_field(self, tmp_path, field, value):
+        path = tmp_path / "gnn.json"
+        save_gnn(init_gnn(chain3(), seed=8, hidden_widths=(4,)), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: field '{field}")):
             load_gnn(path)

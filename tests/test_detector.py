@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,3 +505,22 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="params.layer1.b"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("layer_spec", [[3, "gelu"], [1, "sigmoid"]], "layer_spec.0"),
+            ("layer_spec", [[3, "relu"], ["one", "sigmoid"]], "layer_spec.1"),
+            ("input_width", "six", "input_width"),
+            ("input_width", 6.5, "input_width"),
+            ("threshold", 1.5, "threshold"),
+            ("threshold", "half", "threshold"),
+        ],
+    )
+    def test_bad_field_names_path_and_field(self, tmp_path, field, value, named):
+        path, payload = self._saved(tmp_path)
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=re.escape(str(path))) as err:
+            load_checkpoint(path)
+        assert named in str(err.value)

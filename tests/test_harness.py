@@ -19,6 +19,7 @@ from selfheal.harness import (
 )
 from selfheal.harness.cli import main
 from selfheal.recovery import load_policy
+from selfheal.seeding import derive_seed
 
 FAST_CONFIG = {
     "seed": 7,
@@ -154,6 +155,27 @@ class TestPipeline:
         # threshold 0.5 it degenerates rather than reaching high F1
         assert report.detection["f1"] <= 0.75
         assert report.recovery["proposed"]["cost"] == 0.0  # zero policy idles
+
+    def test_sweep_trains_with_the_configured_hyperparameters(self):
+        from selfheal.harness.pipeline import _recovery_env, sweep_stage
+        from selfheal.recovery import QHyper, RewardWeights, weight_sweep
+
+        grid = [[1.0, 0.0, 0.0], [0.2, 0.4, 0.4]]
+        small = {"sweep_grid": grid, "sweep_episodes": 6, "sweep_eval_episodes": 2}
+        hyper = {"lr": 0.9, "gamma": 0.1, "epsilon_start": 1.0, "epsilon_end": 1.0}
+        cfg = config_from_dict({**FAST_CONFIG, "agent": {**small, **hyper}})
+        default = config_from_dict({**FAST_CONFIG, "agent": small})
+        entries = sweep_stage(cfg)["entries"]
+        assert entries != sweep_stage(default)["entries"]
+        expected = weight_sweep(
+            _recovery_env(cfg), [RewardWeights.normalized(*w) for w in grid],
+            episodes=6, seed=derive_seed(cfg.seed, "agent", "sweep"),
+            eval_episodes=2, hyper=QHyper(**hyper),
+        )
+        assert [e["objectives"] for e in entries] == [
+            [e.objectives.latency, e.objectives.resource, e.objectives.cost]
+            for e in expected.entries
+        ]
 
     def test_report_sections_present(self, fast_report):
         raw = fast_report.to_dict()

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfheal.errors import ConfigurationError, InputError
+from selfheal.errors import ConfigurationError, InputError, SchemaError
 from selfheal.recovery import (
     ACTIONS,
     BALANCED_WEIGHTS,
@@ -378,6 +380,28 @@ class TestPolicyIo:
         path.write_text("state\taction\tq\n0\tNO_OP\t1.0\n")
         with pytest.raises(Exception):
             load_policy(path)
+
+    @pytest.mark.parametrize(
+        "line_no, row, reason",
+        [
+            (2, "72\tNO_OP\t0.0", "state 72 outside"),
+            (2, "-1\tNO_OP\t0.0", "state -1 outside"),
+            (2, "0\tEXPLODE\t0.0", "unknown action 'EXPLODE'"),
+            (2, "zero\tNO_OP\t0.0", "non-numeric state or q"),
+            (2, "0\tNO_OP\tbig", "non-numeric state or q"),
+            (2, "0\tNO_OP\tnan", "non-finite q"),
+            (3, "0\tNO_OP\t0.5", "repeats state 0 action NO_OP"),
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, line_no, row, reason):
+        path = tmp_path / "policy.tsv"
+        save_policy(Policy(q=np.zeros((N_STATES, 7))), path)
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: line {line_no} ")) as err:
+            load_policy(path)
+        assert reason in str(err.value)
 
 
 class TestWeightSweep:
