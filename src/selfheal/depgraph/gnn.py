@@ -167,10 +167,12 @@ def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
     ))
 
 
-def _node_probs(gnn: GnnParams, graph: ComponentGraph, node_telemetry, tick: int):
-    """Each node's probability of failing within the label horizon of `tick`."""
+def _node_probs(gnn: GnnParams, graph: ComponentGraph, edges, node_telemetry,
+                tick: int):
+    """Each node's probability of failing within the label horizon of `tick`;
+    `edges` is `edge_arrays(graph)`."""
     emb = init_embeddings(graph, node_telemetry, tick)
-    return _forward_probs(gnn.params, edge_arrays(graph), emb.vectors,
+    return _forward_probs(gnn.params, edges, emb.vectors,
                           gnn.hidden_widths, gnn.hidden_activation)[:, 0]
 
 
@@ -201,8 +203,9 @@ def predict_failures(
     best: dict[str, float] = {nid: 0.0 for nid in graph.node_ids}
     flag_tick: dict[str, int | None] = {nid: None for nid in graph.node_ids}
     flag_prob: dict[str, float] = {}
+    edges = edge_arrays(graph)
     for tick in range(horizon):
-        probs = _node_probs(gnn, graph, node_telemetry, tick)
+        probs = _node_probs(gnn, graph, edges, node_telemetry, tick)
         for i, nid in enumerate(graph.node_ids):
             p = float(probs[i])
             best[nid] = max(best[nid], p)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..simulator import CascadeTrace
-from .gnn import FailurePrediction, GnnParams, _node_probs
+from .gnn import FailurePrediction, GnnParams, _node_probs, edge_arrays
 
 
 def mttfp(
@@ -65,7 +65,8 @@ def node_failure_accuracy(
     total = 0
     for trace in traces:
         tick = min(trace.onset + eval_offset, trace.ticks - 1)
-        probs = _node_probs(gnn, trace.graph, trace.node_telemetry, tick)
+        probs = _node_probs(gnn, trace.graph, edge_arrays(trace.graph),
+                            trace.node_telemetry, tick)
         for i, nid in enumerate(trace.graph.node_ids):
             fail = trace.failure_times[nid]
             label = fail is not None and fail <= tick + gnn.label_horizon

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .detector.model import DetectorModel
 from .numerics import forward_mlp
-from .recovery import ACTIONS, Policy, RecoveryAction, SystemState
+from .recovery import ACTIONS, Policy, RecoveryAction, state_positions
 from .simulator import METRICS
 
 MAX_GROUPS = 12
@@ -127,9 +127,11 @@ class ActionRanking:
     gap_to_best: float
 
 
-def explain_recovery(policy: Policy, state: SystemState) -> list[ActionRanking]:
-    """Actions ranked by Q descending (ties by ordinal), with gaps to the best."""
-    q_row = policy.q[state.index()]
+def explain_recovery(policy: Policy, state: int) -> list[ActionRanking]:
+    """Actions ranked by Q descending (ties by ordinal), with gaps to the best,
+    at the state index `state`."""
+    state_positions(state)  # rejects an index outside [0, N_STATES)
+    q_row = policy.q[state]
     order = sorted(ACTIONS, key=lambda a: (-q_row[a.value], a.value))
     best = q_row[order[0].value]
     return [

@@ -14,6 +14,13 @@ from pathlib import Path
 from ..errors import ConfigurationError
 
 
+def _check_int(key: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"'{key}' must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SimulatorSection:
     n_train_patterns: int = 12
@@ -52,6 +59,12 @@ class GnnSection:
     label_horizon: int = 2
     flag_threshold: float = 0.5
     train_fraction: float = 0.8
+
+    def __post_init__(self):
+        # the ranges `load_gnn` enforces, so a trained GNN always loads back
+        _check_int("gnn.label_horizon", self.label_horizon, 0)
+        for i, width in enumerate(self.hidden_widths):
+            _check_int(f"gnn.hidden_widths.{i}", width, 1)
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,7 @@ def _coerce(section_type, raw: dict, path: str):
         kwargs[name] = value
     try:
         return section_type(**kwargs)
-    except (TypeError, ValueError) as err:
+    except TypeError as err:
         raise ConfigurationError(f"bad values under '{path}': {err}") from None
 
 

@@ -38,11 +38,12 @@ from ..recovery import (
     RecoveryEnv,
     RewardWeights,
     QHyper,
-    SystemState,
     estimate_normalizers,
     evaluate_policy,
     no_op_policy,
     random_policy,
+    state_index,
+    state_positions,
     train_agent,
     weight_sweep,
     weighted_objective,
@@ -356,11 +357,9 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
                 lead = mttfp(pred, trace, cfg.eval.tick_seconds)
                 cascade_pred = {"early_warning": lead is not None and lead > 0,
                                 "lead_seconds": lead}
-            observed = SystemState(
-                load_level=state.load_level,
-                anomaly_status=state.anomaly_status if flag else "none",
-                failed=state.failed,
-            )
+            # the agent sees the anomaly only once the detector flags it
+            load, anomaly, failed = state_positions(state)
+            observed = state_index(load, anomaly if flag else 0, failed)  # 0: "none"
             action = policy.greedy(observed)
             action_counts[action.name] = action_counts.get(action.name, 0) + 1
             state, done = env.step(action)

@@ -13,20 +13,21 @@ trace of the same pattern.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ..errors import InputError
 from ..seeding import derive_seed
-from ..simulator import (
-    TelemetryWindow, WorkloadPattern, default_patterns, generate_trace,
-)
+from ..simulator import METRICS, WorkloadPattern, default_patterns, healthy_series
 from ..simulator.telemetry import clamp_metric
 from .objectives import EpisodeTrace, ObjectiveVector
 from .states import (
+    ANOMALY_STATUSES,
     DEFAULT_ACTION_COSTS,
     RecoveryAction,
-    SystemState,
     failed_bin,
+    state_index,
 )
 
 # Actions that fully clear an active anomaly, per kind.
@@ -93,37 +94,32 @@ class RecoveryEnv:
             )
         if pattern is None:
             pattern = default_patterns(1, seed=derive_seed(seed, "env-pattern"))[0]
-        self.pattern = WorkloadPattern(
-            pattern_id=pattern.pattern_id,
-            base_rates=pattern.base_rates,
-            diurnal_amplitude=pattern.diurnal_amplitude,
-            noise_std=pattern.noise_std,
-            anomaly_rate=0.0,
-        )
+        self.pattern = pattern  # only its healthy series is used
         self.episode_ticks = episode_ticks
         self.onset_range = onset_range
         self.action_costs = dict(DEFAULT_ACTION_COSTS)
         if action_costs:
             self.action_costs.update(action_costs)
-        reference = generate_trace(
-            self.pattern, derive_seed(seed, "load-reference"), 600
-        )
-        qps = np.array([w.qps for w in reference])
+        qps = healthy_series(self.pattern, _rng(derive_seed(seed, "load-reference")),
+                             600)[:, METRICS.index("qps")]
         self._load_cuts = (
             float(np.percentile(qps, 33.0)),
             float(np.percentile(qps, 66.0)),
         )
-        self._base = None  # the episode's healthy trace; set by reset()
+        self._base = None  # the episode's healthy metric rows; set by reset()
 
     # -- episode state ---------------------------------------------------
 
-    def reset(self, episode_seed: int) -> SystemState:
-        rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, "episode")))
-        self._base = generate_trace(
-            self.pattern, derive_seed(episode_seed, "base-trace"), self.episode_ticks
-        )
+    def reset(self, episode_seed: int) -> int:
+        """Start the episode `episode_seed`; returns the first state index."""
+        rng = _rng(derive_seed(episode_seed, "episode"))
+        # Python floats, so the per-tick arithmetic stays on scalars
+        self._base = healthy_series(
+            self.pattern, _rng(derive_seed(episode_seed, "base-trace")), self.episode_ticks
+        ).tolist()
         self._tick = 0
         self._kind = _ANOMALY_KINDS[int(rng.integers(len(_ANOMALY_KINDS)))]
+        self._status = ANOMALY_STATUSES.index(self._kind)
         self._onset = int(rng.integers(self.onset_range[0], self.onset_range[1] + 1))
         self._active = False
         self._mitigation = 1.0  # scales the latency excess while active
@@ -139,35 +135,27 @@ class RecoveryEnv:
         if self._base is None:
             raise InputError("call reset() before stepping the environment")
 
-    def _healthy(self) -> tuple[TelemetryWindow, float, float, float]:
-        """The current tick's base window and its healthy latency, resource
-        (unclipped) and qps under the actions taken so far."""
+    def _healthy(self) -> tuple[list[float], float, float, float]:
+        """The current tick's base metric row (METRICS order) and its healthy
+        latency, resource (unclipped) and qps under the actions taken so far."""
         self._require_episode()
-        window = self._base[self._tick]
+        row = self._base[self._tick]
+        cpu, memory, latency_ms, _, qps = row
         latency_scale = _SCALE_DOWN_LATENCY ** self._scale_downs
-        qps = window.qps
         if self._throttled:
             latency_scale *= _THROTTLE_LATENCY
             qps *= _THROTTLE_QPS
-        resource = 0.5 * (window.cpu + window.memory) + (
+        resource = 0.5 * (cpu + memory) + (
             _SCALE_UP_RESOURCE * self._scale_ups
             - _SCALE_DOWN_RESOURCE * self._scale_downs
         )
-        return window, window.latency_ms * latency_scale, resource, qps
+        return row, latency_ms * latency_scale, resource, qps
 
-    def _observe(self) -> SystemState:
-        qps = self._healthy()[3]
-        if qps <= self._load_cuts[0]:
-            load = "low"
-        elif qps <= self._load_cuts[1]:
-            load = "medium"
-        else:
-            load = "high"
-        return SystemState(
-            load_level=load,
-            anomaly_status=self._kind if self._active else "none",
-            failed=failed_bin(self._failed_fraction),
-        )
+    def _observe(self) -> int:
+        # load level: qps at or below the 33rd, the 66th, or above both cuts
+        load = bisect_left(self._load_cuts, self._healthy()[3])
+        status = self._status if self._active else 0  # ANOMALY_STATUSES[0] is "none"
+        return state_index(load, status, failed_bin(self._failed_fraction))
 
     def snapshot(self) -> ObjectiveVector:
         """Instantaneous (latency, resource, cumulative cost) at the current tick."""
@@ -186,14 +174,10 @@ class RecoveryEnv:
         the same way the trace simulator's injected anomalies inflate them, so
         a detector trained on simulated traces sees in-distribution windows.
         """
-        window, latency, _, qps = self._healthy()
-        values = {
-            "cpu": window.cpu,
-            "memory": window.memory,
-            "latency_ms": latency,
-            "io_ops": window.io_ops,
-            "qps": qps,
-        }
+        row, latency, _, qps = self._healthy()
+        values = dict(zip(METRICS, row))
+        values["latency_ms"] = latency
+        values["qps"] = qps
         if self._active:
             inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * self._mitigation
             for metric in _OBSERVED_METRICS[self._kind]:
@@ -217,8 +201,8 @@ class RecoveryEnv:
         _, latency, resource, _ = self._healthy()
         return ObjectiveVector(latency, _unit_clip(resource), 0.0)
 
-    def step(self, action: RecoveryAction) -> tuple[SystemState, bool]:
-        """Apply the action, advance one tick; returns (state, done)."""
+    def step(self, action: RecoveryAction) -> tuple[int, bool]:
+        """Apply the action, advance one tick; returns (state index, done)."""
         self._require_episode()
         if self._tick >= self.episode_ticks - 1:
             raise InputError("episode finished; call reset() to start another")
@@ -254,13 +238,17 @@ class RecoveryEnv:
         return self._observe(), done
 
 
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _unit_clip(value: float) -> float:
     # same bytes as float(np.clip(value, 0, 1)), without the array round trip
     return min(max(value, 0.0), 1.0)
 
 
 def rollout(env: RecoveryEnv, choose, episode_seed: int) -> EpisodeTrace:
-    """Run one episode with `choose(state, tick) -> RecoveryAction`."""
+    """Run one episode with `choose(state index, tick) -> RecoveryAction`."""
     state = env.reset(episode_seed)
     snap = env.snapshot()
     latencies = [snap.latency]

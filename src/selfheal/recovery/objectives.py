@@ -8,6 +8,7 @@ action that lowers the weighted objectives earns positive reward.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +85,26 @@ def episode_objectives(trace: EpisodeTrace) -> ObjectiveVector:
     )
 
 
-def reward(
-    prev: ObjectiveVector,
-    nxt: ObjectiveVector,
-    weights: RewardWeights,
-    normalizers: tuple[float, float, float],
-) -> float:
-    """-(w . (next - prev) / normalizers); positive when objectives improved."""
+def _positive(normalizers: tuple[float, float, float]) -> np.ndarray:
     n = np.asarray(normalizers, dtype=np.float64)
     if np.any(n <= 0):
         raise ConfigurationError(f"normalizers must be positive, got {normalizers}")
-    delta = nxt.as_array() - prev.as_array()
-    return float(-(weights.as_array() @ (delta / n)))
+    return n
+
+
+def make_reward(
+    weights: RewardWeights, normalizers: tuple[float, float, float]
+) -> Callable[[ObjectiveVector, ObjectiveVector], float]:
+    """The reward `r(prev, next) = -(w . (next - prev) / normalizers)`,
+    positive when the objectives improved. Weights and normalizers are
+    checked here, once, not on every call."""
+    w, n = weights.as_array(), _positive(normalizers)
+
+    def reward(prev: ObjectiveVector, nxt: ObjectiveVector) -> float:
+        delta = nxt.as_array() - prev.as_array()
+        return float(-(w @ (delta / n)))
+
+    return reward
 
 
 def weighted_objective(
@@ -104,23 +113,4 @@ def weighted_objective(
     normalizers: tuple[float, float, float],
 ) -> float:
     """Scalarized objective used to compare policies (lower is better)."""
-    n = np.asarray(normalizers, dtype=np.float64)
-    if np.any(n <= 0):
-        raise ConfigurationError(f"normalizers must be positive, got {normalizers}")
-    return float(weights.as_array() @ (vec.as_array() / n))
-
-
-_PRIORITY_TABLE = {
-    "latency_first": RewardWeights(0.6, 0.2, 0.2),
-    "cost_first": RewardWeights(0.2, 0.2, 0.6),
-}
-
-
-def dynamic_weights(priority: str, base: RewardWeights) -> RewardWeights:
-    """Re-prioritize the mixing weights for an operator-declared regime."""
-    if priority == "balanced":
-        return RewardWeights.normalized(base.latency, base.resource, base.cost)
-    try:
-        return _PRIORITY_TABLE[priority]
-    except KeyError:
-        raise InputError(f"unknown priority '{priority}'") from None
+    return float(weights.as_array() @ (vec.as_array() / _positive(normalizers)))

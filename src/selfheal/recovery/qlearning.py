@@ -15,8 +15,10 @@ import numpy as np
 from ..errors import InputError, SchemaError
 from ..seeding import derive_seed
 from .env import RecoveryEnv, rollout
-from .objectives import EpisodeTrace, ObjectiveVector, RewardWeights, episode_objectives, reward
-from .states import ACTIONS, N_ACTIONS, N_STATES, RecoveryAction, SystemState
+from .objectives import (
+    EpisodeTrace, ObjectiveVector, RewardWeights, episode_objectives, make_reward,
+)
+from .states import ACTIONS, N_ACTIONS, N_STATES, RecoveryAction
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,11 @@ class Policy:
                 f"Q table must be {(N_STATES, N_ACTIONS)}, got {self.q.shape}"
             )
 
-    def greedy(self, state: SystemState) -> RecoveryAction:
+    def greedy(self, state: int) -> RecoveryAction:
         # np.argmax returns the first maximum: ties break to the lowest ordinal
-        return ACTIONS[int(np.argmax(self.q[state.index()]))]
+        return ACTIONS[int(np.argmax(self.q[state]))]
 
-    def choose(self, state: SystemState, tick: int) -> RecoveryAction:
+    def choose(self, state: int, tick: int) -> RecoveryAction:
         return self.greedy(state)
 
 
@@ -69,16 +71,14 @@ def zero_policy(hyper: QHyper | None = None) -> Policy:
 def random_policy(seed: int):
     """A policy-shaped callable choosing uniformly random actions."""
 
-    def choose(state: SystemState, tick: int) -> RecoveryAction:
-        rng = np.random.Generator(
-            np.random.PCG64(derive_seed(seed, state.index(), tick))
-        )
+    def choose(state: int, tick: int) -> RecoveryAction:
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, state, tick)))
         return ACTIONS[int(rng.integers(N_ACTIONS))]
 
     return choose
 
 
-def no_op_policy(state: SystemState, tick: int) -> RecoveryAction:
+def no_op_policy(state: int, tick: int) -> RecoveryAction:
     return RecoveryAction.NO_OP
 
 
@@ -138,28 +138,29 @@ def train_agent(
     hyper = hyper or QHyper()
     if normalizers is None:
         normalizers = _step_normalizers(env, seed=derive_seed(seed, "norms"))
+    reward = make_reward(weights, normalizers)
     q = np.zeros((N_STATES, N_ACTIONS))
     returns: list[float] = []
     for episode in range(episodes):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
         epsilon = hyper.epsilon_at(episode, episodes)
-        state = env.reset(derive_seed(seed, "episode", episode))
+        s = env.reset(derive_seed(seed, "episode", episode))
         prev_cost = env.snapshot().cost  # changes only in step(): carried below
         total = 0.0
         done = False
         while not done:
-            s = state.index()
             if rng.random() < epsilon:
                 action = ACTIONS[int(rng.integers(N_ACTIONS))]
             else:
                 action = ACTIONS[int(np.argmax(q[s]))]
-            state, done = env.step(action)
+            nxt, done = env.step(action)
             actual = env.snapshot()
             baseline = env.baseline_snapshot()
             step_prev = ObjectiveVector(baseline.latency, baseline.resource, prev_cost)
-            r = reward(step_prev, actual, weights, normalizers)
-            target = r if done else r + hyper.gamma * float(np.max(q[state.index()]))
+            r = reward(step_prev, actual)
+            target = r if done else r + hyper.gamma * float(np.max(q[nxt]))
             q[s, action.value] += hyper.lr * (target - q[s, action.value])
+            s = nxt
             total += r
             prev_cost = actual.cost
         returns.append(total)

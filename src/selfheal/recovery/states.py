@@ -1,8 +1,12 @@
-"""Discretized system states and the recovery action set."""
+"""Discretized system states and the recovery action set.
+
+A state is an integer in [0, N_STATES): one cell of the
+load level x anomaly status x failed bin grid, encoded by `state_index`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from enum import Enum
 
 from ..errors import InputError
@@ -11,6 +15,7 @@ LOAD_LEVELS = ("low", "medium", "high")
 ANOMALY_STATUSES = ("none", "cpu", "memory", "lock", "io", "cascade")
 # failed-fraction bins: exactly 0, (0, 0.25], (0.25, 0.5], > 0.5
 FAILED_BINS = ("none", "low", "medium", "high")
+_FAILED_EDGES = (0.0, 0.25, 0.5)  # upper edges of the first three bins
 
 N_STATES = len(LOAD_LEVELS) * len(ANOMALY_STATUSES) * len(FAILED_BINS)  # 72
 
@@ -41,49 +46,35 @@ DEFAULT_ACTION_COSTS = {
 }
 
 
-def failed_bin(fraction: float) -> str:
-    if fraction < 0 or fraction > 1:
+def failed_bin(fraction: float) -> int:
+    """The position in FAILED_BINS of a failed fraction in [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
         raise InputError(f"failed fraction must be in [0, 1], got {fraction}")
-    if fraction == 0.0:
-        return "none"
-    if fraction <= 0.25:
-        return "low"
-    if fraction <= 0.5:
-        return "medium"
-    return "high"
+    return bisect_left(_FAILED_EDGES, fraction)
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """One cell of the 3 x 6 x 4 discretized state space."""
+def state_index(load: int, anomaly: int, failed: int) -> int:
+    """The state index of positions in LOAD_LEVELS, ANOMALY_STATUSES and
+    FAILED_BINS; the inverse of `state_positions`."""
+    return (load * len(ANOMALY_STATUSES) + anomaly) * len(FAILED_BINS) + failed
 
-    load_level: str
-    anomaly_status: str
-    failed: str = "none"
 
-    def __post_init__(self):
-        if self.load_level not in LOAD_LEVELS:
-            raise InputError(f"unknown load level '{self.load_level}'")
-        if self.anomaly_status not in ANOMALY_STATUSES:
-            raise InputError(f"unknown anomaly status '{self.anomaly_status}'")
-        if self.failed not in FAILED_BINS:
-            raise InputError(f"unknown failed bin '{self.failed}'")
+def state_positions(index: int) -> tuple[int, int, int]:
+    """The (load, anomaly, failed) positions of a state index."""
+    if not 0 <= index < N_STATES:
+        raise InputError(f"state index {index} outside [0, {N_STATES})")
+    load, rest = divmod(index, len(ANOMALY_STATUSES) * len(FAILED_BINS))
+    anomaly, failed = divmod(rest, len(FAILED_BINS))
+    return load, anomaly, failed
 
-    def index(self) -> int:
-        return (
-            LOAD_LEVELS.index(self.load_level) * len(ANOMALY_STATUSES) * len(FAILED_BINS)
-            + ANOMALY_STATUSES.index(self.anomaly_status) * len(FAILED_BINS)
-            + FAILED_BINS.index(self.failed)
-        )
 
-    @staticmethod
-    def from_index(index: int) -> "SystemState":
-        if not 0 <= index < N_STATES:
-            raise InputError(f"state index {index} outside [0, {N_STATES})")
-        load, rest = divmod(index, len(ANOMALY_STATUSES) * len(FAILED_BINS))
-        anomaly, failed = divmod(rest, len(FAILED_BINS))
-        return SystemState(
-            load_level=LOAD_LEVELS[load],
-            anomaly_status=ANOMALY_STATUSES[anomaly],
-            failed=FAILED_BINS[failed],
-        )
+def named_state(load_level: str, anomaly_status: str, failed: str = "none") -> int:
+    """The state index of a cell given by its names."""
+    try:
+        return state_index(LOAD_LEVELS.index(load_level),
+                           ANOMALY_STATUSES.index(anomaly_status),
+                           FAILED_BINS.index(failed))
+    except ValueError:
+        raise InputError(
+            f"unknown state ({load_level!r}, {anomaly_status!r}, {failed!r})"
+        ) from None

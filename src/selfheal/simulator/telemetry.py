@@ -172,43 +172,44 @@ def default_patterns(count: int, seed: int, anomaly_rate: float = 0.05) -> list[
     return patterns
 
 
-def generate_trace(
-    pattern: WorkloadPattern, seed: int, ticks: int
-) -> list[TelemetryWindow]:
-    """Simulate `ticks` windows of the pattern, anomalies included.
+def healthy_series(
+    pattern: WorkloadPattern, rng: np.random.Generator, ticks: int
+) -> np.ndarray:
+    """The pattern's anomaly-free metrics as a (ticks, 5) array, METRICS order.
 
-    Metrics follow base + diurnal sinusoid + Gaussian noise, clamped to their
-    ranges. Anomaly onsets are Bernoulli draws tuned so the expected fraction
-    of anomalous ticks matches the pattern's anomaly_rate; each onset becomes
-    an AnomalyEvent realized via inject_anomaly.
+    Each metric is base + diurnal sinusoid + Gaussian noise, clamped to its
+    range; the noise is drawn from `rng` one metric at a time.
     """
     if ticks < 1:
         raise InputError(f"ticks must be >= 1, got {ticks}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    t = np.arange(ticks)
-    phase = np.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
-    series = {}
-    for metric in METRICS:
+    phase = np.sin(2.0 * math.pi * np.arange(ticks) / DIURNAL_PERIOD)
+    series = np.empty((ticks, len(METRICS)))
+    for j, metric in enumerate(METRICS):
         raw = (
             pattern.base_rates[metric]
             + pattern.diurnal_amplitude[metric] * phase
             + rng.normal(0.0, pattern.noise_std[metric], size=ticks)
         )
         low, high = METRIC_BOUNDS[metric]
-        series[metric] = np.clip(raw, low, high)
+        series[:, j] = np.clip(raw, low, high)
+    return series
 
+
+def generate_trace(
+    pattern: WorkloadPattern, seed: int, ticks: int
+) -> list[TelemetryWindow]:
+    """Simulate `ticks` windows of the pattern, anomalies included.
+
+    The healthy metrics come from `healthy_series`. Anomaly onsets are
+    Bernoulli draws tuned so the expected fraction of anomalous ticks matches
+    the pattern's anomaly_rate; each onset becomes an AnomalyEvent realized
+    via inject_anomaly.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # a row's values are the window's metric fields, in METRICS order
     windows = [
-        TelemetryWindow(
-            index=int(i),
-            cpu=float(series["cpu"][i]),
-            memory=float(series["memory"][i]),
-            latency_ms=float(series["latency_ms"][i]),
-            io_ops=float(series["io_ops"][i]),
-            qps=float(series["qps"][i]),
-            label=0,
-        )
-        for i in range(ticks)
+        TelemetryWindow(i, *row, label=0)
+        for i, row in enumerate(healthy_series(pattern, rng, ticks).tolist())
     ]
 
     onset_prob = pattern.anomaly_rate / _MEAN_EVENT_DURATION

@@ -10,7 +10,7 @@ from selfheal.explain import (
     shapley_attribution,
 )
 from selfheal.numerics import ParamSet, Tensor
-from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, SystemState
+from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, named_state
 
 
 def linear_model(weights, bias=0.0) -> DetectorModel:
@@ -90,14 +90,14 @@ class TestShapley:
 class TestExplainRecovery:
     def test_equal_q_orders_by_ordinal_with_zero_gaps(self):
         policy = Policy(q=np.zeros((N_STATES, 7)))
-        ranking = explain_recovery(policy, SystemState("low", "none", "none"))
+        ranking = explain_recovery(policy, named_state("low", "none", "none"))
         assert [r.action for r in ranking] == list(ACTIONS)
         assert all(r.gap_to_best == 0.0 for r in ranking)
 
     def test_gaps_from_descending_values(self):
         q = np.zeros((N_STATES, 7))
-        state = SystemState("low", "none", "none")
-        q[state.index()] = [5.0, 3.0, 1.0, 0.0, -1.0, -2.0, -3.0]
+        state = named_state("low", "none", "none")
+        q[state] = [5.0, 3.0, 1.0, 0.0, -1.0, -2.0, -3.0]
         ranking = explain_recovery(Policy(q=q), state)
         assert ranking[0].action is RecoveryAction.NO_OP
         assert [r.gap_to_best for r in ranking[:3]] == [0.0, 2.0, 4.0]
@@ -106,11 +106,16 @@ class TestExplainRecovery:
         rng = np.random.default_rng(9)
         policy = Policy(q=rng.normal(size=(N_STATES, 7)))
         for i in range(0, N_STATES, 7):
-            ranking = explain_recovery(policy, SystemState.from_index(i))
+            ranking = explain_recovery(policy, i)
             assert ranking[0].gap_to_best == 0.0
 
     def test_ranking_is_permutation_of_action_set(self):
         rng = np.random.default_rng(2)
         policy = Policy(q=rng.normal(size=(N_STATES, 7)))
-        ranking = explain_recovery(policy, SystemState("high", "io", "low"))
+        ranking = explain_recovery(policy, named_state("high", "io", "low"))
         assert sorted(r.action.value for r in ranking) == list(range(7))
+
+    @pytest.mark.parametrize("state", [-1, N_STATES])
+    def test_state_outside_the_space_rejected(self, state):
+        with pytest.raises(InputError, match="outside"):
+            explain_recovery(Policy(q=np.zeros((N_STATES, 7))), state)

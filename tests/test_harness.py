@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,20 @@ class TestConfig:
         table = resolve_action_costs(cfg.agent)
         assert table[RecoveryAction.SCALE_UP] == 4.0
         assert table[RecoveryAction.RESTART_COMPONENT] == 6.0
+
+    @pytest.mark.parametrize(
+        "gnn, key",
+        [
+            ({"label_horizon": -3}, "gnn.label_horizon"),
+            ({"label_horizon": 1.5}, "gnn.label_horizon"),
+            ({"hidden_widths": [0]}, "gnn.hidden_widths.0"),
+            ({"hidden_widths": [16, 2.5]}, "gnn.hidden_widths.1"),
+            ({"hidden_widths": [16, "8"]}, "gnn.hidden_widths.1"),
+        ],
+    )
+    def test_gnn_values_load_gnn_refuses_are_rejected(self, gnn, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' must be")):
+            config_from_dict({"gnn": gnn})
 
     def test_unknown_action_cost_name_rejected(self):
         from selfheal.harness.config import resolve_action_costs

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from selfheal.errors import ConfigurationError, InputError, SchemaError
 from selfheal.recovery import (
     ACTIONS,
+    ANOMALY_STATUSES,
     BALANCED_WEIGHTS,
+    FAILED_BINS,
     N_STATES,
     EpisodeTrace,
     ObjectiveVector,
@@ -17,18 +19,25 @@ from selfheal.recovery import (
     RecoveryAction,
     RecoveryEnv,
     RewardWeights,
-    SystemState,
-    dynamic_weights,
     episode_objectives,
+    failed_bin,
     load_policy,
+    make_reward,
+    named_state,
     no_op_policy,
     pareto_front,
-    reward,
     rollout,
     save_policy,
+    state_index,
+    state_positions,
     train_agent,
     weight_sweep,
+    weighted_objective,
 )
+
+
+def reward(prev, nxt, weights, normalizers):
+    return make_reward(weights, normalizers)(prev, nxt)
 
 
 class TestSystemState:
@@ -37,13 +46,33 @@ class TestSystemState:
 
     def test_index_roundtrip(self):
         for i in range(N_STATES):
-            assert SystemState.from_index(i).index() == i
+            assert state_index(*state_positions(i)) == i
+
+    def test_names_encode_their_positions(self):
+        assert named_state("low", "none", "none") == 0
+        assert state_positions(named_state("high", "io", "low")) == (2, 4, 1)
+        assert named_state("medium", "cpu") == named_state("medium", "cpu", "none")
+
+    def test_index_outside_the_space_rejected(self):
+        for index in (-1, N_STATES):
+            with pytest.raises(InputError, match="outside"):
+                state_positions(index)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(InputError):
-            SystemState("turbo", "none", "none")
+            named_state("turbo", "none", "none")
         with pytest.raises(InputError):
-            SystemState("low", "gremlins", "none")
+            named_state("low", "gremlins", "none")
+        with pytest.raises(InputError):
+            named_state("low", "none", "most")
+
+    def test_failed_bins(self):
+        cases = [(0.0, "none"), (1e-9, "low"), (0.25, "low"), (0.2500001, "medium"),
+                 (0.5, "medium"), (0.51, "high"), (1.0, "high")]
+        assert [FAILED_BINS[failed_bin(f)] for f, _ in cases] == [b for _, b in cases]
+        for fraction in (-0.1, 1.1, float("nan")):
+            with pytest.raises(InputError):
+                failed_bin(fraction)
 
 
 class TestEpisodeObjectives:
@@ -90,7 +119,9 @@ class TestReward:
     def test_nonpositive_normalizer_rejected(self):
         vec = ObjectiveVector(1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            reward(vec, vec, BALANCED_WEIGHTS, (1.0, 0.0, 1.0))
+            make_reward(BALANCED_WEIGHTS, (1.0, 0.0, 1.0))
+        with pytest.raises(ConfigurationError):
+            weighted_objective(vec, BALANCED_WEIGHTS, (1.0, 1.0, -2.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -128,27 +159,6 @@ class TestRewardWeights:
         w = RewardWeights.normalized(2.0, 1.0, 1.0)
         assert w.latency == pytest.approx(0.5)
         assert w.latency + w.resource + w.cost == pytest.approx(1.0, abs=1e-12)
-
-
-class TestDynamicWeights:
-    def test_balanced_keeps_base(self):
-        base = RewardWeights.normalized(1, 1, 1)
-        assert dynamic_weights("balanced", base) == base
-
-    def test_latency_first_table(self):
-        out = dynamic_weights("latency_first", BALANCED_WEIGHTS)
-        assert (out.latency, out.resource, out.cost) == (0.6, 0.2, 0.2)
-
-    def test_cost_first_table(self):
-        out = dynamic_weights("cost_first", BALANCED_WEIGHTS)
-        assert (out.latency, out.resource, out.cost) == (0.2, 0.2, 0.6)
-
-    def test_outputs_always_sum_to_one(self):
-        for priority in ("latency_first", "cost_first", "balanced"):
-            out = dynamic_weights(priority, RewardWeights.normalized(3, 2, 1))
-            assert out.latency + out.resource + out.cost == pytest.approx(
-                1.0, abs=1e-12
-            )
 
 
 def brute_force_front(points: list[ObjectiveVector]) -> list[ObjectiveVector]:
@@ -261,7 +271,7 @@ class SingleStateEnv:
         self._tick = 0
         self._cum = 0.0
         self._last = RecoveryAction.NO_OP
-        return SystemState("medium", "cpu", "none")
+        return named_state("medium", "cpu", "none")
 
     def snapshot(self):
         lat = 20.0 if self._last is RecoveryAction.SCALE_UP else 20.0 + self.excess
@@ -276,7 +286,7 @@ class SingleStateEnv:
         self._cum += self.action_costs[action]
         self._last = action
         self._tick += 1
-        return SystemState("medium", "cpu", "none"), self._tick >= self.ticks
+        return named_state("medium", "cpu", "none"), self._tick >= self.ticks
 
 
 class TestTrainAgent:
@@ -309,8 +319,22 @@ class TestTrainAgent:
         env = SingleStateEnv()
         result = train_agent(env, BALANCED_WEIGHTS, episodes=150, seed=4,
                              normalizers=norms)
-        state = SystemState("medium", "cpu", "none")
+        state = named_state("medium", "cpu", "none")
         assert result.policy.greedy(state) is RecoveryAction.SCALE_UP
+
+    def test_nonpositive_normalizer_rejected_before_any_episode(self):
+        class SpyEnv(SingleStateEnv):
+            resets = 0
+
+            def reset(self, episode_seed):
+                self.resets += 1
+                return super().reset(episode_seed)
+
+        env = SpyEnv()
+        with pytest.raises(ConfigurationError, match="normalizers"):
+            train_agent(env, BALANCED_WEIGHTS, episodes=3, seed=0,
+                        normalizers=(1.0, 0.0, 1.0))
+        assert env.resets == 0
 
     def test_epsilon_zero_zero_q_first_action_is_no_op(self):
         env = SingleStateEnv()
@@ -330,8 +354,7 @@ class TestTrainAgent:
         rng = np.random.default_rng(5)
         policy = Policy(q=rng.normal(size=(N_STATES, 7)))
         shifted = Policy(q=policy.q + 123.456)
-        for i in range(N_STATES):
-            state = SystemState.from_index(i)
+        for state in range(N_STATES):
             assert policy.greedy(state) == shifted.greedy(state)
 
 
@@ -349,6 +372,17 @@ class TestEnv:
         healthy = trace.latencies[:4].mean()
         worst = trace.latencies.max()
         assert worst > 2.0 * healthy
+
+    def test_state_index_reads_the_active_anomaly(self):
+        env = RecoveryEnv(seed=2)
+        state, done, seen = env.reset(9), False, set()
+        while not done:
+            kind = env.true_anomaly_kind()
+            _, anomaly, _ = state_positions(state)
+            assert ANOMALY_STATUSES[anomaly] == (kind or "none")
+            seen.add(anomaly)
+            state, done = env.step(RecoveryAction.NO_OP)
+        assert len(seen) == 2
 
     def test_step_before_reset_rejected(self):
         env = RecoveryEnv(seed=2)

@@ -14,6 +14,7 @@ from selfheal.simulator import (
     default_patterns,
     export_csv,
     generate_trace,
+    healthy_series,
     ingest_csv,
     inject_anomaly,
     make_dependency_graph,
@@ -72,6 +73,15 @@ class TestGenerateTrace:
     def test_ticks_must_be_positive(self):
         with pytest.raises(InputError):
             generate_trace(flat_pattern(), seed=0, ticks=0)
+
+    @pytest.mark.parametrize("seed, ticks", [(0, 1), (3, 40), (17, 288), (2026, 600)])
+    def test_healthy_series_is_the_zero_rate_trace(self, seed, ticks):
+        pattern = default_patterns(1, seed=seed, anomaly_rate=0.0)[0]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        series = healthy_series(pattern, rng, ticks)
+        trace = generate_trace(pattern, seed, ticks)
+        assert series.shape == (ticks, len(METRICS))
+        assert np.array_equal(series, np.array([w.metrics() for w in trace]))
 
 
 class TestInjectAnomaly:
