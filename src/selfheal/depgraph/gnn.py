@@ -71,42 +71,45 @@ def init_embeddings(
     graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], tick: int
 ) -> NodeEmbeddings:
     """h0 per node: one-hot kind, static features, unit-scaled metrics at tick."""
-    rows = []
+    readings = []
     for node in graph.nodes:
         if node.id not in node_telemetry:
             raise InputError(f"telemetry missing for node '{node.id}'")
         series = np.asarray(node_telemetry[node.id])
         if tick < 0 or tick >= series.shape[0]:
             raise InputError(f"tick {tick} outside telemetry of node '{node.id}'")
-        one_hot = np.zeros(len(NODE_KINDS))
-        one_hot[NODE_KINDS.index(node.kind)] = 1.0
-        rows.append(
-            np.concatenate(
-                [one_hot, np.asarray(node.static_features), series[tick] / _METRIC_SCALE]
-            )
-        )
+        readings.append(series[tick])
+    kinds = np.eye(len(NODE_KINDS))[[NODE_KINDS.index(n.kind) for n in graph.nodes]]
+    static = np.array([n.static_features for n in graph.nodes], dtype=np.float64)
     return NodeEmbeddings(
-        layer_index=0, node_ids=graph.node_ids, vectors=np.stack(rows)
+        layer_index=0,
+        node_ids=graph.node_ids,
+        vectors=np.hstack([kinds, static, np.array(readings) / _METRIC_SCALE]),
     )
 
 
-def edge_arrays(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoints as (src_indices, dst_indices); self-loops are implicit
-    in the aggregation op, not listed here."""
+def _edge_ends(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Edge endpoints as (src_indices, dst_indices)."""
     src = np.array([graph.index_of(e.src) for e in graph.edges], dtype=np.intp)
     dst = np.array([graph.index_of(e.dst) for e in graph.edges], dtype=np.intp)
     return src, dst
 
 
-def _message_pass(h, edges, w, b, activation: str):
+def edge_arrays(graph: ComponentGraph) -> tape.EdgeIndex:
+    """The graph's edges as an `EdgeIndex` over its nodes; self-loops are
+    implicit in the aggregation op, not listed here."""
+    return tape.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
+
+
+def _message_pass(h, edges, w, b, activation: str, aggregate=None):
     """One layer, act(edge_aggregate(h) @ w + b), on arrays or tape leaves.
 
-    `edges` is the (src_indices, dst_indices) pair; the self term is implicit.
+    `edges` is an `EdgeIndex`; the self term is implicit. A caller that already
+    holds `edge_aggregate(h, edges)` of a constant `h` passes it as `aggregate`.
     """
-    src, dst = edges
-    return tape.activate(
-        activation, tape.add(tape.matmul(tape.edge_aggregate(h, src, dst), w), b)
-    )
+    if aggregate is None:
+        aggregate = tape.edge_aggregate(h, edges)
+    return tape.activate(activation, tape.add(tape.matmul(aggregate, w), b))
 
 
 def gnn_layer(
@@ -156,12 +159,14 @@ def gnn_param_shapes(
     return shapes
 
 
-def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
-    """Per-node failure probabilities; works on arrays or tape leaves."""
+def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu",
+                   h0_aggregate=None):
+    """Per-node failure probabilities; works on arrays or tape leaves.
+    `h0_aggregate`, when given, is `edge_aggregate(h0, edges)`."""
     h = h0
     for i in range(len(hidden_widths)):
-        h = _message_pass(h, edges, params_map[f"layer{i}.W"],
-                          params_map[f"layer{i}.b"], activation)
+        h = _message_pass(h, edges, params_map[f"layer{i}.W"], params_map[f"layer{i}.b"],
+                          activation, h0_aggregate if i == 0 else None)
     return tape.activate("sigmoid", tape.add(
         tape.matmul(h, params_map["readout.w"]), params_map["readout.b"]
     ))
@@ -270,24 +275,25 @@ def train_gnn(
                    label_horizon=label_horizon)
 
     samples = _training_samples(dataset, label_horizon, rng)
-    sizes = [h.shape[0] for _, h, _ in samples]
     src_parts, dst_parts = [], []
     offset = 0
-    for (graph, _, _), n in zip(samples, sizes):
-        src, dst = edge_arrays(graph)
+    for graph, h, _ in samples:
+        src, dst = _edge_ends(graph)
         src_parts.append(src + offset)
         dst_parts.append(dst + offset)
-        offset += n
-    edges = (np.concatenate(src_parts), np.concatenate(dst_parts))
+        offset += h.shape[0]
+    edges = tape.EdgeIndex(np.concatenate(src_parts), np.concatenate(dst_parts), offset)
     h0 = np.vstack([h for _, h, _ in samples])
     labels = np.concatenate([y for _, _, y in samples]).reshape(-1, 1)
+    # h0 is a constant, not a tape leaf: its aggregate is the same every epoch
+    h0_aggregate = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else None
 
     params = gnn.params
     curve: list[float] = []
     for epoch in range(epochs):
         recorder = GradientTape(params)
         probs = _forward_probs(recorder.leaves, edges, h0, gnn.hidden_widths,
-                               gnn.hidden_activation)
+                               gnn.hidden_activation, h0_aggregate)
         loss = bce_loss(probs, labels)
         value = float(tape.value_of(loss))
         if not np.isfinite(value):

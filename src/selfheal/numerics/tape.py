@@ -14,6 +14,7 @@ that is all the MLPs and the message-passing layer need.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -200,28 +201,86 @@ def mean(x):
     )
 
 
-def edge_aggregate(x, src: np.ndarray, dst: np.ndarray):
+def _rank_groups(keys: Array, others: Array) -> tuple[tuple[Array, Array], ...]:
+    """(keys[e], others[e]) for the edges e in which each key occurs for the
+    k-th time, k = 0, 1, ...; each group lists its edges in edge order.
+
+    No key repeats within a group, so `out[keys_k] += v[others_k]` applied
+    group by group gives every key its additions in edge order.
+    """
+    members: list[list[int]] = []
+    seen: dict[int, int] = {}
+    for edge, key in enumerate(keys.tolist()):
+        rank = seen.get(key, 0)
+        seen[key] = rank + 1
+        if rank == len(members):
+            members.append([])
+        members[rank].append(edge)
+    return tuple((keys[m], others[m]) for m in map(np.array, members))
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeIndex:
+    """Directed edges (src -> dst) between the rows of an `n_nodes`-row array,
+    grouped once for `edge_aggregate`: `into_dst` by occurrence rank of the
+    destination (forward), `into_src` by occurrence rank of the source (vjp).
+    """
+
+    src: Array
+    dst: Array
+    n_nodes: int
+    into_dst: tuple[tuple[Array, Array], ...] = field(init=False, repr=False)
+    into_src: tuple[tuple[Array, Array], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        src, dst, n_nodes = np.asarray(self.src), np.asarray(self.dst), self.n_nodes
+        if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 0:
+            raise InputError(f"n_nodes must be an int >= 0, got {n_nodes!r}")
+        for name, ends in (("src", src), ("dst", dst)):
+            if ends.ndim != 1 or not (ends.size == 0 or np.issubdtype(ends.dtype, np.integer)):
+                raise InputError(f"{name} must be a 1-D integer array, got "
+                                 f"{ends.dtype} of shape {ends.shape}")
+            bad = np.flatnonzero((ends < 0) | (ends >= n_nodes))
+            if bad.size:
+                raise InputError(f"edge {bad[0]}: {name} index {ends[bad[0]]} outside "
+                                 f"0..{n_nodes - 1}")
+        if src.shape != dst.shape:
+            raise InputError(f"{src.size} sources but {dst.size} destinations")
+        src, dst = src.astype(np.intp), dst.astype(np.intp)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "n_nodes", int(n_nodes))
+        object.__setattr__(self, "into_dst", _rank_groups(dst, src))
+        object.__setattr__(self, "into_src", _rank_groups(src, dst))
+
+
+def _scatter_add(v: Array, groups) -> Array:
+    """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order."""
+    out = v.copy()
+    for receivers, senders in groups:
+        # out[receivers] += v[senders]; np.take gathers rows faster than v[senders]
+        rows = np.take(out, receivers, axis=0)
+        rows += np.take(v, senders, axis=0)
+        out[receivers] = rows
+    return out
+
+
+def edge_aggregate(x, edges: EdgeIndex):
     """out[v] = x[v] + sum of x[src] over edges (src -> dst) with dst == v.
 
-    The message-passing aggregation (self term plus in-neighbor sum) as an
-    unbuffered indexed accumulation: the reduction order is fixed by the edge
-    arrays, so results are bitwise identical regardless of BLAS threading.
+    The message-passing aggregation (self term plus in-neighbor sum). Each row
+    receives its additions in edge order, group by group of `EdgeIndex`, as an
+    unbuffered edge-by-edge accumulation would, so results are bitwise fixed by
+    the edge arrays regardless of BLAS threading.
     """
     xv = _val(x)
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    out = xv.copy()
-    np.add.at(out, dst, xv[src])
+    if xv.ndim == 0 or xv.shape[0] != edges.n_nodes:
+        raise InputError(f"x has shape {xv.shape}, edges span {edges.n_nodes} rows")
+    out = _scatter_add(xv, edges.into_dst)
     if not _is_node(x):
         return out
-
-    def vjp(g, src=src, dst=dst):
-        g = np.asarray(g, dtype=np.float64)
-        dx = g.copy()
-        np.add.at(dx, src, g[dst])
-        return dx
-
-    return _make(out, (x, vjp))
+    return _make(out, (x, lambda g, groups=edges.into_src: _scatter_add(
+        np.asarray(g, dtype=np.float64), groups)))
 
 
 def value_of(x) -> Array:

@@ -22,10 +22,12 @@ from selfheal.depgraph import (
     train_gnn,
     write_graph,
 )
-from selfheal.depgraph.gnn import _forward_probs, edge_arrays
-from selfheal.numerics import GradientTape, ParamSet, Tensor, bce_loss, finite_diff_grad, grad, tape
+from selfheal.depgraph.gnn import _forward_probs, _training_samples, edge_arrays
+from selfheal.numerics import (
+    GradientTape, ParamSet, Tensor, bce_loss, finite_diff_grad, grad, sgd_step, tape,
+)
 from selfheal.simulator import ComponentGraph, propagate_cascade
-from selfheal.simulator.cascade import make_cascade_dataset, make_tree_graph
+from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
 
 
 def chain3() -> ComponentGraph:
@@ -67,6 +69,25 @@ class TestInitEmbeddings:
         graph = chain3()
         with pytest.raises(InputError, match="n2"):
             init_embeddings(graph, {"n0": np.zeros((4, 5)), "n1": np.zeros((4, 5))}, 0)
+
+    @pytest.mark.parametrize("tick", [-1, 6])
+    def test_tick_outside_telemetry_rejected(self, tick):
+        graph = chain3()
+        with pytest.raises(InputError, match=f"tick {tick} outside telemetry"):
+            init_embeddings(graph, flat_telemetry(graph, ticks=6), tick)
+
+    def test_bitwise_equal_to_per_node_concatenation(self):
+        scale = np.array([1.0, 1.0, 100.0, 1000.0, 1000.0])
+        for trace in make_cascade_dataset(8, seed=12):
+            for tick in range(trace.ticks):
+                rows = []
+                for node in trace.graph.nodes:
+                    one_hot = np.zeros(len(NODE_KINDS))
+                    one_hot[NODE_KINDS.index(node.kind)] = 1.0
+                    reading = trace.node_telemetry[node.id][tick] / scale
+                    rows.append(np.concatenate([one_hot, node.static_features, reading]))
+                emb = init_embeddings(trace.graph, trace.node_telemetry, tick)
+                assert emb.vectors.tobytes() == np.stack(rows).tobytes()
 
 
 class TestGnnLayer:
@@ -244,6 +265,64 @@ class TestTrainGnn:
             assert np.allclose(
                 reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
             ), name
+
+    def test_two_layer_tanh_gradient_matches_finite_differences_on_hub(self):
+        # a hub with in- and out-degree 5 gives the grouped vjp several rank
+        # groups; tanh has no kinks, so the oracle holds at any point
+        nodes = [(f"n{i}", NODE_KINDS[i % 5], (0.1 * i, 0.5)) for i in range(7)]
+        edges = [(f"n{i}", "n0", 1.0) for i in range(1, 6)]
+        edges += [("n0", f"n{i}", 1.0) for i in range(2, 7)] + [("n6", "n5", 1.0)]
+        graph = ComponentGraph(nodes, edges)
+        widths = (4, 3)
+        gnn = init_gnn(graph, seed=5, hidden_widths=widths)
+        telemetry = {nid: np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1)
+                     for i, nid in enumerate(graph.node_ids)}
+        h0 = init_embeddings(graph, telemetry, 1).vectors
+        labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0]])
+        edge_index = edge_arrays(graph)
+
+        def loss_fn(ps: ParamSet) -> float:
+            arrays = {k: v.values for k, v in ps.items()}
+            probs = _forward_probs(arrays, edge_index, h0, widths, "tanh")
+            return float(tape.value_of(bce_loss(probs, labels)))
+
+        recorder = GradientTape(gnn.params)
+        probs = _forward_probs(recorder.leaves, edge_index, h0, widths, "tanh")
+        reverse = grad(bce_loss(probs, labels), gnn.params)
+        oracle = finite_diff_grad(loss_fn, gnn.params, 1e-5)
+        for name in gnn.params:
+            assert np.allclose(
+                reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
+            ), name
+
+    @pytest.mark.parametrize("widths", [(16, 16), (5,), ()])
+    def test_equal_to_a_loop_that_aggregates_h0_every_epoch(self, widths):
+        traces = make_cascade_dataset(6, seed=6)
+        epochs, lr, seed = 8, 0.3, 4
+        result = train_gnn(traces, hidden_widths=widths, epochs=epochs, lr=lr, seed=seed)
+
+        gnn = init_gnn(traces[0].graph, seed=seed, hidden_widths=widths)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        samples = _training_samples(traces, gnn.label_horizon, rng)
+        src, dst, offset = [], [], 0
+        for graph, h, _ in samples:
+            graph_edges = edge_arrays(graph)
+            src.append(graph_edges.src + offset)
+            dst.append(graph_edges.dst + offset)
+            offset += h.shape[0]
+        edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
+        h0 = np.vstack([h for _, h, _ in samples])
+        labels = np.concatenate([y for _, _, y in samples]).reshape(-1, 1)
+        params, curve = gnn.params, []
+        for _ in range(epochs):
+            recorder = GradientTape(params)
+            loss = bce_loss(_forward_probs(recorder.leaves, edges, h0, widths), labels)
+            curve.append(float(tape.value_of(loss)))
+            params = sgd_step(params, grad(loss, params), lr)
+
+        assert result.loss_curve == curve
+        assert list(result.gnn.params) == list(params)
+        assert result.gnn.params.flatten().tobytes() == params.flatten().tobytes()
 
     def test_trained_model_flags_seed_before_deep_downstream(self):
         # chain deeper than the model's receptive field: the far node can only

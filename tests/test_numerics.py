@@ -315,6 +315,72 @@ class TestFusedMlpKernel:
                               [(2, "gelu"), (1, "sigmoid")])
 
 
+def _add_at_aggregate(x, src, dst):
+    """Reference aggregation: x plus an unbuffered np.add.at over the edges."""
+    out = x.copy()
+    np.add.at(out, dst, x[src])
+    return out
+
+
+# (n_nodes, src, dst): no edges, isolated nodes, duplicate edges, and a hub
+# (node 0) with in-degree 8 and out-degree 7, including a duplicate each way
+EDGE_CASES = {
+    "no_edges": (4, [], []),
+    "isolated_nodes": (7, [0, 1, 2], [1, 2, 0]),
+    "duplicate_edges": (3, [0, 0, 1, 0, 2, 0], [1, 1, 0, 1, 1, 2]),
+    "hub": (8, [1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0, 3, 0, 7],
+            [0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 0, 3, 0]),
+}
+
+
+class TestEdgeAggregate:
+    @pytest.mark.parametrize("width", [1, 8, 16, 17])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_forward_and_vjp_bitwise_equal_to_add_at(self, case, width):
+        n, src, dst = EDGE_CASES[case]
+        src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+        edges = tape.EdgeIndex(src, dst, n)
+        rng = np.random.default_rng(width)
+        x, g = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+        out = tape.edge_aggregate(x, edges)
+        assert out.tobytes() == _add_at_aggregate(x, src, dst).tobytes()
+        # d(sum(aggregate(x) * g))/dx is the vjp applied to g
+        params = ParamSet({"x": Tensor(x)})
+        leaf = GradientTape(params).leaves["x"]
+        loss = tape.total(tape.mul(tape.edge_aggregate(leaf, edges), g))
+        dx = grad(loss, params)["x"].values
+        assert dx.tobytes() == _add_at_aggregate(g, dst, src).tobytes()
+
+    def test_random_multigraphs_bitwise_equal_to_add_at(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            src, dst = rng.integers(0, n, size=(2, int(rng.integers(0, 120))))
+            x = rng.normal(size=(n, 5))
+            out = tape.edge_aggregate(x, tape.EdgeIndex(src, dst, n))
+            assert out.tobytes() == _add_at_aggregate(x, src, dst).tobytes()
+
+    @pytest.mark.parametrize("src, dst, match", [
+        ([-1], [0], "src index -1"),
+        ([0], [3], "dst index 3"),
+        ([0, 1], [1], "2 sources but 1 destinations"),
+        ([0.0], [1], "integer"),
+    ])
+    def test_bad_indices_rejected_when_built(self, src, dst, match):
+        with pytest.raises(InputError, match=match):
+            tape.EdgeIndex(np.array(src), np.array(dst), 3)
+
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(InputError, match="n_nodes"):
+            tape.EdgeIndex(np.array([], dtype=np.intp), np.array([], dtype=np.intp), -1)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_row_count_must_match_node_count(self, rows):
+        edges = tape.EdgeIndex(np.array([0, 1]), np.array([1, 2]), 3)
+        with pytest.raises(InputError, match="3 rows"):
+            tape.edge_aggregate(np.ones((rows, 2)), edges)
+
+
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         params = ParamSet({"w": Tensor([1.0, -2.0])})
