@@ -49,12 +49,7 @@ from ..recovery import (
     weighted_objective,
     zero_policy,
 )
-from ..simulator import (
-    TelemetryWindow,
-    augment_tasks,
-    default_patterns,
-    make_tasks,
-)
+from ..simulator import METRICS, augment_tasks, default_patterns, make_tasks
 from ..simulator.cascade import make_cascade_dataset, make_tree_graph, propagate_cascade
 from ..simulator.tasks import window_feature
 from .config import RunConfig, resolve_action_costs
@@ -243,11 +238,11 @@ def agent_stage(cfg: RunConfig):
         for i in range(cfg.eval.recovery_episodes)
     ]
     norms = estimate_normalizers(env, seed=derive_seed(eval_seed, "normalizers"))
-    proposed, _ = evaluate_policy(env, result.policy.choose, episode_seeds)
-    rand, _ = evaluate_policy(
+    proposed = evaluate_policy(env, result.policy.choose, episode_seeds)
+    rand = evaluate_policy(
         env, random_policy(derive_seed(eval_seed, "random-policy")), episode_seeds
     )
-    noop, _ = evaluate_policy(env, no_op_policy, episode_seeds)
+    noop = evaluate_policy(env, no_op_policy, episode_seeds)
 
     def as_entry(vec):
         return {
@@ -299,8 +294,7 @@ def sweep_stage(cfg: RunConfig, env: RecoveryEnv | None = None):
         "entries": [
             {
                 "weights": [e.weights.latency, e.weights.resource, e.weights.cost],
-                "objectives": [e.objectives.latency, e.objectives.resource,
-                               e.objectives.cost],
+                "objectives": list(e.objectives),
                 "on_front": id(e) in front_ids,
             }
             for e in result.entries
@@ -322,7 +316,7 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
     for e in range(cfg.eval.closed_loop_episodes):
         ep_seed = derive_seed(eval_seed, "episode", e)
         state = env.reset(ep_seed)
-        history: list[TelemetryWindow] = []
+        history: list[list[float]] = []  # metric rows, METRICS order
         kind, onset = env.episode_anomaly()
         first_flag = None
         false_flags = 0
@@ -331,11 +325,10 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
         tick = 0
         while not done:
             metrics = env.current_metrics()
-            history.append(TelemetryWindow(index=tick, label=0, **metrics))
+            history.append([metrics[m] for m in METRICS])
             window = history[-width:]
-            while len(window) < width:  # left-pad the first few ticks
-                window = [window[0]] + window
-            feature = window_feature(window, 0, width)
+            # left-pad the first few ticks
+            feature = window_feature([window[0]] * (width - len(window)) + window)
             _, flag = detect(model, feature)
             truly_active = env.true_anomaly_kind() is not None
             if flag and truly_active and first_flag is None:

@@ -13,6 +13,7 @@ trace of the same pattern.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -21,7 +22,7 @@ from ..errors import InputError
 from ..seeding import derive_seed
 from ..simulator import METRICS, WorkloadPattern, default_patterns, healthy_series
 from ..simulator.telemetry import clamp_metric
-from .objectives import EpisodeTrace, ObjectiveVector
+from .objectives import ObjectiveVector
 from .states import (
     ANOMALY_STATUSES,
     DEFAULT_ACTION_COSTS,
@@ -100,6 +101,11 @@ class RecoveryEnv:
         self.action_costs = dict(DEFAULT_ACTION_COSTS)
         if action_costs:
             self.action_costs.update(action_costs)
+        for action, cost in self.action_costs.items():
+            # the only way a snapshot's objectives could go negative
+            if not 0.0 <= cost < math.inf:
+                raise InputError(f"action cost for {action.name} must be finite "
+                                 f"and >= 0, got {cost}")
         qps = healthy_series(self.pattern, _rng(derive_seed(seed, "load-reference")),
                              600)[:, METRICS.index("qps")]
         self._load_cuts = (
@@ -247,8 +253,12 @@ def _unit_clip(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def rollout(env: RecoveryEnv, choose, episode_seed: int) -> EpisodeTrace:
-    """Run one episode with `choose(state index, tick) -> RecoveryAction`."""
+def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
+    """Run one episode with `choose(state index, tick) -> RecoveryAction`.
+
+    Its objectives are the mean latency and resource over every snapshot,
+    the one after reset included, and the plain sum of the action costs.
+    """
     state = env.reset(episode_seed)
     snap = env.snapshot()
     latencies = [snap.latency]
@@ -264,8 +274,8 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> EpisodeTrace:
         latencies.append(snap.latency)
         resources.append(snap.resource)
         tick += 1
-    return EpisodeTrace(
-        latencies=np.array(latencies),
-        resources=np.array(resources),
-        action_costs=action_costs,
+    return ObjectiveVector(
+        latency=float(np.array(latencies).mean()),
+        resource=float(np.array(resources).mean()),
+        cost=float(sum(action_costs)),
     )

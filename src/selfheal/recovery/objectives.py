@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,21 +19,13 @@ from ..errors import ConfigurationError, InputError
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """(mean latency ms, mean resource fraction, summed action cost)."""
+class ObjectiveVector(NamedTuple):
+    """(mean latency ms, mean resource fraction, summed action cost); its
+    array is `np.array(vec)`."""
 
     latency: float
     resource: float
     cost: float
-
-    def __post_init__(self):
-        for name in ("latency", "resource", "cost"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} objective must be >= 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.latency, self.resource, self.cost])
 
 
 @dataclass(frozen=True)
@@ -63,28 +56,6 @@ class RewardWeights:
 BALANCED_WEIGHTS = RewardWeights.normalized(1.0, 1.0, 1.0)
 
 
-@dataclass
-class EpisodeTrace:
-    """Per-tick latency and resource series plus the logged action costs."""
-
-    latencies: np.ndarray
-    resources: np.ndarray
-    action_costs: list[float]
-
-
-def episode_objectives(trace: EpisodeTrace) -> ObjectiveVector:
-    """Arithmetic means for latency and resource; plain sum for cost."""
-    latencies = np.asarray(trace.latencies, dtype=np.float64)
-    resources = np.asarray(trace.resources, dtype=np.float64)
-    if latencies.size == 0 or resources.size == 0:
-        raise InputError("episode trace must cover at least one tick")
-    return ObjectiveVector(
-        latency=float(latencies.mean()),
-        resource=float(resources.mean()),
-        cost=float(sum(trace.action_costs)),
-    )
-
-
 def _positive(normalizers: tuple[float, float, float]) -> np.ndarray:
     n = np.asarray(normalizers, dtype=np.float64)
     if np.any(n <= 0):
@@ -94,14 +65,14 @@ def _positive(normalizers: tuple[float, float, float]) -> np.ndarray:
 
 def make_reward(
     weights: RewardWeights, normalizers: tuple[float, float, float]
-) -> Callable[[ObjectiveVector, ObjectiveVector], float]:
-    """The reward `r(prev, next) = -(w . (next - prev) / normalizers)`,
-    positive when the objectives improved. Weights and normalizers are
-    checked here, once, not on every call."""
+) -> Callable[[tuple[float, float, float], tuple[float, float, float]], float]:
+    """The reward `r(prev, next) = -(w . (next - prev) / normalizers)` over
+    (latency, resource, cost) tuples, positive when the objectives improved.
+    Weights and normalizers are checked here, once, not on every call."""
     w, n = weights.as_array(), _positive(normalizers)
 
-    def reward(prev: ObjectiveVector, nxt: ObjectiveVector) -> float:
-        delta = nxt.as_array() - prev.as_array()
+    def reward(prev: tuple[float, float, float], nxt: tuple[float, float, float]) -> float:
+        delta = np.array(nxt) - np.array(prev)
         return float(-(w @ (delta / n)))
 
     return reward
@@ -113,4 +84,4 @@ def weighted_objective(
     normalizers: tuple[float, float, float],
 ) -> float:
     """Scalarized objective used to compare policies (lower is better)."""
-    return float(weights.as_array() @ (vec.as_array() / _positive(normalizers)))
+    return float(weights.as_array() @ (np.array(vec) / _positive(normalizers)))

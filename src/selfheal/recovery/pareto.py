@@ -15,7 +15,7 @@ from .qlearning import QHyper, evaluate_policy, train_agent
 
 def _non_dominated(points: list[ObjectiveVector]) -> np.ndarray:
     """Boolean mask of the points no other point dominates (all minimized)."""
-    arr = np.stack([p.as_array() for p in points])
+    arr = np.array(points)
     # all-pairs dominance: dominated[i] iff some j has arr[j] <= arr[i]
     # everywhere and arr[j] < arr[i] somewhere
     le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
@@ -70,7 +70,7 @@ def weight_sweep(
         result = train_agent(
             env, weights, episodes, hyper=hyper, seed=derive_seed(seed, "sweep", g)
         )
-        mean_vec, _ = evaluate_policy(env, result.policy.choose, eval_seeds)
+        mean_vec = evaluate_policy(env, result.policy.choose, eval_seeds)
         entries.append(SweepEntry(weights=weights, objectives=mean_vec))
     mask = _non_dominated([e.objectives for e in entries])
     front = [e for e, keep in zip(entries, mask) if keep]

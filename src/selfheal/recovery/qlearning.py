@@ -15,9 +15,7 @@ import numpy as np
 from ..errors import InputError, SchemaError
 from ..seeding import derive_seed
 from .env import RecoveryEnv, rollout
-from .objectives import (
-    EpisodeTrace, ObjectiveVector, RewardWeights, episode_objectives, make_reward,
-)
+from .objectives import ObjectiveVector, RewardWeights, make_reward
 from .states import ACTIONS, N_ACTIONS, N_STATES, RecoveryAction
 
 
@@ -90,10 +88,9 @@ def estimate_normalizers(
         raise InputError("need at least one warmup episode")
     totals = np.zeros(3)
     for e in range(episodes):
-        trace = rollout(env, random_policy(derive_seed(seed, "warmup-pi", e)),
-                        derive_seed(seed, "warmup", e))
-        vec = episode_objectives(trace)
-        totals += np.abs(vec.as_array())
+        vec = rollout(env, random_policy(derive_seed(seed, "warmup-pi", e)),
+                      derive_seed(seed, "warmup", e))
+        totals += np.abs(np.array(vec))
     means = totals / episodes
     return tuple(float(max(m, 1e-9)) for m in means)
 
@@ -156,8 +153,7 @@ def train_agent(
             nxt, done = env.step(action)
             actual = env.snapshot()
             baseline = env.baseline_snapshot()
-            step_prev = ObjectiveVector(baseline.latency, baseline.resource, prev_cost)
-            r = reward(step_prev, actual)
+            r = reward((baseline.latency, baseline.resource, prev_cost), actual)
             target = r if done else r + hyper.gamma * float(np.max(q[nxt]))
             q[s, action.value] += hyper.lr * (target - q[s, action.value])
             s = nxt
@@ -168,16 +164,12 @@ def train_agent(
                             normalizers=normalizers)
 
 
-def evaluate_policy(
-    env: RecoveryEnv, choose, episode_seeds: list[int]
-) -> tuple[ObjectiveVector, list[EpisodeTrace]]:
+def evaluate_policy(env: RecoveryEnv, choose, episode_seeds: list[int]) -> ObjectiveVector:
     """Mean episode objectives of a policy over fixed held-out episodes."""
     if not episode_seeds:
         raise InputError("need at least one evaluation episode")
-    traces = [rollout(env, choose, s) for s in episode_seeds]
-    arrays = np.stack([episode_objectives(t).as_array() for t in traces])
-    mean = arrays.mean(axis=0)
-    return ObjectiveVector(*[float(v) for v in mean]), traces
+    mean = np.array([rollout(env, choose, s) for s in episode_seeds]).mean(axis=0)
+    return ObjectiveVector(*mean.tolist())
 
 
 def save_policy(policy: Policy, path: str | Path) -> None:

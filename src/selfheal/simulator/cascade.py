@@ -90,9 +90,6 @@ class ComponentGraph:
         except KeyError:
             raise InputError(f"unknown node '{node_id}'") from None
 
-    def in_edges(self, node_id: str) -> list[GraphEdge]:
-        return [e for e in self.edges if e.dst == node_id]
-
     def __eq__(self, other):
         if not isinstance(other, ComponentGraph):
             return NotImplemented
@@ -145,9 +142,12 @@ def propagate_cascade(
         raise InputError(f"onset {onset} outside [0, {horizon})")
     graph.index_of(seed_node)  # raises for unknown ids
 
-    in_weights = {
-        n.id: [(e.src, e.weight) for e in graph.in_edges(n.id)] for n in graph.nodes
-    }
+    # in-edges in graph.edges order, so every weight sums in that order
+    in_weights: dict[str, list[tuple[str, float]]] = {n.id: [] for n in graph.nodes}
+    totals = dict.fromkeys(in_weights, 0.0)
+    for e in graph.edges:
+        in_weights[e.dst].append((e.src, e.weight))
+        totals[e.dst] += e.weight
     failure_times: dict[str, int | None] = {n.id: None for n in graph.nodes}
     failure_times[seed_node] = onset
 
@@ -161,9 +161,8 @@ def propagate_cascade(
             incoming = in_weights[node.id]
             if not incoming:
                 continue
-            total = sum(w for _, w in incoming)
             failed_weight = sum(w for src, w in incoming if src in failed_before)
-            if failed_weight / total >= fail_threshold:
+            if failed_weight / totals[node.id] >= fail_threshold:
                 failure_times[node.id] = tick
 
     rng = np.random.Generator(np.random.PCG64(seed))

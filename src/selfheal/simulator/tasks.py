@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import GenerationError, InputError
 from ..seeding import derive_seed
-from .telemetry import METRICS, TelemetryWindow, WorkloadPattern, generate_trace
+from .telemetry import METRICS, TelemetryTrace, WorkloadPattern, generate_trace
 
 # Unit scale per metric (divisor) so feature values land near [0, 1]:
 # fractions stay as-is, latency in hundreds of ms, I/O and qps in thousands.
@@ -57,25 +57,19 @@ class Task:
         return self.support_x.shape[1]
 
 
-def window_feature(trace: list[TelemetryWindow], start: int, width: int) -> np.ndarray:
-    """Flattened, unit-scaled metrics of `width` consecutive ticks."""
-    rows = [np.array(trace[start + k].metrics()) / _SCALE_VECTOR for k in range(width)]
-    return np.concatenate(rows)
+def window_feature(rows) -> np.ndarray:
+    """Unit-scaled metric rows (METRICS order) of consecutive ticks, flattened."""
+    return (np.asarray(rows) / _SCALE_VECTOR).ravel()
 
 
-def window_label(trace: list[TelemetryWindow], start: int, width: int) -> int:
-    return int(any(trace[start + k].label == 1 for k in range(width)))
-
-
-def trace_windows(
-    trace: list[TelemetryWindow], width: int
-) -> tuple[np.ndarray, np.ndarray]:
+def trace_windows(trace: TelemetryTrace, width: int) -> tuple[np.ndarray, np.ndarray]:
     """All disjoint windows of the trace as (features, labels)."""
-    count = len(trace) // width
+    count = len(trace.labels) // width
     if count == 0:
-        raise InputError(f"trace of {len(trace)} ticks too short for width {width}")
-    feats = np.stack([window_feature(trace, i * width, width) for i in range(count)])
-    labels = np.array([window_label(trace, i * width, width) for i in range(count)])
+        raise InputError(f"trace of {len(trace.labels)} ticks too short for width {width}")
+    ticks = count * width
+    feats = window_feature(trace.metrics[:ticks]).reshape(count, -1)
+    labels = trace.labels[:ticks].reshape(count, width).max(axis=1)
     return feats, labels
 
 

@@ -1,16 +1,17 @@
 """Synthetic database workload telemetry.
 
-Traces are sequences of fixed-width metric windows (cpu, memory, latency,
-I/O, query rate) following a diurnal base pattern with Gaussian noise.
-Anomalies are injected as multiplicative bursts over an interval, which also
-sets the window labels. Everything is a pure function of (inputs, seed).
+A trace holds one row of metrics (cpu, memory, latency, I/O, query rate) per
+tick, following a diurnal base pattern with Gaussian noise, plus one anomaly
+label per tick. Anomalies are injected as multiplicative bursts over an
+interval, which also sets the labels. Everything is a pure function of
+(inputs, seed).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,12 @@ _EVENT_MAGNITUDE_RANGE = (2.2, 3.5)
 _MEAN_EVENT_DURATION = (_EVENT_DURATION_RANGE[0] + _EVENT_DURATION_RANGE[1]) / 2.0
 
 
+# METRIC_BOUNDS as arrays in METRICS order; no upper bound reads as inf.
+_LOWS = np.array([METRIC_BOUNDS[m][0] for m in METRICS])
+_HIGHS = np.array([math.inf if METRIC_BOUNDS[m][1] is None else METRIC_BOUNDS[m][1]
+                   for m in METRICS])
+
+
 def clamp_metric(metric: str, value: float) -> float:
     low, high = METRIC_BOUNDS[metric]
     if value < low:
@@ -62,36 +69,39 @@ def clamp_metric(metric: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class TelemetryWindow:
-    """One tick of workload metrics plus its anomaly label."""
+class TelemetryTrace:
+    """Per-tick metrics, a (ticks, 5) array in METRICS order, and anomaly
+    labels, a (ticks,) array of 0/1.
 
-    index: int
-    cpu: float
-    memory: float
-    latency_ms: float
-    io_ops: float
-    qps: float
-    label: int
+    Shapes, labels and METRIC_BOUNDS are checked once, here; both arrays are
+    read-only copies of the inputs.
+    """
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise InputError(f"index must be >= 0, got {self.index}")
-        for metric in METRICS:
-            value = getattr(self, metric)
-            low, high = METRIC_BOUNDS[metric]
-            if value < low or (high is not None and value > high):
-                raise InputError(f"{metric}={value} outside [{low}, {high}]")
-        if self.label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {self.label}")
-
-    def metrics(self) -> tuple[float, float, float, float, float]:
-        return (self.cpu, self.memory, self.latency_ms, self.io_ops, self.qps)
-
-    def replace_metrics(self, values: dict[str, float], label: int) -> "TelemetryWindow":
-        fields = {m: getattr(self, m) for m in METRICS}
-        fields.update(values)
-        return TelemetryWindow(index=self.index, label=label, **fields)
+    def __init__(self, metrics, labels):
+        metrics = np.array(metrics, dtype=np.float64)
+        labels = np.array(labels)
+        if metrics.ndim != 2 or metrics.shape[1] != len(METRICS) or (
+            labels.shape != metrics.shape[:1]
+        ):
+            raise InputError(
+                f"a trace needs (ticks, {len(METRICS)}) metrics and (ticks,) labels, "
+                f"got {metrics.shape} and {labels.shape}"
+            )
+        outside = ~((metrics >= _LOWS) & (metrics <= _HIGHS))
+        if outside.any():
+            tick, col = np.argwhere(outside)[0]
+            low, high = METRIC_BOUNDS[METRICS[col]]
+            raise InputError(
+                f"tick {tick}: {METRICS[col]}={metrics[tick, col]} outside [{low}, {high}]"
+            )
+        valid = (labels == 0) | (labels == 1)
+        if not valid.all():
+            raise InputError(f"labels must be 0 or 1, got {labels[~valid][0]}")
+        labels = labels.astype(np.int64)
+        metrics.flags.writeable = False
+        labels.flags.writeable = False
+        self.metrics = metrics
+        self.labels = labels
 
 
 @dataclass(frozen=True)
@@ -197,8 +207,8 @@ def healthy_series(
 
 def generate_trace(
     pattern: WorkloadPattern, seed: int, ticks: int
-) -> list[TelemetryWindow]:
-    """Simulate `ticks` windows of the pattern, anomalies included.
+) -> TelemetryTrace:
+    """Simulate `ticks` ticks of the pattern, anomalies included.
 
     The healthy metrics come from `healthy_series`. Anomaly onsets are
     Bernoulli draws tuned so the expected fraction of anomalous ticks matches
@@ -206,11 +216,8 @@ def generate_trace(
     via inject_anomaly.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    # a row's values are the window's metric fields, in METRICS order
-    windows = [
-        TelemetryWindow(i, *row, label=0)
-        for i, row in enumerate(healthy_series(pattern, rng, ticks).tolist())
-    ]
+    trace = TelemetryTrace(healthy_series(pattern, rng, ticks),
+                           np.zeros(ticks, dtype=np.int64))
 
     onset_prob = pattern.anomaly_rate / _MEAN_EVENT_DURATION
     injectable = [k for k in ANOMALY_KINDS if k != "cascade_seed"]
@@ -225,34 +232,30 @@ def generate_trace(
             duration=duration,
             magnitude=float(rng.uniform(*_EVENT_MAGNITUDE_RANGE)),
         )
-        windows = inject_anomaly(windows, event)
-    return windows
+        trace = inject_anomaly(trace, event)
+    return trace
 
 
-def inject_anomaly(
-    trace: list[TelemetryWindow], event: AnomalyEvent
-) -> list[TelemetryWindow]:
+def inject_anomaly(trace: TelemetryTrace, event: AnomalyEvent) -> TelemetryTrace:
     """Return a copy of the trace with the event applied.
 
     Affected metrics are multiplied by the event magnitude (then clamped);
-    labels over [onset, onset + duration) become 1. Other ticks are shared
-    untouched.
+    labels over [onset, onset + duration) become 1.
     """
-    if event.onset < 0 or event.onset + event.duration > len(trace):
+    ticks = len(trace.labels)
+    if event.onset < 0 or event.onset + event.duration > ticks:
         raise InputError(
             f"event [{event.onset}, {event.onset + event.duration}) does not fit "
-            f"a trace of {len(trace)} ticks"
+            f"a trace of {ticks} ticks"
         )
-    affected = AFFECTED_METRICS[event.kind]
-    out = list(trace)
-    for tick in range(event.onset, event.onset + event.duration):
-        window = out[tick]
-        changes = {
-            m: clamp_metric(m, getattr(window, m) * event.magnitude)
-            for m in affected
-        }
-        out[tick] = window.replace_metrics(changes, label=1)
-    return out
+    span = slice(event.onset, event.onset + event.duration)
+    cols = [METRICS.index(m) for m in AFFECTED_METRICS[event.kind]]
+    metrics = trace.metrics.copy()
+    labels = trace.labels.copy()
+    metrics[span, cols] = np.clip(metrics[span, cols] * event.magnitude,
+                                  _LOWS[cols], _HIGHS[cols])
+    labels[span] = 1
+    return TelemetryTrace(metrics, labels)
 
 
 CSV_COLUMNS = ("tick", "cpu", "memory", "latency_ms", "io_ops", "qps", "label")
@@ -262,10 +265,10 @@ _SCHEMA_TARGETS = METRICS + ("label",)
 
 @dataclass
 class CsvIngest:
-    """Ingestion result: parsed windows plus the per-metric clamp report."""
+    """Ingestion result: the parsed trace plus the per-metric clamp report."""
 
-    windows: list[TelemetryWindow]
-    clamp_counts: dict[str, int] = field(default_factory=dict)
+    trace: TelemetryTrace
+    clamp_counts: dict[str, int]
 
 
 def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
@@ -298,21 +301,18 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
             raise SchemaError(f"{path}: missing columns: {missing_cols}")
         positions = {schema_map[c]: header.index(c) for c in schema_map}
 
-        windows: list[TelemetryWindow] = []
-        clamp_counts = {m: 0 for m in METRICS}
+        rows: list[list[float]] = []
+        labels: list[float] = []
         for line, row in enumerate(reader, start=2):
-            values: dict[str, float] = {}
-            for metric in METRICS:
-                raw = _parse_cell(row, positions[metric], metric, line)
-                clamped = clamp_metric(metric, raw)
-                if clamped != raw:
-                    clamp_counts[metric] += 1
-                values[metric] = clamped
+            rows.append([_parse_cell(row, positions[m], m, line) for m in METRICS])
             label = _parse_cell(row, positions["label"], "label", line)
             if label not in (0.0, 1.0):
                 raise RowError(f"label must be 0 or 1, got {label:g}", line)
-            windows.append(TelemetryWindow(index=len(windows), label=int(label), **values))
-    return CsvIngest(windows=windows, clamp_counts=clamp_counts)
+            labels.append(label)
+    raw = np.array(rows, dtype=np.float64).reshape(-1, len(METRICS))
+    metrics = np.clip(raw, _LOWS, _HIGHS)
+    clamp_counts = dict(zip(METRICS, (metrics != raw).sum(axis=0).tolist()))
+    return CsvIngest(trace=TelemetryTrace(metrics, labels), clamp_counts=clamp_counts)
 
 
 def _parse_cell(row: list[str], position: int, name: str, line: int) -> float:
@@ -327,15 +327,12 @@ def _parse_cell(row: list[str], position: int, name: str, line: int) -> float:
     return value
 
 
-def export_csv(trace: list[TelemetryWindow], path: str | Path) -> None:
+def export_csv(trace: TelemetryTrace, path: str | Path) -> None:
     """Write a trace in the canonical CSV schema with 6 significant digits."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for window in trace:
-            writer.writerow(
-                [window.index]
-                + [format(getattr(window, m), ".6g") for m in METRICS]
-                + [window.label]
-            )
+        rows = zip(trace.metrics.tolist(), trace.labels.tolist())
+        for tick, (values, label) in enumerate(rows):
+            writer.writerow([tick] + [format(v, ".6g") for v in values] + [label])

@@ -315,10 +315,10 @@ def test_c09_recovery_direction():
                              seed=derive_seed(seed, "train"))
         eval_seeds = [derive_seed(seed, "eval", i) for i in range(16)]
         norms = estimate_normalizers(env, seed=derive_seed(seed, "norms"))
-        trained, _ = evaluate_policy(env, result.policy.choose, eval_seeds)
-        rand, _ = evaluate_policy(env, random_policy(derive_seed(seed, "randpi")),
-                                  eval_seeds)
-        noop, _ = evaluate_policy(env, no_op_policy, eval_seeds)
+        trained = evaluate_policy(env, result.policy.choose, eval_seeds)
+        rand = evaluate_policy(env, random_policy(derive_seed(seed, "randpi")),
+                               eval_seeds)
+        noop = evaluate_policy(env, no_op_policy, eval_seeds)
         rows.append((
             weighted_objective(trained, BALANCED_WEIGHTS, norms),
             weighted_objective(rand, BALANCED_WEIGHTS, norms),

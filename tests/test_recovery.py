@@ -12,14 +12,12 @@ from selfheal.recovery import (
     BALANCED_WEIGHTS,
     FAILED_BINS,
     N_STATES,
-    EpisodeTrace,
     ObjectiveVector,
     Policy,
     QHyper,
     RecoveryAction,
     RecoveryEnv,
     RewardWeights,
-    episode_objectives,
     failed_bin,
     load_policy,
     make_reward,
@@ -77,25 +75,23 @@ class TestSystemState:
 
 class TestEpisodeObjectives:
     def test_constant_latency(self):
-        trace = EpisodeTrace(np.full(5, 12.5), np.full(5, 0.3), [])
-        assert episode_objectives(trace).latency == pytest.approx(12.5)
+        vec = rollout(SingleStateEnv(excess=0.0, ticks=4), no_op_policy, episode_seed=0)
+        assert vec.latency == pytest.approx(20.0)
 
     def test_no_actions_zero_cost(self):
-        trace = EpisodeTrace(np.ones(3), np.ones(3) * 0.5, [])
-        assert episode_objectives(trace).cost == 0.0
+        vec = rollout(SingleStateEnv(ticks=2), no_op_policy, episode_seed=0)
+        assert vec.cost == 0.0
 
     def test_hand_arithmetic(self):
-        trace = EpisodeTrace(
-            np.array([10.0, 20.0, 30.0]), np.array([0.2, 0.4, 0.6]), [1.0, 2.0]
-        )
-        vec = episode_objectives(trace)
-        assert vec.latency == pytest.approx(20.0)
-        assert vec.resource == pytest.approx(0.4)
-        assert vec.cost == 3.0
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(InputError):
-            episode_objectives(EpisodeTrace(np.array([]), np.array([]), []))
+        # scale_up clears the excess until the next action: latencies
+        # 30, 20, 30, 20 over the reset snapshot and three steps
+        plan = [RecoveryAction.SCALE_UP, RecoveryAction.REROUTE_QUERY,
+                RecoveryAction.SCALE_UP]
+        vec = rollout(SingleStateEnv(excess=10.0, ticks=3),
+                      lambda state, tick: plan[tick], episode_seed=0)
+        assert vec.latency == pytest.approx(25.0)
+        assert vec.resource == pytest.approx(0.5)
+        assert vec.cost == 5.0 + 1.0 + 5.0
 
 
 class TestReward:
@@ -243,11 +239,11 @@ class TestParetoFront:
         oracle = brute_force_front(pts)
         assert len(front) == len(oracle)
         # every excluded point is dominated by some retained point
-        front_arrays = [p.as_array() for p in front]
+        front_arrays = [np.array(p) for p in front]
         for p in pts:
             if p in front:
                 continue
-            pa = p.as_array()
+            pa = np.array(p)
             assert any(
                 (fa <= pa).all() and (fa < pa).any() for fa in front_arrays
             )
@@ -305,7 +301,7 @@ class TestTrainAgent:
                 snap = env.snapshot()
                 base = env.baseline_snapshot()
                 total += reward(
-                    ObjectiveVector(base.latency, base.resource, prev_cost),
+                    (base.latency, base.resource, prev_cost),
                     snap,
                     BALANCED_WEIGHTS,
                     norms,
@@ -363,15 +359,17 @@ class TestEnv:
         env = RecoveryEnv(seed=1)
         a = rollout(env, no_op_policy, episode_seed=5)
         b = rollout(env, no_op_policy, episode_seed=5)
-        assert np.array_equal(a.latencies, b.latencies)
-        assert a.action_costs == b.action_costs
+        assert a == b
 
     def test_anomaly_inflates_latency_when_ignored(self):
         env = RecoveryEnv(seed=2)
-        trace = rollout(env, no_op_policy, episode_seed=9)
-        healthy = trace.latencies[:4].mean()
-        worst = trace.latencies.max()
-        assert worst > 2.0 * healthy
+        env.reset(9)
+        latencies, done = [env.snapshot().latency], False
+        while not done:
+            _, done = env.step(RecoveryAction.NO_OP)
+            latencies.append(env.snapshot().latency)
+        healthy = np.mean(latencies[:4])
+        assert max(latencies) > 2.0 * healthy
 
     def test_state_index_reads_the_active_anomaly(self):
         env = RecoveryEnv(seed=2)
@@ -398,6 +396,11 @@ class TestEnv:
         assert env.step(RecoveryAction.NO_OP)[1]
         with pytest.raises(InputError, match="episode finished"):
             env.step(RecoveryAction.NO_OP)
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+    def test_bad_action_cost_rejected_at_construction(self, cost):
+        with pytest.raises(InputError, match="NO_OP"):
+            RecoveryEnv(action_costs={RecoveryAction.NO_OP: cost}, seed=2)
 
 
 class TestPolicyIo:

@@ -8,7 +8,7 @@ from selfheal.simulator import (
     AnomalyEvent,
     ComponentGraph,
     Task,
-    TelemetryWindow,
+    TelemetryTrace,
     WorkloadPattern,
     augment_tasks,
     default_patterns,
@@ -37,38 +37,39 @@ def flat_pattern(anomaly_rate=0.0, pattern_id="flat") -> WorkloadPattern:
 class TestGenerateTrace:
     def test_length_contract(self):
         trace = generate_trace(flat_pattern(), seed=1, ticks=100)
-        assert len(trace) == 100
+        assert trace.metrics.shape == (100, len(METRICS))
+        assert trace.labels.shape == (100,)
 
     def test_deterministic_in_pattern_and_seed(self):
         pattern = default_patterns(1, seed=9, anomaly_rate=0.1)[0]
         a = generate_trace(pattern, seed=42, ticks=300)
         b = generate_trace(pattern, seed=42, ticks=300)
-        assert a == b
+        assert np.array_equal(a.metrics, b.metrics)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_different_seeds_differ(self):
         pattern = default_patterns(1, seed=9, anomaly_rate=0.1)[0]
         a = generate_trace(pattern, seed=1, ticks=200)
         b = generate_trace(pattern, seed=2, ticks=200)
-        assert a != b
+        assert not np.array_equal(a.metrics, b.metrics)
 
     def test_anomalous_fraction_tracks_rate(self):
         pattern = flat_pattern(anomaly_rate=0.1)
         fractions = []
         for seed in range(20):
             trace = generate_trace(pattern, seed=seed, ticks=10_000)
-            fractions.append(sum(w.label for w in trace) / len(trace))
+            fractions.append(trace.labels.mean())
         assert abs(np.mean(fractions) - 0.1) < 0.02
 
     def test_metrics_stay_in_range(self):
         pattern = default_patterns(1, seed=3, anomaly_rate=0.2)[0]
-        for w in generate_trace(pattern, seed=0, ticks=500):
-            assert 0.0 <= w.cpu <= 1.0
-            assert 0.0 <= w.memory <= 1.0
-            assert w.latency_ms >= 0 and w.io_ops >= 0 and w.qps >= 0
+        m = generate_trace(pattern, seed=0, ticks=500).metrics
+        assert ((0.0 <= m[:, :2]) & (m[:, :2] <= 1.0)).all()  # cpu, memory
+        assert (m[:, 2:] >= 0).all()  # latency_ms, io_ops, qps
 
     def test_label_soundness_zero_rate_means_all_normal(self):
         trace = generate_trace(flat_pattern(anomaly_rate=0.0), seed=5, ticks=400)
-        assert all(w.label == 0 for w in trace)
+        assert (trace.labels == 0).all()
 
     def test_ticks_must_be_positive(self):
         with pytest.raises(InputError):
@@ -81,20 +82,25 @@ class TestGenerateTrace:
         series = healthy_series(pattern, rng, ticks)
         trace = generate_trace(pattern, seed, ticks)
         assert series.shape == (ticks, len(METRICS))
-        assert np.array_equal(series, np.array([w.metrics() for w in trace]))
+        assert np.array_equal(series, trace.metrics)
+
+
+CPU = METRICS.index("cpu")
 
 
 class TestInjectAnomaly:
     def test_clamped_metric_and_label_flip(self):
         trace = generate_trace(flat_pattern(), seed=0, ticks=10)
         # cpu already at 1.0
-        trace = [w.replace_metrics({"cpu": 1.0}, label=w.label) for w in trace]
+        metrics = trace.metrics.copy()
+        metrics[:, CPU] = 1.0
+        trace = TelemetryTrace(metrics, trace.labels)
         event = AnomalyEvent(kind="cpu_spike", onset=2, duration=3, magnitude=2.0)
         out = inject_anomaly(trace, event)
         for t in range(2, 5):
-            assert out[t].cpu == 1.0
-            assert out[t].label == 1
-        assert out[1].label == 0 and out[5].label == 0
+            assert out.metrics[t, CPU] == 1.0
+            assert out.labels[t] == 1
+        assert out.labels[1] == 0 and out.labels[5] == 0
 
     def test_zero_duration_rejected(self):
         with pytest.raises(InputError):
@@ -104,9 +110,9 @@ class TestInjectAnomaly:
         trace = generate_trace(flat_pattern(), seed=0, ticks=10)
         event = AnomalyEvent(kind="cpu_spike", onset=4, duration=2, magnitude=3.0)
         out = inject_anomaly(trace, event)
-        assert out[4].cpu == pytest.approx(0.6, abs=1e-12)
-        assert out[5].cpu == pytest.approx(0.6, abs=1e-12)
-        assert out[3].cpu == pytest.approx(0.2, abs=1e-12)
+        assert out.metrics[4, CPU] == pytest.approx(0.6, abs=1e-12)
+        assert out.metrics[5, CPU] == pytest.approx(0.6, abs=1e-12)
+        assert out.metrics[3, CPU] == pytest.approx(0.2, abs=1e-12)
 
     def test_out_of_range_event_rejected(self):
         trace = generate_trace(flat_pattern(), seed=0, ticks=10)
@@ -116,15 +122,17 @@ class TestInjectAnomaly:
 
     def test_original_trace_untouched(self):
         trace = generate_trace(flat_pattern(), seed=0, ticks=10)
+        before = trace.metrics.copy()
         inject_anomaly(trace, AnomalyEvent("cpu_spike", 1, 2, 2.0))
-        assert all(w.label == 0 for w in trace)
+        assert (trace.labels == 0).all()
+        assert np.array_equal(trace.metrics, before)
 
     def test_label_soundness_inside_interval_only(self):
         trace = generate_trace(flat_pattern(), seed=0, ticks=50)
         event = AnomalyEvent(kind="memory_leak", onset=10, duration=5, magnitude=1.5)
         out = inject_anomaly(trace, event)
-        for t, w in enumerate(out):
-            assert w.label == (1 if 10 <= t < 15 else 0)
+        for t, label in enumerate(out.labels):
+            assert label == (1 if 10 <= t < 15 else 0)
 
 
 def chain_graph() -> ComponentGraph:
@@ -330,7 +338,8 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("tick,cpu,memory,latency_ms,io_ops,qps,label\n")
         result = ingest_csv(path, {m: m for m in (*METRICS, "label")})
-        assert result.windows == []
+        assert result.trace.metrics.shape == (0, len(METRICS))
+        assert result.trace.labels.shape == (0,)
 
     def test_identity_schema_row(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -338,15 +347,8 @@ class TestCsv:
             "tick,cpu,memory,latency_ms,io_ops,qps,label\n0,0.3,0.4,12.5,100,250,0\n"
         )
         result = ingest_csv(path, {m: m for m in (*METRICS, "label")})
-        (w,) = result.windows
-        assert (w.cpu, w.memory, w.latency_ms, w.io_ops, w.qps, w.label) == (
-            0.3,
-            0.4,
-            12.5,
-            100.0,
-            250.0,
-            0,
-        )
+        assert result.trace.metrics.tolist() == [[0.3, 0.4, 12.5, 100.0, 250.0]]
+        assert result.trace.labels.tolist() == [0]
 
     def test_clamping_counted(self, tmp_path):
         path = tmp_path / "clamp.csv"
@@ -354,7 +356,7 @@ class TestCsv:
             "tick,cpu,memory,latency_ms,io_ops,qps,label\n0,1.7,0.4,12.5,100,250,0\n"
         )
         result = ingest_csv(path, {m: m for m in (*METRICS, "label")})
-        assert result.windows[0].cpu == 1.0
+        assert result.trace.metrics[0, CPU] == 1.0
         assert result.clamp_counts["cpu"] == 1
         assert result.clamp_counts["memory"] == 0
 
@@ -405,15 +407,17 @@ class TestCsv:
         path = tmp_path / "trace.csv"
         export_csv(trace, path)
         result = ingest_csv(path, {m: m for m in (*METRICS, "label")})
-        assert len(result.windows) == 50
-        for orig, loaded in zip(trace, result.windows):
-            assert loaded.label == orig.label
-            assert loaded.cpu == pytest.approx(orig.cpu, rel=1e-5)
-            assert loaded.qps == pytest.approx(orig.qps, rel=1e-5)
+        loaded = result.trace
+        assert np.array_equal(loaded.labels, trace.labels)
+        np.testing.assert_allclose(loaded.metrics, trace.metrics, rtol=1e-5)
 
 
 def test_telemetry_window_validation():
-    with pytest.raises(InputError):
-        TelemetryWindow(index=0, cpu=1.5, memory=0.2, latency_ms=1, io_ops=1, qps=1, label=0)
-    with pytest.raises(InputError):
-        TelemetryWindow(index=0, cpu=0.5, memory=0.2, latency_ms=1, io_ops=1, qps=1, label=2)
+    with pytest.raises(InputError, match="cpu=1.5"):
+        TelemetryTrace([[1.5, 0.2, 1, 1, 1]], [0])
+    with pytest.raises(InputError, match="0 or 1"):
+        TelemetryTrace([[0.5, 0.2, 1, 1, 1]], [2])
+    with pytest.raises(InputError, match="trace needs"):
+        TelemetryTrace([[0.5, 0.2, 1, 1]], [0])
+    with pytest.raises(InputError, match="trace needs"):
+        TelemetryTrace([[0.5, 0.2, 1, 1, 1]], [0, 1])
