@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -18,6 +19,16 @@ def _check_int(key: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigurationError(
             f"'{key}' must be an integer >= {minimum}, got {value!r}"
+        )
+
+
+def _check_cost(key: str, value) -> None:
+    # the range RecoveryEnv enforces: a negative cost is the only way to a
+    # negative objective, and a non-finite one poisons every reward
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 <= value < math.inf):
+        raise ConfigurationError(
+            f"'{key}' must be a finite number >= 0, got {value!r}"
         )
 
 
@@ -86,6 +97,14 @@ class AgentSection:
     )
     sweep_episodes: int = 120
     sweep_eval_episodes: int = 8
+
+    def __post_init__(self):
+        for pair in self.action_costs:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ConfigurationError(
+                    f"'agent.action_costs' must map action names to costs, got {pair!r}"
+                )
+            _check_cost(f"agent.action_costs.{pair[0]}", pair[1])
 
 
 @dataclass(frozen=True)
@@ -187,8 +206,7 @@ def resolve_action_costs(agent: AgentSection):
             raise ConfigurationError(
                 f"agent.action_costs names unknown action '{name}'"
             ) from None
-        if cost < 0:
-            raise ConfigurationError(f"action cost for '{name}' must be >= 0")
+        _check_cost(f"agent.action_costs.{name}", cost)
         table[action] = float(cost)
     return table
 

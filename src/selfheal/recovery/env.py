@@ -24,6 +24,7 @@ from ..simulator import METRICS, WorkloadPattern, default_patterns, healthy_seri
 from ..simulator.telemetry import clamp_metric
 from .objectives import ObjectiveVector
 from .states import (
+    ACTIONS,
     ANOMALY_STATUSES,
     DEFAULT_ACTION_COSTS,
     RecoveryAction,
@@ -48,6 +49,14 @@ MITIGATING_ACTIONS = {
     "io": {RecoveryAction.REROUTE_QUERY},
     "cascade": {RecoveryAction.REROUTE_QUERY},
 }
+
+# the same sets as action codes (`RecoveryAction.value`), which step() tests
+_CLEARING_CODES = {k: frozenset(a.value for a in v) for k, v in CLEARING_ACTIONS.items()}
+_MITIGATING_CODES = {k: frozenset(a.value for a in v) for k, v in MITIGATING_ACTIONS.items()}
+_SCALE_UP = RecoveryAction.SCALE_UP.value
+_SCALE_DOWN = RecoveryAction.SCALE_DOWN.value
+_RESTART = RecoveryAction.RESTART_COMPONENT.value
+_THROTTLE = RecoveryAction.THROTTLE_ADMISSION.value
 
 _ANOMALY_KINDS = ("cpu", "memory", "lock", "io", "cascade")
 
@@ -106,6 +115,7 @@ class RecoveryEnv:
             if not 0.0 <= cost < math.inf:
                 raise InputError(f"action cost for {action.name} must be finite "
                                  f"and >= 0, got {cost}")
+        self._costs = tuple(self.action_costs[a] for a in ACTIONS)  # by action code
         qps = healthy_series(self.pattern, _rng(derive_seed(seed, "load-reference")),
                              600)[:, METRICS.index("qps")]
         self._load_cuts = (
@@ -126,6 +136,8 @@ class RecoveryEnv:
         self._tick = 0
         self._kind = _ANOMALY_KINDS[int(rng.integers(len(_ANOMALY_KINDS)))]
         self._status = ANOMALY_STATUSES.index(self._kind)
+        self._clearing = _CLEARING_CODES[self._kind]
+        self._mitigating = _MITIGATING_CODES[self._kind]
         self._onset = int(rng.integers(self.onset_range[0], self.onset_range[1] + 1))
         self._active = False
         self._mitigation = 1.0  # scales the latency excess while active
@@ -135,37 +147,41 @@ class RecoveryEnv:
         self._hiccup = 0.0
         self._failed_fraction = 0.0
         self._cum_cost = 0.0
+        self._keep_healthy()
         return self._observe()
 
     def _require_episode(self) -> None:
         if self._base is None:
             raise InputError("call reset() before stepping the environment")
 
-    def _healthy(self) -> tuple[list[float], float, float, float]:
-        """The current tick's base metric row (METRICS order) and its healthy
-        latency, resource (unclipped) and qps under the actions taken so far."""
-        self._require_episode()
+    def _keep_healthy(self) -> None:
+        """Compute the current tick's values once, after reset() and each
+        step(): its base metric row (METRICS order) and its healthy latency,
+        resource (unclipped) and qps under the actions taken so far."""
         row = self._base[self._tick]
         cpu, memory, latency_ms, _, qps = row
         latency_scale = _SCALE_DOWN_LATENCY ** self._scale_downs
         if self._throttled:
             latency_scale *= _THROTTLE_LATENCY
             qps *= _THROTTLE_QPS
-        resource = 0.5 * (cpu + memory) + (
+        self._row = row
+        self._latency = latency_ms * latency_scale
+        self._resource = 0.5 * (cpu + memory) + (
             _SCALE_UP_RESOURCE * self._scale_ups
             - _SCALE_DOWN_RESOURCE * self._scale_downs
         )
-        return row, latency_ms * latency_scale, resource, qps
+        self._qps = qps
 
     def _observe(self) -> int:
         # load level: qps at or below the 33rd, the 66th, or above both cuts
-        load = bisect_left(self._load_cuts, self._healthy()[3])
+        load = bisect_left(self._load_cuts, self._qps)
         status = self._status if self._active else 0  # ANOMALY_STATUSES[0] is "none"
         return state_index(load, status, failed_bin(self._failed_fraction))
 
     def snapshot(self) -> ObjectiveVector:
         """Instantaneous (latency, resource, cumulative cost) at the current tick."""
-        _, latency, resource, _ = self._healthy()
+        self._require_episode()
+        latency, resource = self._latency, self._resource
         if self._active:
             latency *= 1.0 + (_LATENCY_INFLATION - 1.0) * self._mitigation
             resource += _ANOMALY_RESOURCE_BOOST[self._kind]
@@ -180,10 +196,10 @@ class RecoveryEnv:
         the same way the trace simulator's injected anomalies inflate them, so
         a detector trained on simulated traces sees in-distribution windows.
         """
-        row, latency, _, qps = self._healthy()
-        values = dict(zip(METRICS, row))
-        values["latency_ms"] = latency
-        values["qps"] = qps
+        self._require_episode()
+        values = dict(zip(METRICS, self._row))
+        values["latency_ms"] = self._latency
+        values["qps"] = self._qps
         if self._active:
             inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * self._mitigation
             for metric in _OBSERVED_METRICS[self._kind]:
@@ -204,31 +220,32 @@ class RecoveryEnv:
 
     def baseline_snapshot(self) -> ObjectiveVector:
         """The healthy counterfactual at the current tick (no anomaly, no cost)."""
-        _, latency, resource, _ = self._healthy()
-        return ObjectiveVector(latency, _unit_clip(resource), 0.0)
+        self._require_episode()
+        return ObjectiveVector(self._latency, _unit_clip(self._resource), 0.0)
 
     def step(self, action: RecoveryAction) -> tuple[int, bool]:
         """Apply the action, advance one tick; returns (state index, done)."""
         self._require_episode()
         if self._tick >= self.episode_ticks - 1:
             raise InputError("episode finished; call reset() to start another")
-        self._cum_cost += self.action_costs[action]
+        code = action._value_  # the field behind the `.value` property, without its call
+        self._cum_cost += self._costs[code]
         self._hiccup = max(0.0, self._hiccup - 1.0)
 
-        if action is RecoveryAction.SCALE_UP:
+        if code == _SCALE_UP:
             self._scale_ups = min(_MAX_SCALE_UPS, self._scale_ups + 1)
-        elif action is RecoveryAction.SCALE_DOWN:
+        elif code == _SCALE_DOWN:
             self._scale_downs = min(_MAX_SCALE_DOWNS, self._scale_downs + 1)
-        elif action is RecoveryAction.THROTTLE_ADMISSION:
+        elif code == _THROTTLE:
             self._throttled = True
-        if action is RecoveryAction.RESTART_COMPONENT:
+        if code == _RESTART:
             self._hiccup = 1.0
 
         if self._active:
-            if action in CLEARING_ACTIONS[self._kind]:
+            if code in self._clearing:
                 self._active = False
                 self._failed_fraction = 0.0
-            elif action in MITIGATING_ACTIONS[self._kind]:
+            elif code in self._mitigating:
                 self._mitigation *= 0.5
 
         self._tick += 1
@@ -241,6 +258,7 @@ class RecoveryEnv:
             )
 
         done = self._tick >= self.episode_ticks - 1
+        self._keep_healthy()
         return self._observe(), done
 
 
@@ -250,7 +268,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _unit_clip(value: float) -> float:
     # same bytes as float(np.clip(value, 0, 1)), without the array round trip
-    return min(max(value, 0.0), 1.0)
+    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
 def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
@@ -260,6 +278,7 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
     the one after reset included, and the plain sum of the action costs.
     """
     state = env.reset(episode_seed)
+    costs = [env.action_costs[a] for a in ACTIONS]  # by action code
     snap = env.snapshot()
     latencies = [snap.latency]
     resources = [snap.resource]
@@ -268,7 +287,7 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
     done = False
     while not done:
         action = choose(state, tick)
-        action_costs.append(env.action_costs[action])
+        action_costs.append(costs[action._value_])
         state, done = env.step(action)
         snap = env.snapshot()
         latencies.append(snap.latency)

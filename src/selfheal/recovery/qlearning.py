@@ -136,7 +136,10 @@ def train_agent(
     if normalizers is None:
         normalizers = _step_normalizers(env, seed=derive_seed(seed, "norms"))
     reward = make_reward(weights, normalizers)
-    q = np.zeros((N_STATES, N_ACTIONS))
+    gamma, lr = hyper.gamma, hyper.lr
+    # Python float rows while training: the same IEEE arithmetic as a numpy
+    # table, without an array round trip per step
+    q = [[0.0] * N_ACTIONS for _ in range(N_STATES)]
     returns: list[float] = []
     for episode in range(episodes):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
@@ -146,21 +149,22 @@ def train_agent(
         total = 0.0
         done = False
         while not done:
+            row = q[s]
             if rng.random() < epsilon:
-                action = ACTIONS[int(rng.integers(N_ACTIONS))]
+                a = int(rng.integers(N_ACTIONS))
             else:
-                action = ACTIONS[int(np.argmax(q[s]))]
-            nxt, done = env.step(action)
+                a = row.index(max(row))  # the first maximum, as np.argmax
+            nxt, done = env.step(ACTIONS[a])
             actual = env.snapshot()
             baseline = env.baseline_snapshot()
             r = reward((baseline.latency, baseline.resource, prev_cost), actual)
-            target = r if done else r + hyper.gamma * float(np.max(q[nxt]))
-            q[s, action.value] += hyper.lr * (target - q[s, action.value])
+            target = r if done else r + gamma * max(q[nxt])
+            row[a] += lr * (target - row[a])
             s = nxt
             total += r
             prev_cost = actual.cost
         returns.append(total)
-    return AgentTrainResult(policy=Policy(q=q, hyper=hyper), returns=returns,
+    return AgentTrainResult(policy=Policy(q=np.array(q), hyper=hyper), returns=returns,
                             normalizers=normalizers)
 
 

@@ -118,6 +118,32 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="explode"):
             resolve_action_costs(cfg.agent)
 
+    @pytest.mark.parametrize("cost", [-1, -0.5, float("nan"), float("inf"), "3", True])
+    def test_bad_action_cost_rejected_when_read(self, cost):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("'agent.action_costs.no_op' must be")):
+            config_from_dict({"agent": {"action_costs": {"no_op": cost}}})
+
+    def test_infinite_action_cost_in_file_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"agent": {"action_costs": {"scale_up": Infinity}}}')
+        with pytest.raises(ConfigurationError, match=re.escape("agent.action_costs.scale_up")):
+            load_config(path)
+
+    def test_resolve_action_costs_applies_the_same_rule(self):
+        from selfheal.harness import AgentSection
+        from selfheal.harness.config import resolve_action_costs
+
+        # a section built past its own check, as a caller mutating it could
+        agent = AgentSection()
+        object.__setattr__(agent, "action_costs", (("reroute_query", float("inf")),))
+        with pytest.raises(ConfigurationError, match="agent.action_costs.reroute_query"):
+            resolve_action_costs(agent)
+
+    def test_malformed_action_cost_pairs_rejected(self):
+        with pytest.raises(ConfigurationError, match="must map action names to costs"):
+            config_from_dict({"agent": {"action_costs": [["no_op"]]}})
+
 
 class TestReportEmission:
     def test_json_roundtrip_equals(self, fast_report, tmp_path):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfheal.errors import ConfigurationError, InputError, SchemaError
+from selfheal.harness import AgentSection
 from selfheal.recovery import (
     ACTIONS,
     ANOMALY_STATUSES,
     BALANCED_WEIGHTS,
     FAILED_BINS,
+    N_ACTIONS,
     N_STATES,
     ObjectiveVector,
     Policy,
@@ -24,6 +26,7 @@ from selfheal.recovery import (
     named_state,
     no_op_policy,
     pareto_front,
+    random_policy,
     rollout,
     save_policy,
     state_index,
@@ -32,6 +35,10 @@ from selfheal.recovery import (
     weight_sweep,
     weighted_objective,
 )
+from selfheal.seeding import derive_seed
+from selfheal.simulator import METRICS, healthy_series
+
+DESK_SWEEP_GRID = [RewardWeights.normalized(*w) for w in AgentSection().sweep_grid]
 
 
 def reward(prev, nxt, weights, normalizers):
@@ -144,6 +151,27 @@ class TestReward:
             prev, nxt, w2, norms
         )
         assert combined == pytest.approx(parts, abs=1e-12)
+
+
+class TestRewardDot:
+    def test_reward_is_the_array_dot_bitwise(self):
+        # The reward's weighted sum must stay the BLAS dot `w @ x`. For
+        # 3-vectors it matched an exact fused multiply-add chain
+        # fma(w2, x2, fma(w1, x1, w0 * x0)) on every one of 20,000 random
+        # triples, where the plain scalar w0*x0 + w1*x1 + w2*x2 matched on only
+        # about two thirds. A scalar rewrite would therefore change the
+        # learned Q tables and every report hash.
+        rng = np.random.default_rng(2026)
+        scale = np.array([400.0, 1.0, 300.0])  # latency ms, resource, cost
+        for weights in [*DESK_SWEEP_GRID, RewardWeights(0.5, 0.3, 0.2)]:
+            norms = tuple(rng.uniform(0.01, 50.0, size=3).tolist())
+            w, n = weights.as_array(), np.array(norms)
+            fast = make_reward(weights, norms)
+            for _ in range(1000):
+                prev = tuple((rng.uniform(size=3) * scale).tolist())
+                nxt = tuple((rng.uniform(size=3) * scale).tolist())
+                expected = float(-(w @ ((np.array(nxt) - np.array(prev)) / n)))
+                assert fast(prev, nxt).hex() == expected.hex()
 
 
 class TestRewardWeights:
@@ -354,6 +382,89 @@ class TestTrainAgent:
             assert policy.greedy(state) == shifted.greedy(state)
 
 
+def reference_train(env, weights, episodes, hyper, seed, normalizers):
+    """The Q-learning loop as first written, kept as a bitwise reference: a
+    numpy Q table, Enum actions, np.argmax/np.max and the array reward."""
+    w, n = weights.as_array(), np.array(normalizers)
+    q = np.zeros((N_STATES, N_ACTIONS))
+    returns = []
+    for episode in range(episodes):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
+        epsilon = hyper.epsilon_at(episode, episodes)
+        s = env.reset(derive_seed(seed, "episode", episode))
+        prev_cost = env.snapshot().cost
+        total = 0.0
+        done = False
+        while not done:
+            if rng.random() < epsilon:
+                action = ACTIONS[int(rng.integers(N_ACTIONS))]
+            else:
+                action = ACTIONS[int(np.argmax(q[s]))]
+            nxt, done = env.step(action)
+            actual = env.snapshot()
+            baseline = env.baseline_snapshot()
+            delta = np.array(actual) - np.array(
+                (baseline.latency, baseline.resource, prev_cost))
+            r = float(-(w @ (delta / n)))
+            target = r if done else r + hyper.gamma * float(np.max(q[nxt]))
+            q[s, action.value] += hyper.lr * (target - q[s, action.value])
+            s = nxt
+            total += r
+            prev_cost = actual.cost
+        returns.append(total)
+    return q, returns
+
+
+class TestTrainingOracle:
+    EPISODES = 25
+
+    def _check(self, env, weights, seed, hyper=None, normalizers=None):
+        hyper = hyper or QHyper()
+        result = train_agent(env, weights, self.EPISODES, hyper=hyper, seed=seed,
+                             normalizers=normalizers)
+        q, returns = reference_train(env, weights, self.EPISODES, hyper, seed,
+                                     result.normalizers)
+        assert np.array_equal(result.policy.q, q)
+        assert result.returns == returns
+        assert np.count_nonzero(q) > 0
+
+    @pytest.mark.parametrize("seed", [0, 7, 20260811])
+    @pytest.mark.parametrize("g", range(len(DESK_SWEEP_GRID)))
+    def test_desk_sweep_weights(self, seed, g):
+        self._check(RecoveryEnv(seed=3), DESK_SWEEP_GRID[g], seed)
+
+    def test_non_default_action_costs(self):
+        env = RecoveryEnv(action_costs={RecoveryAction.SCALE_UP: 0.5,
+                                        RecoveryAction.RESTART_COMPONENT: 20.0,
+                                        RecoveryAction.NO_OP: 0.25}, seed=5)
+        self._check(env, BALANCED_WEIGHTS, seed=11)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_epsilon_pinned(self, epsilon):
+        # 0: every action greedy; 1: every action drawn at random
+        hyper = QHyper(epsilon_start=epsilon, epsilon_end=epsilon)
+        self._check(RecoveryEnv(seed=4), RewardWeights(0.6, 0.2, 0.2), seed=2,
+                    hyper=hyper, normalizers=(30.0, 0.4, 3.0))
+
+    def test_rollout_matches_a_reference(self):
+        env = RecoveryEnv(action_costs={RecoveryAction.REBUILD_INDEX: 0.3}, seed=6)
+        for e in range(5):
+            choose = random_policy(e)
+            state, done, tick = env.reset(e), False, 0
+            snaps, costs = [env.snapshot()], []
+            while not done:
+                action = choose(state, tick)
+                costs.append(env.action_costs[action])
+                state, done = env.step(action)
+                snaps.append(env.snapshot())
+                tick += 1
+            assert rollout(env, choose, episode_seed=e) == ObjectiveVector(
+                float(np.array([v.latency for v in snaps]).mean()),
+                float(np.array([v.resource for v in snaps]).mean()),
+                float(sum(costs)),
+            )
+
+
 class TestEnv:
     def test_rollout_deterministic(self):
         env = RecoveryEnv(seed=1)
@@ -396,6 +507,53 @@ class TestEnv:
         assert env.step(RecoveryAction.NO_OP)[1]
         with pytest.raises(InputError, match="episode finished"):
             env.step(RecoveryAction.NO_OP)
+
+    def test_repeated_reads_agree(self):
+        env = RecoveryEnv(seed=2)
+        env.reset(9)
+        for tick in range(env.episode_ticks - 1):
+            for read in (env.snapshot, env.baseline_snapshot, env.current_metrics):
+                assert read() == read()
+            env.step(ACTIONS[tick % N_ACTIONS])
+
+    def test_reads_follow_the_healthy_trace(self):
+        # before the onset, under no-ops, every read is the tick's healthy row
+        env = RecoveryEnv(seed=2)
+        env.reset(9)
+        trace = healthy_series(
+            env.pattern, np.random.Generator(np.random.PCG64(derive_seed(9, "base-trace"))),
+            env.episode_ticks,
+        )
+        for tick in range(env.episode_anomaly()[1]):
+            assert env.current_metrics() == dict(zip(METRICS, trace[tick].tolist()))
+            assert env.baseline_snapshot().latency == trace[tick, METRICS.index("latency_ms")]
+            env.step(RecoveryAction.NO_OP)
+
+    def test_extra_reads_change_no_tick(self):
+        # one episode seed per anomaly kind, each played with every action
+        # cycle offset, so every action meets every kind
+        finder, seeds = RecoveryEnv(seed=2), {}
+        for episode_seed in range(100):
+            finder.reset(episode_seed)
+            seeds.setdefault(finder.episode_anomaly()[0], episode_seed)
+        assert sorted(seeds) == sorted(ANOMALY_STATUSES[1:])
+        rng = np.random.default_rng(0)
+        for episode_seed in seeds.values():
+            for offset in range(N_ACTIONS):
+                quiet, busy = RecoveryEnv(seed=2), RecoveryEnv(seed=2)
+                assert quiet.reset(episode_seed) == busy.reset(episode_seed)
+                done, tick = False, 0
+                while not done:
+                    for _ in range(int(rng.integers(4))):
+                        busy.snapshot(), busy.baseline_snapshot(), busy.current_metrics()
+                        busy.true_anomaly_kind()
+                    for read in ("snapshot", "baseline_snapshot", "current_metrics",
+                                 "true_anomaly_kind"):
+                        assert getattr(quiet, read)() == getattr(busy, read)()
+                    action = ACTIONS[(tick + offset) % N_ACTIONS]
+                    step = quiet.step(action)
+                    assert step == busy.step(action)
+                    done, tick = step[1], tick + 1
 
     @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
     def test_bad_action_cost_rejected_at_construction(self, cost):
