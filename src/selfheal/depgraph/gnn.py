@@ -15,13 +15,12 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    GradientTape, ParamSet, bce_loss, grad, init_uniform_params, sgd_step, tape,
+    GradientTape, ParamSet, bce_loss, grad, init_uniform_params, mlp_param_shapes,
+    sgd_step, tape,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
-from ..simulator.tasks import FEATURE_UNIT_SCALE
-
-_METRIC_SCALE = np.array([FEATURE_UNIT_SCALE[m] for m in METRICS])
+from ..simulator.tasks import unit_scaled
 
 DEFAULT_HIDDEN_WIDTHS = (16, 16)
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "linear")
@@ -84,7 +83,7 @@ def init_embeddings(
     return NodeEmbeddings(
         layer_index=0,
         node_ids=graph.node_ids,
-        vectors=np.hstack([kinds, static, np.array(readings) / _METRIC_SCALE]),
+        vectors=np.hstack([kinds, static, unit_scaled(readings)]),
     )
 
 
@@ -149,12 +148,10 @@ def init_gnn(
 def gnn_param_shapes(
     input_width: int, hidden_widths: tuple[int, ...]
 ) -> dict[str, tuple[int, ...]]:
-    """Parameter name -> shape of a GNN with these widths, in `init_gnn` order."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    fan_in = input_width
-    for i, width in enumerate(hidden_widths):
-        shapes[f"layer{i}.W"], shapes[f"layer{i}.b"] = (fan_in, width), (width,)
-        fan_in = width
+    """Parameter name -> shape of a GNN with these widths, in `init_gnn` order:
+    the hidden layers as `mlp_param_shapes` names them, then the readout."""
+    shapes = mlp_param_shapes(input_width, [(width, None) for width in hidden_widths])
+    fan_in = hidden_widths[-1] if hidden_widths else input_width
     shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
     return shapes
 
@@ -232,6 +229,15 @@ class GnnTrainResult:
     loss_curve: list[float]
 
 
+def fails_within(trace: CascadeTrace, tick: int, horizon: int) -> np.ndarray:
+    """Per node, in graph order: 1.0 if it has failed by `tick + horizon`, else 0.0."""
+    return np.array([
+        1.0 if (fail := trace.failure_times[nid]) is not None and fail <= tick + horizon
+        else 0.0
+        for nid in trace.graph.node_ids
+    ])
+
+
 def _training_samples(dataset, label_horizon, rng):
     """(graph, h0, labels) triples: two ticks per trace, sampled near onset."""
     samples = []
@@ -241,16 +247,8 @@ def _training_samples(dataset, label_horizon, rng):
         for off in sorted(int(o) for o in offsets):
             tick = trace.onset + off
             emb = init_embeddings(trace.graph, trace.node_telemetry, tick)
-            labels = np.array(
-                [
-                    1.0
-                    if trace.failure_times[nid] is not None
-                    and trace.failure_times[nid] <= tick + label_horizon
-                    else 0.0
-                    for nid in trace.graph.node_ids
-                ]
-            )
-            samples.append((trace.graph, emb.vectors, labels))
+            samples.append((trace.graph, emb.vectors,
+                            fails_within(trace, tick, label_horizon)))
     return samples
 
 

@@ -6,7 +6,9 @@ import numpy as np
 
 from ..errors import InputError
 from ..simulator import CascadeTrace
-from .gnn import FailurePrediction, GnnParams, _node_probs, edge_arrays
+from .gnn import FailurePrediction, GnnParams, _node_probs, edge_arrays, fails_within
+
+_EVAL_OFFSET = 1  # node_failure_accuracy scores the tick after each onset
 
 
 def mttfp(
@@ -53,24 +55,18 @@ def prediction_rates(
 
 
 def node_failure_accuracy(
-    gnn: GnnParams,
-    traces: list[CascadeTrace],
-    eval_offset: int = 1,
-    flag_threshold: float = 0.5,
+    gnn: GnnParams, traces: list[CascadeTrace], flag_threshold: float = 0.5
 ) -> float:
-    """Accuracy of 'fails within the label horizon' at onset + eval_offset."""
+    """Accuracy of 'fails within the label horizon' at onset + _EVAL_OFFSET."""
     if not traces:
         raise InputError("traces must be nonempty")
     correct = 0
     total = 0
     for trace in traces:
-        tick = min(trace.onset + eval_offset, trace.ticks - 1)
+        tick = min(trace.onset + _EVAL_OFFSET, trace.ticks - 1)
         probs = _node_probs(gnn, trace.graph, edge_arrays(trace.graph),
                             trace.node_telemetry, tick)
-        for i, nid in enumerate(trace.graph.node_ids):
-            fail = trace.failure_times[nid]
-            label = fail is not None and fail <= tick + gnn.label_horizon
-            predicted = probs[i] >= flag_threshold
-            correct += int(predicted == label)
-            total += 1
+        labels = fails_within(trace, tick, gnn.label_horizon)
+        correct += int(np.sum((probs >= flag_threshold) == (labels == 1.0)))
+        total += len(labels)
     return correct / total

@@ -62,14 +62,8 @@ class MetaConfig:
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, tuple) and len(data) == 2:
-        x, y = data
-    else:
-        pairs = list(data)
-        if not pairs:
-            raise InputError("data must be nonempty")
-        x = np.stack([np.asarray(p[0], dtype=np.float64) for p in pairs])
-        y = np.array([p[1] for p in pairs], dtype=np.float64)
+    """An (x, y) pair as float arrays; a 1-D x is one row."""
+    x, y = data
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim == 1:

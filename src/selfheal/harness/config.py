@@ -22,14 +22,29 @@ def _check_int(key: str, value, minimum: int) -> None:
         )
 
 
-def _check_cost(key: str, value) -> None:
-    # the range RecoveryEnv enforces: a negative cost is the only way to a
-    # negative objective, and a non-finite one poisons every reward
+def _check_number(key: str, value, minimum: float | None = None) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 <= value < math.inf):
-        raise ConfigurationError(
-            f"'{key}' must be a finite number >= 0, got {value!r}"
-        )
+            or not math.isfinite(value) or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum:g}"
+        raise ConfigurationError(f"'{key}' must be a finite number{bound}, got {value!r}")
+
+
+def _check_value(key: str, default, value) -> None:
+    """`value` must have the type of its field's `default`: an int (not a bool)
+    >= 0, a finite number, a string, or a list whose items match the default's
+    first item (an empty default leaves its items to the section's own check)."""
+    if isinstance(default, tuple):
+        if not isinstance(value, tuple):
+            raise ConfigurationError(f"'{key}' must be a list")
+        for i, item in enumerate(value if default else ()):
+            _check_value(f"{key}.{i}", default[0], item)
+    elif isinstance(default, int):
+        _check_int(key, value, 0)
+    elif isinstance(default, float):
+        _check_number(key, value)
+    elif not isinstance(value, type(default)):
+        raise ConfigurationError(f"'{key}' must be a {type(default).__name__}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,9 @@ class SimulatorSection:
     cascade_nodes: int = 10
     cascade_horizon: int = 18
     fail_threshold: float = 0.5
+
+    def __post_init__(self):
+        _check_int("simulator.window_width", self.window_width, 1)
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,9 @@ class AgentSection:
                 raise ConfigurationError(
                     f"'agent.action_costs' must map action names to costs, got {pair!r}"
                 )
-            _check_cost(f"agent.action_costs.{pair[0]}", pair[1])
+            # the range RecoveryEnv enforces: a negative cost is the only way to
+            # a negative objective, and a non-finite one poisons every reward
+            _check_number(f"agent.action_costs.{pair[0]}", pair[1], 0.0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +185,7 @@ def _coerce(section_type, raw: dict, path: str):
                 )
             else:
                 raise ConfigurationError(f"'{path}.{name}' must be a list")
+        _check_value(f"{path}.{name}", default, value)
         kwargs[name] = value
     try:
         return section_type(**kwargs)
@@ -206,7 +227,7 @@ def resolve_action_costs(agent: AgentSection):
             raise ConfigurationError(
                 f"agent.action_costs names unknown action '{name}'"
             ) from None
-        _check_cost(f"agent.action_costs.{name}", cost)
+        _check_number(f"agent.action_costs.{name}", cost, 0.0)
         table[action] = float(cost)
     return table
 

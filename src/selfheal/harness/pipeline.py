@@ -49,7 +49,7 @@ from ..recovery import (
     weighted_objective,
     zero_policy,
 )
-from ..simulator import METRICS, augment_tasks, default_patterns, make_tasks
+from ..simulator import augment_tasks, default_patterns, make_tasks
 from ..simulator.cascade import make_cascade_dataset, make_tree_graph, propagate_cascade
 from ..simulator.tasks import window_feature
 from .config import RunConfig, resolve_action_costs
@@ -316,7 +316,7 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
     for e in range(cfg.eval.closed_loop_episodes):
         ep_seed = derive_seed(eval_seed, "episode", e)
         state = env.reset(ep_seed)
-        history: list[list[float]] = []  # metric rows, METRICS order
+        history: list[list[float]] = []  # current_metrics() rows
         kind, onset = env.episode_anomaly()
         first_flag = None
         false_flags = 0
@@ -324,8 +324,7 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
         done = False
         tick = 0
         while not done:
-            metrics = env.current_metrics()
-            history.append([metrics[m] for m in METRICS])
+            history.append(env.current_metrics())
             window = history[-width:]
             # left-pad the first few ticks
             feature = window_feature([window[0]] * (width - len(window)) + window)

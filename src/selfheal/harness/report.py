@@ -164,25 +164,15 @@ def render_markdown(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def emit_report(
-    report: RunReport, out_dir: str | Path, formats=("json", "markdown")
-) -> dict[str, Path]:
+def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
+    """Write report.json and report.md; returns their paths by format."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    for fmt in formats:
-        if fmt == "json":
-            path = out_dir / "report.json"
-            path.write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        elif fmt == "markdown":
-            path = out_dir / "report.md"
-            path.write_text(render_markdown(report), encoding="utf-8")
-        else:
-            raise SchemaError(f"unknown report format '{fmt}'")
-        written[fmt] = path
+    written = {"json": out_dir / "report.json", "markdown": out_dir / "report.md"}
+    written["json"].write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    written["markdown"].write_text(render_markdown(report), encoding="utf-8")
     return written
 
 

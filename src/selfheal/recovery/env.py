@@ -20,8 +20,10 @@ import numpy as np
 
 from ..errors import InputError
 from ..seeding import derive_seed
-from ..simulator import METRICS, WorkloadPattern, default_patterns, healthy_series
-from ..simulator.telemetry import clamp_metric
+from ..simulator import (
+    AFFECTED_METRICS, ANOMALY_KINDS, METRICS, default_patterns, healthy_series,
+)
+from ..simulator.telemetry import clip_metrics
 from .objectives import ObjectiveVector
 from .states import (
     ACTIONS,
@@ -58,7 +60,7 @@ _SCALE_DOWN = RecoveryAction.SCALE_DOWN.value
 _RESTART = RecoveryAction.RESTART_COMPONENT.value
 _THROTTLE = RecoveryAction.THROTTLE_ADMISSION.value
 
-_ANOMALY_KINDS = ("cpu", "memory", "lock", "io", "cascade")
+_ANOMALY_KINDS = ANOMALY_STATUSES[1:]
 
 _LATENCY_INFLATION = 3.0
 _ANOMALY_RESOURCE_BOOST = {"cpu": 0.3, "memory": 0.3, "lock": 0.1, "io": 0.15, "cascade": 0.2}
@@ -73,14 +75,11 @@ _THROTTLE_QPS = 0.75
 _CASCADE_GROWTH = 0.08
 _CASCADE_CAP = 0.6
 
-# How an active anomaly shows up in sampled telemetry, mirroring the trace
-# simulator's injected-anomaly signatures.
-_OBSERVED_METRICS = {
-    "cpu": ("cpu",),
-    "memory": ("memory",),
-    "lock": ("latency_ms",),
-    "io": ("io_ops", "latency_ms"),
-    "cascade": ("latency_ms",),
+# How an active anomaly shows up in sampled telemetry: the columns the trace
+# simulator's injected anomaly of the same position in ANOMALY_KINDS inflates.
+_OBSERVED_COLUMNS = {
+    kind: [METRICS.index(m) for m in AFFECTED_METRICS[sim_kind]]
+    for kind, sim_kind in zip(_ANOMALY_KINDS, ANOMALY_KINDS, strict=True)
 }
 _OBSERVED_INFLATION = 2.8
 
@@ -90,7 +89,6 @@ class RecoveryEnv:
 
     def __init__(
         self,
-        pattern: WorkloadPattern | None = None,
         episode_ticks: int = 40,
         onset_range: tuple[int, int] = (5, 12),
         action_costs: dict[RecoveryAction, float] | None = None,
@@ -102,9 +100,8 @@ class RecoveryEnv:
             raise InputError(
                 f"onset range {onset_range} must lie within [1, {episode_ticks})"
             )
-        if pattern is None:
-            pattern = default_patterns(1, seed=derive_seed(seed, "env-pattern"))[0]
-        self.pattern = pattern  # only its healthy series is used
+        # only the pattern's healthy series is used
+        self.pattern = default_patterns(1, seed=derive_seed(seed, "env-pattern"))[0]
         self.episode_ticks = episode_ticks
         self.onset_range = onset_range
         self.action_costs = dict(DEFAULT_ACTION_COSTS)
@@ -189,24 +186,24 @@ class RecoveryEnv:
             latency *= _RESTART_HICCUP
         return ObjectiveVector(latency, _unit_clip(resource), self._cum_cost)
 
-    def current_metrics(self) -> dict[str, float]:
-        """The five telemetry metrics a monitor would sample right now.
+    def current_metrics(self) -> list[float]:
+        """The telemetry row (METRICS order) a monitor would sample right now.
 
         While an anomaly is active, the metrics matching its kind are inflated
         the same way the trace simulator's injected anomalies inflate them, so
         a detector trained on simulated traces sees in-distribution windows.
         """
         self._require_episode()
-        values = dict(zip(METRICS, self._row))
-        values["latency_ms"] = self._latency
-        values["qps"] = self._qps
+        cpu, memory, _, io_ops, _ = self._row
+        row = [cpu, memory, self._latency, io_ops, self._qps]
         if self._active:
             inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * self._mitigation
-            for metric in _OBSERVED_METRICS[self._kind]:
-                values[metric] = clamp_metric(metric, values[metric] * inflation)
+            for j in _OBSERVED_COLUMNS[self._kind]:
+                row[j] *= inflation
+            row = clip_metrics(row).tolist()
         if self._hiccup > 0:
-            values["latency_ms"] *= _RESTART_HICCUP
-        return values
+            row[2] *= _RESTART_HICCUP  # latency_ms
+        return row
 
     def true_anomaly_kind(self) -> str | None:
         """Ground-truth active anomaly kind, for evaluation harnesses."""

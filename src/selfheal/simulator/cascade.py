@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .telemetry import METRICS
+from .telemetry import METRICS, clip_metrics
 
 NODE_KINDS = ("query", "table", "index", "connection_pool", "disk")
 
@@ -30,6 +30,12 @@ _BASE_LEVELS = {
 
 # Multipliers applied to a node's metrics from its failure tick onward.
 _FAILURE_EFFECT = {"cpu": 1.3, "memory": 1.2, "latency_ms": 4.0, "io_ops": 0.5, "qps": 0.2}
+
+# Tree shape: each node's strong parent is one of the _PARENT_WINDOW nodes
+# before it; a weak cross edge is drawn with probability _CROSS_EDGE_PROB.
+_PARENT_WINDOW = 3
+_CROSS_EDGE_PROB = 0.25
+_STATIC_WIDTH = 2  # static features per node
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,7 @@ def propagate_cascade(
         if fail_tick is not None:
             effect = np.array([_FAILURE_EFFECT[m] for m in METRICS])
             series[fail_tick:] *= effect
-        series[:, 0] = np.clip(series[:, 0], 0.0, 1.0)
-        series[:, 1] = np.clip(series[:, 1], 0.0, 1.0)
-        series[:, 2:] = np.maximum(series[:, 2:], 0.0)
+        series = clip_metrics(series)
         series.flags.writeable = False
         node_telemetry[node.id] = series
 
@@ -190,13 +194,7 @@ def propagate_cascade(
     )
 
 
-def make_tree_graph(
-    n_nodes: int,
-    seed: int,
-    parent_window: int = 3,
-    cross_edge_prob: float = 0.25,
-    static_width: int = 2,
-) -> ComponentGraph:
+def make_tree_graph(n_nodes: int, seed: int) -> ComponentGraph:
     """A deep dependency tree with occasional weak cross edges.
 
     Each non-root node has one strong parent edge (weight in [0.7, 1.0]) drawn
@@ -213,19 +211,19 @@ def make_tree_graph(
             id=f"n{i}",
             kind=NODE_KINDS[int(rng.integers(len(NODE_KINDS)))],
             static_features=tuple(
-                float(x) for x in rng.uniform(0.25, 1.0, size=static_width)
+                float(x) for x in rng.uniform(0.25, 1.0, size=_STATIC_WIDTH)
             ),
         )
         for i in range(n_nodes)
     ]
     edges = []
     for i in range(1, n_nodes):
-        lo = max(0, i - parent_window)
+        lo = max(0, i - _PARENT_WINDOW)
         parent = int(rng.integers(lo, i))
         edges.append(
             GraphEdge(src=f"n{parent}", dst=f"n{i}", weight=float(rng.uniform(0.7, 1.0)))
         )
-        if i >= 2 and rng.random() < cross_edge_prob:
+        if i >= 2 and rng.random() < _CROSS_EDGE_PROB:
             other = int(rng.integers(0, i))
             if other != parent:
                 edges.append(
@@ -274,44 +272,3 @@ def make_cascade_dataset(
             )
         )
     return traces
-
-
-def make_dependency_graph(
-    n_nodes: int,
-    seed: int,
-    max_parents: int = 2,
-    weight_range: tuple[float, float] = (0.7, 1.0),
-    static_width: int = 2,
-) -> ComponentGraph:
-    """A seeded layered dependency DAG rooted at node 'n0'.
-
-    Every non-root node depends on one or two earlier nodes, so a cascade
-    seeded at the root can reach the whole graph when weights clear the
-    threshold.
-    """
-    if n_nodes < 1:
-        raise InputError("need at least one node")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    nodes = [
-        GraphNode(
-            id=f"n{i}",
-            kind=NODE_KINDS[int(rng.integers(len(NODE_KINDS)))],
-            static_features=tuple(
-                float(x) for x in rng.uniform(0.25, 1.0, size=static_width)
-            ),
-        )
-        for i in range(n_nodes)
-    ]
-    edges = []
-    for i in range(1, n_nodes):
-        n_parents = int(rng.integers(1, max_parents + 1))
-        parents = rng.choice(i, size=min(n_parents, i), replace=False)
-        for p in sorted(int(x) for x in parents):
-            edges.append(
-                GraphEdge(
-                    src=f"n{p}",
-                    dst=f"n{i}",
-                    weight=float(rng.uniform(*weight_range)),
-                )
-            )
-    return ComponentGraph(nodes, edges)

@@ -57,9 +57,14 @@ class Task:
         return self.support_x.shape[1]
 
 
+def unit_scaled(rows) -> np.ndarray:
+    """Metric rows (METRICS order along the last axis) divided by their unit scale."""
+    return np.asarray(rows) / _SCALE_VECTOR
+
+
 def window_feature(rows) -> np.ndarray:
     """Unit-scaled metric rows (METRICS order) of consecutive ticks, flattened."""
-    return (np.asarray(rows) / _SCALE_VECTOR).ravel()
+    return unit_scaled(rows).ravel()
 
 
 def trace_windows(trace: TelemetryTrace, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -60,13 +60,9 @@ _HIGHS = np.array([math.inf if METRIC_BOUNDS[m][1] is None else METRIC_BOUNDS[m]
                    for m in METRICS])
 
 
-def clamp_metric(metric: str, value: float) -> float:
-    low, high = METRIC_BOUNDS[metric]
-    if value < low:
-        return low
-    if high is not None and value > high:
-        return high
-    return value
+def clip_metrics(rows) -> np.ndarray:
+    """Metric rows (METRICS order along the last axis) clamped to METRIC_BOUNDS."""
+    return np.clip(rows, _LOWS, _HIGHS)
 
 
 class TelemetryTrace:
@@ -195,14 +191,12 @@ def healthy_series(
     phase = np.sin(2.0 * math.pi * np.arange(ticks) / DIURNAL_PERIOD)
     series = np.empty((ticks, len(METRICS)))
     for j, metric in enumerate(METRICS):
-        raw = (
+        series[:, j] = (
             pattern.base_rates[metric]
             + pattern.diurnal_amplitude[metric] * phase
             + rng.normal(0.0, pattern.noise_std[metric], size=ticks)
         )
-        low, high = METRIC_BOUNDS[metric]
-        series[:, j] = np.clip(raw, low, high)
-    return series
+    return clip_metrics(series)
 
 
 def generate_trace(
@@ -252,8 +246,8 @@ def inject_anomaly(trace: TelemetryTrace, event: AnomalyEvent) -> TelemetryTrace
     cols = [METRICS.index(m) for m in AFFECTED_METRICS[event.kind]]
     metrics = trace.metrics.copy()
     labels = trace.labels.copy()
-    metrics[span, cols] = np.clip(metrics[span, cols] * event.magnitude,
-                                  _LOWS[cols], _HIGHS[cols])
+    metrics[span, cols] *= event.magnitude
+    metrics[span] = clip_metrics(metrics[span])
     labels[span] = 1
     return TelemetryTrace(metrics, labels)
 
@@ -310,7 +304,7 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
                 raise RowError(f"label must be 0 or 1, got {label:g}", line)
             labels.append(label)
     raw = np.array(rows, dtype=np.float64).reshape(-1, len(METRICS))
-    metrics = np.clip(raw, _LOWS, _HIGHS)
+    metrics = clip_metrics(raw)
     clamp_counts = dict(zip(METRICS, (metrics != raw).sum(axis=0).tolist()))
     return CsvIngest(trace=TelemetryTrace(metrics, labels), clamp_counts=clamp_counts)
 

@@ -22,7 +22,7 @@ from selfheal.depgraph import (
     train_gnn,
     write_graph,
 )
-from selfheal.depgraph.gnn import _forward_probs, _training_samples, edge_arrays
+from selfheal.depgraph.gnn import _forward_probs, _training_samples, edge_arrays, fails_within
 from selfheal.numerics import (
     GradientTape, ParamSet, Tensor, bce_loss, finite_diff_grad, grad, sgd_step, tape,
 )
@@ -194,6 +194,29 @@ class TestGnnLayer:
         probs = _forward_probs(gnn.params, edge_arrays(trace.graph), h0,
                                gnn.hidden_widths, activation)
         assert np.array_equal(chained, probs)
+
+
+class TestFailureLabels:
+    @pytest.mark.parametrize("tick, horizon, expected", [
+        (0, 0, [0, 0, 0, 0]),
+        (1, 0, [1, 0, 0, 0]),
+        (0, 2, [1, 1, 0, 0]),
+        (1, 2, [1, 1, 1, 0]),
+        (3, 0, [1, 1, 1, 0]),  # a node that failed earlier still counts
+        (5, 9, [1, 1, 1, 0]),
+    ])
+    def test_chain_labels_by_hand(self, tick, horizon, expected):
+        # n0 -> n1 -> n2 fail at ticks 1, 2, 3; n3 has no dependencies and
+        # never fails
+        graph = ComponentGraph(
+            [*chain3().nodes, ("n3", "disk", (0.5, 0.5))], chain3().edges
+        )
+        trace = propagate_cascade(graph, "n0", onset=1, horizon=8, fail_threshold=0.5,
+                                  seed=0)
+        assert trace.failure_times == {"n0": 1, "n1": 2, "n2": 3, "n3": None}
+        labels = fails_within(trace, tick, horizon)
+        assert labels.dtype == np.float64
+        assert labels.tolist() == expected
 
 
 class TestPredictFailures:

@@ -87,13 +87,6 @@ class TestTaskLoss:
             math.log(2.0), abs=1e-12
         )
 
-    def test_accepts_list_of_pairs(self):
-        model = constant_half_model()
-        data = [(np.ones(4), 1.0), (np.zeros(4), 0.0)]
-        assert task_loss(model.params, data, model.layer_spec) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
-
     def test_width_mismatch_rejected(self):
         model = constant_half_model(width=4)
         with pytest.raises(Exception):

@@ -111,6 +111,39 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' must be")):
             config_from_dict({"gnn": gnn})
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"gnn": {"epochs": -1}}, "gnn.epochs"),
+            ({"simulator": {"window_width": 0}}, "simulator.window_width"),
+            ({"simulator": {"n_train_patterns": "3"}}, "simulator.n_train_patterns"),
+            ({"agent": {"episodes": True}}, "agent.episodes"),
+            ({"eval": {"closed_loop_episodes": 2.0}}, "eval.closed_loop_episodes"),
+            ({"simulator": {"anomaly_rate": float("nan")}}, "simulator.anomaly_rate"),
+            ({"detector": {"inner_lr": "0.5"}}, "detector.inner_lr"),
+            ({"agent": {"gamma": False}}, "agent.gamma"),
+            ({"detector": {"meta_mode": 2}}, "detector.meta_mode"),
+            ({"detector": {"hidden_widths": [32, -1]}}, "detector.hidden_widths.1"),
+            ({"agent": {"weights": [1.0, True, 1.0]}}, "agent.weights.1"),
+            ({"agent": {"sweep_grid": [[1.0, 0.0, 0.0], 0.5]}}, "agent.sweep_grid.1"),
+            ({"agent": {"sweep_grid": [[1.0, "0", 0.0]]}}, "agent.sweep_grid.0.1"),
+        ],
+    )
+    def test_wrong_type_or_negative_count_rejected_by_key(self, raw, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' must be")):
+            config_from_dict(raw)
+
+    def test_ints_stand_for_floats_and_zero_counts_load(self):
+        cfg = config_from_dict({"simulator": {"anomaly_rate": 0, "mix_count": 0},
+                                "agent": {"episodes": 0, "weights": [1, 1, 1]}})
+        assert cfg.simulator.anomaly_rate == 0 and cfg.agent.episodes == 0
+
+    def test_bad_count_exits_with_the_config_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"gnn": {"epochs": -1}}))
+        assert main(["train-gnn", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "'gnn.epochs' must be an integer >= 0" in capsys.readouterr().err
+
     def test_unknown_action_cost_name_rejected(self):
         from selfheal.harness.config import resolve_action_costs
 

@@ -36,7 +36,7 @@ from selfheal.recovery import (
     weighted_objective,
 )
 from selfheal.seeding import derive_seed
-from selfheal.simulator import METRICS, healthy_series
+from selfheal.simulator import AFFECTED_METRICS, ANOMALY_KINDS, METRICS, healthy_series
 
 DESK_SWEEP_GRID = [RewardWeights.normalized(*w) for w in AgentSection().sweep_grid]
 
@@ -525,9 +525,31 @@ class TestEnv:
             env.episode_ticks,
         )
         for tick in range(env.episode_anomaly()[1]):
-            assert env.current_metrics() == dict(zip(METRICS, trace[tick].tolist()))
+            assert env.current_metrics() == trace[tick].tolist()
             assert env.baseline_snapshot().latency == trace[tick, METRICS.index("latency_ms")]
             env.step(RecoveryAction.NO_OP)
+
+    def test_observed_anomaly_matches_the_simulator_signature(self):
+        # env kind i is simulator kind i: while the anomaly is active and no
+        # action touches it, exactly that kind's AFFECTED_METRICS go up
+        env, seen = RecoveryEnv(seed=2), set()
+        for episode_seed in range(100):
+            env.reset(episode_seed)
+            kind, onset = env.episode_anomaly()
+            if kind in seen:
+                continue
+            seen.add(kind)
+            affected = AFFECTED_METRICS[ANOMALY_KINDS[ANOMALY_STATUSES.index(kind) - 1]]
+            trace = healthy_series(env.pattern, np.random.Generator(
+                np.random.PCG64(derive_seed(episode_seed, "base-trace"))), env.episode_ticks)
+            for tick in range(env.episode_ticks):
+                row = env.current_metrics()
+                raised = {m for m, v, h in zip(METRICS, row, trace[tick]) if v != h}
+                assert raised == (set(affected) if tick >= onset else set())
+                assert all(v >= h for v, h in zip(row, trace[tick]))
+                if tick < env.episode_ticks - 1:
+                    env.step(RecoveryAction.NO_OP)
+        assert seen == set(ANOMALY_STATUSES[1:])
 
     def test_extra_reads_change_no_tick(self):
         # one episode seed per anomaly kind, each played with every action

@@ -17,10 +17,10 @@ from selfheal.simulator import (
     healthy_series,
     ingest_csv,
     inject_anomaly,
-    make_dependency_graph,
     make_tasks,
     propagate_cascade,
 )
+from selfheal.simulator.cascade import make_cascade_dataset, make_tree_graph
 from selfheal.simulator.telemetry import CSV_COLUMNS, METRICS
 
 
@@ -165,16 +165,38 @@ class TestPropagateCascade:
         with pytest.raises(InputError):
             propagate_cascade(chain_graph(), "zz", onset=0, horizon=5, fail_threshold=0.5, seed=0)
 
-    def test_monotone_in_threshold(self):
-        # lowering the threshold never shrinks the failed set at any tick
+    @staticmethod
+    def _strict_shrinks(low_threshold, high_threshold):
+        """Over 50 tree graphs cascading from the root: assert that raising the
+        threshold never grows the failed set at any tick, and count the ticks
+        at which it shrinks it."""
+        strict = 0
         for seed in range(50):
-            graph = make_dependency_graph(
-                10, seed=seed, max_parents=3, weight_range=(0.2, 1.0)
-            )
-            low = propagate_cascade(graph, "n0", 0, 15, fail_threshold=0.3, seed=seed)
-            high = propagate_cascade(graph, "n0", 0, 15, fail_threshold=0.7, seed=seed)
+            graph = make_tree_graph(10, seed=seed)
+            low = propagate_cascade(graph, "n0", 0, 15, low_threshold, seed=seed)
+            high = propagate_cascade(graph, "n0", 0, 15, high_threshold, seed=seed)
             for tick in range(15):
                 assert high.failed_by(tick) <= low.failed_by(tick)
+                strict += high.failed_by(tick) < low.failed_by(tick)
+        return strict
+
+    def test_monotone_in_threshold(self):
+        # lowering the threshold never shrinks the failed set at any tick
+        self._strict_shrinks(0.3, 0.7)
+
+    def test_monotone_in_threshold_where_the_sets_differ(self):
+        # on tree graphs 0.3 and 0.7 fail the same nodes (a strong parent holds
+        # at least 0.7 / 0.95 of a node's in-weight, a weak edge at most
+        # 0.25 / 0.95); 0.2 and 0.9 do not, so inclusion is tested strictly
+        assert self._strict_shrinks(0.2, 0.9) > 0
+
+    @pytest.mark.parametrize("n_nodes, horizon", [(10, 18), (40, 24)])
+    def test_node_series_stay_within_metric_bounds(self, n_nodes, horizon):
+        # TelemetryTrace raises InputError on any value outside METRIC_BOUNDS
+        for trace in make_cascade_dataset(30, seed=n_nodes, n_nodes=n_nodes,
+                                          horizon=horizon):
+            for series in trace.node_telemetry.values():
+                TelemetryTrace(series, np.zeros(horizon, dtype=np.int64))
 
     def test_telemetry_degrades_after_failure(self):
         trace = propagate_cascade(chain_graph(), "a", onset=2, horizon=12, fail_threshold=0.5, seed=7)
