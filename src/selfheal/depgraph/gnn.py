@@ -15,8 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    GradientTape, ParamSet, bce_loss, grad, init_uniform_params, mlp_param_shapes,
-    sgd_step, tape,
+    ParamSet, Workspace, gnn_loss_and_grad, init_uniform_params, mlp_param_shapes, tape,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
@@ -66,25 +65,40 @@ def embedding_width(graph: ComponentGraph) -> int:
     return len(NODE_KINDS) + static + len(METRICS)
 
 
-def init_embeddings(
-    graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], tick: int
-) -> NodeEmbeddings:
-    """h0 per node: one-hot kind, static features, unit-scaled metrics at tick."""
+def _inputs_by_tick(
+    graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], ticks
+) -> np.ndarray:
+    """h0 at each of `ticks`, stacked (len(ticks), n_nodes, width): per node,
+    one-hot kind, static features and unit-scaled metrics at the tick. The
+    constant columns are built once for all the ticks."""
+    ticks = list(ticks)
+    lo, hi = min(ticks), max(ticks)
     readings = []
     for node in graph.nodes:
         if node.id not in node_telemetry:
             raise InputError(f"telemetry missing for node '{node.id}'")
         series = np.asarray(node_telemetry[node.id])
-        if tick < 0 or tick >= series.shape[0]:
+        if lo < 0 or hi >= series.shape[0]:
+            tick = next(t for t in ticks if t < 0 or t >= series.shape[0])
             raise InputError(f"tick {tick} outside telemetry of node '{node.id}'")
-        readings.append(series[tick])
+        readings.append(series[ticks])
     kinds = np.eye(len(NODE_KINDS))[[NODE_KINDS.index(n.kind) for n in graph.nodes]]
     static = np.array([n.static_features for n in graph.nodes], dtype=np.float64)
-    return NodeEmbeddings(
-        layer_index=0,
-        node_ids=graph.node_ids,
-        vectors=np.hstack([kinds, static, unit_scaled(readings)]),
-    )
+    constant = np.hstack([kinds, static])
+    scaled = unit_scaled(np.stack(readings, axis=1))
+    h0 = np.concatenate(
+        [np.broadcast_to(constant, (len(ticks), *constant.shape)), scaled], axis=2)
+    if not np.all(np.isfinite(h0)):
+        raise InputError("embeddings must be finite")
+    return h0
+
+
+def init_embeddings(
+    graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], tick: int
+) -> NodeEmbeddings:
+    """h0 per node: one-hot kind, static features, unit-scaled metrics at tick."""
+    return NodeEmbeddings(layer_index=0, node_ids=graph.node_ids,
+                          vectors=_inputs_by_tick(graph, node_telemetry, [tick])[0])
 
 
 def _edge_ends(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -100,15 +114,13 @@ def edge_arrays(graph: ComponentGraph) -> tape.EdgeIndex:
     return tape.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
 
 
-def _message_pass(h, edges, w, b, activation: str, aggregate=None):
+def _message_pass(h, edges, w, b, activation: str):
     """One layer, act(edge_aggregate(h) @ w + b), on arrays or tape leaves.
 
-    `edges` is an `EdgeIndex`; the self term is implicit. A caller that already
-    holds `edge_aggregate(h, edges)` of a constant `h` passes it as `aggregate`.
+    `edges` is an `EdgeIndex`; the self term is implicit.
     """
-    if aggregate is None:
-        aggregate = tape.edge_aggregate(h, edges)
-    return tape.activate(activation, tape.add(tape.matmul(aggregate, w), b))
+    return tape.activate(activation, tape.add(
+        tape.matmul(tape.edge_aggregate(h, edges), w), b))
 
 
 def gnn_layer(
@@ -156,26 +168,24 @@ def gnn_param_shapes(
     return shapes
 
 
-def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu",
-                   h0_aggregate=None):
-    """Per-node failure probabilities; works on arrays or tape leaves.
-    `h0_aggregate`, when given, is `edge_aggregate(h0, edges)`."""
+def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
+    """Per-node failure probabilities; works on arrays or tape leaves. Training
+    runs the same network through `gnn_loss_and_grad`, and this taped pass is
+    its reference."""
     h = h0
     for i in range(len(hidden_widths)):
         h = _message_pass(h, edges, params_map[f"layer{i}.W"], params_map[f"layer{i}.b"],
-                          activation, h0_aggregate if i == 0 else None)
+                          activation)
     return tape.activate("sigmoid", tape.add(
         tape.matmul(h, params_map["readout.w"]), params_map["readout.b"]
     ))
 
 
-def _node_probs(gnn: GnnParams, graph: ComponentGraph, edges, node_telemetry,
-                tick: int):
-    """Each node's probability of failing within the label horizon of `tick`;
-    `edges` is `edge_arrays(graph)`."""
-    emb = init_embeddings(graph, node_telemetry, tick)
-    return _forward_probs(gnn.params, edges, emb.vectors,
-                          gnn.hidden_widths, gnn.hidden_activation)[:, 0]
+def _node_probs(gnn: GnnParams, edges, h0: np.ndarray) -> np.ndarray:
+    """Each node's probability of failing within the label horizon of the tick
+    whose input embeddings are `h0`; `edges` is `edge_arrays(graph)`."""
+    return _forward_probs(gnn.params, edges, h0, gnn.hidden_widths,
+                          gnn.hidden_activation)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -202,14 +212,13 @@ def predict_failures(
     the maximum seen when the node is never flagged."""
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    best: dict[str, float] = {nid: 0.0 for nid in graph.node_ids}
-    flag_tick: dict[str, int | None] = {nid: None for nid in graph.node_ids}
+    node_ids = graph.node_ids
+    best: dict[str, float] = {nid: 0.0 for nid in node_ids}
+    flag_tick: dict[str, int | None] = {nid: None for nid in node_ids}
     flag_prob: dict[str, float] = {}
     edges = edge_arrays(graph)
-    for tick in range(horizon):
-        probs = _node_probs(gnn, graph, edges, node_telemetry, tick)
-        for i, nid in enumerate(graph.node_ids):
-            p = float(probs[i])
+    for tick, h0 in enumerate(_inputs_by_tick(graph, node_telemetry, range(horizon))):
+        for nid, p in zip(node_ids, _node_probs(gnn, edges, h0).tolist()):
             best[nid] = max(best[nid], p)
             if flag_tick[nid] is None and p >= flag_threshold:
                 flag_tick[nid] = tick
@@ -217,8 +226,7 @@ def predict_failures(
     return FailurePrediction(
         horizon=horizon,
         per_node={
-            nid: (flag_prob.get(nid, best[nid]), flag_tick[nid])
-            for nid in graph.node_ids
+            nid: (flag_prob.get(nid, best[nid]), flag_tick[nid]) for nid in node_ids
         },
     )
 
@@ -264,7 +272,9 @@ def train_gnn(
 
     A node's label at a sampled tick is 1 iff it fails within `label_horizon`
     ticks of it. All samples are stacked into one node axis with offset edge
-    indices, so every epoch is a single taped forward/backward pass.
+    indices, so every epoch is a single forward/backward pass: the closed-form
+    `gnn_loss_and_grad` on one workspace, bitwise equal to the taped pass
+    `grad(bce_loss(_forward_probs(...)))` followed by `sgd_step`.
     """
     if not dataset:
         raise InputError("dataset must be nonempty")
@@ -282,30 +292,35 @@ def train_gnn(
         offset += h.shape[0]
     edges = tape.EdgeIndex(np.concatenate(src_parts), np.concatenate(dst_parts), offset)
     h0 = np.vstack([h for _, h, _ in samples])
-    labels = np.concatenate([y for _, _, y in samples]).reshape(-1, 1)
-    # h0 is a constant, not a tape leaf: its aggregate is the same every epoch
-    h0_aggregate = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else None
+    labels = np.concatenate([y for _, _, y in samples])
+    # h0 is a constant: its aggregate is the same every epoch
+    x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
 
-    params = gnn.params
+    layer_spec = [(width, gnn.hidden_activation) for width in gnn.hidden_widths]
+    layer_spec.append((1, "sigmoid"))
+    names = list(gnn_param_shapes(gnn.input_width, gnn.hidden_widths))
+    weights = [gnn.params[name].values for name in names]
+    workspace = Workspace()
     curve: list[float] = []
     for epoch in range(epochs):
-        recorder = GradientTape(params)
-        probs = _forward_probs(recorder.leaves, edges, h0, gnn.hidden_widths,
-                               gnn.hidden_activation, h0_aggregate)
-        loss = bce_loss(probs, labels)
-        value = float(tape.value_of(loss))
+        loss, grads = gnn_loss_and_grad(weights, x, labels, edges, layer_spec, workspace)
+        value = float(loss)
         if not np.isfinite(value):
             raise TrainingError("training loss is not finite", epoch)
         curve.append(value)
-        try:
-            params = sgd_step(params, grad(loss, params), lr)
-        except InputError as err:
-            raise TrainingError(f"parameters diverged: {err}", epoch) from err
+        # sgd_step on the arrays, with its checks
+        if lr < 0:
+            raise TrainingError(f"parameters diverged: learning rate must be >= 0, "
+                                f"got {lr}", epoch)
+        weights = [w - lr * g for w, g in zip(weights, grads)]
+        if not all(np.isfinite(w).all() for w in weights):
+            raise TrainingError("parameters diverged: tensor values must be finite "
+                                "(no NaN/Inf)", epoch)
     return GnnTrainResult(
         gnn=GnnParams(
             input_width=gnn.input_width,
             hidden_widths=gnn.hidden_widths,
-            params=params,
+            params=ParamSet(dict(zip(names, weights))),
             hidden_activation=gnn.hidden_activation,
             label_horizon=label_horizon,
         ),

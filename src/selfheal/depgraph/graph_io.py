@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 from ..errors import InputError, SchemaError
+from ..files import read_json
 from ..numerics import int_from_payload, params_from_payload
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
 from .gnn import HIDDEN_ACTIVATIONS, GnnParams, gnn_param_shapes
@@ -40,13 +41,17 @@ def write_graph(graph: ComponentGraph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> ComponentGraph:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     unknown = sorted(set(payload) - _TOP_FIELDS)
     if unknown:
         raise SchemaError(f"{path}: unknown top-level fields: {unknown}")
     missing = sorted(_TOP_FIELDS - set(payload))
     if missing:
         raise SchemaError(f"{path}: missing sections: {missing}")
+    for section in sorted(_TOP_FIELDS):
+        if not isinstance(payload[section], list):
+            raise SchemaError(f"{path}: section '{section}' must be a list, "
+                              f"got {payload[section]!r}")
     nodes = []
     for i, entry in enumerate(payload["nodes"]):
         if not isinstance(entry, dict):
@@ -114,8 +119,8 @@ def save_gnn(gnn: GnnParams, path: str | Path) -> None:
 def load_gnn(path: str | Path) -> GnnParams:
     """Read a `save_gnn` file; parameter names and shapes must match its
     hidden widths and every value must be finite (SchemaError otherwise)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.get("format") != _GNN_FORMAT:
+    payload = read_json(path)
+    if payload.get("format") != _GNN_FORMAT:
         raise SchemaError(f"{path}: not a GNN checkpoint")
     if payload.get("version") != _GNN_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")

@@ -6,7 +6,9 @@ import numpy as np
 
 from ..errors import InputError
 from ..simulator import CascadeTrace
-from .gnn import FailurePrediction, GnnParams, _node_probs, edge_arrays, fails_within
+from .gnn import (
+    FailurePrediction, GnnParams, _node_probs, edge_arrays, fails_within, init_embeddings,
+)
 
 _EVAL_OFFSET = 1  # node_failure_accuracy scores the tick after each onset
 
@@ -64,8 +66,8 @@ def node_failure_accuracy(
     total = 0
     for trace in traces:
         tick = min(trace.onset + _EVAL_OFFSET, trace.ticks - 1)
-        probs = _node_probs(gnn, trace.graph, edge_arrays(trace.graph),
-                            trace.node_telemetry, tick)
+        h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
+        probs = _node_probs(gnn, edge_arrays(trace.graph), h0)
         labels = fails_within(trace, tick, gnn.label_horizon)
         correct += int(np.sum((probs >= flag_threshold) == (labels == 1.0)))
         total += len(labels)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigurationError, InputError, SchemaError
+from ..files import read_json
 from ..numerics import (
     ParamSet,
     forward_mlp,
@@ -92,8 +93,8 @@ def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> DetectorModel:
     """Read a `save_checkpoint` file; parameter names and shapes must match
     its layer spec and every value must be finite (SchemaError otherwise)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    payload = read_json(path)
+    if payload.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError(f"{path}: not a detector checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported version {payload.get('version')}")

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from ..errors import ConfigurationError
+from ..files import read_json
 
 
 def _check_int(key: str, value, minimum: int) -> None:
@@ -78,6 +79,11 @@ class DetectorSection:
     hidden_widths: tuple[int, ...] = (32, 16)
     eval_inner_steps: int = 5
     adapt_max_steps: int = 25
+
+    def __post_init__(self):
+        # the floor `load_checkpoint` enforces, so a trained detector loads back
+        for i, width in enumerate(self.hidden_widths):
+            _check_int(f"detector.hidden_widths.{i}", width, 1)
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"{path}: invalid JSON ({err})") from None
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, ConfigurationError))
 
 
 def resolved_config_json(cfg: RunConfig) -> str:

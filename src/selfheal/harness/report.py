@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ..errors import SchemaError
+from ..files import read_json
 
 
 @dataclass
@@ -177,4 +178,4 @@ def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
 
 
 def parse_report(path: str | Path) -> RunReport:
-    return RunReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return RunReport.from_dict(read_json(path))

@@ -3,9 +3,11 @@
 from . import tape
 from .nets import (
     LOG_CLAMP,
+    Workspace,
     bce_loss,
     finite_diff_grad,
     forward_mlp,
+    gnn_loss_and_grad,
     init_mlp_params,
     init_uniform_params,
     mlp_loss_and_grad,
@@ -23,9 +25,11 @@ __all__ = [
     "Node",
     "ParamSet",
     "Tensor",
+    "Workspace",
     "bce_loss",
     "finite_diff_grad",
     "forward_mlp",
+    "gnn_loss_and_grad",
     "grad",
     "init_mlp_params",
     "init_uniform_params",

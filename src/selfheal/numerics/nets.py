@@ -2,8 +2,10 @@
 finite-difference oracle every gradient in this package is checked against.
 
 `mlp_loss_and_grad` is the same MLP loss and gradient in closed form on raw
-arrays, optionally batched over tasks; the detector trains with it, and the
-tape stays its reference."""
+arrays, optionally batched over tasks; the detector trains with it.
+`gnn_loss_and_grad` does the same for a message-passing network, writing its
+node-sized arrays into a reused `Workspace`; the GNN trains with it. The tape
+stays the reference of both."""
 
 from __future__ import annotations
 
@@ -140,6 +142,47 @@ def mlp_params(weights: Sequence[np.ndarray], layer_spec: LayerSpec) -> ParamSet
     return ParamSet(dict(zip(_mlp_names(layer_spec), weights)))
 
 
+class Workspace:
+    """Arrays that a kernel overwrites pass after pass, by name: each is
+    allocated on the first request for its name and shape and handed back on
+    every later one."""
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def __call__(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self._arrays[name] = np.empty(shape)
+        return array
+
+
+def _bce_head(out: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
+    """`bce_loss` of predictions `out` (..., n, 1) against 0/1 `labels`, and
+    its adjoint d(loss)/d(out): the taped ops (clip, two logs, mean, negate)
+    and then the adjoint of each, on arrays from `ws` when given."""
+    shape = None if ws is None else np.broadcast_shapes(out.shape, labels.shape)
+
+    def buf(k):
+        return None if ws is None else ws(("bce", k), shape)
+
+    n = out.shape[-2] * out.shape[-1]
+    clipped = np.clip(out, LOG_CLAMP, 1.0 - LOG_CLAMP, out=buf(0))
+    complement = np.subtract(1.0, clipped, out=buf(1))
+    negated = np.subtract(1.0, labels, out=buf(2))
+    t = np.multiply(labels, np.log(clipped, out=buf(3)), out=buf(3))
+    np.add(t, np.multiply(negated, np.log(complement, out=buf(4)), out=buf(4)), out=t)
+    loss = t.sum(axis=(-2, -1)) / n * -1.0
+    g_term = -1.0 / n
+    np.divide(np.multiply(g_term, labels, out=t), clipped, out=t)
+    u = np.divide(np.multiply(g_term, negated, out=buf(4)), complement, out=buf(4))
+    g = np.subtract(t, u, out=buf(5))
+    # the clip's mask, (out >= LOG_CLAMP) & (out <= 1 - LOG_CLAMP); 1.0/0.0 in `ws`
+    mask = np.greater_equal(out, LOG_CLAMP, out=t)
+    np.multiply(mask, np.less_equal(out, 1.0 - LOG_CLAMP, out=u), out=mask)
+    return loss, np.multiply(g, mask, out=g)
+
+
 def mlp_loss_and_grad(
     weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray, layer_spec: LayerSpec
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -164,15 +207,7 @@ def mlp_loss_and_grad(
         out = tape.ACTIVATIONS[activation][0](pre[-1])
         width = out_width
 
-    # bce_loss: clip, two logs, mean, negate; then the adjoint of each op
-    n = out.shape[-2] * out.shape[-1]
-    clipped = np.clip(out, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    complement = 1.0 - clipped
-    term = labels * np.log(clipped) + (1.0 - labels) * np.log(complement)
-    loss = term.sum(axis=(-2, -1)) / n * -1.0
-    g_term = -1.0 / n
-    g = (g_term * labels) / clipped - (g_term * (1.0 - labels)) / complement
-    g = g * ((out >= LOG_CLAMP) & (out <= 1.0 - LOG_CLAMP))
+    loss, g = _bce_head(out, labels)
 
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
@@ -182,6 +217,69 @@ def mlp_loss_and_grad(
         if i:
             g = g @ np.swapaxes(weights[2 * i], -1, -2)
             out = layer_inputs[i]
+    return loss, grads
+
+
+def gnn_loss_and_grad(
+    weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
+    edges: tape.EdgeIndex, layer_spec: LayerSpec, workspace: Workspace | None = None,
+) -> tuple[np.floating, list[np.ndarray]]:
+    """Mean BCE of a message-passing network and its gradient, in closed form
+    on raw arrays.
+
+    Layer i of `layer_spec` computes act(x_i @ W_i + b_i) over the rows
+    (nodes) of `edges`. x_0 is `x` as given; every later layer but the last
+    reads `edge_aggregate` of the previous output, and the last (the readout)
+    reads that output itself. A GNN whose input embeddings h0 are constant so
+    passes `edge_aggregate(h0, edges)`, computed once, when it has a hidden
+    layer, and h0 when it has none. `weights` is [W0, b0, W1, b1, ...] and `y`
+    holds one 0/1 label per node.
+
+    The pass replays the operation order of `grad(bce_loss(...))` over the
+    taped network, so the loss and gradient equal the taped ones bitwise.
+    Its layer arrays, aggregates, adjoints and gathered rows come from
+    `workspace`, so a caller that keeps one workspace across passes allocates
+    them once. What a pass still allocates is one column wide (the label
+    check's masks and the sigmoid vjp's 1 - p) or returned (loss, gradients).
+    """
+    ws = Workspace() if workspace is None else workspace
+    labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    _check_labels(labels)
+    h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
+    if h.ndim != 2 or h.shape[0] != n_nodes or labels.shape[0] != n_nodes:
+        raise InputError(f"x {h.shape} and y {labels.shape[:1]} must have one row "
+                         f"per node of the {n_nodes}-node edges")
+    largest = max((len(r) for r, _ in edges.into_dst + edges.into_src), default=0)
+
+    def gathers(width):
+        return ws(("gather", width), (largest, width)), ws(("sent", width), (largest, width))
+
+    last = len(layer_spec) - 1
+    inputs, pre, acts = [], [], []
+    for i, (out_width, activation) in enumerate(layer_spec):
+        w, b = weights[2 * i], weights[2 * i + 1]
+        _check_layer(i, activation, h.shape[1], out_width, w, b)
+        if 0 < i < last:
+            h = tape.scatter_add(h, edges.into_dst, ws(("aggregate", i), h.shape),
+                                 gathers(h.shape[1]))
+        inputs.append(h)
+        z = np.matmul(h, w, out=ws(("pre", i), (n_nodes, out_width)))
+        pre.append(np.add(z, b, out=z))
+        h = tape.ACTIVATIONS[activation][0](z, ws(("out", i), z.shape))
+        acts.append(h)
+
+    loss, g = _bce_head(h, labels, ws)
+    grads: list = [None] * len(weights)
+    for i in reversed(range(len(layer_spec))):
+        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], acts[i],
+                                                  ws(("d_pre", i), pre[i].shape))
+        grads[2 * i + 1] = g.sum(axis=0)
+        grads[2 * i] = inputs[i].T @ g
+        if i:  # x itself is a constant, so layer 0's input gets no adjoint
+            g = np.matmul(g, weights[2 * i].T, out=ws(("d_in", i), inputs[i].shape))
+            if i < last:
+                g = tape.scatter_add(g, edges.into_src, ws(("d_out", i - 1), g.shape),
+                                     gathers(g.shape[1]))
     return loss, grads
 
 

@@ -140,17 +140,33 @@ def matmul(a, b):
     return _make(out, (a, grad_a), (b, grad_b))
 
 
-# Each activation as (forward(z), vjp(g, z, out)) on raw arrays, with `out` =
-# forward(z): the one definition `activate` records on the tape and the fused
-# MLP kernel replays.
+# Each activation as (forward(z, into), vjp(g, z, out, into)) on raw arrays,
+# with `out` = forward(z): the one definition `activate` records on the tape
+# and the closed-form kernels replay. `into`, when given, is an array of the
+# result's shape that receives the result; a vjp also uses it as scratch, so
+# it must be none of the vjp's inputs. Linear returns its input itself.
+def _sigmoid(z, into=None):
+    e = np.exp(np.negative(z, out=into), out=into)
+    return np.divide(1.0, np.add(1.0, e, out=e), out=e)
+
+
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda g, z, out: g * (z > 0.0)),
-    "sigmoid": (
-        lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda g, z, out: g * out * (1.0 - out),
+    "relu": (
+        lambda z, into=None: np.maximum(z, 0.0, out=into),
+        lambda g, z, out, into=None: np.multiply(
+            g, np.greater(z, 0.0, out=into), out=into),
     ),
-    "tanh": (np.tanh, lambda g, z, out: g * (1.0 - out * out)),
-    "linear": (lambda z: z, lambda g, z, out: g),
+    "sigmoid": (
+        _sigmoid,
+        lambda g, z, out, into=None: np.multiply(
+            np.multiply(g, out, out=into), 1.0 - out, out=into),
+    ),
+    "tanh": (
+        lambda z, into=None: np.tanh(z, out=into),
+        lambda g, z, out, into=None: np.multiply(
+            g, np.subtract(1.0, np.multiply(out, out, out=into), out=into), out=into),
+    ),
+    "linear": (lambda z, into=None: z, lambda g, z, out, into=None: g),
 }
 
 
@@ -254,13 +270,25 @@ class EdgeIndex:
         object.__setattr__(self, "into_src", _rank_groups(src, dst))
 
 
-def _scatter_add(v: Array, groups) -> Array:
-    """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order."""
-    out = v.copy()
+def scatter_add(v: Array, groups, out: Array | None = None, scratch=None) -> Array:
+    """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order:
+    `edge_aggregate` with the `into_dst` groups of an `EdgeIndex`, its vjp with
+    `into_src`.
+
+    The result goes to `out` when given. `scratch`, when given, is two arrays of
+    shape (largest group,) + v.shape[1:] for the gathered rows, so that the pass
+    allocates nothing the size of `v`.
+    """
+    if out is None:
+        out = v.copy()
+    else:
+        np.copyto(out, v)
     for receivers, senders in groups:
-        # out[receivers] += v[senders]; np.take gathers rows faster than v[senders]
-        rows = np.take(out, receivers, axis=0)
-        rows += np.take(v, senders, axis=0)
+        rows, sent = (None, None) if scratch is None else (a[:len(receivers)] for a in scratch)
+        # out[receivers] += v[senders]; np.take gathers rows faster than
+        # v[senders], and with mode="clip" it writes `out=` unbuffered
+        rows = np.take(out, receivers, axis=0, out=rows, mode="clip")
+        rows += np.take(v, senders, axis=0, out=sent, mode="clip")
         out[receivers] = rows
     return out
 
@@ -276,10 +304,10 @@ def edge_aggregate(x, edges: EdgeIndex):
     xv = _val(x)
     if xv.ndim == 0 or xv.shape[0] != edges.n_nodes:
         raise InputError(f"x has shape {xv.shape}, edges span {edges.n_nodes} rows")
-    out = _scatter_add(xv, edges.into_dst)
+    out = scatter_add(xv, edges.into_dst)
     if not _is_node(x):
         return out
-    return _make(out, (x, lambda g, groups=edges.into_src: _scatter_add(
+    return _make(out, (x, lambda g, groups=edges.into_src: scatter_add(
         np.asarray(g, dtype=np.float64), groups)))
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InputError, SchemaError
+from ..files import read_text
 from ..seeding import derive_seed
 from .env import RecoveryEnv, rollout
 from .objectives import ObjectiveVector, RewardWeights, make_reward
@@ -186,7 +187,7 @@ def save_policy(policy: Policy, path: str | Path) -> None:
 
 
 def load_policy(path: str | Path, hyper: QHyper | None = None) -> Policy:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    lines = read_text(path).strip().splitlines()
     if not lines or lines[0].split("\t") != ["state", "action", "q"]:
         raise SchemaError(f"{path}: not a policy table")
     q = np.zeros((N_STATES, N_ACTIONS))

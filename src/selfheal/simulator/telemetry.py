@@ -10,6 +10,7 @@ interval, which also sets the labels. Everything is a pure function of
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InputError, RowError, SchemaError
+from ..files import read_text
 
 METRICS = ("cpu", "memory", "latency_ms", "io_ops", "qps")
 
@@ -283,26 +285,25 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
         raise SchemaError(f"schema map names unknown metrics: {unknown}")
 
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in schema_map if c not in header]
-        if missing_cols:
-            raise SchemaError(f"{path}: missing columns: {missing_cols}")
-        positions = {schema_map[c]: header.index(c) for c in schema_map}
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    missing_cols = [c for c in schema_map if c not in header]
+    if missing_cols:
+        raise SchemaError(f"{path}: missing columns: {missing_cols}")
+    positions = {schema_map[c]: header.index(c) for c in schema_map}
 
-        rows: list[list[float]] = []
-        labels: list[float] = []
-        for line, row in enumerate(reader, start=2):
-            rows.append([_parse_cell(row, positions[m], m, line) for m in METRICS])
-            label = _parse_cell(row, positions["label"], "label", line)
-            if label not in (0.0, 1.0):
-                raise RowError(f"label must be 0 or 1, got {label:g}", line)
-            labels.append(label)
+    rows: list[list[float]] = []
+    labels: list[float] = []
+    for line, row in enumerate(reader, start=2):
+        rows.append([_parse_cell(row, positions[m], m, line) for m in METRICS])
+        label = _parse_cell(row, positions["label"], "label", line)
+        if label not in (0.0, 1.0):
+            raise RowError(f"label must be 0 or 1, got {label:g}", line)
+        labels.append(label)
     raw = np.array(rows, dtype=np.float64).reshape(-1, len(METRICS))
     metrics = clip_metrics(raw)
     clamp_counts = dict(zip(METRICS, (metrics != raw).sum(axis=0).tolist()))

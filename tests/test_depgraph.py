@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selfheal.errors import ConfigurationError, InputError, SchemaError
+from selfheal.errors import ConfigurationError, InputError, SchemaError, TrainingError
 from selfheal.depgraph import (
     FailurePrediction,
     GnnParams,
@@ -22,9 +22,12 @@ from selfheal.depgraph import (
     train_gnn,
     write_graph,
 )
-from selfheal.depgraph.gnn import _forward_probs, _training_samples, edge_arrays, fails_within
+from selfheal.depgraph.gnn import (
+    _forward_probs, _training_samples, edge_arrays, fails_within, gnn_param_shapes,
+)
 from selfheal.numerics import (
-    GradientTape, ParamSet, Tensor, bce_loss, finite_diff_grad, grad, sgd_step, tape,
+    GradientTape, ParamSet, Tensor, Workspace, bce_loss, finite_diff_grad,
+    gnn_loss_and_grad, grad, init_uniform_params, sgd_step, tape,
 )
 from selfheal.simulator import ComponentGraph, propagate_cascade
 from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
@@ -268,6 +271,16 @@ class TestTrainGnn:
         with pytest.raises(InputError):
             train_gnn([], epochs=1, seed=0)
 
+    @pytest.mark.parametrize("lr, match", [
+        (-0.1, "iteration 0: parameters diverged: learning rate must be >= 0"),
+        (1e300, "iteration 1: parameters diverged: tensor values must be finite"),
+        (np.inf, "iteration 0: parameters diverged: tensor values must be finite"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bad_step_is_a_training_error_at_its_epoch(self, lr, match):
+        with pytest.raises(TrainingError, match=match):
+            train_gnn(make_cascade_dataset(4, seed=5), epochs=3, lr=lr, seed=1)
+
     def test_gradient_matches_finite_differences_on_chain(self):
         graph = chain3()
         gnn = init_gnn(graph, seed=11, hidden_widths=(4,))
@@ -363,6 +376,101 @@ class TestTrainGnn:
         assert flags["n0"] is not None and flags["n4"] is not None
         assert flags["n0"] < flags["n4"]
         assert flags["n4"] < trace.failure_times["n4"]
+
+
+def hub7():
+    """(edges, h0, labels) of the 7-node hub graph: in- and out-degree 5 at n0,
+    which gives the forward and the vjp scatters several rank groups."""
+    nodes = [(f"n{i}", NODE_KINDS[i % 5], (0.1 * i, 0.5)) for i in range(7)]
+    edges = [(f"n{i}", "n0", 1.0) for i in range(1, 6)]
+    edges += [("n0", f"n{i}", 1.0) for i in range(2, 7)] + [("n6", "n5", 1.0)]
+    graph = ComponentGraph(nodes, edges)
+    telemetry = {nid: np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1)
+                 for i, nid in enumerate(graph.node_ids)}
+    h0 = init_embeddings(graph, telemetry, 1).vectors
+    return edge_arrays(graph), h0, np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+
+
+def stacked_batch():
+    """(edges, h0, labels) of several cascade samples stacked on one node axis
+    with offset edge indices, as `train_gnn` stacks them."""
+    samples = _training_samples(make_cascade_dataset(5, seed=12), 2,
+                                np.random.Generator(np.random.PCG64(3)))
+    src, dst, offset = [], [], 0
+    for graph, h, _ in samples:
+        graph_edges = edge_arrays(graph)
+        src.append(graph_edges.src + offset)
+        dst.append(graph_edges.dst + offset)
+        offset += h.shape[0]
+    edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
+    return (edges, np.vstack([h for _, h, _ in samples]),
+            np.concatenate([y for _, _, y in samples]))
+
+
+KERNEL_GRAPHS = {"hub": hub7, "stacked": stacked_batch}
+
+
+class TestGnnKernel:
+    """`gnn_loss_and_grad` against the taped grad(bce_loss(_forward_probs(...)))."""
+
+    @staticmethod
+    def kernel(params, edges, h0, labels, widths, activation, workspace=None):
+        names = list(gnn_param_shapes(h0.shape[1], widths))
+        spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
+        x = tape.edge_aggregate(h0, edges) if widths else h0
+        loss, grads = gnn_loss_and_grad([params[name].values for name in names], x,
+                                        labels, edges, spec, workspace)
+        return loss, dict(zip(names, grads))
+
+    @staticmethod
+    def taped(params, edges, h0, labels, widths, activation):
+        recorder = GradientTape(params)
+        loss = bce_loss(_forward_probs(recorder.leaves, edges, h0, widths, activation),
+                        labels.reshape(-1, 1))
+        return tape.value_of(loss), grad(loss, params)
+
+    def assert_bitwise(self, result, reference):
+        (loss, grads), (ref_loss, ref_grads) = result, reference
+        # tobytes, so that a signed zero from the relu vjp counts
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            assert g.shape == ref_grads[name].shape, name
+            assert g.tobytes() == ref_grads[name].values.tobytes(), name
+
+    @pytest.mark.parametrize("graph", sorted(KERNEL_GRAPHS))
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("widths", [(), (5,), (16, 16), (4, 3, 2)], ids=str)
+    def test_bitwise_equal_to_tape(self, graph, activation, widths):
+        edges, h0, labels = KERNEL_GRAPHS[graph]()
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=31)
+        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
+                            self.taped(params, edges, h0, labels, widths, activation))
+
+    def test_reused_workspace_leaks_nothing_between_passes(self):
+        edges, h0, labels = stacked_batch()
+        workspace, passes = Workspace(), []
+        for widths, activation, seed in [((16, 16), "relu", 1), ((16, 16), "relu", 2),
+                                         ((4, 3, 2), "tanh", 3), ((16, 16), "relu", 1)]:
+            params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed)
+            result = self.kernel(params, edges, h0, labels, widths, activation, workspace)
+            reference = self.taped(params, edges, h0, labels, widths, activation)
+            self.assert_bitwise(result, reference)
+            passes.append((result, reference))
+        # later passes overwrite the workspace, never what an earlier pass returned
+        for result, reference in passes:
+            self.assert_bitwise(result, reference)
+
+    def test_rejects_bad_labels_and_shapes(self):
+        edges, h0, labels = hub7()
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], (5,)), seed=0)
+        with pytest.raises(InputError, match="labels"):
+            self.kernel(params, edges, h0, labels * 2.0, (5,), "relu")
+        readout_only = init_uniform_params(gnn_param_shapes(h0.shape[1], ()), seed=0)
+        with pytest.raises(InputError, match="one row per node"):
+            self.kernel(readout_only, edges, h0[:-1], labels[:-1], (), "relu")
+        with pytest.raises(ConfigurationError, match="layer 0"):
+            self.kernel(params, edges, h0[:, :-1], labels, (5,), "relu")
 
 
 class TestMttfp:
@@ -506,6 +614,13 @@ class TestGraphIo:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"nodes": [], "edges": [], section: [1]}))
         with pytest.raises(SchemaError, match=rf"graph\.json: {section[:-1]} 0 must be"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("section", ["nodes", "edges"])
+    def test_non_list_section_is_schema_error(self, tmp_path, section):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"nodes": [], "edges": [], section: 1.5}))
+        with pytest.raises(SchemaError, match=rf"graph\.json: section '{section}' must be a list"):
             read_graph(path)
 
     def test_gnn_roundtrip_bitwise(self, tmp_path):

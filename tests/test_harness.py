@@ -144,6 +144,15 @@ class TestConfig:
         assert main(["train-gnn", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "'gnn.epochs' must be an integer >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("widths, key", [([0], "detector.hidden_widths.0"),
+                                             ([32, 0], "detector.hidden_widths.1")])
+    def test_zero_detector_width_exits_with_the_config_code(self, tmp_path, capsys,
+                                                            widths, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"detector": {"hidden_widths": widths}}))
+        assert main(["train-detector", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"'{key}' must be an integer >= 1" in capsys.readouterr().err
+
     def test_unknown_action_cost_name_rejected(self):
         from selfheal.harness.config import resolve_action_costs
 
@@ -302,6 +311,15 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"nonsense": 1}')
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("content", [b"", b'{"config": {', b"\xff\xfe{}", None],
+                             ids=["empty", "truncated", "non_utf8", "missing"])
+    def test_unreadable_report_input_exit_code_2(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_config_file_exit_code_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2

@@ -3,7 +3,7 @@
 `perfbench/tracing.py` wraps a few calls inside one layer by module and
 attribute name. A renamed target would not fail the benchmark; its per-layer
 metrics would just read zero. These tests fail instead, as does a GNN epoch
-that stops recording the spans its per-layer metrics read.
+that stops recording one numerics span per epoch.
 """
 
 import importlib
@@ -36,8 +36,8 @@ def test_intra_layer_target_resolves(module_name, attr, key):
 
 
 def test_gnn_training_keeps_its_traced_grad_calls():
-    # `numerics.grad.depgraph_us` and `depgraph.train_gnn.s` read these spans;
-    # an epoch that stops calling the tape's `grad` would zero the first
+    # each epoch is one call of the closed-form kernel that train_gnn binds
+    # from numerics, inside the one `depgraph.train_gnn` span
     script = (
         "import importlib.util\n"
         f"spec = importlib.util.spec_from_file_location('tracing', {str(_TRACING)!r})\n"
@@ -48,7 +48,8 @@ def test_gnn_training_keeps_its_traced_grad_calls():
         "tracer = tracing.Tracer()\n"
         "tracing.install(tracer)\n"
         "pipeline.train_gnn(make_cascade_dataset(4, seed=5), epochs=3, seed=1)\n"
-        "print(tracer.count('numerics.grad@depgraph'), tracer.count('depgraph.train_gnn'))\n"
+        "print(tracer.count('numerics.gnn_loss_and_grad@depgraph'),"
+        " tracer.count('depgraph.train_gnn'))\n"
     )
     src = str(_TRACING.parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -56,6 +57,6 @@ def test_gnn_training_keeps_its_traced_grad_calls():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]
-    grad_calls, train_calls = map(int, proc.stdout.split())
-    assert grad_calls == 3
+    kernel_calls, train_calls = map(int, proc.stdout.split())
+    assert kernel_calls == 3
     assert train_calls == 1
