@@ -16,7 +16,7 @@ from .gnn import (
     train_gnn,
 )
 from .graph_io import load_gnn, read_graph, save_gnn, write_graph
-from .metrics import mttfp, node_failure_accuracy, prediction_rates
+from .metrics import mttfp, node_failure_accuracy, prediction_rates, score_traces
 
 __all__ = [
     "DEFAULT_FLAG_THRESHOLD",
@@ -37,6 +37,7 @@ __all__ = [
     "load_gnn",
     "read_graph",
     "save_gnn",
+    "score_traces",
     "train_gnn",
     "write_graph",
 ]

@@ -199,6 +199,33 @@ class FailurePrediction:
         return {n: t for n, (_, t) in self.per_node.items() if t is not None}
 
 
+def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
+                   gnn: GnnParams, horizon: int) -> np.ndarray:
+    """`_node_probs` at each of ticks 0 .. horizon - 1: (horizon, n_nodes)."""
+    edges = edge_arrays(graph)
+    return np.array([_node_probs(gnn, edges, h0)
+                     for h0 in _inputs_by_tick(graph, node_telemetry, range(horizon))])
+
+
+def _flag_failures(node_ids, probs: np.ndarray, flag_threshold: float) -> FailurePrediction:
+    """`predict_failures` from the scanned probabilities `probs` (ticks, nodes)."""
+    best: dict[str, float] = {nid: 0.0 for nid in node_ids}
+    flag_tick: dict[str, int | None] = {nid: None for nid in node_ids}
+    flag_prob: dict[str, float] = {}
+    for tick, row in enumerate(probs.tolist()):
+        for nid, p in zip(node_ids, row):
+            best[nid] = max(best[nid], p)
+            if flag_tick[nid] is None and p >= flag_threshold:
+                flag_tick[nid] = tick
+                flag_prob[nid] = p
+    return FailurePrediction(
+        horizon=len(probs),
+        per_node={
+            nid: (flag_prob.get(nid, best[nid]), flag_tick[nid]) for nid in node_ids
+        },
+    )
+
+
 def predict_failures(
     graph: ComponentGraph,
     node_telemetry: dict[str, np.ndarray],
@@ -212,23 +239,8 @@ def predict_failures(
     the maximum seen when the node is never flagged."""
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    node_ids = graph.node_ids
-    best: dict[str, float] = {nid: 0.0 for nid in node_ids}
-    flag_tick: dict[str, int | None] = {nid: None for nid in node_ids}
-    flag_prob: dict[str, float] = {}
-    edges = edge_arrays(graph)
-    for tick, h0 in enumerate(_inputs_by_tick(graph, node_telemetry, range(horizon))):
-        for nid, p in zip(node_ids, _node_probs(gnn, edges, h0).tolist()):
-            best[nid] = max(best[nid], p)
-            if flag_tick[nid] is None and p >= flag_threshold:
-                flag_tick[nid] = tick
-                flag_prob[nid] = p
-    return FailurePrediction(
-        horizon=horizon,
-        per_node={
-            nid: (flag_prob.get(nid, best[nid]), flag_tick[nid]) for nid in node_ids
-        },
-    )
+    return _flag_failures(graph.node_ids, _probs_by_tick(graph, node_telemetry, gnn, horizon),
+                          flag_threshold)
 
 
 @dataclass

@@ -7,7 +7,8 @@ import numpy as np
 from ..errors import InputError
 from ..simulator import CascadeTrace
 from .gnn import (
-    FailurePrediction, GnnParams, _node_probs, edge_arrays, fails_within, init_embeddings,
+    DEFAULT_FLAG_THRESHOLD, FailurePrediction, GnnParams, _flag_failures, _probs_by_tick,
+    fails_within,
 )
 
 _EVAL_OFFSET = 1  # node_failure_accuracy scores the tick after each onset
@@ -56,19 +57,29 @@ def prediction_rates(
     }
 
 
-def node_failure_accuracy(
-    gnn: GnnParams, traces: list[CascadeTrace], flag_threshold: float = 0.5
-) -> float:
-    """Accuracy of 'fails within the label horizon' at onset + _EVAL_OFFSET."""
+def score_traces(
+    gnn: GnnParams, traces: list[CascadeTrace],
+    flag_threshold: float = DEFAULT_FLAG_THRESHOLD,
+) -> tuple[float, list[FailurePrediction]]:
+    """`node_failure_accuracy(gnn, traces, flag_threshold)` and, per trace,
+    `predict_failures` over all its ticks, from one scan of each trace."""
     if not traces:
         raise InputError("traces must be nonempty")
     correct = 0
     total = 0
+    predictions = []
     for trace in traces:
+        probs = _probs_by_tick(trace.graph, trace.node_telemetry, gnn, trace.ticks)
+        predictions.append(_flag_failures(trace.graph.node_ids, probs, flag_threshold))
         tick = min(trace.onset + _EVAL_OFFSET, trace.ticks - 1)
-        h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-        probs = _node_probs(gnn, edge_arrays(trace.graph), h0)
         labels = fails_within(trace, tick, gnn.label_horizon)
-        correct += int(np.sum((probs >= flag_threshold) == (labels == 1.0)))
+        correct += int(np.sum((probs[tick] >= flag_threshold) == (labels == 1.0)))
         total += len(labels)
-    return correct / total
+    return correct / total, predictions
+
+
+def node_failure_accuracy(
+    gnn: GnnParams, traces: list[CascadeTrace], flag_threshold: float = 0.5
+) -> float:
+    """Accuracy of 'fails within the label horizon' at onset + _EVAL_OFFSET."""
+    return score_traces(gnn, traces, flag_threshold)[0]

@@ -27,9 +27,9 @@ from ..detector import (
 )
 from ..depgraph import (
     mttfp,
-    node_failure_accuracy,
     predict_failures,
     prediction_rates,
+    score_traces,
     train_gnn,
 )
 from ..explain import BackgroundSet, metric_groups, shapley_attribution
@@ -190,13 +190,10 @@ def gnn_stage(cfg: RunConfig):
         lr=gnn_cfg.lr, seed=derive_seed(seed, "train"),
         label_horizon=gnn_cfg.label_horizon,
     )
-    accuracy = node_failure_accuracy(result.gnn, held,
-                                     flag_threshold=gnn_cfg.flag_threshold)
+    accuracy, predictions = score_traces(result.gnn, held,
+                                         flag_threshold=gnn_cfg.flag_threshold)
     leads, early, alarms, misses = [], 0, [], []
-    for trace in held:
-        pred = predict_failures(trace.graph, trace.node_telemetry, result.gnn,
-                                horizon=trace.ticks,
-                                flag_threshold=gnn_cfg.flag_threshold)
+    for trace, pred in zip(held, predictions):
         lead = mttfp(pred, trace, cfg.eval.tick_seconds)
         if lead is not None and lead > 0:
             early += 1

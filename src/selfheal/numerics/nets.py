@@ -197,21 +197,20 @@ def mlp_loss_and_grad(
     """
     labels = np.asarray(y, dtype=np.float64)[..., None]
     _check_labels(labels)
-    layer_inputs, pre, out = [], [], np.asarray(x, dtype=np.float64)
+    layer_inputs, out = [], np.asarray(x, dtype=np.float64)
     width = out.shape[-1]
     for i, (out_width, activation) in enumerate(layer_spec):
         w, b = weights[2 * i], weights[2 * i + 1]
         _check_layer(i, activation, width, out_width, w, b)
         layer_inputs.append(out)
-        pre.append(out @ w + b[..., None, :])
-        out = tape.ACTIVATIONS[activation][0](pre[-1])
+        out = tape.ACTIVATIONS[activation][0](out @ w + b[..., None, :])
         width = out_width
 
     loss, g = _bce_head(out, labels)
 
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
-        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], out)
+        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, out)
         grads[2 * i + 1] = g.sum(axis=-2)
         grads[2 * i] = np.swapaxes(layer_inputs[i], -1, -2) @ g
         if i:
@@ -237,10 +236,16 @@ def gnn_loss_and_grad(
 
     The pass replays the operation order of `grad(bce_loss(...))` over the
     taped network, so the loss and gradient equal the taped ones bitwise.
-    Its layer arrays, aggregates, adjoints and gathered rows come from
-    `workspace`, so a caller that keeps one workspace across passes allocates
-    them once. What a pass still allocates is one column wide (the label
-    check's masks and the sigmoid vjp's 1 - p) or returned (loss, gradients).
+    With L hidden layers, its node-sized arrays are views of 2L + 1 slots of
+    `workspace`, each n_nodes + 1 rows of the widest hidden layer: L layer
+    outputs, each written in place by the matmul, the bias add and the
+    activation; L - 1 aggregates; and two spares. Backward, each layer's vjp
+    overwrites its own output, an aggregate's adjoint overwrites the
+    aggregate, and its scatter lands in the layer's output slot, with slots
+    dead by then as the adjoint and as the scatter's scratch. A caller that
+    keeps one workspace across passes so allocates them once. What a pass
+    still allocates is one column wide (the label check's masks and the
+    sigmoid vjp's 1 - p) or returned (loss, gradients).
     """
     ws = Workspace() if workspace is None else workspace
     labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
@@ -249,37 +254,49 @@ def gnn_loss_and_grad(
     if h.ndim != 2 or h.shape[0] != n_nodes or labels.shape[0] != n_nodes:
         raise InputError(f"x {h.shape} and y {labels.shape[:1]} must have one row "
                          f"per node of the {n_nodes}-node edges")
-    largest = max((len(r) for r, _ in edges.into_dst + edges.into_src), default=0)
-
-    def gathers(width):
-        return ws(("gather", width), (largest, width)), ws(("sent", width), (largest, width))
-
     last = len(layer_spec) - 1
-    inputs, pre, acts = [], [], []
+    slot_size = (n_nodes + 1) * max((width for width, _ in layer_spec[:-1]), default=0)
+
+    def slot(name, width, rows=n_nodes):
+        return ws(name, (slot_size,))[:rows * width].reshape(rows, width)
+
+    spares = ("spare", 0), ("spare", 1)
+    inputs, outputs = [], []  # each hidden output with its spare row, for scatter_add
     for i, (out_width, activation) in enumerate(layer_spec):
         w, b = weights[2 * i], weights[2 * i + 1]
         _check_layer(i, activation, h.shape[1], out_width, w, b)
         if 0 < i < last:
-            h = tape.scatter_add(h, edges.into_dst, ws(("aggregate", i), h.shape),
-                                 gathers(h.shape[1]))
+            h = tape.scatter_add(outputs[-1], edges.into_dst,
+                                 slot(("aggregate", i), h.shape[1]),
+                                 [slot(name, h.shape[1]) for name in spares])
         inputs.append(h)
-        z = np.matmul(h, w, out=ws(("pre", i), (n_nodes, out_width)))
-        pre.append(np.add(z, b, out=z))
-        h = tape.ACTIVATIONS[activation][0](z, ws(("out", i), z.shape))
-        acts.append(h)
+        if i < last:
+            outputs.append(slot(("out", i), out_width, n_nodes + 1))
+            z = outputs[-1][:-1]
+        else:
+            z = ws("readout", (n_nodes, out_width))
+        np.add(np.matmul(h, w, out=z), b, out=z)
+        h = tape.ACTIVATIONS[activation][0](z, z)
 
     loss, g = _bce_head(h, labels, ws)
     grads: list = [None] * len(weights)
+    adjoint = spares[0]  # the slot that holds the adjoint of the layer's output
     for i in reversed(range(len(layer_spec))):
-        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, pre[i], acts[i],
-                                                  ws(("d_pre", i), pre[i].shape))
+        out = h if i == last else outputs[i][:-1]
+        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, out, out)
         grads[2 * i + 1] = g.sum(axis=0)
         grads[2 * i] = inputs[i].T @ g
-        if i:  # x itself is a constant, so layer 0's input gets no adjoint
-            g = np.matmul(g, weights[2 * i].T, out=ws(("d_in", i), inputs[i].shape))
-            if i < last:
-                g = tape.scatter_add(g, edges.into_src, ws(("d_out", i - 1), g.shape),
-                                     gathers(g.shape[1]))
+        if not i:  # x itself is a constant, so layer 0's input gets no adjoint
+            break
+        width = inputs[i].shape[1]
+        if i == last:
+            g = np.matmul(g, weights[2 * i].T, out=slot(adjoint, width))
+            continue
+        padded = slot(("aggregate", i), width, n_nodes + 1)
+        np.matmul(g, weights[2 * i].T, out=padded[:-1])
+        g = tape.scatter_add(padded, edges.into_src, slot(("out", i), width),
+                             [slot(adjoint, width), slot(spares[1], width)])
+        adjoint = ("out", i)
     return loss, grads
 
 

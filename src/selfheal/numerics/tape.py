@@ -15,7 +15,7 @@ that is all the MLPs and the message-passing layer need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,33 +140,36 @@ def matmul(a, b):
     return _make(out, (a, grad_a), (b, grad_b))
 
 
-# Each activation as (forward(z, into), vjp(g, z, out, into)) on raw arrays,
-# with `out` = forward(z): the one definition `activate` records on the tape
-# and the closed-form kernels replay. `into`, when given, is an array of the
-# result's shape that receives the result; a vjp also uses it as scratch, so
-# it must be none of the vjp's inputs. Linear returns its input itself.
+# Each activation as (forward(z, into), vjp(g, out, into)) on raw arrays, with
+# `out` = forward(z): the one definition `activate` records on the tape and the
+# closed-form kernels replay. A vjp reads the output only (relu's mask out > 0
+# equals z > 0, for -0.0 and NaN too), so a kernel can drop z once it is
+# activated. `into`, when given, is an array of the result's shape that
+# receives the result: a forward's may be `z` and a vjp's may be `out`, never
+# `g`. Linear returns its input itself.
 def _sigmoid(z, into=None):
     e = np.exp(np.negative(z, out=into), out=into)
     return np.divide(1.0, np.add(1.0, e, out=e), out=e)
 
 
+def _sigmoid_vjp(g, out, into=None):
+    complement = 1.0 - out  # before `into` may overwrite `out`
+    return np.multiply(np.multiply(g, out, out=into), complement, out=into)
+
+
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (
         lambda z, into=None: np.maximum(z, 0.0, out=into),
-        lambda g, z, out, into=None: np.multiply(
-            g, np.greater(z, 0.0, out=into), out=into),
+        lambda g, out, into=None: np.multiply(
+            g, np.greater(out, 0.0, out=into), out=into),
     ),
-    "sigmoid": (
-        _sigmoid,
-        lambda g, z, out, into=None: np.multiply(
-            np.multiply(g, out, out=into), 1.0 - out, out=into),
-    ),
+    "sigmoid": (_sigmoid, _sigmoid_vjp),
     "tanh": (
         lambda z, into=None: np.tanh(z, out=into),
-        lambda g, z, out, into=None: np.multiply(
+        lambda g, out, into=None: np.multiply(
             g, np.subtract(1.0, np.multiply(out, out, out=into), out=into), out=into),
     ),
-    "linear": (lambda z, into=None: z, lambda g, z, out, into=None: g),
+    "linear": (lambda z, into=None: z, lambda g, out, into=None: g),
 }
 
 
@@ -177,7 +180,7 @@ def activate(name: str, x):
     out = forward(xv)
     if not _is_node(x):
         return out
-    return _make(out, (x, lambda g, z=xv, o=out: vjp(g, z, o)))
+    return _make(out, (x, lambda g, o=out: vjp(g, o)))
 
 
 def log(x):
@@ -217,13 +220,22 @@ def mean(x):
     )
 
 
-def _rank_groups(keys: Array, others: Array) -> tuple[tuple[Array, Array], ...]:
-    """(keys[e], others[e]) for the edges e in which each key occurs for the
-    k-th time, k = 0, 1, ...; each group lists its edges in edge order.
+class RankGroups(NamedTuple):
+    """The pairs (r, s) of one scatter, grouped by the occurrence rank of r.
 
-    No key repeats within a group, so `out[keys_k] += v[others_k]` applied
-    group by group gives every key its additions in edge order.
+    `first` gathers the rank-0 group whole: first[r] is the s of r's rank-0
+    pair, or n_rows (a spare row) when r has none. `later` holds each later
+    group k = 1, 2, ... as (receivers, senders) in edge order; no receiver
+    repeats within a group, so `out[receivers] += v[senders]` applied group by
+    group gives every r its additions in edge order.
     """
+
+    first: Array
+    later: tuple[tuple[Array, Array], ...]
+
+
+def _rank_groups(keys: Array, others: Array, n_rows: int) -> RankGroups:
+    """The pairs (keys[e], others[e]) as `RankGroups` over rows 0 .. n_rows - 1."""
     members: list[list[int]] = []
     seen: dict[int, int] = {}
     for edge, key in enumerate(keys.tolist()):
@@ -232,7 +244,12 @@ def _rank_groups(keys: Array, others: Array) -> tuple[tuple[Array, Array], ...]:
         if rank == len(members):
             members.append([])
         members[rank].append(edge)
-    return tuple((keys[m], others[m]) for m in map(np.array, members))
+    groups = [(keys[m], others[m]) for m in map(np.array, members)]
+    first = np.full(n_rows, n_rows, dtype=np.intp)
+    if groups:
+        receivers, senders = groups[0]
+        first[receivers] = senders
+    return RankGroups(first, tuple(groups[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +262,8 @@ class EdgeIndex:
     src: Array
     dst: Array
     n_nodes: int
-    into_dst: tuple[tuple[Array, Array], ...] = field(init=False, repr=False)
-    into_src: tuple[tuple[Array, Array], ...] = field(init=False, repr=False)
+    into_dst: RankGroups = field(init=False, repr=False)
+    into_src: RankGroups = field(init=False, repr=False)
 
     def __post_init__(self):
         src, dst, n_nodes = np.asarray(self.src), np.asarray(self.dst), self.n_nodes
@@ -262,35 +279,46 @@ class EdgeIndex:
                                  f"0..{n_nodes - 1}")
         if src.shape != dst.shape:
             raise InputError(f"{src.size} sources but {dst.size} destinations")
-        src, dst = src.astype(np.intp), dst.astype(np.intp)
+        src, dst, n_nodes = src.astype(np.intp), dst.astype(np.intp), int(n_nodes)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "n_nodes", int(n_nodes))
-        object.__setattr__(self, "into_dst", _rank_groups(dst, src))
-        object.__setattr__(self, "into_src", _rank_groups(src, dst))
+        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "into_dst", _rank_groups(dst, src, n_nodes))
+        object.__setattr__(self, "into_src", _rank_groups(src, dst, n_nodes))
 
 
-def scatter_add(v: Array, groups, out: Array | None = None, scratch=None) -> Array:
-    """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order:
-    `edge_aggregate` with the `into_dst` groups of an `EdgeIndex`, its vjp with
-    `into_src`.
+def scatter_add(padded: Array, groups: RankGroups, out: Array | None = None,
+                scratch=None) -> Array:
+    """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order,
+    where v is `padded` without its last row: `edge_aggregate` with the
+    `into_dst` groups of an `EdgeIndex`, its vjp with `into_src`.
 
-    The result goes to `out` when given. `scratch`, when given, is two arrays of
-    shape (largest group,) + v.shape[1:] for the gathered rows, so that the pass
-    allocates nothing the size of `v`.
+    The last row of `padded` is a spare that this sets to -0.0, the value the
+    rank-0 gather gives a row with no rank-0 pair: x + (-0.0) == x bitwise for
+    every x, where x + 0.0 turns -0.0 into 0.0. The result goes to `out` when
+    given (not part of `padded`). `scratch`, when given, is two arrays of at
+    least (largest later group,) + v.shape[1:] for the gathered rows of the
+    later groups, so that the pass allocates nothing the size of v.
     """
-    if out is None:
-        out = v.copy()
-    else:
-        np.copyto(out, v)
-    for receivers, senders in groups:
+    padded[-1] = -0.0
+    v = padded[:-1]
+    # np.take gathers rows faster than fancy indexing, and with mode="clip" it
+    # writes `out=` unbuffered
+    out = np.take(padded, groups.first, axis=0, out=out, mode="clip")
+    np.add(v, out, out=out)
+    for receivers, senders in groups.later:
         rows, sent = (None, None) if scratch is None else (a[:len(receivers)] for a in scratch)
-        # out[receivers] += v[senders]; np.take gathers rows faster than
-        # v[senders], and with mode="clip" it writes `out=` unbuffered
         rows = np.take(out, receivers, axis=0, out=rows, mode="clip")
         rows += np.take(v, senders, axis=0, out=sent, mode="clip")
         out[receivers] = rows
     return out
+
+
+def _padded(v: Array) -> Array:
+    """A copy of `v` with one spare row after its rows, for `scatter_add`."""
+    padded = np.empty((v.shape[0] + 1,) + v.shape[1:])
+    padded[:-1] = v
+    return padded
 
 
 def edge_aggregate(x, edges: EdgeIndex):
@@ -304,11 +332,10 @@ def edge_aggregate(x, edges: EdgeIndex):
     xv = _val(x)
     if xv.ndim == 0 or xv.shape[0] != edges.n_nodes:
         raise InputError(f"x has shape {xv.shape}, edges span {edges.n_nodes} rows")
-    out = scatter_add(xv, edges.into_dst)
+    out = scatter_add(_padded(xv), edges.into_dst)
     if not _is_node(x):
         return out
-    return _make(out, (x, lambda g, groups=edges.into_src: scatter_add(
-        np.asarray(g, dtype=np.float64), groups)))
+    return _make(out, (x, lambda g, groups=edges.into_src: scatter_add(_padded(g), groups)))
 
 
 def value_of(x) -> Array:

@@ -15,15 +15,19 @@ from selfheal.depgraph import (
     init_gnn,
     load_gnn,
     mttfp,
+    node_failure_accuracy,
     predict_failures,
     prediction_rates,
     read_graph,
     save_gnn,
+    score_traces,
     train_gnn,
     write_graph,
 )
+from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _forward_probs, _training_samples, edge_arrays, fails_within, gnn_param_shapes,
+    _forward_probs, _node_probs, _training_samples, edge_arrays, fails_within,
+    gnn_param_shapes,
 )
 from selfheal.numerics import (
     GradientTape, ParamSet, Tensor, Workspace, bce_loss, finite_diff_grad,
@@ -461,6 +465,16 @@ class TestGnnKernel:
         for result, reference in passes:
             self.assert_bitwise(result, reference)
 
+    @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
+    def test_workspace_holds_two_node_arrays_per_hidden_layer_plus_one(self, widths):
+        edges, h0, labels = stacked_batch()
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=5)
+        workspace = Workspace()
+        self.kernel(params, edges, h0, labels, widths, "relu", workspace)
+        # not counted: the column-wide readout and BCE head arrays
+        wide = [a for a in workspace._arrays.values() if a.size > edges.n_nodes + 1]
+        assert len(wide) <= 2 * len(widths) + 1
+
     def test_rejects_bad_labels_and_shapes(self):
         edges, h0, labels = hub7()
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], (5,)), seed=0)
@@ -471,6 +485,37 @@ class TestGnnKernel:
             self.kernel(readout_only, edges, h0[:-1], labels[:-1], (), "relu")
         with pytest.raises(ConfigurationError, match="layer 0"):
             self.kernel(params, edges, h0[:, :-1], labels, (5,), "relu")
+
+
+class TestScoreTraces:
+    def test_one_scan_per_trace_gives_accuracy_and_predictions(self, monkeypatch):
+        traces = make_cascade_dataset(6, seed=8)
+        gnn = train_gnn(traces[:4], epochs=5, seed=1).gnn
+        held = traces[4:]
+        # reference: the forward at each trace's scored tick on its own
+        correct = total = 0
+        for trace in held:
+            tick = min(trace.onset + 1, trace.ticks - 1)
+            h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
+            probs = _node_probs(gnn, edge_arrays(trace.graph), h0)
+            labels = fails_within(trace, tick, gnn.label_horizon)
+            correct += int(np.sum((probs >= 0.4) == (labels == 1.0)))
+            total += len(labels)
+        builds = []
+        monkeypatch.setattr(gnn_module, "edge_arrays",
+                            lambda graph: builds.append(graph) or edge_arrays(graph))
+        accuracy, predictions = score_traces(gnn, held, flag_threshold=0.4)
+        assert len(builds) == len(held)
+        assert accuracy == correct / total
+        assert node_failure_accuracy(gnn, held, flag_threshold=0.4) == accuracy
+        assert predictions == [
+            predict_failures(t.graph, t.node_telemetry, gnn, t.ticks, flag_threshold=0.4)
+            for t in held]
+
+    def test_no_traces_rejected(self):
+        gnn = init_gnn(chain3(), seed=0)
+        with pytest.raises(InputError, match="nonempty"):
+            score_traces(gnn, [])
 
 
 class TestMttfp:

@@ -381,6 +381,78 @@ class TestEdgeAggregate:
             tape.edge_aggregate(np.ones((rows, 2)), edges)
 
 
+def _loop_scatter(v, receivers, senders):
+    """Reference: v plus v[s] added to row r pair by pair, in pair order."""
+    out = v.copy()
+    for r, s in zip(receivers.tolist(), senders.tolist()):
+        out[r] = out[r] + v[s]
+    return out
+
+
+class TestScatterAdd:
+    # rows 1-5 are -0.0, inf, -inf, NaN and a mix; row 6 is an isolated -0.0
+    # row, in no group either way, that must come out as -0.0
+    SRC = np.array([1, 2, 3, 4, 1, 5, 0, 2, 3, 5, 1], dtype=np.intp)
+    DST = np.array([0, 0, 0, 0, 3, 3, 5, 5, 1, 1, 2], dtype=np.intp)
+
+    @staticmethod
+    def rows():
+        return np.array([
+            [1.5, -2.0, 0.25, 3.0],
+            [-0.0, -0.0, -0.0, -0.0],
+            [np.inf, 1.0, -np.inf, -0.0],
+            [-np.inf, -0.0, np.inf, 2.0],
+            [np.nan, 0.0, -1.0, np.nan],
+            [-0.0, np.nan, np.inf, -5.0],
+            [-0.0, -0.0, -0.0, -0.0],
+        ])
+
+    @pytest.mark.parametrize("direction", ["into_dst", "into_src"])
+    @pytest.mark.parametrize("buffers", [False, True])
+    def test_equal_to_an_edge_by_edge_loop(self, direction, buffers):
+        edges = tape.EdgeIndex(self.SRC, self.DST, 7)
+        groups = getattr(edges, direction)
+        receivers, senders = ((self.DST, self.SRC) if direction == "into_dst"
+                              else (self.SRC, self.DST))
+        assert groups.later, "the case must have more than one rank group"
+        v = self.rows()
+        padded = np.vstack([v, np.full((1, 4), 7.0)])  # the spare row is overwritten
+        out, scratch = ((np.full((7, 4), 9.0), [np.full((7, 4), 9.0) for _ in range(2)])
+                        if buffers else (None, None))
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both sides
+            result = tape.scatter_add(padded, groups, out, scratch)
+            expected = _loop_scatter(v, receivers, senders)
+        assert result.tobytes() == expected.tobytes()
+        assert np.signbit(result[6]).all() and not result[6].any()
+        assert padded[:-1].tobytes() == v.tobytes()
+        if buffers:
+            assert result is out
+
+
+class TestActivations:
+    Z = np.array([[-2.0, -0.0, 0.0, 0.5, 3.0], [np.nan, -np.inf, np.inf, 1e-300, -1e-300]])
+    G = np.array([[1.0, -1.0, -2.0, 0.5, -0.0], [-3.0, 2.0, -1.0, 4.0, -1.0]])
+
+    @pytest.mark.parametrize("name", sorted(tape.ACTIVATIONS))
+    def test_vjp_into_its_own_output_equals_out_of_place(self, name):
+        forward, vjp = tape.ACTIVATIONS[name]
+        out = forward(self.Z.copy())
+        expected = vjp(self.G, out.copy())
+        into = out.copy()
+        assert vjp(self.G, into, into).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(tape.ACTIVATIONS))
+    def test_forward_into_its_input_equals_out_of_place(self, name):
+        forward, _ = tape.ACTIVATIONS[name]
+        z = self.Z.copy()
+        assert forward(z, z).tobytes() == forward(self.Z.copy()).tobytes()
+
+    def test_relu_vjp_reads_the_mask_of_z_from_the_output(self):
+        forward, vjp = tape.ACTIVATIONS["relu"]
+        z, g = self.Z, self.G
+        assert vjp(g, forward(z)).tobytes() == np.multiply(g, np.greater(z, 0.0)).tobytes()
+
+
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         params = ParamSet({"w": Tensor([1.0, -2.0])})
