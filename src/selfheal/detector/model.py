@@ -2,29 +2,27 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigurationError, InputError, SchemaError
-from ..files import read_json
+from ..files import integer, number
 from ..numerics import (
     ParamSet,
     forward_mlp,
     init_mlp_params,
-    int_from_payload,
     mlp_param_shapes,
     params_from_payload,
+    read_model,
     tape,
+    write_model,
 )
 
 DEFAULT_LAYER_SPEC = ((32, "relu"), (16, "relu"), (1, "sigmoid"))
 
 CHECKPOINT_FORMAT = "selfheal-detector"
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_FIELDS = {"input_width", "threshold", "layer_spec", "params"}
 
 
 @dataclass(frozen=True)
@@ -76,32 +74,18 @@ def detect(model: DetectorModel, x) -> tuple[float, int]:
 
 
 def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    write_model(path, CHECKPOINT_FORMAT, {
         "input_width": model.input_width,
         "threshold": model.threshold,
         "layer_spec": [[w, a] for w, a in model.layer_spec],
-        "params": {
-            name: {"shape": list(t.shape), "values": t.values.ravel().tolist()}
-            for name, t in model.params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    }, model.params)
 
 
 def load_checkpoint(path: str | Path) -> DetectorModel:
     """Read a `save_checkpoint` file; parameter names and shapes must match
     its layer spec and every value must be finite (SchemaError otherwise)."""
-    payload = read_json(path)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise SchemaError(f"{path}: not a detector checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise SchemaError(f"{path}: unsupported version {payload.get('version')}")
-    missing = sorted(_CHECKPOINT_FIELDS - set(payload))
-    if missing:
-        raise SchemaError(f"{path}: missing fields: {missing}")
-    input_width = int_from_payload(payload["input_width"], "input_width", path, 1)
+    payload = read_model(path, CHECKPOINT_FORMAT, ("input_width", "threshold", "layer_spec"))
+    input_width = integer(payload["input_width"], f"{path}: field 'input_width'", 1)
     entries = payload["layer_spec"]
     if not isinstance(entries, list) or not entries or not all(
         isinstance(e, list) and len(e) == 2 for e in entries
@@ -115,10 +99,8 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
             raise SchemaError(
                 f"{path}: field 'layer_spec.{i}' has unknown activation {activation!r}"
             )
-        layer_spec.append((int_from_payload(width, f"layer_spec.{i}", path, 1), activation))
-    threshold = payload["threshold"]
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise SchemaError(f"{path}: field 'threshold' must be a number, got {threshold!r}")
+        layer_spec.append((integer(width, f"{path}: field 'layer_spec.{i}'", 1), activation))
+    threshold = number(payload["threshold"], f"{path}: field 'threshold'")
     params = params_from_payload(
         payload["params"], mlp_param_shapes(input_width, layer_spec), path
     )

@@ -8,26 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+from .. import files
 from ..errors import ConfigurationError
-from ..files import read_json
-
-
-def _check_int(key: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(
-            f"'{key}' must be an integer >= {minimum}, got {value!r}"
-        )
-
-
-def _check_number(key: str, value, minimum: float | None = None) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum:g}"
-        raise ConfigurationError(f"'{key}' must be a finite number{bound}, got {value!r}")
 
 
 def _check_value(key: str, default, value) -> None:
@@ -40,9 +25,9 @@ def _check_value(key: str, default, value) -> None:
         for i, item in enumerate(value if default else ()):
             _check_value(f"{key}.{i}", default[0], item)
     elif isinstance(default, int):
-        _check_int(key, value, 0)
+        files.integer(value, f"'{key}'", 0, ConfigurationError)
     elif isinstance(default, float):
-        _check_number(key, value)
+        files.number(value, f"'{key}'", error=ConfigurationError)
     elif not isinstance(value, type(default)):
         raise ConfigurationError(f"'{key}' must be a {type(default).__name__}, "
                                  f"got {value!r}")
@@ -64,7 +49,7 @@ class SimulatorSection:
     fail_threshold: float = 0.5
 
     def __post_init__(self):
-        _check_int("simulator.window_width", self.window_width, 1)
+        files.integer(self.window_width, "'simulator.window_width'", 1, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ class DetectorSection:
     def __post_init__(self):
         # the floor `load_checkpoint` enforces, so a trained detector loads back
         for i, width in enumerate(self.hidden_widths):
-            _check_int(f"detector.hidden_widths.{i}", width, 1)
+            files.integer(width, f"'detector.hidden_widths.{i}'", 1, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -97,9 +82,9 @@ class GnnSection:
 
     def __post_init__(self):
         # the ranges `load_gnn` enforces, so a trained GNN always loads back
-        _check_int("gnn.label_horizon", self.label_horizon, 0)
+        files.integer(self.label_horizon, "'gnn.label_horizon'", 0, ConfigurationError)
         for i, width in enumerate(self.hidden_widths):
-            _check_int(f"gnn.hidden_widths.{i}", width, 1)
+            files.integer(width, f"'gnn.hidden_widths.{i}'", 1, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -130,7 +115,7 @@ class AgentSection:
                 )
             # the range RecoveryEnv enforces: a negative cost is the only way to
             # a negative objective, and a non-finite one poisons every reward
-            _check_number(f"agent.action_costs.{pair[0]}", pair[1], 0.0)
+            files.number(pair[1], f"'agent.action_costs.{pair[0]}'", 0.0, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -174,51 +159,29 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _coerce(section_type, raw: dict, path: str):
-    known = {f.name: f for f in fields(section_type)}
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ConfigurationError(f"unknown config keys under '{path}': {unknown}")
-    kwargs = {}
+def _coerce(section_type, raw, path: str):
+    """`raw` as a `section_type` (the root `RunConfig` at path ""): no key
+    outside its fields, each value of its default's type, a section given as
+    an object; the section's own ranges run in its `__post_init__`."""
+    files.fields(raw, f"'{path}'" if path else "config", (),
+                 [f.name for f in fields(section_type)], ConfigurationError)
+    defaults, kwargs = section_type(), {}
     for name, value in raw.items():
-        default = getattr(section_type(), name)
-        if isinstance(default, tuple):
-            if isinstance(value, dict):
-                value = tuple(sorted((str(k), v) for k, v in value.items()))
-            elif isinstance(value, (list, tuple)):
-                value = tuple(
-                    tuple(v) if isinstance(v, (list, tuple)) else v for v in value
-                )
-            else:
-                raise ConfigurationError(f"'{path}.{name}' must be a list")
-        _check_value(f"{path}.{name}", default, value)
+        key, default = f"{path}.{name}" if path else name, getattr(defaults, name)
+        if is_dataclass(default):
+            kwargs[name] = _coerce(type(default), value, key)
+            continue
+        if isinstance(default, tuple) and isinstance(value, dict):
+            value = tuple(sorted((str(k), v) for k, v in value.items()))
+        elif isinstance(default, tuple) and isinstance(value, (list, tuple)):
+            value = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
+        _check_value(key, default, value)
         kwargs[name] = value
-    try:
-        return section_type(**kwargs)
-    except TypeError as err:
-        raise ConfigurationError(f"bad values under '{path}': {err}") from None
+    return section_type(**kwargs)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    known = {"seed", "output_dir", *(_SECTION_TYPES)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigurationError(f"unknown top-level config keys: {unknown}")
-    kwargs: dict = {}
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            raise ConfigurationError("'seed' must be an integer")
-        kwargs["seed"] = raw["seed"]
-    if "output_dir" in raw:
-        kwargs["output_dir"] = str(raw["output_dir"])
-    for name, section_type in _SECTION_TYPES.items():
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ConfigurationError(f"'{name}' must be an object")
-            kwargs[name] = _coerce(section_type, raw[name], name)
-    return RunConfig(**kwargs)
+    return _coerce(RunConfig, raw, "")
 
 
 def resolve_action_costs(agent: AgentSection):
@@ -233,7 +196,7 @@ def resolve_action_costs(agent: AgentSection):
             raise ConfigurationError(
                 f"agent.action_costs names unknown action '{name}'"
             ) from None
-        _check_number(f"agent.action_costs.{name}", cost, 0.0)
+        files.number(cost, f"'agent.action_costs.{name}'", 0.0, ConfigurationError)
         table[action] = float(cost)
     return table
 
@@ -242,7 +205,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    return config_from_dict(read_json(path, ConfigurationError))
+    return config_from_dict(files.read_json(path, ConfigurationError))
 
 
 def resolved_config_json(cfg: RunConfig) -> str:

@@ -11,8 +11,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .. import files
 from ..errors import SchemaError
-from ..files import read_json
 
 
 @dataclass
@@ -30,15 +30,8 @@ class RunReport:
         return asdict(self)
 
     @staticmethod
-    def from_dict(raw: dict) -> "RunReport":
-        names = {f.name for f in fields(RunReport)}
-        unknown = sorted(set(raw) - names)
-        if unknown:
-            raise SchemaError(f"unknown report sections: {unknown}")
-        missing = sorted(names - set(raw))
-        if missing:
-            raise SchemaError(f"missing report sections: {missing}")
-        return RunReport(**{name: raw[name] for name in names})
+    def from_dict(raw: dict, where: str = "report") -> "RunReport":
+        return RunReport(**files.fields(raw, where, [f.name for f in fields(RunReport)]))
 
 
 def _fmt(value) -> str:
@@ -178,4 +171,13 @@ def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
 
 
 def parse_report(path: str | Path) -> RunReport:
-    return RunReport.from_dict(read_json(path))
+    """The report in the `emit_report` JSON file at `path`. It must hold the
+    eight sections and lay out as markdown: what `render_markdown` cannot lay
+    out (a missing key, a section of the wrong type) raises a SchemaError."""
+    report = RunReport.from_dict(files.read_json(path), str(path))
+    try:
+        render_markdown(report)
+    except (KeyError, TypeError, IndexError) as err:
+        raise SchemaError(f"{path}: cannot lay out the report "
+                          f"({type(err).__name__}: {err})") from None
+    return report

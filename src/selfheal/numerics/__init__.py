@@ -17,7 +17,7 @@ from .nets import (
     sgd_step,
 )
 from .tape import GradientTape, Node, grad
-from .tensor import ParamSet, Tensor, int_from_payload, params_from_payload
+from .tensor import ParamSet, Tensor, params_from_payload, read_model, write_model
 
 __all__ = [
     "LOG_CLAMP",
@@ -33,12 +33,13 @@ __all__ = [
     "grad",
     "init_mlp_params",
     "init_uniform_params",
-    "int_from_payload",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
     "mlp_params",
     "mlp_weights",
     "params_from_payload",
+    "read_model",
     "sgd_step",
     "tape",
+    "write_model",
 ]

@@ -2,16 +2,21 @@
 
 Tensors are immutable after construction and never hold NaN/Inf. ParamSet is
 the unit the optimizers and the gradient machinery operate on: an ordered
-(name -> Tensor) map with deterministic lexicographic iteration.
+(name -> Tensor) map with deterministic lexicographic iteration. The model
+files (`detector.json`, `gnn.json`) share one versioned JSON container of a
+header and a ParamSet: `write_model` and `read_model`.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from ..errors import InputError, SchemaError
+from ..files import fields, read_json
 
 
 class Tensor:
@@ -133,13 +138,30 @@ class ParamSet(Mapping[str, Tensor]):
         return ParamSet({k: Tensor.zeros(v.shape) for k, v in other.items()})
 
 
-def int_from_payload(value, field: str, source, minimum: int) -> int:
-    """The saved field `field` as an integer >= `minimum` (SchemaError otherwise)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise SchemaError(
-            f"{source}: field '{field}' must be an integer >= {minimum}, got {value!r}"
-        )
-    return value
+MODEL_VERSION = 1
+
+
+def write_model(path: str | Path, format_name: str, header: dict, params: ParamSet) -> None:
+    """Write a model file: `format_name` and `MODEL_VERSION`, the `header`
+    fields in order, then each parameter's shape and row-major values, which
+    `params_from_payload` reads back bitwise."""
+    payload = {"format": format_name, "version": MODEL_VERSION, **header, "params": {
+        name: {"shape": list(t.shape), "values": t.values.ravel().tolist()}
+        for name, t in params.items()
+    }}
+    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+
+
+def read_model(path: str | Path, format_name: str, header) -> dict:
+    """The fields of a `write_model` file: its format must be `format_name`,
+    its version `MODEL_VERSION` and its keys exactly those of `header` beside
+    format, version and params (SchemaError otherwise)."""
+    payload = read_json(path)
+    if payload.get("format") != format_name:
+        raise SchemaError(f"{path}: not a {format_name} file")
+    if payload.get("version") != MODEL_VERSION:
+        raise SchemaError(f"{path}: unsupported version {payload.get('version')!r}")
+    return fields(payload, str(path), ("format", "version", *header, "params"))
 
 
 def params_from_payload(
@@ -151,36 +173,20 @@ def params_from_payload(
     expected one and every value must be finite; anything else raises a
     SchemaError that names the offending field.
     """
-    if not isinstance(entries, dict):
-        raise SchemaError(f"{source}: field 'params' must be an object")
-    missing = sorted(set(expected) - set(entries))
-    unknown = sorted(set(entries) - set(expected))
-    if missing or unknown:
-        raise SchemaError(
-            f"{source}: field 'params' has missing names {missing} "
-            f"and unknown names {unknown}"
-        )
+    fields(entries, f"{source}: field 'params'", expected)
     out: dict[str, Tensor] = {}
     for name, shape in expected.items():
-        field = f"params.{name}"
-        entry = entries[name]
-        if not isinstance(entry, dict) or {"shape", "values"} - set(entry):
-            raise SchemaError(f"{source}: field '{field}' needs 'shape' and 'values'")
+        where = f"{source}: field 'params.{name}'"
+        entry = fields(entries[name], where, ("shape", "values"))
         if entry["shape"] != list(shape):
-            raise SchemaError(
-                f"{source}: field '{field}' has shape {entry['shape']}, "
-                f"expected {list(shape)}"
-            )
+            raise SchemaError(f"{where} has shape {entry['shape']}, expected {list(shape)}")
         try:
             values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{source}: field '{field}' holds non-numbers") from None
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"{where} holds non-numbers") from None
         if values.size != int(np.prod(shape)) or values.ndim != 1:
-            raise SchemaError(
-                f"{source}: field '{field}' has {values.size} values for shape "
-                f"{list(shape)}"
-            )
+            raise SchemaError(f"{where} has {values.size} values for shape {list(shape)}")
         if not np.all(np.isfinite(values)):
-            raise SchemaError(f"{source}: field '{field}' holds non-finite values")
+            raise SchemaError(f"{where} holds non-finite values")
         out[name] = Tensor(values.reshape(shape))
     return ParamSet(out)

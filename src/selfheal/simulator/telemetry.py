@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InputError, RowError, SchemaError
-from ..files import read_text
+from ..files import fields, read_text
 
 METRICS = ("cpu", "memory", "latency_ms", "io_ops", "qps")
 
@@ -276,13 +276,7 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
     counted; a missing, non-numeric or non-finite cell, or a label other than
     0 or 1, raises `RowError` with the cell's name and line.
     """
-    targets = set(schema_map.values())
-    missing_targets = [t for t in _SCHEMA_TARGETS if t not in targets]
-    if missing_targets:
-        raise SchemaError(f"schema map does not cover: {missing_targets}")
-    unknown = sorted(targets - set(_SCHEMA_TARGETS))
-    if unknown:
-        raise SchemaError(f"schema map names unknown metrics: {unknown}")
+    fields(dict.fromkeys(schema_map.values()), "schema map targets", _SCHEMA_TARGETS)
 
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path), newline=""))

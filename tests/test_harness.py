@@ -60,6 +60,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict({"seed": "abc"})
 
+    @pytest.mark.parametrize("raw, key", [({"seed": True}, "seed"), ({"seed": -1}, "seed"),
+                                          ({"output_dir": 5}, "output_dir")])
+    def test_top_level_values_checked_like_section_values(self, raw, key):
+        with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' must be")):
+            config_from_dict(raw)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config(tmp_path / "nope.json")
