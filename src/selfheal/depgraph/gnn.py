@@ -9,6 +9,8 @@ features, and its current unit-scaled telemetry.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,22 +260,24 @@ def fails_within(trace: CascadeTrace, tick: int, horizon: int) -> np.ndarray:
     ])
 
 
-def _training_samples(dataset, label_horizon, rng):
-    """(graph, h0, labels) triples: two ticks per trace, sampled near onset."""
+def _training_samples(traces, label_horizon, rng):
+    """(src, dst, h0, labels) per sample: two ticks per trace, sampled near
+    onset, each with its graph's edge ends, its input embeddings and its
+    `fails_within` labels. Each trace is read once and none is kept."""
     samples = []
-    for trace in dataset:
+    for trace in traces:
         span = min(6, trace.ticks - trace.onset)
         offsets = rng.integers(0, span, size=2)
+        src, dst = _edge_ends(trace.graph)
         for off in sorted(int(o) for o in offsets):
             tick = trace.onset + off
-            emb = init_embeddings(trace.graph, trace.node_telemetry, tick)
-            samples.append((trace.graph, emb.vectors,
-                            fails_within(trace, tick, label_horizon)))
+            h0 = _inputs_by_tick(trace.graph, trace.node_telemetry, [tick])[0]
+            samples.append((src, dst, h0, fails_within(trace, tick, label_horizon)))
     return samples
 
 
 def train_gnn(
-    dataset: list[CascadeTrace],
+    dataset: Iterable[CascadeTrace],
     hidden_widths: tuple[int, ...] = DEFAULT_HIDDEN_WIDTHS,
     epochs: int = 300,
     lr: float = 0.3,
@@ -287,26 +291,34 @@ def train_gnn(
     indices, so every epoch is a single forward/backward pass: the closed-form
     `gnn_loss_and_grad` on one workspace, bitwise equal to the taped pass
     `grad(bce_loss(_forward_probs(...)))` followed by `sgd_step`.
-    """
-    if not dataset:
-        raise InputError("dataset must be nonempty")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    gnn = init_gnn(dataset[0].graph, seed=seed, hidden_widths=tuple(hidden_widths),
-                   label_horizon=label_horizon)
 
-    samples = _training_samples(dataset, label_horizon, rng)
+    `dataset` is any iterable of traces, a one-shot generator included: each
+    trace is read once, before the first epoch, and none is kept while the
+    network trains. The network's input width comes from the first trace.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    traces = iter(dataset)
+    first = next(traces, None)
+    if first is None:
+        raise InputError("dataset must be nonempty")
+    gnn = init_gnn(first.graph, seed=seed, hidden_widths=tuple(hidden_widths),
+                   label_horizon=label_horizon)
+    samples = _training_samples(itertools.chain((first,), traces), label_horizon, rng)
+    del first
+
     src_parts, dst_parts = [], []
     offset = 0
-    for graph, h, _ in samples:
-        src, dst = _edge_ends(graph)
+    for src, dst, h, _ in samples:
         src_parts.append(src + offset)
         dst_parts.append(dst + offset)
         offset += h.shape[0]
     edges = tape.EdgeIndex(np.concatenate(src_parts), np.concatenate(dst_parts), offset)
-    h0 = np.vstack([h for _, h, _ in samples])
-    labels = np.concatenate([y for _, _, y in samples])
-    # h0 is a constant: its aggregate is the same every epoch
+    h0 = np.vstack([h for _, _, h, _ in samples])
+    labels = np.concatenate([y for *_, y in samples])
+    # h0 is a constant: its aggregate is the same every epoch, and only that
+    # aggregate is read from here on
     x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+    del samples, src_parts, dst_parts, h0
 
     layer_spec = [(width, gnn.hidden_activation) for width in gnn.hidden_widths]
     layer_spec.append((1, "sigmoid"))

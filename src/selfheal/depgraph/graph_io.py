@@ -9,11 +9,10 @@ which round-trips parameters bitwise.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from ..errors import InputError, SchemaError
-from ..files import fields, integer, read_json
+from ..files import fields, integer, number, read_json, string
 from ..numerics import params_from_payload, read_model, write_model
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
 from .gnn import HIDDEN_ACTIVATIONS, GnnParams, gnn_param_shapes
@@ -44,25 +43,30 @@ def read_graph(path: str | Path) -> ComponentGraph:
                               f"got {payload[section]!r}")
     nodes = []
     for i, entry in enumerate(payload["nodes"]):
-        fields(entry, f"{path}: node {i}", ("id", "kind", "static_features"))
+        where = f"{path}: node {i}"
+        fields(entry, where, ("id", "kind", "static_features"))
+        features = entry["static_features"]
+        if not isinstance(features, list):
+            raise SchemaError(f"{where}.static_features must be a list, got {features!r}")
+        features = tuple(float(number(x, f"{where}.static_features.{j}"))
+                         for j, x in enumerate(features))
+        node_id, kind = string(entry["id"], f"{where}.id"), string(entry["kind"], f"{where}.kind")
         try:
-            features = tuple(float(x) for x in entry["static_features"])
-            node = GraphNode(id=str(entry["id"]), kind=str(entry["kind"]),
-                             static_features=features)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise SchemaError(f"{path}: node {i}: {err}") from None
-        if not all(map(math.isfinite, features)):
-            raise SchemaError(f"{path}: node {i}.static_features must be finite, "
-                              f"got {list(features)}")
-        nodes.append(node)
+            nodes.append(GraphNode(id=node_id, kind=kind, static_features=features))
+        except InputError as err:  # an unknown kind
+            raise SchemaError(f"{where}: {err}") from None
     edges = []
     for i, entry in enumerate(payload["edges"]):
-        fields(entry, f"{path}: edge {i}", ("from", "to", "weight"))
+        where = f"{path}: edge {i}"
+        fields(entry, where, ("from", "to", "weight"))
+        src, dst = string(entry["from"], f"{where}.from"), string(entry["to"], f"{where}.to")
+        weight = entry["weight"]
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise SchemaError(f"{where}.weight must be a number, got {weight!r}")
         try:
-            edges.append(GraphEdge(src=str(entry["from"]), dst=str(entry["to"]),
-                                   weight=float(entry["weight"])))
-        except (TypeError, ValueError, OverflowError) as err:
-            raise SchemaError(f"{path}: edge {i}: {err}") from None
+            edges.append(GraphEdge(src=src, dst=dst, weight=float(weight)))
+        except (InputError, OverflowError) as err:  # a self-edge, or outside (0, 1]
+            raise SchemaError(f"{where}: {err}") from None
     try:
         return ComponentGraph(nodes, edges)
     except InputError as err:  # duplicate ids, dangling edges, ragged features

@@ -4,8 +4,8 @@ Every loader reads its file through `read_text` or `read_json`, so a file that
 cannot be read, bytes that are not UTF-8, and an empty, truncated or otherwise
 invalid JSON file raise a named error that gives the path instead of an
 `OSError` or a decoder's exception. The loaders and the config reader check
-what they read with `fields`, `integer` and `number`, which raise the same
-kind of named error, saying where the field is.
+what they read with `fields`, `integer`, `number` and `string`, which raise
+the same kind of named error, saying where the field is.
 """
 
 from __future__ import annotations
@@ -73,4 +73,11 @@ def number(value, where: str, minimum: float | None = None,
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum:g}"
         raise error(f"{where} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def string(value, where: str, error: type[Exception] = SchemaError) -> str:
+    """`value`, which must be a str (`error` otherwise)."""
+    if not isinstance(value, str):
+        raise error(f"{where} must be a string, got {value!r}")
     return value

@@ -85,6 +85,11 @@ class GnnSection:
         files.integer(self.label_horizon, "'gnn.label_horizon'", 0, ConfigurationError)
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'gnn.hidden_widths.{i}'", 1, ConfigurationError)
+        # the share of `simulator.n_cascades` that trains; the rest is held out
+        if not 0.0 <= files.number(self.train_fraction, "'gnn.train_fraction'",
+                                   error=ConfigurationError) <= 1.0:
+            raise ConfigurationError(
+                f"'gnn.train_fraction' must be in [0, 1], got {self.train_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,14 @@ class AgentSection:
     sweep_eval_episodes: int = 8
 
     def __post_init__(self):
+        # a reward weighs exactly three objectives: latency, resource, cost
+        vectors = {"agent.weights": self.weights, **{
+            f"agent.sweep_grid.{i}": w for i, w in enumerate(self.sweep_grid)}}
+        for key, vector in vectors.items():
+            if not isinstance(vector, tuple) or len(vector) != 3:
+                raise ConfigurationError(
+                    f"'{key}' must be three numbers (latency, resource, cost), "
+                    f"got {vector!r}")
         for pair in self.action_costs:
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ConfigurationError(

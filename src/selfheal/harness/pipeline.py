@@ -8,6 +8,7 @@ others and two runs of the same config produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 
 import numpy as np
@@ -183,13 +184,15 @@ def gnn_stage(cfg: RunConfig):
         n_nodes=sim.cascade_nodes, horizon=sim.cascade_horizon,
         fail_threshold=sim.fail_threshold,
     )
-    split = int(len(traces) * gnn_cfg.train_fraction)
-    train, held = traces[:split], traces[split:]
+    # the first `split` traces train the network as they are generated; the
+    # rest are generated after training, so no trace is held while it trains
+    split = int(sim.n_cascades * gnn_cfg.train_fraction)
     result = train_gnn(
-        train, hidden_widths=gnn_cfg.hidden_widths, epochs=gnn_cfg.epochs,
-        lr=gnn_cfg.lr, seed=derive_seed(seed, "train"),
+        itertools.islice(traces, split), hidden_widths=gnn_cfg.hidden_widths,
+        epochs=gnn_cfg.epochs, lr=gnn_cfg.lr, seed=derive_seed(seed, "train"),
         label_horizon=gnn_cfg.label_horizon,
     )
+    held = list(traces)
     accuracy, predictions = score_traces(result.gnn, held,
                                          flag_threshold=gnn_cfg.flag_threshold)
     leads, early, alarms, misses = [], 0, [], []
@@ -208,7 +211,7 @@ def gnn_stage(cfg: RunConfig):
         "false_alarm_rate": float(np.mean(alarms)),
         "miss_rate": float(np.mean(misses)),
         "held_out_cascades": len(held),
-        "training_cascades": len(train),
+        "training_cascades": split,
     }
     return result, dependency
 

@@ -159,8 +159,9 @@ def read_model(path: str | Path, format_name: str, header) -> dict:
     payload = read_json(path)
     if payload.get("format") != format_name:
         raise SchemaError(f"{path}: not a {format_name} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise SchemaError(f"{path}: unsupported version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != MODEL_VERSION:  # true and 1.0 equal 1
+        raise SchemaError(f"{path}: unsupported version {version!r}")
     return fields(payload, str(path), ("format", "version", *header, "params"))
 
 

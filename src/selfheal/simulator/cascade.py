@@ -9,6 +9,7 @@ series that degrades (latency up, qps down) after the node's failure tick.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +22,16 @@ NODE_KINDS = ("query", "table", "index", "connection_pool", "disk")
 # Healthy per-metric telemetry ranges by node kind: (cpu, memory, latency_ms,
 # io_ops, qps) midpoints; actual levels are seeded around these.
 _BASE_LEVELS = {
-    "query": (0.30, 0.35, 18.0, 120.0, 300.0),
-    "table": (0.20, 0.45, 12.0, 180.0, 200.0),
-    "index": (0.15, 0.30, 8.0, 150.0, 250.0),
-    "connection_pool": (0.25, 0.25, 10.0, 60.0, 350.0),
-    "disk": (0.35, 0.20, 22.0, 260.0, 150.0),
+    "query": np.array([0.30, 0.35, 18.0, 120.0, 300.0]),
+    "table": np.array([0.20, 0.45, 12.0, 180.0, 200.0]),
+    "index": np.array([0.15, 0.30, 8.0, 150.0, 250.0]),
+    "connection_pool": np.array([0.25, 0.25, 10.0, 60.0, 350.0]),
+    "disk": np.array([0.35, 0.20, 22.0, 260.0, 150.0]),
 }
 
-# Multipliers applied to a node's metrics from its failure tick onward.
-_FAILURE_EFFECT = {"cpu": 1.3, "memory": 1.2, "latency_ms": 4.0, "io_ops": 0.5, "qps": 0.2}
+# Multipliers applied to a node's metrics from its failure tick onward, in
+# METRICS order (cpu, memory, latency_ms, io_ops, qps).
+_FAILURE_EFFECT = np.array([1.3, 1.2, 4.0, 0.5, 0.2])
 
 # Tree shape: each node's strong parent is one of the _PARENT_WINDOW nodes
 # before it; a weak cross edge is drawn with probability _CROSS_EDGE_PROB.
@@ -150,47 +152,50 @@ def propagate_cascade(
 
     # in-edges in graph.edges order, so every weight sums in that order
     in_weights: dict[str, list[tuple[str, float]]] = {n.id: [] for n in graph.nodes}
+    dependents: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
     totals = dict.fromkeys(in_weights, 0.0)
     for e in graph.edges:
         in_weights[e.dst].append((e.src, e.weight))
+        dependents[e.src].append(e.dst)
         totals[e.dst] += e.weight
     failure_times: dict[str, int | None] = {n.id: None for n in graph.nodes}
     failure_times[seed_node] = onset
 
+    # A healthy node's failed in-weight grows only when an in-neighbour fails,
+    # so each tick re-checks only the dependents of the previous tick's
+    # failures, and a tick without a failure ends the cascade.
+    newly = [seed_node]
     for tick in range(onset + 1, horizon):
-        failed_before = {
-            nid for nid, t in failure_times.items() if t is not None and t < tick
-        }
-        for node in graph.nodes:
-            if failure_times[node.id] is not None:
-                continue
-            incoming = in_weights[node.id]
-            if not incoming:
-                continue
-            failed_weight = sum(w for src, w in incoming if src in failed_before)
-            if failed_weight / totals[node.id] >= fail_threshold:
-                failure_times[node.id] = tick
+        candidates = dict.fromkeys(
+            dst for src in newly for dst in dependents[src] if failure_times[dst] is None
+        )
+        newly = [
+            nid for nid in candidates
+            if sum(w for src, w in in_weights[nid] if failure_times[src] is not None)
+            / totals[nid] >= fail_threshold
+        ]
+        if not newly:
+            break
+        for nid in newly:  # after the checks: a failure acts from the next tick
+            failure_times[nid] = tick
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    node_telemetry: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        base = np.array(_BASE_LEVELS[node.kind])
-        level = base * rng.uniform(0.85, 1.15, size=5)
-        series = level + rng.normal(0.0, 0.02, size=(horizon, 5)) * level
+    series = np.empty((len(graph.nodes), horizon, len(METRICS)))
+    for node, rows in zip(graph.nodes, series):
+        level = _BASE_LEVELS[node.kind] * rng.uniform(0.85, 1.15, size=5)
+        rows[:] = level + rng.normal(0.0, 0.02, size=(horizon, 5)) * level
         fail_tick = failure_times[node.id]
         if fail_tick is not None:
-            effect = np.array([_FAILURE_EFFECT[m] for m in METRICS])
-            series[fail_tick:] *= effect
-        series = clip_metrics(series)
-        series.flags.writeable = False
-        node_telemetry[node.id] = series
+            rows[fail_tick:] *= _FAILURE_EFFECT
+    series = clip_metrics(series)
+    series.flags.writeable = False
 
     return CascadeTrace(
         graph=graph,
         seed_node=seed_node,
         onset=onset,
         failure_times=failure_times,
-        node_telemetry=node_telemetry,
+        node_telemetry=dict(zip(graph.node_ids, series)),
     )
 
 
@@ -242,15 +247,18 @@ def make_cascade_dataset(
     n_nodes: int = 10,
     horizon: int = 18,
     fail_threshold: float = 0.5,
-) -> list[CascadeTrace]:
+) -> Iterator[CascadeTrace]:
     """Seeded suite of cascades over varied tree-like dependency graphs.
 
     The failing component is drawn from the shallow end of each graph so most
     cascades propagate several hops, while nodes outside the seeded subtree
     supply genuine never-failing examples.
+
+    The traces are generated lazily, one per `next`, in a fixed order, so a
+    consumer that reads each trace once holds one at a time; wrap the result
+    in `list(...)` to index or slice it.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    traces = []
     for _ in range(n_traces):
         graph = make_tree_graph(n_nodes, seed=int(rng.integers(2**63)))
         # seed somewhere shallow that actually has dependents, so the cascade
@@ -261,14 +269,11 @@ def make_cascade_dataset(
         ] or ["n0"]
         seed_node = candidates[int(rng.integers(len(candidates)))]
         onset = int(rng.integers(2, 5))
-        traces.append(
-            propagate_cascade(
-                graph,
-                seed_node=seed_node,
-                onset=onset,
-                horizon=horizon,
-                fail_threshold=fail_threshold,
-                seed=int(rng.integers(2**63)),
-            )
+        yield propagate_cascade(
+            graph,
+            seed_node=seed_node,
+            onset=onset,
+            horizon=horizon,
+            fail_threshold=fail_threshold,
+            seed=int(rng.integers(2**63)),
         )
-    return traces

@@ -238,7 +238,7 @@ def test_c06_gnn_layer_fixture():
 
 def test_c07_cascade_prediction_direction():
     t0 = time.monotonic()
-    traces = make_cascade_dataset(200, seed=derive_seed(ROOT_SEED, "acc7"))
+    traces = list(make_cascade_dataset(200, seed=derive_seed(ROOT_SEED, "acc7")))
     train, held = traces[:160], traces[160:]
     result = train_gnn(train, epochs=300, lr=0.3,
                        seed=derive_seed(ROOT_SEED, "acc7", "train"))

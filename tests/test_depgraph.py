@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestGnnLayer:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     def test_chained_layers_and_readout_equal_forward_pass(self, activation):
-        traces = make_cascade_dataset(6, seed=4)
+        traces = list(make_cascade_dataset(6, seed=4))
         trained = train_gnn(traces, hidden_widths=(6, 5), epochs=5, seed=3).gnn
         gnn = replace(trained, hidden_activation=activation)
         trace = traces[-1]
@@ -252,7 +253,7 @@ class TestPredictFailures:
 
 class TestTrainGnn:
     def test_zero_epochs_returns_initialization(self):
-        traces = make_cascade_dataset(4, seed=5)
+        traces = list(make_cascade_dataset(4, seed=5))
         result = train_gnn(traces, epochs=0, seed=9)
         assert result.gnn.params == init_gnn(
             traces[0].graph, seed=9, label_horizon=result.gnn.label_horizon
@@ -260,7 +261,7 @@ class TestTrainGnn:
         assert result.loss_curve == []
 
     def test_fixed_seed_reproducible(self):
-        traces = make_cascade_dataset(6, seed=6)
+        traces = list(make_cascade_dataset(6, seed=6))
         a = train_gnn(traces, epochs=10, seed=4)
         b = train_gnn(traces, epochs=10, seed=4)
         assert a.gnn.params == b.gnn.params
@@ -274,6 +275,41 @@ class TestTrainGnn:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
             train_gnn([], epochs=1, seed=0)
+
+    @pytest.mark.parametrize("dataset", [iter([]), make_cascade_dataset(0, seed=1)],
+                             ids=["iterator", "generator"])
+    def test_empty_iterator_rejected(self, dataset):
+        with pytest.raises(InputError, match="dataset must be nonempty"):
+            train_gnn(dataset, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("widths", [(16, 16), ()])
+    def test_one_shot_generator_equals_list(self, widths):
+        listed = train_gnn(list(make_cascade_dataset(6, seed=6)), hidden_widths=widths,
+                           epochs=10, seed=4)
+        streamed = train_gnn(make_cascade_dataset(6, seed=6), hidden_widths=widths,
+                             epochs=10, seed=4)
+        assert streamed.loss_curve == listed.loss_curve
+        assert list(streamed.gnn.params) == list(listed.gnn.params)
+        assert streamed.gnn.params.flatten().tobytes() == listed.gnn.params.flatten().tobytes()
+
+    def test_no_training_trace_alive_when_training_starts(self, monkeypatch):
+        refs = []
+
+        def remember(trace):
+            refs.append(weakref.ref(trace))
+            return trace
+
+        alive_at_first_epoch = []
+        kernel = gnn_module.gnn_loss_and_grad
+
+        def watched(*args, **kwargs):
+            if not alive_at_first_epoch:
+                alive_at_first_epoch.append([ref() is not None for ref in refs])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(gnn_module, "gnn_loss_and_grad", watched)
+        train_gnn(map(remember, make_cascade_dataset(6, seed=6)), epochs=2, seed=4)
+        assert alive_at_first_epoch == [[False] * 6]
 
     @pytest.mark.parametrize("lr, match", [
         (-0.1, "iteration 0: parameters diverged: learning rate must be >= 0"),
@@ -337,7 +373,7 @@ class TestTrainGnn:
 
     @pytest.mark.parametrize("widths", [(16, 16), (5,), ()])
     def test_equal_to_a_loop_that_aggregates_h0_every_epoch(self, widths):
-        traces = make_cascade_dataset(6, seed=6)
+        traces = list(make_cascade_dataset(6, seed=6))
         epochs, lr, seed = 8, 0.3, 4
         result = train_gnn(traces, hidden_widths=widths, epochs=epochs, lr=lr, seed=seed)
 
@@ -345,14 +381,13 @@ class TestTrainGnn:
         rng = np.random.Generator(np.random.PCG64(seed))
         samples = _training_samples(traces, gnn.label_horizon, rng)
         src, dst, offset = [], [], 0
-        for graph, h, _ in samples:
-            graph_edges = edge_arrays(graph)
-            src.append(graph_edges.src + offset)
-            dst.append(graph_edges.dst + offset)
+        for sample_src, sample_dst, h, _ in samples:
+            src.append(sample_src + offset)
+            dst.append(sample_dst + offset)
             offset += h.shape[0]
         edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
-        h0 = np.vstack([h for _, h, _ in samples])
-        labels = np.concatenate([y for _, _, y in samples]).reshape(-1, 1)
+        h0 = np.vstack([h for _, _, h, _ in samples])
+        labels = np.concatenate([y for *_, y in samples]).reshape(-1, 1)
         params, curve = gnn.params, []
         for _ in range(epochs):
             recorder = GradientTape(params)
@@ -401,14 +436,13 @@ def stacked_batch():
     samples = _training_samples(make_cascade_dataset(5, seed=12), 2,
                                 np.random.Generator(np.random.PCG64(3)))
     src, dst, offset = [], [], 0
-    for graph, h, _ in samples:
-        graph_edges = edge_arrays(graph)
-        src.append(graph_edges.src + offset)
-        dst.append(graph_edges.dst + offset)
+    for sample_src, sample_dst, h, _ in samples:
+        src.append(sample_src + offset)
+        dst.append(sample_dst + offset)
         offset += h.shape[0]
     edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
-    return (edges, np.vstack([h for _, h, _ in samples]),
-            np.concatenate([y for _, _, y in samples]))
+    return (edges, np.vstack([h for _, _, h, _ in samples]),
+            np.concatenate([y for *_, y in samples]))
 
 
 KERNEL_GRAPHS = {"hub": hub7, "stacked": stacked_batch}
@@ -489,7 +523,7 @@ class TestGnnKernel:
 
 class TestScoreTraces:
     def test_one_scan_per_trace_gives_accuracy_and_predictions(self, monkeypatch):
-        traces = make_cascade_dataset(6, seed=8)
+        traces = list(make_cascade_dataset(6, seed=8))
         gnn = train_gnn(traces[:4], epochs=5, seed=1).gnn
         held = traces[4:]
         # reference: the forward at each trace's scored tick on its own
@@ -545,7 +579,7 @@ class TestMttfp:
         assert mttfp(pred, truth, 0.5) == pytest.approx(2.0)
 
     def test_nonnegative_when_defined(self):
-        traces = make_cascade_dataset(10, seed=31)
+        traces = list(make_cascade_dataset(10, seed=31))
         gnn = init_gnn(traces[0].graph, seed=0)
         for trace in traces:
             pred = predict_failures(trace.graph, trace.node_telemetry, gnn, trace.ticks)
@@ -615,6 +649,37 @@ class TestGraphIo:
         )
         with pytest.raises(SchemaError, match=r"node 0\.static_features"):
             read_graph(path)
+
+    @pytest.mark.parametrize("node, match", [
+        ({"id": 5}, r"node 0\.id must be a string, got 5"),
+        ({"kind": ["query"]}, r"node 0\.kind must be a string"),
+        ({"static_features": "12"}, r"node 0\.static_features must be a list, got '12'"),
+        ({"static_features": [0.5, "1"]}, r"node 0\.static_features\.1 must be a finite number"),
+        ({"static_features": [True]}, r"node 0\.static_features\.0 must be a finite number"),
+    ])
+    def test_node_field_of_wrong_type_is_refused_not_coerced(self, tmp_path, node, match):
+        path = self._graph_file(
+            tmp_path, [{"id": "a", "kind": "query", "static_features": [0.5], **node}])
+        with pytest.raises(SchemaError, match=match):
+            read_graph(path)
+
+    @pytest.mark.parametrize("edge, match", [
+        ({"from": 1}, r"edge 0\.from must be a string, got 1"),
+        ({"to": None}, r"edge 0\.to must be a string, got None"),
+        ({"weight": "0.5"}, r"edge 0\.weight must be a number, got '0\.5'"),
+        ({"weight": True}, r"edge 0\.weight must be a number, got True"),
+    ])
+    def test_edge_field_of_wrong_type_is_refused_not_coerced(self, tmp_path, edge, match):
+        path = self._two_nodes(tmp_path, {"from": "a", "to": "b", "weight": 0.5, **edge})
+        with pytest.raises(SchemaError, match=match):
+            read_graph(path)
+
+    def test_integer_features_and_weights_load_as_floats(self, tmp_path):
+        nodes = [{"id": n, "kind": "query", "static_features": [1]} for n in "ab"]
+        graph = read_graph(self._graph_file(tmp_path, nodes,
+                                            [{"from": "a", "to": "b", "weight": 1}]))
+        assert graph.nodes[0].static_features == (1.0,)
+        assert graph.edges[0].weight == 1.0 and isinstance(graph.edges[0].weight, float)
 
     def test_unknown_node_kind_is_schema_error(self, tmp_path):
         path = self._graph_file(tmp_path, [

@@ -151,6 +151,17 @@ def test_save_load_save_is_identical(tmp_path, name):
     assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["load_gnn", "load_checkpoint"])
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_model_version_must_be_the_integer_written(tmp_path, name, version):
+    payload = json.loads(_valid_bytes(tmp_path, name))
+    payload["version"] = version
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: unsupported version {version!r}")):
+        LOADERS[name][0](path)
+
+
 @pytest.mark.parametrize("sections", [["provenance"], ["recovery"], ["pareto"], ["closed_loop"],
                                       [f.name for f in fields(RunReport)]],
                          ids=["provenance", "recovery", "pareto", "closed_loop", "all"])

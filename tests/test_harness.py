@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,31 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' must be")):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "agent, key",
+        [
+            ({"weights": [1.0, 2.0]}, "agent.weights"),
+            ({"weights": [1.0, 1.0, 1.0, 1.0]}, "agent.weights"),
+            ({"weights": []}, "agent.weights"),
+            ({"sweep_grid": [[1.0, 1.0, 1.0], [0.6, 0.2]]}, "agent.sweep_grid.1"),
+            ({"sweep_grid": [[1.0, 1.0, 1.0, 0.0]]}, "agent.sweep_grid.0"),
+        ],
+    )
+    def test_weight_vector_must_have_three_numbers(self, tmp_path, capsys, agent, key):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"'{key}' must be three numbers")):
+            config_from_dict({"agent": agent})
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"agent": agent}))
+        assert main(["train-agent", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"'{key}' must be three numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", [-0.2, 1.5])
+    def test_train_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("'gnn.train_fraction' must be in [0, 1]")):
+            config_from_dict({"gnn": {"train_fraction": fraction}})
+
     def test_ints_stand_for_floats_and_zero_counts_load(self):
         cfg = config_from_dict({"simulator": {"anomaly_rate": 0, "mix_count": 0},
                                 "agent": {"episodes": 0, "weights": [1, 1, 1]}})
@@ -224,6 +250,32 @@ class TestPipeline:
         a = emit_report(fast_report, tmp_path / "a")["json"].read_bytes()
         b = emit_report(second, tmp_path / "b")["json"].read_bytes()
         assert a == b
+
+    def test_gnn_stage_holds_no_training_trace_while_it_trains(self, monkeypatch):
+        from selfheal.depgraph import gnn as gnn_module
+        from selfheal.harness import pipeline
+
+        refs, alive_at_first_epoch = [], []
+        make, kernel = pipeline.make_cascade_dataset, gnn_module.gnn_loss_and_grad
+
+        def remember(trace):
+            refs.append(weakref.ref(trace))
+            return trace
+
+        def watched(*args, **kwargs):
+            if not alive_at_first_epoch:
+                alive_at_first_epoch.append([ref() is not None for ref in refs])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "make_cascade_dataset",
+                            lambda *args, **kwargs: map(remember, make(*args, **kwargs)))
+        monkeypatch.setattr(gnn_module, "gnn_loss_and_grad", watched)
+        _, dependency = pipeline.gnn_stage(config_from_dict({**FAST_CONFIG, "gnn": {"epochs": 2}}))
+        # the 24 training traces are gone by the first epoch; the 6 held-out
+        # ones are generated after training
+        assert alive_at_first_epoch == [[False] * 24]
+        assert len(refs) == 30
+        assert (dependency["training_cascades"], dependency["held_out_cascades"]) == (24, 6)
 
     def test_baselines_share_episode_seeds(self, fast_report):
         seeds = fast_report.recovery["episode_seeds"]

@@ -20,8 +20,9 @@ from selfheal.simulator import (
     make_tasks,
     propagate_cascade,
 )
-from selfheal.simulator.cascade import make_cascade_dataset, make_tree_graph
-from selfheal.simulator.telemetry import CSV_COLUMNS, METRICS
+from selfheal.simulator import cascade
+from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
+from selfheal.simulator.telemetry import CSV_COLUMNS, METRICS, clip_metrics
 
 
 def flat_pattern(anomaly_rate=0.0, pattern_id="flat") -> WorkloadPattern:
@@ -214,6 +215,84 @@ class TestPropagateCascade:
         assert a.failure_times == b.failure_times
         for nid in a.node_telemetry:
             assert np.array_equal(a.node_telemetry[nid], b.node_telemetry[nid])
+
+    @staticmethod
+    def _oracle_graph(i: int) -> ComponentGraph:
+        """Seeded graph `i`: a tree from `make_tree_graph` for even `i`, else a
+        random multigraph whose edges may form cycles and repeat a pair."""
+        rng = np.random.default_rng(i)
+        n_nodes = int(rng.integers(1, 30))
+        if i % 2 == 0 or n_nodes == 1:
+            return make_tree_graph(n_nodes, seed=i)
+        nodes = [(f"v{k}", NODE_KINDS[int(rng.integers(len(NODE_KINDS)))], (0.5,))
+                 for k in range(n_nodes)]
+        edges = []
+        for _ in range(int(rng.integers(0, 3 * n_nodes))):
+            src, dst = rng.choice(n_nodes, size=2, replace=False)
+            edges.append((f"v{src}", f"v{dst}", float(rng.uniform(0.05, 1.0))))
+        return ComponentGraph(nodes, edges)
+
+    @pytest.mark.parametrize("fail_threshold", [0.1, 0.5, 1.0])
+    def test_equal_to_the_loop_that_checks_every_node_every_tick(self, fail_threshold):
+        for i in range(240):
+            graph = self._oracle_graph(i)
+            rng = np.random.default_rng([i, 1])
+            horizon = int(rng.integers(1, 25))
+            seed_node = graph.node_ids[int(rng.integers(len(graph.nodes)))]
+            onset = int(rng.integers(horizon))
+            trace = propagate_cascade(graph, seed_node, onset, horizon, fail_threshold, seed=i)
+            times, telemetry = _reference_cascade(graph, seed_node, onset, horizon,
+                                                  fail_threshold, seed=i)
+            assert list(trace.failure_times.items()) == list(times.items()), i
+            assert list(trace.node_telemetry) == list(telemetry)
+            for nid, series in telemetry.items():
+                assert trace.node_telemetry[nid].tobytes() == series.tobytes(), (i, nid)
+                assert not trace.node_telemetry[nid].flags.writeable
+
+    def test_one_clip_per_cascade(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cascade, "clip_metrics",
+                            lambda rows: calls.append(rows.shape) or clip_metrics(rows))
+        propagate_cascade(make_tree_graph(40, seed=2), "n0", 2, 24, 0.5, seed=3)
+        assert calls == [(40, 24, len(METRICS))]
+
+
+def _reference_cascade(graph, seed_node, onset, horizon, fail_threshold, seed):
+    """`propagate_cascade`'s failure times and node telemetry as first written:
+    every healthy node is checked on every tick up to the horizon, and each
+    node's series is built and clipped on its own."""
+    in_weights = {n.id: [] for n in graph.nodes}
+    totals = dict.fromkeys(in_weights, 0.0)
+    for e in graph.edges:
+        in_weights[e.dst].append((e.src, e.weight))
+        totals[e.dst] += e.weight
+    failure_times = {n.id: None for n in graph.nodes}
+    failure_times[seed_node] = onset
+    for tick in range(onset + 1, horizon):
+        failed_before = {
+            nid for nid, t in failure_times.items() if t is not None and t < tick
+        }
+        for node in graph.nodes:
+            if failure_times[node.id] is not None:
+                continue
+            incoming = in_weights[node.id]
+            if not incoming:
+                continue
+            failed_weight = sum(w for src, w in incoming if src in failed_before)
+            if failed_weight / totals[node.id] >= fail_threshold:
+                failure_times[node.id] = tick
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    node_telemetry = {}
+    for node in graph.nodes:
+        base = np.array(cascade._BASE_LEVELS[node.kind])
+        level = base * rng.uniform(0.85, 1.15, size=5)
+        series = level + rng.normal(0.0, 0.02, size=(horizon, 5)) * level
+        fail_tick = failure_times[node.id]
+        if fail_tick is not None:
+            series[fail_tick:] *= cascade._FAILURE_EFFECT
+        node_telemetry[node.id] = clip_metrics(series)
+    return failure_times, node_telemetry
 
 
 class TestComponentGraph:
