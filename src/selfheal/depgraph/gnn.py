@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    ParamSet, Workspace, gnn_loss_and_grad, init_uniform_params, mlp_param_shapes, tape,
+    ParamSet, Workspace, gnn_forward, gnn_loss_and_grad, init_uniform_params,
+    mlp_param_shapes, tape,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
@@ -116,31 +117,19 @@ def edge_arrays(graph: ComponentGraph) -> tape.EdgeIndex:
     return tape.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
 
 
-def _message_pass(h, edges, w, b, activation: str):
-    """One layer, act(edge_aggregate(h) @ w + b), on arrays or tape leaves.
-
-    `edges` is an `EdgeIndex`; the self term is implicit.
-    """
-    return tape.activate(activation, tape.add(
-        tape.matmul(tape.edge_aggregate(h, edges), w), b))
-
-
 def gnn_layer(
     graph: ComponentGraph, emb: NodeEmbeddings, layer: tuple
 ) -> NodeEmbeddings:
-    """Apply one message-passing layer to the embeddings."""
+    """Apply one message-passing layer, act(edge_aggregate(h) @ W + b), to the
+    embeddings: a one-layer `gnn_forward`."""
     w, b, activation = layer
-    w, b = tape.value_of(w), tape.value_of(b)
-    if w.shape[0] != emb.width or b.shape != (w.shape[1],):
-        raise ConfigurationError(
-            f"layer expects W({emb.width}, out) and b(out,), got W{w.shape} b{b.shape}"
-        )
     if activation not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
-    out = _message_pass(emb.vectors, edge_arrays(graph), w, b, activation)
-    return NodeEmbeddings(
-        layer_index=emb.layer_index + 1, node_ids=emb.node_ids, vectors=out
-    )
+    w, edges = tape.value_of(w), edge_arrays(graph)
+    out = gnn_forward([w, tape.value_of(b)], tape.edge_aggregate(emb.vectors, edges),
+                      edges, [(w.shape[-1], activation)])
+    return NodeEmbeddings(layer_index=emb.layer_index + 1, node_ids=emb.node_ids,
+                          vectors=out)
 
 
 def init_gnn(
@@ -171,23 +160,24 @@ def gnn_param_shapes(
 
 
 def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
-    """Per-node failure probabilities; works on arrays or tape leaves. Training
-    runs the same network through `gnn_loss_and_grad`, and this taped pass is
-    its reference."""
+    """Per-node failure probabilities from taped ops, on arrays or tape leaves:
+    the reference of `gnn_forward` and `gnn_loss_and_grad`, which scoring and
+    training run on."""
     h = h0
     for i in range(len(hidden_widths)):
-        h = _message_pass(h, edges, params_map[f"layer{i}.W"], params_map[f"layer{i}.b"],
-                          activation)
+        z = tape.matmul(tape.edge_aggregate(h, edges), params_map[f"layer{i}.W"])
+        h = tape.activate(activation, tape.add(z, params_map[f"layer{i}.b"]))
     return tape.activate("sigmoid", tape.add(
         tape.matmul(h, params_map["readout.w"]), params_map["readout.b"]
     ))
 
 
-def _node_probs(gnn: GnnParams, edges, h0: np.ndarray) -> np.ndarray:
-    """Each node's probability of failing within the label horizon of the tick
-    whose input embeddings are `h0`; `edges` is `edge_arrays(graph)`."""
-    return _forward_probs(gnn.params, edges, h0, gnn.hidden_widths,
-                          gnn.hidden_activation)[:, 0]
+def _network(gnn: GnnParams) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
+    """The weights and layer spec of `gnn` for `gnn_forward`: the hidden layers,
+    then the sigmoid readout."""
+    names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
+    layer_spec = [(width, gnn.hidden_activation) for width in gnn.hidden_widths]
+    return [gnn.params[name].values for name in names], layer_spec + [(1, "sigmoid")]
 
 
 @dataclass(frozen=True)
@@ -203,10 +193,15 @@ class FailurePrediction:
 
 def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
                    gnn: GnnParams, horizon: int) -> np.ndarray:
-    """`_node_probs` at each of ticks 0 .. horizon - 1: (horizon, n_nodes)."""
-    edges = edge_arrays(graph)
-    return np.array([_node_probs(gnn, edges, h0)
-                     for h0 in _inputs_by_tick(graph, node_telemetry, range(horizon))])
+    """Each node's probability of failing within the label horizon, at ticks
+    0 .. horizon - 1: (horizon, n_nodes), from one `gnn_forward` per tick."""
+    edges, workspace = edge_arrays(graph), Workspace()
+    (weights, layer_spec), probs = _network(gnn), np.empty((horizon, edges.n_nodes))
+    for tick, h0 in enumerate(_inputs_by_tick(graph, node_telemetry, range(horizon))):
+        x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+        # copied: the next tick overwrites the workspace's readout
+        probs[tick] = gnn_forward(weights, x, edges, layer_spec, workspace)[:, 0]
+    return probs
 
 
 def _flag_failures(node_ids, probs: np.ndarray, flag_threshold: float) -> FailurePrediction:
@@ -320,11 +315,7 @@ def train_gnn(
     x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
     del samples, src_parts, dst_parts, h0
 
-    layer_spec = [(width, gnn.hidden_activation) for width in gnn.hidden_widths]
-    layer_spec.append((1, "sigmoid"))
-    names = list(gnn_param_shapes(gnn.input_width, gnn.hidden_widths))
-    weights = [gnn.params[name].values for name in names]
-    workspace = Workspace()
+    (weights, layer_spec), workspace = _network(gnn), Workspace()
     curve: list[float] = []
     for epoch in range(epochs):
         loss, grads = gnn_loss_and_grad(weights, x, labels, edges, layer_spec, workspace)
@@ -340,13 +331,6 @@ def train_gnn(
         if not all(np.isfinite(w).all() for w in weights):
             raise TrainingError("parameters diverged: tensor values must be finite "
                                 "(no NaN/Inf)", epoch)
-    return GnnTrainResult(
-        gnn=GnnParams(
-            input_width=gnn.input_width,
-            hidden_widths=gnn.hidden_widths,
-            params=ParamSet(dict(zip(names, weights))),
-            hidden_activation=gnn.hidden_activation,
-            label_horizon=label_horizon,
-        ),
-        loss_curve=curve,
-    )
+    names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
+    return GnnTrainResult(gnn=replace(gnn, params=ParamSet(dict(zip(names, weights)))),
+                          loss_curve=curve)

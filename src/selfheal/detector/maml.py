@@ -18,10 +18,9 @@ from ..errors import InputError, TrainingError
 from ..numerics import (
     GradientTape,
     ParamSet,
-    bce_loss,
     finite_diff_grad,
-    forward_mlp,
     grad,
+    mlp_forward,
     mlp_loss_and_grad,
     mlp_params,
     mlp_weights,
@@ -29,7 +28,7 @@ from ..numerics import (
     tape,
 )
 from ..simulator import Task
-from .model import DEFAULT_LAYER_SPEC, DetectorModel, detect
+from .model import DEFAULT_LAYER_SPEC, DetectorModel
 
 # Support loss level that counts as "adapted" when measuring adaptation steps.
 ADAPT_LOSS_BOUND = 0.35
@@ -71,18 +70,6 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     if len(x) == 0:
         raise InputError("data must be nonempty")
     return x, y
-
-
-def _mlp_loss(layer_spec):
-    """The detector loss on the tape; the exact_fd_oracle objective uses it."""
-
-    def loss_fn(params_map, x, y):
-        pred = forward_mlp(params_map, x, layer_spec)
-        if isinstance(pred, tape.Node):
-            return bce_loss(pred, y.reshape(-1, 1))
-        return bce_loss(pred.values[:, 0], y)
-
-    return loss_fn
 
 
 def _taped_grad(loss_fn, params: ParamSet, x, y) -> ParamSet:
@@ -191,16 +178,15 @@ def meta_gradient(
     first_order evaluates each task's query gradient at the adapted
     parameters (inner Jacobian taken as identity) and sums in task order,
     on the fused MLP kernel unless a custom `loss_fn` is given.
-    exact_fd_oracle differentiates the full two-loop objective on the tape by
-    central finite differences; intended for small verification models.
+    exact_fd_oracle differentiates the full two-loop objective by central
+    finite differences, on the fused kernel unless a custom `loss_fn` is
+    given; intended for small verification models.
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
     if cfg.meta_mode == "first_order" and loss_fn is None:
         total, _ = _first_order(mlp_weights(params, layer_spec), tasks, cfg, layer_spec)
         return mlp_params(total, layer_spec)
-    loss_fn = loss_fn or _mlp_loss(layer_spec)
-
     if cfg.meta_mode == "first_order":
         total: ParamSet | None = None
         for task in tasks:
@@ -221,9 +207,11 @@ def meta_gradient(
                 p, (task.support_x, task.support_y), cfg.inner_lr,
                 cfg.inner_steps, layer_spec, loss_fn,
             )
-            value += float(
-                tape.value_of(loss_fn(adapted, *_as_xy((task.query_x, task.query_y))))
-            )
+            query = (task.query_x, task.query_y)
+            if loss_fn is None:
+                value += task_loss(adapted, query, layer_spec)
+            else:
+                value += float(tape.value_of(loss_fn(adapted, *_as_xy(query))))
         return value
 
     return finite_diff_grad(objective, params, _FD_STEP)
@@ -325,18 +313,12 @@ def evaluate(model: DetectorModel, task: Task, cfg: MetaConfig) -> EvalReport:
     if adaptation_steps is None:
         adaptation_steps = cfg.inner_steps
 
-    adapted = model.with_params(mlp_params(weights, spec))
-    tp = fp = fn = tn = 0
-    for row, label in zip(task.query_x, task.query_y):
-        _, flag = detect(adapted, row)
-        if flag and label == 1.0:
-            tp += 1
-        elif flag:
-            fp += 1
-        elif label == 1.0:
-            fn += 1
-        else:
-            tn += 1
+    # an (n, 1, d) stack scores each row as `detect` does, bitwise; an (n, d)
+    # batch can differ from it in the last bits
+    scores = mlp_forward(weights, task.query_x[:, None, :], spec)[-1]
+    flags, positive = scores[:, 0, 0] >= model.threshold, task.query_y == 1.0
+    tp, fp, fn, tn = (int(np.count_nonzero(f & p)) for f, p in (
+        (flags, positive), (flags, ~positive), (~flags, positive), (~flags, ~positive)))
     precision, recall, f1 = _prf(tp, fp, fn)
     return EvalReport(
         precision=precision,

@@ -11,9 +11,10 @@ from ..errors import ConfigurationError, InputError, SchemaError
 from ..files import integer, number
 from ..numerics import (
     ParamSet,
-    forward_mlp,
     init_mlp_params,
+    mlp_forward,
     mlp_param_shapes,
+    mlp_weights,
     params_from_payload,
     read_model,
     tape,
@@ -69,7 +70,8 @@ def detect(model: DetectorModel, x) -> tuple[float, int]:
             f"expected a feature vector of width {model.input_width}, "
             f"got shape {vec.shape}"
         )
-    score = float(forward_mlp(model.params, vec, model.layer_spec).values[0])
+    weights = mlp_weights(model.params, model.layer_spec)
+    score = float(mlp_forward(weights, vec[None], model.layer_spec)[-1][0, 0])
     return score, int(score >= model.threshold)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .detector.model import DetectorModel
-from .numerics import forward_mlp
+from .numerics import mlp_forward, mlp_weights
 from .recovery import ACTIONS, Policy, RecoveryAction, state_positions
 from .simulator import METRICS
 
@@ -87,18 +87,14 @@ def shapley_attribution(
     if covered != list(range(model.input_width)):
         raise InputError("groups must partition all feature indices exactly once")
 
-    masks = {name: np.array(groups[name], dtype=int) for name in names}
-    rows = background.rows
-
-    def coalition_value(bits: int) -> float:
-        data = rows.copy()
-        for j, name in enumerate(names):
-            if bits >> j & 1:
-                data[:, masks[name]] = vec[masks[name]]
-        out = forward_mlp(model.params, data, model.layer_spec).values
-        return float(out.mean())
-
-    values = [coalition_value(bits) for bits in range(2 ** g)]
+    # coalition `bits` takes group j from x iff bit j is set: all 2^g
+    # coalitions as one (2^g, n_rows, width) stack, scored in one pass
+    in_coalition = np.zeros((2 ** g, model.input_width), dtype=bool)
+    for j, name in enumerate(names):
+        in_coalition[:, groups[name]] = (np.arange(2 ** g) >> j & 1).astype(bool)[:, None]
+    data = np.where(in_coalition[:, None, :], vec, background.rows)
+    scores = mlp_forward(mlp_weights(model.params, model.layer_spec), data, model.layer_spec)
+    values = [float(block.mean()) for block in scores[-1]]
 
     fact = [math.factorial(k) for k in range(g + 1)]
     contributions = []

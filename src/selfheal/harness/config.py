@@ -158,6 +158,14 @@ class RunConfig:
     agent: AgentSection = field(default_factory=AgentSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
+    def __post_init__(self):
+        # the depgraph stage trains on the first `split` cascades and scores the rest
+        n, fraction = self.simulator.n_cascades, self.gnn.train_fraction
+        if not 1 <= (split := int(n * fraction)) < n:
+            raise ConfigurationError(
+                f"'gnn.train_fraction' {fraction!r} of 'simulator.n_cascades' {n} leaves "
+                f"{split} training and {n - split} held-out cascades; each side needs one")
+
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
 

@@ -7,9 +7,11 @@ from .nets import (
     bce_loss,
     finite_diff_grad,
     forward_mlp,
+    gnn_forward,
     gnn_loss_and_grad,
     init_mlp_params,
     init_uniform_params,
+    mlp_forward,
     mlp_loss_and_grad,
     mlp_param_shapes,
     mlp_params,
@@ -29,10 +31,12 @@ __all__ = [
     "bce_loss",
     "finite_diff_grad",
     "forward_mlp",
+    "gnn_forward",
     "gnn_loss_and_grad",
     "grad",
     "init_mlp_params",
     "init_uniform_params",
+    "mlp_forward",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
     "mlp_params",

@@ -1,11 +1,14 @@
-"""Small dense networks over the tape: MLP forward pass, BCE, SGD, and the
-finite-difference oracle every gradient in this package is checked against.
+"""Small dense networks: one array forward per network, its closed-form loss
+and gradient, SGD, and the finite-difference oracle every gradient in this
+package is checked against.
 
-`mlp_loss_and_grad` is the same MLP loss and gradient in closed form on raw
-arrays, optionally batched over tasks; the detector trains with it.
-`gnn_loss_and_grad` does the same for a message-passing network, writing its
-node-sized arrays into a reused `Workspace`; the GNN trains with it. The tape
-stays the reference of both."""
+`mlp_forward` is the MLP and `gnn_forward` the message-passing network on raw
+arrays; detection, evaluation, Shapley attribution and GNN scoring run on
+them. `mlp_loss_and_grad` (optionally batched over tasks) and
+`gnn_loss_and_grad` (on a reused `Workspace`) call them and add the BCE loss
+and its gradient in closed form; the detector and the GNN train with them.
+`forward_mlp` and `bce_loss` build the same network and loss from taped ops:
+the reference of both kernels and the generic path for custom losses."""
 
 from __future__ import annotations
 
@@ -183,119 +186,139 @@ def _bce_head(out: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
     return loss, np.multiply(g, mask, out=g)
 
 
+def mlp_forward(
+    weights: Sequence[np.ndarray], x: np.ndarray, layer_spec: LayerSpec
+) -> list[np.ndarray]:
+    """The MLP's input and each layer's output on raw arrays, [x, h_1, ..., h_L].
+
+    `weights` is [W0, b0, W1, b1, ...] as from `mlp_weights`. Each layer is
+    the taped ops of `forward_mlp`, act(h @ W + b), so a row scored alone, as
+    (1, d) or on an (n, 1, d) stack, equals its taped score bitwise.
+    """
+    activations = [np.asarray(x, dtype=np.float64)]
+    for i, (out_width, activation) in enumerate(layer_spec):
+        w, b, h = weights[2 * i], weights[2 * i + 1], activations[-1]
+        _check_layer(i, activation, h.shape[-1], out_width, w, b)
+        activations.append(tape.ACTIVATIONS[activation][0](h @ w + b[..., None, :]))
+    return activations
+
+
 def mlp_loss_and_grad(
     weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray, layer_spec: LayerSpec
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Mean BCE of a dense MLP and its gradient, in closed form on raw arrays.
+    """Mean BCE of `mlp_forward` and its gradient, in closed form on raw arrays.
 
-    `weights` is [W0, b0, W1, b1, ...] as from `mlp_weights`; `x` is (n, d)
-    and `y` (n,) of 0/1 labels. Any of them may carry a leading task axis of
-    length B, e.g. x (B, n, d) with weights (B, d, h) and (B, h), and then the
-    loss has shape (B,) and every gradient a leading B axis. The pass replays
-    the operation order of `grad(bce_loss(forward_mlp(...)))` on the tape, so
-    each task's loss and gradient equal the taped ones bitwise.
+    `x` is (n, d) and `y` (n,) of 0/1 labels. Any of them and the weights may
+    carry a leading task axis of length B, e.g. x (B, n, d) with weights
+    (B, d, h) and (B, h), and then the loss has shape (B,) and every gradient
+    a leading B axis. The pass replays the operation order of
+    `grad(bce_loss(forward_mlp(...)))` on the tape, so each task's loss and
+    gradient equal the taped ones bitwise.
     """
     labels = np.asarray(y, dtype=np.float64)[..., None]
     _check_labels(labels)
-    layer_inputs, out = [], np.asarray(x, dtype=np.float64)
-    width = out.shape[-1]
-    for i, (out_width, activation) in enumerate(layer_spec):
-        w, b = weights[2 * i], weights[2 * i + 1]
-        _check_layer(i, activation, width, out_width, w, b)
-        layer_inputs.append(out)
-        out = tape.ACTIVATIONS[activation][0](out @ w + b[..., None, :])
-        width = out_width
-
-    loss, g = _bce_head(out, labels)
-
+    activations = mlp_forward(weights, x, layer_spec)
+    loss, g = _bce_head(activations[-1], labels)
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
-        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, out)
+        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, activations[i + 1])
         grads[2 * i + 1] = g.sum(axis=-2)
-        grads[2 * i] = np.swapaxes(layer_inputs[i], -1, -2) @ g
+        grads[2 * i] = np.swapaxes(activations[i], -1, -2) @ g
         if i:
             g = g @ np.swapaxes(weights[2 * i], -1, -2)
-            out = layer_inputs[i]
     return loss, grads
+
+
+def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec):
+    """slot(name, width, rows=n_nodes): a (rows, width) view of the array
+    `name` of `ws`, which holds n_nodes + 1 rows of the widest hidden layer."""
+    size = (n_nodes + 1) * max((width for width, _ in layer_spec[:-1]), default=0)
+    return lambda name, width, rows=n_nodes: (
+        ws(name, (size,))[:rows * width].reshape(rows, width))
+
+
+def gnn_forward(
+    weights: Sequence[np.ndarray], x: np.ndarray, edges: tape.EdgeIndex,
+    layer_spec: LayerSpec, workspace: Workspace | None = None,
+) -> np.ndarray:
+    """A message-passing network on raw arrays, one row of `x` per node of
+    `edges`: layer i computes act(x_i @ W_i + b_i), where x_0 is `x`, every
+    later layer but the last reads `edge_aggregate` of the previous output,
+    and the last (the readout) reads that output itself. A GNN over input
+    embeddings h0 so passes `edge_aggregate(h0, edges)` when it has a hidden
+    layer, h0 when it has none. The ops replay the taped ones, so the output
+    equals the taped network's bitwise. Layer i < last writes its output to
+    the slot ("out", i) of `workspace`, and layer i > 0 its input to
+    ("aggregate", i); the output is the workspace's "readout" array, which
+    the next pass on that workspace overwrites.
+    """
+    ws = Workspace() if workspace is None else workspace
+    h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
+    if h.ndim != 2 or h.shape[0] != n_nodes:
+        raise InputError(f"x {h.shape} must have one row per node of the "
+                         f"{n_nodes}-node edges")
+    slot, last = _gnn_slots(ws, n_nodes, layer_spec), len(layer_spec) - 1
+    for i, (out_width, activation) in enumerate(layer_spec):
+        w, b = weights[2 * i], weights[2 * i + 1]
+        _check_layer(i, activation, h.shape[1], out_width, w, b)
+        if 0 < i < last:
+            h = tape.scatter_add(slot(("out", i - 1), h.shape[1], n_nodes + 1),
+                                 edges.into_dst, slot(("aggregate", i), h.shape[1]),
+                                 [slot(("spare", k), h.shape[1]) for k in (0, 1)])
+        z = slot(("out", i), out_width) if i < last else ws("readout", (n_nodes, out_width))
+        np.add(np.matmul(h, w, out=z), b, out=z)
+        h = tape.ACTIVATIONS[activation][0](z, z)
+    return h
 
 
 def gnn_loss_and_grad(
     weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
     edges: tape.EdgeIndex, layer_spec: LayerSpec, workspace: Workspace | None = None,
 ) -> tuple[np.floating, list[np.ndarray]]:
-    """Mean BCE of a message-passing network and its gradient, in closed form
-    on raw arrays.
-
-    Layer i of `layer_spec` computes act(x_i @ W_i + b_i) over the rows
-    (nodes) of `edges`. x_0 is `x` as given; every later layer but the last
-    reads `edge_aggregate` of the previous output, and the last (the readout)
-    reads that output itself. A GNN whose input embeddings h0 are constant so
-    passes `edge_aggregate(h0, edges)`, computed once, when it has a hidden
-    layer, and h0 when it has none. `weights` is [W0, b0, W1, b1, ...] and `y`
-    holds one 0/1 label per node.
+    """Mean BCE of `gnn_forward` and its gradient, in closed form on raw
+    arrays; `y` holds one 0/1 label per node.
 
     The pass replays the operation order of `grad(bce_loss(...))` over the
     taped network, so the loss and gradient equal the taped ones bitwise.
     With L hidden layers, its node-sized arrays are views of 2L + 1 slots of
     `workspace`, each n_nodes + 1 rows of the widest hidden layer: L layer
     outputs, each written in place by the matmul, the bias add and the
-    activation; L - 1 aggregates; and two spares. Backward, each layer's vjp
-    overwrites its own output, an aggregate's adjoint overwrites the
-    aggregate, and its scatter lands in the layer's output slot, with slots
-    dead by then as the adjoint and as the scatter's scratch. A caller that
-    keeps one workspace across passes so allocates them once. What a pass
-    still allocates is one column wide (the label check's masks and the
-    sigmoid vjp's 1 - p) or returned (loss, gradients).
+    activation; L - 1 aggregates; and two spares. Backward reads the
+    activations back from their slots: each layer's vjp overwrites its own
+    output, an aggregate's adjoint overwrites the aggregate, and its scatter
+    lands in the layer's output slot, with slots dead by then as the adjoint
+    and as the scatter's scratch. A caller that keeps one workspace across
+    passes so allocates them once. What a pass still allocates is one column
+    wide (the label check's masks and the sigmoid vjp's 1 - p) or returned
+    (loss, gradients).
     """
     ws = Workspace() if workspace is None else workspace
     labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     _check_labels(labels)
-    h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
-    if h.ndim != 2 or h.shape[0] != n_nodes or labels.shape[0] != n_nodes:
-        raise InputError(f"x {h.shape} and y {labels.shape[:1]} must have one row "
-                         f"per node of the {n_nodes}-node edges")
-    last = len(layer_spec) - 1
-    slot_size = (n_nodes + 1) * max((width for width, _ in layer_spec[:-1]), default=0)
-
-    def slot(name, width, rows=n_nodes):
-        return ws(name, (slot_size,))[:rows * width].reshape(rows, width)
-
-    spares = ("spare", 0), ("spare", 1)
-    inputs, outputs = [], []  # each hidden output with its spare row, for scatter_add
-    for i, (out_width, activation) in enumerate(layer_spec):
-        w, b = weights[2 * i], weights[2 * i + 1]
-        _check_layer(i, activation, h.shape[1], out_width, w, b)
-        if 0 < i < last:
-            h = tape.scatter_add(outputs[-1], edges.into_dst,
-                                 slot(("aggregate", i), h.shape[1]),
-                                 [slot(name, h.shape[1]) for name in spares])
-        inputs.append(h)
-        if i < last:
-            outputs.append(slot(("out", i), out_width, n_nodes + 1))
-            z = outputs[-1][:-1]
-        else:
-            z = ws("readout", (n_nodes, out_width))
-        np.add(np.matmul(h, w, out=z), b, out=z)
-        h = tape.ACTIVATIONS[activation][0](z, z)
-
+    if labels.shape[0] != edges.n_nodes:
+        raise InputError(f"y {labels.shape[:1]} must have one row per node of the "
+                         f"{edges.n_nodes}-node edges")
+    h = gnn_forward(weights, x, edges, layer_spec, ws)
     loss, g = _bce_head(h, labels, ws)
+    slot, last = _gnn_slots(ws, edges.n_nodes, layer_spec), len(layer_spec) - 1
     grads: list = [None] * len(weights)
-    adjoint = spares[0]  # the slot that holds the adjoint of the layer's output
+    adjoint = ("spare", 0)  # the slot that holds the adjoint of the layer's output
     for i in reversed(range(len(layer_spec))):
-        out = h if i == last else outputs[i][:-1]
+        out = h if i == last else slot(("out", i), layer_spec[i][0])
         g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, out, out)
         grads[2 * i + 1] = g.sum(axis=0)
-        grads[2 * i] = inputs[i].T @ g
         if not i:  # x itself is a constant, so layer 0's input gets no adjoint
+            grads[0] = np.asarray(x, dtype=np.float64).T @ g
             break
-        width = inputs[i].shape[1]
+        width = layer_spec[i - 1][0]
+        grads[2 * i] = slot(("out", i - 1) if i == last else ("aggregate", i), width).T @ g
         if i == last:
             g = np.matmul(g, weights[2 * i].T, out=slot(adjoint, width))
             continue
-        padded = slot(("aggregate", i), width, n_nodes + 1)
+        padded = slot(("aggregate", i), width, edges.n_nodes + 1)
         np.matmul(g, weights[2 * i].T, out=padded[:-1])
         g = tape.scatter_add(padded, edges.into_src, slot(("out", i), width),
-                             [slot(adjoint, width), slot(spares[1], width)])
+                             [slot(adjoint, width), slot(("spare", 1), width)])
         adjoint = ("out", i)
     return loss, grads
 

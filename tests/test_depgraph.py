@@ -27,7 +27,7 @@ from selfheal.depgraph import (
 )
 from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _forward_probs, _node_probs, _training_samples, edge_arrays, fails_within,
+    _forward_probs, _probs_by_tick, _training_samples, edge_arrays, fails_within,
     gnn_param_shapes,
 )
 from selfheal.numerics import (
@@ -180,6 +180,21 @@ class TestGnnLayer:
         assert np.array_equal(out1.vector("y"), out2.vector("y"))
         assert not np.array_equal(out1.vector("z"), out2.vector("z"))
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_bitwise_equal_to_taped_layer(self, activation):
+        rng = np.random.default_rng(9)
+        for trace in list(make_cascade_dataset(4, seed=6, n_nodes=12)):
+            emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset)
+            params = ParamSet({"W": Tensor(rng.normal(size=(emb.width, 5))),
+                               "b": Tensor(rng.normal(size=5))})
+            leaves = GradientTape(params).leaves
+            taped = tape.activate(activation, tape.add(tape.matmul(
+                tape.edge_aggregate(emb.vectors, edge_arrays(trace.graph)), leaves["W"]),
+                leaves["b"]))
+            out = gnn_layer(trace.graph, emb, (params["W"], params["b"], activation))
+            assert out.layer_index == 1 and out.node_ids == emb.node_ids
+            assert out.vectors.tobytes() == taped.value.tobytes()
+
     def test_width_mismatch_rejected(self):
         graph = chain3()
         emb = init_embeddings(graph, flat_telemetry(graph), 0)
@@ -241,6 +256,24 @@ class TestPredictFailures:
         pred = predict_failures(graph, flat_telemetry(graph), gnn, horizon=3)
         for prob, _tick in pred.per_node.values():
             assert prob == 0.5
+
+    @pytest.mark.parametrize("widths, activation", [((), "relu"), ((5,), "tanh"),
+                                                    ((16, 16), "relu"), ((4, 3, 2), "linear")],
+                             ids=str)
+    def test_every_tick_bitwise_equal_to_taped_forward(self, widths, activation):
+        traces = list(make_cascade_dataset(5, seed=12))
+        trained = train_gnn(traces[:3], hidden_widths=widths, epochs=5, seed=2).gnn
+        gnn = replace(trained, hidden_activation=activation)
+        for trace in traces[3:]:
+            probs = _probs_by_tick(trace.graph, trace.node_telemetry, gnn, trace.ticks)
+            assert probs.shape == (trace.ticks, len(trace.graph.nodes))
+            for tick in range(trace.ticks):
+                h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
+                taped = _forward_probs(gnn.params, edge_arrays(trace.graph), h0, widths,
+                                       activation)[:, 0]
+                assert probs[tick].tobytes() == taped.tobytes(), tick
+            # the ticks differ, so a scan that read one tick's readout for all would fail
+            assert len({row.tobytes() for row in probs}) > 1
 
     def test_unreachable_threshold_never_flags(self):
         graph = chain3()
@@ -531,7 +564,8 @@ class TestScoreTraces:
         for trace in held:
             tick = min(trace.onset + 1, trace.ticks - 1)
             h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-            probs = _node_probs(gnn, edge_arrays(trace.graph), h0)
+            probs = _forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+                                   gnn.hidden_widths, gnn.hidden_activation)[:, 0]
             labels = fails_within(trace, tick, gnn.label_horizon)
             correct += int(np.sum((probs >= 0.4) == (labels == 1.0)))
             total += len(labels)

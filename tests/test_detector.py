@@ -214,6 +214,19 @@ class TestMetaUpdate:
         for k in params:
             assert np.allclose(fwd[k].values, rev[k].values, atol=1e-12)
 
+    def test_default_loss_exact_fd_equals_first_order_when_inner_loop_is_identity(self):
+        # inner_lr = 0 makes the inner loop the identity, so the two-loop
+        # objective is the summed query loss and its gradient the first-order one
+        spec = ((3, "tanh"), (1, "sigmoid"))
+        params = init_detector(4, seed=6, layer_spec=spec).params
+        tasks = [tiny_task(s) for s in range(3)]
+        base = dict(inner_lr=0.0, inner_steps=2, meta_batch=3)
+        fd = meta_gradient(params, tasks, MetaConfig(**base, meta_mode="exact_fd_oracle"),
+                           spec)
+        fo = meta_gradient(params, tasks, MetaConfig(**base), spec)
+        assert np.abs(fo.flatten()).max() > 1e-3
+        assert np.allclose(fd.flatten(), fo.flatten(), rtol=1e-5, atol=1e-8)
+
     def test_fixed_order_bitwise_deterministic(self):
         spec = ((3, "relu"), (1, "sigmoid"))
         params = init_detector(4, seed=4, layer_spec=spec).params
@@ -242,6 +255,18 @@ class TestMetaTrain:
         b = meta_train(model, tasks, cfg, seed=9)
         assert a.model.params == b.model.params
         assert a.loss_curve == b.loss_curve
+
+    def test_exact_fd_oracle_iteration_is_one_meta_update(self):
+        spec = ((3, "tanh"), (1, "sigmoid"))
+        model = init_detector(4, seed=5, layer_spec=spec)
+        tasks = [tiny_task(s) for s in range(3)]
+        cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1, meta_batch=2,
+                         meta_iterations=1, meta_mode="exact_fd_oracle")
+        result = meta_train(model, tasks, cfg, seed=1)
+        picked = np.random.Generator(np.random.PCG64(1)).choice(3, size=2, replace=False)
+        expected = meta_update(model.params, [tasks[int(i)] for i in picked], cfg, spec)
+        assert len(result.loss_curve) == 1 and np.isfinite(result.loss_curve[0])
+        assert result.model.params == expected != model.params
 
     def test_too_few_tasks_rejected(self):
         model = init_detector(4, seed=6)
@@ -403,6 +428,19 @@ class TestDetect:
         with pytest.raises(InputError):
             detect(constant_half_model(), np.zeros(5))
 
+    @pytest.mark.parametrize("spec", [None, ((8, "tanh"), (4, "linear"), (1, "sigmoid"))],
+                             ids=["default", "tanh-linear"])
+    def test_score_bitwise_equal_to_taped_forward(self, spec):
+        tasks = make_tasks(default_patterns(3, seed=17, anomaly_rate=0.15), 6, 40, 4, seed=3)
+        rows = np.vstack([t.query_x for t in tasks])
+        for seed in range(3):
+            model = init_detector(20, seed, **({} if spec is None else {"layer_spec": spec}))
+            for row in rows:
+                taped = forward_mlp(model.params, row, model.layer_spec).values[0]
+                score, flag = detect(model, row)
+                assert np.float64(score).tobytes() == taped.tobytes()
+                assert flag == int(taped >= model.threshold)
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
@@ -430,6 +468,42 @@ class TestEvaluate:
         from selfheal.detector.maml import _prf
 
         assert _prf(0, 0, 0) == (0.0, 0.0, 0.0)
+
+    def test_scores_and_confusion_equal_per_row_detect(self, monkeypatch):
+        from selfheal.detector import maml
+
+        scored = []
+
+        def spy(weights, x, layer_spec):
+            scored.append(real(weights, x, layer_spec)[-1])
+            return [scored[-1]]
+
+        real = maml.mlp_forward
+        monkeypatch.setattr(maml, "mlp_forward", spy)
+        tasks = make_tasks(default_patterns(4, seed=23, anomaly_rate=0.2), 6, 60, 4, seed=2)
+        cfg = MetaConfig(inner_lr=0.5, inner_steps=3)
+        totals = np.zeros(4, dtype=int)
+        for seed, task in enumerate(tasks):
+            model = init_detector(20, seed=seed)
+            report = evaluate(model, task, cfg)
+            adapted = model.with_params(inner_adapt(
+                model.params, (task.support_x, task.support_y), cfg.inner_lr,
+                cfg.inner_steps, model.layer_spec))
+            tp = fp = fn = tn = 0
+            for row, label, score in zip(task.query_x, task.query_y, scored[-1][:, 0, 0]):
+                reference, flag = detect(adapted, row)
+                assert np.float64(score).tobytes() == np.float64(reference).tobytes()
+                if flag and label == 1.0:
+                    tp += 1
+                elif flag:
+                    fp += 1
+                elif label == 1.0:
+                    fn += 1
+                else:
+                    tn += 1
+            assert report.confusion == (tp, fp, fn, tn)
+            totals += report.confusion
+        assert len(scored) == len(tasks) and totals.min() > 0
 
     def test_confusion_sums_to_query_size(self):
         patterns = default_patterns(2, seed=31, anomaly_rate=0.15)

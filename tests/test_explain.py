@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from selfheal.explain import (
     metric_groups,
     shapley_attribution,
 )
-from selfheal.numerics import ParamSet, Tensor
+from selfheal.numerics import ParamSet, Tensor, forward_mlp
 from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, named_state
 
 
@@ -59,6 +61,40 @@ class TestShapley:
             assert sum(att.contributions) + att.base_value == pytest.approx(
                 att.instance_value, abs=1e-9
             )
+
+    @pytest.mark.parametrize("spec", [None, ((6, "tanh"), (1, "sigmoid"))],
+                             ids=["default", "tanh"])
+    def test_bitwise_equal_to_per_coalition_taped_forward(self, spec):
+        rng = np.random.default_rng(11)
+        groups = metric_groups(4)
+        names = tuple(groups)
+        for seed in range(3):
+            model = init_detector(20, seed, **({} if spec is None else {"layer_spec": spec}))
+            bg = BackgroundSet(rng.normal(size=(16, 20)))
+            x = rng.normal(size=20)
+            values = []
+            for bits in range(2 ** len(names)):  # one coalition at a time
+                data = bg.rows.copy()
+                for j, name in enumerate(names):
+                    if bits >> j & 1:
+                        data[:, groups[name]] = x[groups[name]]
+                values.append(float(forward_mlp(model.params, data, model.layer_spec)
+                                    .values.mean()))
+            g, fact = len(names), [math.factorial(k) for k in range(len(names) + 1)]
+            expected = []
+            for j in range(g):
+                phi = 0.0
+                for bits in range(2 ** g):
+                    if not bits >> j & 1:
+                        size = bits.bit_count()
+                        weight = fact[size] * fact[g - size - 1] / fact[g]
+                        phi += weight * (values[bits | (1 << j)] - values[bits])
+                expected.append(phi)
+            att = shapley_attribution(model, x, bg, groups)
+            assert np.array(att.contributions).tobytes() == np.array(expected).tobytes()
+            assert np.float64(att.base_value).tobytes() == np.float64(values[0]).tobytes()
+            assert (np.float64(att.instance_value).tobytes()
+                    == np.float64(values[-1]).tobytes())
 
     def test_dummy_group_gets_zero(self):
         # model provably ignores the last two features

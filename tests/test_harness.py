@@ -165,6 +165,25 @@ class TestConfig:
                            match=re.escape("'gnn.train_fraction' must be in [0, 1]")):
             config_from_dict({"gnn": {"train_fraction": fraction}})
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 0.01])
+    def test_train_fraction_must_leave_a_training_and_a_held_out_cascade(
+        self, tmp_path, capsys, fraction
+    ):
+        raw = {"simulator": {"n_cascades": 10}, "gnn": {"train_fraction": fraction}}
+        message = re.escape(f"'gnn.train_fraction' {fraction!r} of 'simulator.n_cascades' 10")
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_dict(raw)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train-gnn", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.9])
+    def test_train_fraction_leaving_one_cascade_on_a_side_loads(self, fraction):
+        cfg = config_from_dict({"simulator": {"n_cascades": 10},
+                                "gnn": {"train_fraction": fraction}})
+        assert cfg.gnn.train_fraction == fraction
+
     def test_ints_stand_for_floats_and_zero_counts_load(self):
         cfg = config_from_dict({"simulator": {"anomaly_rate": 0, "mix_count": 0},
                                 "agent": {"episodes": 0, "weights": [1, 1, 1]}})
