@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    ParamSet, Workspace, gnn_forward, gnn_loss_and_grad, init_uniform_params,
+    ParamSet, Workspace, descend, gnn_forward, gnn_loss_and_grad, init_uniform_params,
     mlp_param_shapes, tape,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
@@ -126,6 +126,8 @@ def gnn_layer(
     if activation not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
     w, edges = tape.value_of(w), edge_arrays(graph)
+    if w.ndim != 2:
+        raise ConfigurationError(f"layer weight must be a matrix, got shape {w.shape}")
     out = gnn_forward([w, tape.value_of(b)], tape.edge_aggregate(emb.vectors, edges),
                       edges, [(w.shape[-1], activation)])
     return NodeEmbeddings(layer_index=emb.layer_index + 1, node_ids=emb.node_ids,
@@ -323,14 +325,10 @@ def train_gnn(
         if not np.isfinite(value):
             raise TrainingError("training loss is not finite", epoch)
         curve.append(value)
-        # sgd_step on the arrays, with its checks
-        if lr < 0:
-            raise TrainingError(f"parameters diverged: learning rate must be >= 0, "
-                                f"got {lr}", epoch)
-        weights = [w - lr * g for w, g in zip(weights, grads)]
-        if not all(np.isfinite(w).all() for w in weights):
-            raise TrainingError("parameters diverged: tensor values must be finite "
-                                "(no NaN/Inf)", epoch)
+        try:
+            weights = descend(weights, grads, lr)
+        except InputError as err:
+            raise TrainingError(f"parameters diverged: {err}", epoch) from err
     names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
     return GnnTrainResult(gnn=replace(gnn, params=ParamSet(dict(zip(names, weights)))),
                           loss_curve=curve)

@@ -18,6 +18,7 @@ from ..errors import InputError, TrainingError
 from ..numerics import (
     GradientTape,
     ParamSet,
+    descend,
     finite_diff_grad,
     grad,
     mlp_forward,
@@ -50,14 +51,12 @@ class MetaConfig:
     meta_mode: str = "first_order"
 
     def __post_init__(self):
-        if self.inner_lr < 0 or self.meta_lr < 0:
-            raise InputError("learning rates must be >= 0")
-        if self.inner_steps < 0:
-            raise InputError("inner_steps must be >= 0")
-        if self.meta_batch < 1 or self.meta_iterations < 0:
-            raise InputError("meta_batch must be >= 1 and meta_iterations >= 0")
+        for name, low in (("inner_lr", 0), ("meta_lr", 0), ("inner_steps", 0),
+                          ("meta_batch", 1), ("meta_iterations", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.meta_mode not in META_MODES:
-            raise InputError(f"meta_mode must be one of {META_MODES}")
+            raise InputError(f"meta_mode must be one of {META_MODES}, got {self.meta_mode!r}")
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
@@ -72,62 +71,91 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _taped_grad(loss_fn, params: ParamSet, x, y) -> ParamSet:
-    recorder = GradientTape(params)
-    return grad(loss_fn(recorder.leaves, x, y), params)
+def _loss(params: ParamSet, layer_spec, loss_fn):
+    """`params` as a list of arrays, the loss f(weights, x, y) -> (loss, grads)
+    on such lists, and the way back to a ParamSet. Without `loss_fn`, f is the
+    fused `mlp_loss_and_grad`, which takes a leading task axis; a custom
+    `loss_fn(leaves, x, y)` runs on the tape, one task at a time."""
+    if loss_fn is None:
+        return (mlp_weights(params, layer_spec),
+                lambda weights, x, y: mlp_loss_and_grad(weights, x, y, layer_spec),
+                lambda weights: mlp_params(weights, layer_spec))
+    names = list(params)
+
+    def back(weights) -> ParamSet:
+        return ParamSet(dict(zip(names, weights)))
+
+    def taped(weights, x, y):
+        current = back(weights)
+        loss = loss_fn(GradientTape(current).leaves, x, y)
+        grads = grad(loss, current)
+        return np.asarray(tape.value_of(loss)), [grads[name].values for name in names]
+
+    return [params[name].values for name in names], taped, back
 
 
-def _descend(weights, grads, lr: float) -> list[np.ndarray]:
-    """One SGD step on raw arrays, with the finiteness check a Tensor makes."""
-    out = [w - lr * g for w, g in zip(weights, grads)]
-    if not all(np.isfinite(w).all() for w in out):
-        raise InputError("parameters are not finite after a descent step")
-    return out
-
-
-def _adapt(weights, x, y, lr: float, steps: int, layer_spec) -> list[np.ndarray]:
-    """`steps` fused SGD steps on (x, y); identity when lr == 0."""
-    if lr != 0.0:
-        for _ in range(steps):
-            weights = _descend(
-                weights, mlp_loss_and_grad(weights, x, y, layer_spec)[1], lr
-            )
-    return weights
+def _adapt(weights, loss, x, y, lr: float, steps: int):
+    """`steps` SGD steps of `loss` on (x, y): the adapted weights and the loss
+    before each step. At lr == 0 no step would move the weights, so they come
+    back as given, with the one loss they have (none when steps == 0)."""
+    losses = []
+    for _ in range(steps if lr else min(steps, 1)):
+        value, grads = loss(weights, x, y)
+        losses.append(value)
+        if lr:
+            weights = descend(weights, grads, lr)
+    return weights, losses
 
 
 _TASK_FIELDS = ("support_x", "support_y", "query_x", "query_y")
 
 
-def _first_order(weights, tasks: list[Task], cfg: MetaConfig, layer_spec):
-    """First-order meta-gradient and summed query loss of `tasks` at `weights`.
+def _batches(tasks: list[Task], loss_fn) -> list[tuple]:
+    """The tasks' (support_x, support_y, query_x, query_y): all of them stacked
+    on a leading task axis for the fused loss, one tuple per task on the tape.
+    Stacked tasks must share their shapes (InputError naming the first that
+    does not)."""
+    arrays = [tuple(getattr(t, f) for f in _TASK_FIELDS) for t in tasks]
+    if loss_fn is not None:
+        return arrays
+    shapes = [tuple(a.shape for a in task) for task in arrays]
+    for task, shape in zip(tasks, shapes):
+        if shape != shapes[0]:
+            raise InputError(
+                f"task '{task.source_pattern_id}' has shapes {shape}, task "
+                f"'{tasks[0].source_pattern_id}' {shapes[0]}; the fused loss "
+                "stacks tasks of one shape")
+    return [tuple(np.stack(a) for a in zip(*arrays))]
+
+
+def _first_order(weights, loss, batches, cfg: MetaConfig):
+    """First-order meta-gradient and summed query loss of `batches` at `weights`.
 
     Each task adapts on its support set, then takes its query loss and
-    gradient at the adapted weights; both are summed in task order. Tasks
-    whose support and query shapes all agree are stacked on a leading task
-    axis and run as one batch; otherwise they run one at a time.
+    gradient at the adapted weights; both are summed in task order.
     """
-
-    def query_loss_and_grad(support_x, support_y, query_x, query_y):
-        adapted = _adapt(weights, support_x, support_y, cfg.inner_lr,
-                         cfg.inner_steps, layer_spec)
-        return mlp_loss_and_grad(adapted, query_x, query_y, layer_spec)
-
-    shapes = {tuple(getattr(t, f).shape for f in _TASK_FIELDS) for t in tasks}
-    if len(shapes) == 1:
-        losses, grads = query_loss_and_grad(
-            *(np.stack([getattr(t, f) for t in tasks]) for f in _TASK_FIELDS)
-        )
-        per_task = [(losses[i], [g[i] for g in grads]) for i in range(len(tasks))]
-    else:
-        per_task = [
-            query_loss_and_grad(*(getattr(t, f) for f in _TASK_FIELDS))
-            for t in tasks
-        ]
     batch_loss, total = 0.0, None
-    for loss, grads in per_task:
-        batch_loss += float(loss)
-        total = grads if total is None else [a + b for a, b in zip(total, grads)]
+    for support_x, support_y, query_x, query_y in batches:
+        adapted = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,
+                         cfg.inner_steps)[0]
+        losses, grads = loss(adapted, query_x, query_y)
+        # one index per stacked task, or the single index () of a taped task
+        for i in np.ndindex(losses.shape):
+            batch_loss += float(losses[i])
+            task_grads = [g[i] for g in grads]
+            total = task_grads if total is None else [
+                a + b for a, b in zip(total, task_grads)]
     return total, batch_loss
+
+
+def _fd_gradient(params: ParamSet, batches, cfg: MetaConfig, layer_spec, loss_fn):
+    """Central finite differences of the summed post-adaptation query loss."""
+
+    def objective(p: ParamSet) -> float:
+        weights, loss, _ = _loss(p, layer_spec, loss_fn)
+        return _first_order(weights, loss, batches, cfg)[1]
+
+    return finite_diff_grad(objective, params, _FD_STEP)
 
 
 def task_loss(params: ParamSet, data, layer_spec=DEFAULT_LAYER_SPEC) -> float:
@@ -154,16 +182,8 @@ def inner_adapt(
         raise InputError(f"steps must be >= 0, got {steps}")
     if steps == 0 or inner_lr == 0.0:
         return params
-    if inner_lr < 0:
-        raise InputError(f"learning rate must be >= 0, got {inner_lr}")
-    x, y = _as_xy(support)
-    if loss_fn is None:
-        weights = mlp_weights(params, layer_spec)
-        return mlp_params(_adapt(weights, x, y, inner_lr, steps, layer_spec), layer_spec)
-    current = params
-    for _ in range(steps):
-        current = sgd_step(current, _taped_grad(loss_fn, current, x, y), inner_lr)
-    return current
+    weights, loss, back = _loss(params, layer_spec, loss_fn)
+    return back(_adapt(weights, loss, *_as_xy(support), inner_lr, steps)[0])
 
 
 def meta_gradient(
@@ -176,45 +196,19 @@ def meta_gradient(
     """Gradient of the summed post-adaptation query losses w.r.t. `params`.
 
     first_order evaluates each task's query gradient at the adapted
-    parameters (inner Jacobian taken as identity) and sums in task order,
-    on the fused MLP kernel unless a custom `loss_fn` is given.
+    parameters (inner Jacobian taken as identity) and sums in task order.
     exact_fd_oracle differentiates the full two-loop objective by central
-    finite differences, on the fused kernel unless a custom `loss_fn` is
-    given; intended for small verification models.
+    finite differences; intended for small verification models. Both run on
+    the fused MLP kernel, with the tasks stacked, unless a custom `loss_fn`
+    is given.
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    if cfg.meta_mode == "first_order" and loss_fn is None:
-        total, _ = _first_order(mlp_weights(params, layer_spec), tasks, cfg, layer_spec)
-        return mlp_params(total, layer_spec)
-    if cfg.meta_mode == "first_order":
-        total: ParamSet | None = None
-        for task in tasks:
-            adapted = inner_adapt(
-                params, (task.support_x, task.support_y), cfg.inner_lr,
-                cfg.inner_steps, layer_spec, loss_fn,
-            )
-            g = _taped_grad(loss_fn, adapted, *_as_xy((task.query_x, task.query_y)))
-            total = g if total is None else ParamSet(
-                {k: total[k].values + g[k].values for k in total}
-            )
-        return total
-
-    def objective(p: ParamSet) -> float:
-        value = 0.0
-        for task in tasks:
-            adapted = inner_adapt(
-                p, (task.support_x, task.support_y), cfg.inner_lr,
-                cfg.inner_steps, layer_spec, loss_fn,
-            )
-            query = (task.query_x, task.query_y)
-            if loss_fn is None:
-                value += task_loss(adapted, query, layer_spec)
-            else:
-                value += float(tape.value_of(loss_fn(adapted, *_as_xy(query))))
-        return value
-
-    return finite_diff_grad(objective, params, _FD_STEP)
+    batches = _batches(tasks, loss_fn)
+    if cfg.meta_mode == "exact_fd_oracle":
+        return _fd_gradient(params, batches, cfg, layer_spec, loss_fn)
+    weights, loss, back = _loss(params, layer_spec, loss_fn)
+    return back(_first_order(weights, loss, batches, cfg)[0])
 
 
 def meta_update(
@@ -244,8 +238,10 @@ def meta_train(
 ) -> MetaTrainResult:
     """Run `meta_iterations` meta-updates over seeded task minibatches.
 
-    The parameters stay raw arrays on the fused MLP kernel throughout and
-    become a ParamSet once, at the end.
+    The task pool is stacked once and each minibatch gathered from it by
+    index, so every task must share one shape. The parameters stay raw
+    arrays on the fused MLP kernel throughout and become a ParamSet once, at
+    the end.
     """
     if len(tasks) < cfg.meta_batch:
         raise InputError(
@@ -253,26 +249,23 @@ def meta_train(
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = init.layer_spec
-    weights = mlp_weights(init.params, spec)
+    weights, loss, back = _loss(init.params, spec, None)
+    (pool,) = _batches(tasks, None)
     curve: list[float] = []
     for iteration in range(cfg.meta_iterations):
         picked = rng.choice(len(tasks), size=cfg.meta_batch, replace=False)
-        batch = [tasks[int(i)] for i in picked]
+        batch = [tuple(a[picked] for a in pool)]
         try:
-            total, batch_loss = _first_order(weights, batch, cfg, spec)
+            grads, batch_loss = _first_order(weights, loss, batch, cfg)
             if not np.isfinite(batch_loss):
                 raise TrainingError("meta-loss is not finite", iteration)
-            if cfg.meta_mode == "first_order":
-                weights = _descend(weights, total, cfg.meta_lr)
-            else:
-                params = meta_update(mlp_params(weights, spec), batch, cfg, spec)
-                weights = mlp_weights(params, spec)
+            if cfg.meta_mode == "exact_fd_oracle":
+                grads = mlp_weights(_fd_gradient(back(weights), batch, cfg, spec, None), spec)
+            weights = descend(weights, grads, cfg.meta_lr)
         except InputError as err:
             raise TrainingError(f"parameters diverged: {err}", iteration) from err
         curve.append(batch_loss / cfg.meta_batch)
-    return MetaTrainResult(
-        model=init.with_params(mlp_params(weights, spec)), loss_curve=curve
-    )
+    return MetaTrainResult(model=init.with_params(back(weights)), loss_curve=curve)
 
 
 @dataclass(frozen=True)
@@ -301,17 +294,12 @@ def evaluate(model: DetectorModel, task: Task, cfg: MetaConfig) -> EvalReport:
     budget.
     """
     spec = model.layer_spec
-    x, y = _as_xy((task.support_x, task.support_y))
-    weights = mlp_weights(model.params, spec)
-    adaptation_steps = None
-    for step in range(cfg.inner_steps + 1):
-        if step:
-            weights = _descend(weights, grads, cfg.inner_lr)
-        loss, grads = mlp_loss_and_grad(weights, x, y, spec)
-        if adaptation_steps is None and loss <= ADAPT_LOSS_BOUND:
-            adaptation_steps = step
-    if adaptation_steps is None:
-        adaptation_steps = cfg.inner_steps
+    weights, loss, _ = _loss(model.params, spec, None)
+    weights, losses = _adapt(weights, loss, *_as_xy((task.support_x, task.support_y)),
+                             cfg.inner_lr, cfg.inner_steps)
+    adaptation_steps = next(
+        (step for step, value in enumerate(losses) if value <= ADAPT_LOSS_BOUND),
+        cfg.inner_steps)
 
     # an (n, 1, d) stack scores each row as `detect` does, bitwise; an (n, d)
     # batch can differ from it in the last bits

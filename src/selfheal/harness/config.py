@@ -12,7 +12,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .. import files
-from ..errors import ConfigurationError
+from ..detector import MetaConfig
+from ..errors import ConfigurationError, InputError
+from ..recovery import QHyper, RecoveryAction
 
 
 def _check_value(key: str, default, value) -> None:
@@ -53,19 +55,14 @@ class SimulatorSection:
 
 
 @dataclass(frozen=True)
-class DetectorSection:
-    inner_lr: float = 0.5
-    meta_lr: float = 0.1
-    inner_steps: int = 2
-    meta_batch: int = 6
-    meta_iterations: int = 2500
-    meta_mode: str = "first_order"
+class DetectorSection(MetaConfig):
     threshold: float = 0.5
     hidden_widths: tuple[int, ...] = (32, 16)
     eval_inner_steps: int = 5
     adapt_max_steps: int = 25
 
     def __post_init__(self):
+        super().__post_init__()
         # the floor `load_checkpoint` enforces, so a trained detector loads back
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'detector.hidden_widths.{i}'", 1, ConfigurationError)
@@ -93,12 +90,8 @@ class GnnSection:
 
 
 @dataclass(frozen=True)
-class AgentSection:
+class AgentSection(QHyper):
     episodes: int = 900
-    gamma: float = 0.95
-    lr: float = 0.1
-    epsilon_start: float = 0.3
-    epsilon_end: float = 0.01
     episode_ticks: int = 40
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # normalized at use
     # overrides of the per-invocation action cost table, by action name
@@ -113,6 +106,11 @@ class AgentSection:
     sweep_eval_episodes: int = 8
 
     def __post_init__(self):
+        super().__post_init__()
+        if not self.sweep_grid:
+            raise ConfigurationError("'agent.sweep_grid' must hold at least one weight vector")
+        files.integer(self.sweep_eval_episodes, "'agent.sweep_eval_episodes'", 1,
+                      ConfigurationError)
         # a reward weighs exactly three objectives: latency, resource, cost
         vectors = {"agent.weights": self.weights, **{
             f"agent.sweep_grid.{i}": w for i, w in enumerate(self.sweep_grid)}}
@@ -138,14 +136,9 @@ class EvalSection:
     background_rows: int = 16
     closed_loop_episodes: int = 3
 
-
-_SECTION_TYPES = {
-    "simulator": SimulatorSection,
-    "detector": DetectorSection,
-    "gnn": GnnSection,
-    "agent": AgentSection,
-    "eval": EvalSection,
-}
+    def __post_init__(self):
+        for name in ("recovery_episodes", "background_rows", "closed_loop_episodes"):
+            files.integer(getattr(self, name), f"'eval.{name}'", 1, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,8 @@ class RunConfig:
 def _coerce(section_type, raw, path: str):
     """`raw` as a `section_type` (the root `RunConfig` at path ""): no key
     outside its fields, each value of its default's type, a section given as
-    an object; the section's own ranges run in its `__post_init__`."""
+    an object; the section's own ranges run in its `__post_init__`, and a
+    learner's InputError there becomes a ConfigurationError."""
     files.fields(raw, f"'{path}'" if path else "config", (),
                  [f.name for f in fields(section_type)], ConfigurationError)
     defaults, kwargs = section_type(), {}
@@ -198,7 +192,10 @@ def _coerce(section_type, raw, path: str):
             value = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
         _check_value(key, default, value)
         kwargs[name] = value
-    return section_type(**kwargs)
+    try:
+        return section_type(**kwargs)
+    except InputError as err:  # a range of MetaConfig or QHyper
+        raise ConfigurationError(f"'{path}': {err}") from None
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -207,8 +204,6 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def resolve_action_costs(agent: AgentSection):
     """The agent section's cost overrides as a RecoveryAction-keyed table."""
-    from ..recovery import RecoveryAction
-
     table = {}
     for name, cost in agent.action_costs:
         try:

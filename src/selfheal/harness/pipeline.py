@@ -38,7 +38,6 @@ from ..recovery import (
     AgentTrainResult,
     RecoveryEnv,
     RewardWeights,
-    QHyper,
     estimate_normalizers,
     evaluate_policy,
     no_op_policy,
@@ -108,12 +107,6 @@ def _recovery_env(cfg: RunConfig) -> RecoveryEnv:
     )
 
 
-def _q_hyper(cfg: RunConfig) -> QHyper:
-    agent = cfg.agent
-    return QHyper(gamma=agent.gamma, lr=agent.lr,
-                  epsilon_start=agent.epsilon_start, epsilon_end=agent.epsilon_end)
-
-
 @_stage("tasks")
 def build_tasks(cfg: RunConfig):
     sim = cfg.simulator
@@ -141,12 +134,7 @@ def detector_stage(cfg: RunConfig, train_tasks, eval_tasks):
     layer_spec = tuple((w, "relu") for w in det.hidden_widths) + ((1, "sigmoid"),)
     init = init_detector(width, seed=derive_seed(seed, "init"),
                          layer_spec=layer_spec, threshold=det.threshold)
-    meta_cfg = MetaConfig(
-        inner_lr=det.inner_lr, meta_lr=det.meta_lr, inner_steps=det.inner_steps,
-        meta_batch=det.meta_batch, meta_iterations=det.meta_iterations,
-        meta_mode=det.meta_mode,
-    )
-    result = meta_train(init, train_tasks, meta_cfg, seed=derive_seed(seed, "train"))
+    result = meta_train(init, train_tasks, det, seed=derive_seed(seed, "train"))
 
     eval_cfg = MetaConfig(inner_lr=det.inner_lr, inner_steps=det.eval_inner_steps)
     reports = [evaluate(result.model, task, eval_cfg) for task in eval_tasks]
@@ -224,12 +212,11 @@ def agent_stage(cfg: RunConfig):
     seed = derive_seed(cfg.seed, "agent")
     env = _recovery_env(cfg)
     weights = RewardWeights.normalized(*agent.weights)
-    hyper = _q_hyper(cfg)
     if agent.episodes == 0:
-        result = AgentTrainResult(policy=zero_policy(hyper), returns=[],
+        result = AgentTrainResult(policy=zero_policy(agent), returns=[],
                                   normalizers=(1.0, 1.0, 1.0))
     else:
-        result = train_agent(env, weights, episodes=agent.episodes, hyper=hyper,
+        result = train_agent(env, weights, episodes=agent.episodes, hyper=agent,
                              seed=derive_seed(seed, "train"))
 
     eval_seed = derive_seed(cfg.seed, "eval")
@@ -287,7 +274,7 @@ def sweep_stage(cfg: RunConfig, env: RecoveryEnv | None = None):
     result = weight_sweep(
         env, grid, episodes=agent.sweep_episodes,
         seed=derive_seed(cfg.seed, "agent", "sweep"),
-        eval_episodes=agent.sweep_eval_episodes, hyper=_q_hyper(cfg),
+        eval_episodes=agent.sweep_eval_episodes, hyper=agent,
     )
     front_ids = {id(e) for e in result.front}
     return {

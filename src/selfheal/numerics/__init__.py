@@ -5,6 +5,7 @@ from .nets import (
     LOG_CLAMP,
     Workspace,
     bce_loss,
+    descend,
     finite_diff_grad,
     forward_mlp,
     gnn_forward,
@@ -29,6 +30,7 @@ __all__ = [
     "Tensor",
     "Workspace",
     "bce_loss",
+    "descend",
     "finite_diff_grad",
     "forward_mlp",
     "gnn_forward",

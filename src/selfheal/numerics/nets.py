@@ -6,9 +6,11 @@ package is checked against.
 arrays; detection, evaluation, Shapley attribution and GNN scoring run on
 them. `mlp_loss_and_grad` (optionally batched over tasks) and
 `gnn_loss_and_grad` (on a reused `Workspace`) call them and add the BCE loss
-and its gradient in closed form; the detector and the GNN train with them.
-`forward_mlp` and `bce_loss` build the same network and loss from taped ops:
-the reference of both kernels and the generic path for custom losses."""
+and its gradient in closed form; the detector and the GNN train with them,
+stepping with `descend`, the one SGD step on arrays (`sgd_step` runs it on a
+ParamSet). `forward_mlp` and `bce_loss` build the same network and loss from
+taped ops: the reference of both kernels and the generic path for custom
+losses."""
 
 from __future__ import annotations
 
@@ -323,16 +325,26 @@ def gnn_loss_and_grad(
     return loss, grads
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One descent step: out[k] = params[k] - lr * grads[k]. Inputs unchanged."""
+def descend(weights: Sequence[np.ndarray], grads: Sequence[np.ndarray],
+            lr: float) -> list[np.ndarray]:
+    """One descent step on raw arrays: w - lr * g for each pair, with the
+    checks a Tensor makes (InputError on lr < 0 or a non-finite result)."""
     if lr < 0:
         raise InputError(f"learning rate must be >= 0, got {lr}")
+    out = [w - lr * g for w, g in zip(weights, grads)]
+    if not all(np.isfinite(w).all() for w in out):
+        raise InputError("tensor values must be finite (no NaN/Inf)")
+    return out
+
+
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
+    """One descent step: out[k] = params[k] - lr * grads[k]. Inputs unchanged."""
     bad = params.mismatches(grads)
     if bad:
         raise InputError(f"params and grads are not update-compatible: {bad}")
-    return ParamSet(
-        {k: Tensor(params[k].values - lr * grads[k].values) for k in params}
-    )
+    names = list(params)
+    return ParamSet(dict(zip(names, descend(
+        [params[k].values for k in names], [grads[k].values for k in names], lr))))
 
 
 def finite_diff_grad(

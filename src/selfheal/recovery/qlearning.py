@@ -29,11 +29,13 @@ class QHyper:
 
     def __post_init__(self):
         if not 0 <= self.gamma <= 1:
-            raise InputError("gamma must be in [0, 1]")
+            raise InputError(f"gamma must be in [0, 1], got {self.gamma!r}")
         if self.lr <= 0:
-            raise InputError("lr must be positive")
+            raise InputError(f"lr must be positive, got {self.lr!r}")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
-            raise InputError("need 0 <= epsilon_end <= epsilon_start <= 1")
+            raise InputError(
+                "epsilon_start and epsilon_end need 0 <= epsilon_end <= epsilon_start"
+                f" <= 1, got {self.epsilon_start!r} and {self.epsilon_end!r}")
 
     def epsilon_at(self, episode: int, total: int) -> float:
         if total <= 1:

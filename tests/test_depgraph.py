@@ -201,6 +201,13 @@ class TestGnnLayer:
         with pytest.raises(ConfigurationError):
             gnn_layer(graph, emb, (np.zeros((7, 2)), np.zeros(2), "relu"))
 
+    @pytest.mark.parametrize("w", [np.float64(1.0), np.zeros(12)], ids=["0-d", "1-d"])
+    def test_weight_that_is_no_matrix_rejected(self, w):
+        graph = chain3()
+        emb = init_embeddings(graph, flat_telemetry(graph), 0)
+        with pytest.raises(ConfigurationError, match="must be a matrix"):
+            gnn_layer(graph, emb, (w, np.zeros(1), "relu"))
+
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     def test_chained_layers_and_readout_equal_forward_pass(self, activation):
         traces = list(make_cascade_dataset(6, seed=4))

@@ -7,6 +7,7 @@ import pytest
 
 from selfheal.errors import InputError, SchemaError
 from selfheal.detector import (
+    ADAPT_LOSS_BOUND,
     DetectorModel,
     MetaConfig,
     detect,
@@ -27,6 +28,7 @@ from selfheal.numerics import (
     bce_loss,
     forward_mlp,
     grad,
+    mlp_loss_and_grad,
     sgd_step,
     tape,
 )
@@ -324,6 +326,11 @@ class TestMetaTrain:
         assert late <= 0.5 * early
 
 
+def bce_mlp(spec):
+    """The detector's loss as a custom `loss_fn`: BCE of `forward_mlp` on the tape."""
+    return lambda leaves, x, y: bce_loss(forward_mlp(leaves, x, spec), y.reshape(-1, 1))
+
+
 def taped_meta_train(init, tasks, cfg, seed):
     """Reference first-order meta-training: one task at a time on the tape."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -373,13 +380,23 @@ class TestBatchedMetaTrain:
                          meta_batch=4, meta_iterations=12)
         self._check_against_reference(tasks, cfg, tasks[0].feature_width)
 
-    def test_mixed_shapes_bitwise_equal_to_taped_loop(self):
+    def test_mixed_shapes_refused_by_name(self):
+        # the fused loss stacks its tasks; the taped one still takes any shapes
         tasks = [tiny_task(s, n=8 + 2 * (s % 3)) for s in range(6)]
         cfg = MetaConfig(inner_lr=0.4, meta_lr=0.1, inner_steps=2,
                          meta_batch=3, meta_iterations=12)
-        self._check_against_reference(tasks, cfg, 4)
+        model = init_detector(4, seed=21, layer_spec=self.SPEC)
+        with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
+            meta_train(model, tasks, cfg, seed=5)
+        with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
+            meta_gradient(model.params, tasks[:3], cfg, self.SPEC)
+        taped = meta_gradient(model.params, tasks[:3], cfg, self.SPEC, bce_mlp(self.SPEC))
+        alone = [meta_gradient(model.params, [t], cfg, self.SPEC) for t in tasks[:3]]
+        for k in model.params:
+            total = alone[0][k].values + alone[1][k].values + alone[2][k].values
+            assert taped[k].values.tobytes() == total.tobytes()
 
-    def test_stacks_equal_shapes_and_loops_over_mixed_ones(self, monkeypatch):
+    def test_stacks_equal_shapes(self, monkeypatch):
         from selfheal.detector import maml
 
         seen = []
@@ -395,10 +412,18 @@ class TestBatchedMetaTrain:
         same = [tiny_task(s) for s in range(3)]
         meta_gradient(params, same, cfg, self.SPEC)
         assert seen == [(3, 4, 4), (3, 4, 4)]
-        seen.clear()
-        mixed = [tiny_task(0, n=8), tiny_task(1, n=10), tiny_task(2, n=8)]
-        meta_gradient(params, mixed, cfg, self.SPEC)
-        assert seen == [(4, 4), (4, 4), (5, 4), (5, 4), (4, 4), (4, 4)]
+
+    @pytest.mark.parametrize("meta_mode", ["first_order", "exact_fd_oracle"])
+    def test_taped_loss_equals_fused_bitwise(self, meta_mode):
+        spec = ((3, "relu"), (2, "tanh"), (1, "sigmoid"))
+        params = init_detector(4, seed=8, layer_spec=spec).params
+        tasks = [tiny_task(s) for s in range(3)]
+        cfg = MetaConfig(inner_lr=0.4, inner_steps=2, meta_batch=3, meta_mode=meta_mode)
+        fused = meta_gradient(params, tasks, cfg, spec)
+        taped = meta_gradient(params, tasks, cfg, spec, bce_mlp(spec))
+        assert np.abs(fused.flatten()).max() > 1e-3
+        for k in params:
+            assert taped[k].values.tobytes() == fused[k].values.tobytes()
 
 
 class TestDetect:
@@ -504,6 +529,44 @@ class TestEvaluate:
             assert report.confusion == (tp, fp, fn, tn)
             totals += report.confusion
         assert len(scored) == len(tasks) and totals.min() > 0
+
+    @staticmethod
+    def reference_adaptation_steps(model, task, cfg):
+        """The count as evaluate took it with a loop of its own: the support
+        loss after 0, 1, ..., inner_steps steps, the first within the bound."""
+        spec = model.layer_spec
+        weights = [model.params[f"layer{i}.{k}"].values
+                   for i in range(len(spec)) for k in "Wb"]
+        found = None
+        for step in range(cfg.inner_steps + 1):
+            if step:
+                weights = [w - cfg.inner_lr * g for w, g in zip(weights, grads)]
+            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y, spec)
+            if found is None and loss <= ADAPT_LOSS_BOUND:
+                found = step
+        return cfg.inner_steps if found is None else found
+
+    @pytest.mark.parametrize("model_seed, task_seed, inner_lr, inner_steps, expected", [
+        (None, None, 0.0, 3, 0),  # inner_lr = 0: the loss never moves, and is met
+        (None, None, 0.5, 3, 0),  # the bound is met before any step
+        (3, 3, 1.0, 8, 5),  # met midway
+        (0, 3, 1.0, 7, 7),  # met only after the last step
+        (3, 0, 1.0, 8, 8),  # never met
+    ])
+    def test_adaptation_steps_equal_a_loop_of_its_own(
+        self, model_seed, task_seed, inner_lr, inner_steps, expected
+    ):
+        if model_seed is None:
+            model = DetectorModel(1, ((1, "sigmoid"),), ParamSet(
+                {"layer0.W": Tensor(np.full((1, 1), 60.0)), "layer0.b": Tensor([0.0])}))
+            x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+            task = Task(x, np.array([1.0, 1.0, 0.0, 0.0]), x, np.ones(4), "perfect")
+        else:
+            model = init_detector(4, seed=model_seed, layer_spec=((3, "relu"), (1, "sigmoid")))
+            task = tiny_task(task_seed)
+        cfg = MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps)
+        assert self.reference_adaptation_steps(model, task, cfg) == expected
+        assert evaluate(model, task, cfg).adaptation_steps == expected
 
     def test_confusion_sums_to_query_size(self):
         patterns = default_patterns(2, seed=31, anomaly_rate=0.15)

@@ -204,6 +204,33 @@ class TestConfig:
         assert main(["train-detector", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"'{key}' must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, values, message", [
+        ("detector", {"meta_batch": 0}, "'detector': meta_batch must be >= 1"),
+        ("detector", {"meta_mode": "bogus"}, "'detector': meta_mode must be one of"),
+        ("agent", {"gamma": 2.0}, "'agent': gamma must be in [0, 1]"),
+        ("agent", {"lr": 0.0}, "'agent': lr must be positive"),
+        ("agent", {"epsilon_start": 0.01, "epsilon_end": 0.3},
+         "'agent': epsilon_start and epsilon_end need"),
+        ("agent", {"sweep_grid": []}, "'agent.sweep_grid' must hold at least one"),
+        ("agent", {"sweep_eval_episodes": 0}, "'agent.sweep_eval_episodes' must be"),
+        ("eval", {"recovery_episodes": 0}, "'eval.recovery_episodes' must be"),
+        ("eval", {"background_rows": 0}, "'eval.background_rows' must be"),
+        ("eval", {"closed_loop_episodes": 0}, "'eval.closed_loop_episodes' must be"),
+    ], ids=["meta_batch", "meta_mode", "gamma", "lr", "epsilon", "sweep_grid",
+            "sweep_eval_episodes", "recovery_episodes", "background_rows",
+            "closed_loop_episodes"])
+    def test_learner_range_or_zero_count_exits_at_load_by_key(
+        self, tmp_path, capsys, section, values, message
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict({section: values})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**FAST_CONFIG, "output_dir": str(tmp_path),
+                                    section: {**FAST_CONFIG.get(section, {}), **values}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("report.*"))
+
     def test_unknown_action_cost_name_rejected(self):
         from selfheal.harness.config import resolve_action_costs
 
