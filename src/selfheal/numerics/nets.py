@@ -149,16 +149,16 @@ def mlp_params(weights: Sequence[np.ndarray], layer_spec: LayerSpec) -> ParamSet
 
 class Workspace:
     """Arrays that a kernel overwrites pass after pass, by name: each is
-    allocated on the first request for its name and shape and handed back on
-    every later one."""
+    allocated on the first request for its name, shape and dtype and handed
+    back on every later one."""
 
     def __init__(self):
         self._arrays: dict = {}
 
-    def __call__(self, name, shape: tuple[int, ...]) -> np.ndarray:
+    def __call__(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         array = self._arrays.get(name)
-        if array is None or array.shape != shape:
-            array = self._arrays[name] = np.empty(shape)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(shape, dtype)
         return array
 
 
@@ -231,12 +231,39 @@ def mlp_loss_and_grad(
     return loss, grads
 
 
+# rows of each scratch block of the GNN kernel's scatters
+SCATTER_BLOCK_ROWS = 1024
+# the activations whose vjp reads their output; relu's reads only out > 0
+# and linear's nothing
+_VJP_READS_OUTPUT = ("sigmoid", "tanh")
+
+
 def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec):
-    """slot(name, width, rows=n_nodes): a (rows, width) view of the array
-    `name` of `ws`, which holds n_nodes + 1 rows of the widest hidden layer."""
-    size = (n_nodes + 1) * max((width for width, _ in layer_spec[:-1]), default=0)
-    return lambda name, width, rows=n_nodes: (
-        ws(name, (size,))[:rows * width].reshape(rows, width))
+    """(slot, output, mask, blocks) of a GNN pass on `ws`.
+
+    slot(name, width, rows=n_nodes): a (rows, width) view of the array `name`
+    of `ws`, which holds n_nodes + 1 rows of the widest hidden layer.
+    output(i): the slot of hidden layer i's output, ("out", i) when its vjp
+    reads it, else "out", which relu and linear layers share. mask(i): the
+    bool array ("mask", i) that keeps a relu layer's out > 0. blocks(width):
+    the scatter's two scratch blocks of at most `SCATTER_BLOCK_ROWS` rows.
+    """
+    widest = max((width for width, _ in layer_spec[:-1]), default=0)
+    block_rows = min(SCATTER_BLOCK_ROWS, n_nodes)
+
+    def slot(name, width, rows=n_nodes, capacity=n_nodes + 1):
+        return ws(name, (capacity * widest,))[:rows * width].reshape(rows, width)
+
+    def output(i):
+        return ("out", i) if layer_spec[i][1] in _VJP_READS_OUTPUT else "out"
+
+    def mask(i):
+        return ws(("mask", i), (n_nodes, layer_spec[i][0]), np.bool_)
+
+    def blocks(width):
+        return [slot(("block", k), width, block_rows, block_rows) for k in (0, 1)]
+
+    return slot, output, mask, blocks
 
 
 def gnn_forward(
@@ -249,27 +276,35 @@ def gnn_forward(
     and the last (the readout) reads that output itself. A GNN over input
     embeddings h0 so passes `edge_aggregate(h0, edges)` when it has a hidden
     layer, h0 when it has none. The ops replay the taped ones, so the output
-    equals the taped network's bitwise. Layer i < last writes its output to
-    the slot ("out", i) of `workspace`, and layer i > 0 its input to
-    ("aggregate", i); the output is the workspace's "readout" array, which
-    the next pass on that workspace overwrites.
+    equals the taped network's bitwise.
+
+    Each hidden layer keeps in `workspace` what its vjp reads: a tanh or
+    sigmoid layer writes its output to its own slot ("out", i), while relu and
+    linear layers write theirs to the one slot "out", which the next layer
+    overwrites once it has aggregated it; a relu layer first keeps its mask
+    out > 0 as ("mask", i). Layer i > 0 writes its input to ("aggregate", i).
+    The output is the workspace's "readout" array, which the next pass on
+    that workspace overwrites.
     """
     ws = Workspace() if workspace is None else workspace
     h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
     if h.ndim != 2 or h.shape[0] != n_nodes:
         raise InputError(f"x {h.shape} must have one row per node of the "
                          f"{n_nodes}-node edges")
-    slot, last = _gnn_slots(ws, n_nodes, layer_spec), len(layer_spec) - 1
+    slot, output, mask, blocks = _gnn_slots(ws, n_nodes, layer_spec)
+    last = len(layer_spec) - 1
     for i, (out_width, activation) in enumerate(layer_spec):
         w, b = weights[2 * i], weights[2 * i + 1]
         _check_layer(i, activation, h.shape[1], out_width, w, b)
         if 0 < i < last:
-            h = tape.scatter_add(slot(("out", i - 1), h.shape[1], n_nodes + 1),
+            h = tape.scatter_add(slot(output(i - 1), h.shape[1], n_nodes + 1),
                                  edges.into_dst, slot(("aggregate", i), h.shape[1]),
-                                 [slot(("spare", k), h.shape[1]) for k in (0, 1)])
-        z = slot(("out", i), out_width) if i < last else ws("readout", (n_nodes, out_width))
+                                 blocks(h.shape[1]))
+        z = slot(output(i), out_width) if i < last else ws("readout", (n_nodes, out_width))
         np.add(np.matmul(h, w, out=z), b, out=z)
         h = tape.ACTIVATIONS[activation][0](z, z)
+        if i < last and activation == "relu":
+            np.greater(h, 0.0, out=mask(i))
     return h
 
 
@@ -282,16 +317,21 @@ def gnn_loss_and_grad(
 
     The pass replays the operation order of `grad(bce_loss(...))` over the
     taped network, so the loss and gradient equal the taped ones bitwise.
-    With L hidden layers, its node-sized arrays are views of 2L + 1 slots of
-    `workspace`, each n_nodes + 1 rows of the widest hidden layer: L layer
-    outputs, each written in place by the matmul, the bias add and the
-    activation; L - 1 aggregates; and two spares. Backward reads the
-    activations back from their slots: each layer's vjp overwrites its own
-    output, an aggregate's adjoint overwrites the aggregate, and its scatter
-    lands in the layer's output slot, with slots dead by then as the adjoint
-    and as the scatter's scratch. A caller that keeps one workspace across
-    passes so allocates them once. What a pass still allocates is one column
-    wide (the label check's masks and the sigmoid vjp's 1 - p) or returned
+    Each hidden layer keeps only what its vjp reads (see `gnn_forward`), so
+    with L hidden layers the node-sized float arrays are L - 1 aggregates
+    plus one slot "out" shared by the relu and linear layers, one slot per
+    tanh or sigmoid layer, and a spare when the last hidden layer is tanh or
+    sigmoid: L arrays for relu and linear nets, 2L for tanh nets; each holds
+    n_nodes + 1 rows of the widest hidden layer. Relu layers add one bool
+    mask each, and the scatters two blocks of at most `SCATTER_BLOCK_ROWS`
+    rows. Backward moves the adjoint of a layer's output between slots dead
+    by then: the readout's goes to the last hidden layer's slot (the spare
+    for tanh and sigmoid), a relu vjp overwrites its adjoint in place and a
+    tanh or sigmoid vjp its output, an aggregate's adjoint overwrites the
+    aggregate, and its scatter lands in the slot the adjoint left. A caller
+    that keeps one workspace across passes so allocates them once. What a
+    pass still allocates is one column wide (the label check's masks and the
+    sigmoid vjp's 1 - p), one byte wide (a relu vjp's mask) or returned
     (loss, gradients).
     """
     ws = Workspace() if workspace is None else workspace
@@ -302,26 +342,34 @@ def gnn_loss_and_grad(
                          f"{edges.n_nodes}-node edges")
     h = gnn_forward(weights, x, edges, layer_spec, ws)
     loss, g = _bce_head(h, labels, ws)
-    slot, last = _gnn_slots(ws, edges.n_nodes, layer_spec), len(layer_spec) - 1
+    slot, output, mask, blocks = _gnn_slots(ws, edges.n_nodes, layer_spec)
+    last = len(layer_spec) - 1
     grads: list = [None] * len(weights)
-    adjoint = ("spare", 0)  # the slot that holds the adjoint of the layer's output
     for i in reversed(range(len(layer_spec))):
-        out = h if i == last else slot(("out", i), layer_spec[i][0])
-        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, out, out)
+        width, activation = layer_spec[i]
+        vjp = tape.ACTIVATIONS[activation][1]
+        if i == last:
+            g = vjp(g, h, h)
+        elif output(i) == "out":  # relu or linear: the adjoint stays in its slot
+            g = vjp(g, mask(i) if activation == "relu" else None, g)
+        else:  # the vjp moves the adjoint into the output's slot
+            adjoint = output(i)
+            out = slot(adjoint, width)
+            g = vjp(g, out, out)
         grads[2 * i + 1] = g.sum(axis=0)
         if not i:  # x itself is a constant, so layer 0's input gets no adjoint
             grads[0] = np.asarray(x, dtype=np.float64).T @ g
             break
         width = layer_spec[i - 1][0]
-        grads[2 * i] = slot(("out", i - 1) if i == last else ("aggregate", i), width).T @ g
+        grads[2 * i] = slot(output(i - 1) if i == last else ("aggregate", i), width).T @ g
         if i == last:
+            # the readout's input is dead now, unless the vjp below reads it
+            adjoint = "out" if output(i - 1) == "out" else "spare"
             g = np.matmul(g, weights[2 * i].T, out=slot(adjoint, width))
             continue
         padded = slot(("aggregate", i), width, edges.n_nodes + 1)
         np.matmul(g, weights[2 * i].T, out=padded[:-1])
-        g = tape.scatter_add(padded, edges.into_src, slot(("out", i), width),
-                             [slot(adjoint, width), slot(("spare", 1), width)])
-        adjoint = ("out", i)
+        g = tape.scatter_add(padded, edges.into_src, slot(adjoint, width), blocks(width))
     return loss, grads
 
 

@@ -142,11 +142,12 @@ def matmul(a, b):
 
 # Each activation as (forward(z, into), vjp(g, out, into)) on raw arrays, with
 # `out` = forward(z): the one definition `activate` records on the tape and the
-# closed-form kernels replay. A vjp reads the output only (relu's mask out > 0
-# equals z > 0, for -0.0 and NaN too), so a kernel can drop z once it is
-# activated. `into`, when given, is an array of the result's shape that
-# receives the result: a forward's may be `z` and a vjp's may be `out`, never
-# `g`. Linear returns its input itself.
+# closed-form kernels replay. A vjp reads the output only, so a kernel can drop
+# z once it is activated; relu's reads just np.greater(out, 0.0), which equals
+# z > 0 (for -0.0 and NaN too), so it takes the output or the bool mask
+# out > 0 alike, and linear's reads nothing. `into`, when given, is an array of
+# the result's shape that receives the result: a forward's may be `z`, a vjp's
+# may be `out`, and relu's may also be `g`. Linear returns its input itself.
 def _sigmoid(z, into=None):
     e = np.exp(np.negative(z, out=into), out=into)
     return np.divide(1.0, np.add(1.0, e, out=e), out=e)
@@ -160,8 +161,7 @@ def _sigmoid_vjp(g, out, into=None):
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (
         lambda z, into=None: np.maximum(z, 0.0, out=into),
-        lambda g, out, into=None: np.multiply(
-            g, np.greater(out, 0.0, out=into), out=into),
+        lambda g, out, into=None: np.multiply(g, np.greater(out, 0.0), out=into),
     ),
     "sigmoid": (_sigmoid, _sigmoid_vjp),
     "tanh": (
@@ -236,15 +236,14 @@ class RankGroups(NamedTuple):
 
 def _rank_groups(keys: Array, others: Array, n_rows: int) -> RankGroups:
     """The pairs (keys[e], others[e]) as `RankGroups` over rows 0 .. n_rows - 1."""
-    members: list[list[int]] = []
-    seen: dict[int, int] = {}
-    for edge, key in enumerate(keys.tolist()):
-        rank = seen.get(key, 0)
-        seen[key] = rank + 1
-        if rank == len(members):
-            members.append([])
-        members[rank].append(edge)
-    groups = [(keys[m], others[m]) for m in map(np.array, members)]
+    # an edge's rank is its position within its key's run of a stable sort
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(keys.size) - np.searchsorted(ordered, ordered)
+    # the edges of each rank, in edge order
+    members = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+    groups = [(keys[m], others[m]) for m in members if m.size]
     first = np.full(n_rows, n_rows, dtype=np.intp)
     if groups:
         receivers, senders = groups[0]
@@ -296,9 +295,11 @@ def scatter_add(padded: Array, groups: RankGroups, out: Array | None = None,
     The last row of `padded` is a spare that this sets to -0.0, the value the
     rank-0 gather gives a row with no rank-0 pair: x + (-0.0) == x bitwise for
     every x, where x + 0.0 turns -0.0 into 0.0. The result goes to `out` when
-    given (not part of `padded`). `scratch`, when given, is two arrays of at
-    least (largest later group,) + v.shape[1:] for the gathered rows of the
-    later groups, so that the pass allocates nothing the size of v.
+    given (not part of `padded`). `scratch`, when given, is two arrays of k
+    rows shaped like v's rows; each later group is then gathered, added and
+    written back in blocks of k of its pairs, so that the pass allocates
+    nothing the size of v. No receiver repeats within a group, so the blocks
+    give the same bits as whole groups.
     """
     padded[-1] = -0.0
     v = padded[:-1]
@@ -307,10 +308,13 @@ def scatter_add(padded: Array, groups: RankGroups, out: Array | None = None,
     out = np.take(padded, groups.first, axis=0, out=out, mode="clip")
     np.add(v, out, out=out)
     for receivers, senders in groups.later:
-        rows, sent = (None, None) if scratch is None else (a[:len(receivers)] for a in scratch)
-        rows = np.take(out, receivers, axis=0, out=rows, mode="clip")
-        rows += np.take(v, senders, axis=0, out=sent, mode="clip")
-        out[receivers] = rows
+        block = len(receivers) if scratch is None else len(scratch[0])
+        for start in range(0, len(receivers), block):
+            r, s = receivers[start:start + block], senders[start:start + block]
+            rows, sent = (None, None) if scratch is None else (a[:len(r)] for a in scratch)
+            rows = np.take(out, r, axis=0, out=rows, mode="clip")
+            rows += np.take(v, s, axis=0, out=sent, mode="clip")
+            out[r] = rows
     return out
 
 

@@ -70,11 +70,18 @@ def zero_policy(hyper: QHyper | None = None) -> Policy:
 
 
 def random_policy(seed: int):
-    """A policy-shaped callable choosing uniformly random actions."""
+    """A policy-shaped callable choosing uniformly random actions.
+
+    The action at (state, tick) is a function of (seed, state, tick): drawn
+    once, then remembered."""
+    draws: dict[tuple[int, int], RecoveryAction] = {}
 
     def choose(state: int, tick: int) -> RecoveryAction:
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, state, tick)))
-        return ACTIONS[int(rng.integers(N_ACTIONS))]
+        action = draws.get((state, tick))
+        if action is None:
+            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, state, tick)))
+            action = draws[state, tick] = ACTIONS[int(rng.integers(N_ACTIONS))]
+        return action
 
     return choose
 

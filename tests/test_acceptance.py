@@ -83,6 +83,14 @@ def test_c01_gradient_oracle():
         params = init_mlp_params(width, spec, seed=seed + 50_000)
         x = rng.normal(size=(6, width))
         y = rng.integers(0, 2, size=(6, 1)).astype(float)
+        # a +-1e-4 step of W0 or b0 moves row r's pre-activations by at most
+        # 1e-4 * max(1, max |x_r|); within that of 0 the central difference
+        # straddles relu's kink and the oracle itself is wrong
+        z = x @ params["layer0.W"].values + params["layer0.b"].values
+        reach = 1e-4 * np.maximum(1.0, np.abs(x).max(axis=1, keepdims=True))
+        assert (np.abs(z) > reach).all(), (
+            f"MLP seed {seed}: a relu pre-activation lies within the "
+            "finite-difference reach of the kink")
 
         recorder = GradientTape(params)
         loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y)

@@ -32,7 +32,7 @@ from selfheal.depgraph.gnn import (
 )
 from selfheal.numerics import (
     GradientTape, ParamSet, Tensor, Workspace, bce_loss, finite_diff_grad,
-    gnn_loss_and_grad, grad, init_uniform_params, sgd_step, tape,
+    gnn_loss_and_grad, grad, init_uniform_params, nets, sgd_step, tape,
 )
 from selfheal.simulator import ComponentGraph, propagate_cascade
 from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
@@ -470,10 +470,10 @@ def hub7():
     return edge_arrays(graph), h0, np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
 
 
-def stacked_batch():
+def stacked_batch(n_cascades=5):
     """(edges, h0, labels) of several cascade samples stacked on one node axis
-    with offset edge indices, as `train_gnn` stacks them."""
-    samples = _training_samples(make_cascade_dataset(5, seed=12), 2,
+    with offset edge indices, as `train_gnn` stacks them: 20 nodes a cascade."""
+    samples = _training_samples(make_cascade_dataset(n_cascades, seed=12), 2,
                                 np.random.Generator(np.random.PCG64(3)))
     src, dst, offset = [], [], 0
     for sample_src, sample_dst, h, _ in samples:
@@ -539,15 +539,39 @@ class TestGnnKernel:
         for result, reference in passes:
             self.assert_bitwise(result, reference)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
-    def test_workspace_holds_two_node_arrays_per_hidden_layer_plus_one(self, widths):
+    def test_scatter_blocks_smaller_than_the_groups_bitwise_equal_to_tape(
+            self, monkeypatch, widths, activation):
         edges, h0, labels = stacked_batch()
+        assert max(len(r) for groups in (edges.into_dst, edges.into_src)
+                   for r, _ in groups.later) > 8
+        monkeypatch.setattr(nets, "SCATTER_BLOCK_ROWS", 8)
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=7)
+        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
+                            self.taped(params, edges, h0, labels, widths, activation))
+
+    @pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
+    @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
+    def test_workspace_holds_what_each_vjp_reads(self, widths, activation):
+        edges, h0, labels = stacked_batch(60)
+        n, widest = edges.n_nodes, max(widths)
+        assert n > nets.SCATTER_BLOCK_ROWS
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=5)
         workspace = Workspace()
-        self.kernel(params, edges, h0, labels, widths, "relu", workspace)
+        self.kernel(params, edges, h0, labels, widths, activation, workspace)
+        arrays = list(workspace._arrays.values())
         # not counted: the column-wide readout and BCE head arrays
-        wide = [a for a in workspace._arrays.values() if a.size > edges.n_nodes + 1]
-        assert len(wide) <= 2 * len(widths) + 1
+        floats = [a for a in arrays if a.dtype == np.float64 and a.size > n + 1]
+        node_wide = [a for a in floats if a.size == (n + 1) * widest]
+        # L slots for relu and linear nets, 2L for tanh, whose outputs are kept
+        assert len(node_wide) <= (2 if activation == "tanh" else 1) * len(widths)
+        blocks = [a for a in floats if a.size != (n + 1) * widest]
+        assert len(blocks) == 2
+        assert all(a.size <= nets.SCATTER_BLOCK_ROWS * widest for a in blocks)
+        masks = [a for a in arrays if a.dtype != np.float64]
+        assert len(masks) == (len(widths) if activation == "relu" else 0)
+        assert all(a.dtype == np.bool_ and a.shape[0] == n for a in masks)
 
     def test_rejects_bad_labels_and_shapes(self):
         edges, h0, labels = hub7()

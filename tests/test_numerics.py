@@ -429,6 +429,62 @@ class TestScatterAdd:
             assert result is out
 
 
+    @pytest.mark.parametrize("direction", ["into_dst", "into_src"])
+    def test_blocks_of_scratch_rows_equal_whole_groups(self, direction):
+        rng = np.random.default_rng(8)
+        n = 60
+        src, dst = rng.integers(0, n, size=(2, 400))
+        groups = getattr(tape.EdgeIndex(src, dst, n), direction)
+        assert max(len(receivers) for receivers, _ in groups.later) > 8
+        padded = np.vstack([rng.normal(size=(n, 5)), np.zeros((1, 5))])
+        whole = tape.scatter_add(padded, groups)
+        blocks = [np.full((8, 5), 9.0) for _ in range(2)]
+        assert tape.scatter_add(padded, groups, None, blocks).tobytes() == whole.tobytes()
+
+
+def _loop_rank_groups(keys, others, n_rows):
+    """Reference: the rank groups built edge by edge in a Python loop."""
+    members, seen = [], {}
+    for edge, key in enumerate(keys.tolist()):
+        rank = seen.get(key, 0)
+        seen[key] = rank + 1
+        if rank == len(members):
+            members.append([])
+        members[rank].append(edge)
+    groups = [(keys[m], others[m]) for m in map(np.array, members)]
+    first = np.full(n_rows, n_rows, dtype=np.intp)
+    if groups:
+        first[groups[0][0]] = groups[0][1]
+    return first, groups[1:]
+
+
+class TestRankGroups:
+    @staticmethod
+    def assert_equal_to_loop(src, dst, n):
+        edges = tape.EdgeIndex(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), n)
+        for groups, keys, others in ((edges.into_dst, edges.dst, edges.src),
+                                     (edges.into_src, edges.src, edges.dst)):
+            first, later = _loop_rank_groups(keys, others, n)
+            assert groups.first.tobytes() == first.tobytes()
+            assert len(groups.later) == len(later)
+            for (receivers, senders), (ref_receivers, ref_senders) in zip(groups.later, later):
+                assert receivers.tobytes() == ref_receivers.tobytes()
+                assert senders.tobytes() == ref_senders.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_equal_to_a_loop(self, case):
+        self.assert_equal_to_loop(*EDGE_CASES[case][1:], EDGE_CASES[case][0])
+
+    def test_random_edge_lists_equal_to_a_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            # few nodes and many edges repeat (src, dst) pairs; many nodes and
+            # few edges leave nodes with no in-edges
+            src, dst = rng.integers(0, n, size=(2, int(rng.integers(0, 90))))
+            self.assert_equal_to_loop(src, dst, n)
+
+
 class TestActivations:
     Z = np.array([[-2.0, -0.0, 0.0, 0.5, 3.0], [np.nan, -np.inf, np.inf, 1e-300, -1e-300]])
     G = np.array([[1.0, -1.0, -2.0, 0.5, -0.0], [-3.0, 2.0, -1.0, 4.0, -1.0]])
@@ -452,6 +508,15 @@ class TestActivations:
         z, g = self.Z, self.G
         assert vjp(g, forward(z)).tobytes() == np.multiply(g, np.greater(z, 0.0)).tobytes()
 
+
+    def test_relu_vjp_on_the_mask_equals_it_on_the_output(self):
+        forward, vjp = tape.ACTIVATIONS["relu"]
+        out = forward(self.Z.copy())
+        g = np.array([[-0.0, 0.0, -0.0, -0.0, 0.0], [-0.0, 1.0, -0.0, -2.0, -0.0]])
+        expected = vjp(g, out).tobytes()
+        assert vjp(g, out > 0.0).tobytes() == expected
+        into = g.copy()
+        assert vjp(into, out > 0.0, into).tobytes() == expected
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):

@@ -583,6 +583,23 @@ class TestEnv:
             RecoveryEnv(action_costs={RecoveryAction.NO_OP: cost}, seed=2)
 
 
+class TestRandomPolicy:
+    def test_draws_once_per_pair_as_a_fresh_generator_would(self, monkeypatch):
+        pairs = [(state, tick) for state in (0, 1, 7, N_STATES - 1) for tick in range(12)]
+        expected = {
+            (state, tick): ACTIONS[int(np.random.Generator(np.random.PCG64(
+                derive_seed(5, state, tick))).integers(N_ACTIONS))]
+            for state, tick in pairs
+        }
+        built, pcg64 = [], np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64",
+                            lambda seed: built.append(seed) or pcg64(seed))
+        choose = random_policy(5)
+        for _ in range(3):
+            assert {pair: choose(*pair) for pair in pairs} == expected
+        assert len(built) == len(pairs)
+
+
 class TestPolicyIo:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(11)
