@@ -551,6 +551,19 @@ class TestGnnKernel:
         self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
                             self.taped(params, edges, h0, labels, widths, activation))
 
+    @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
+    def test_workspace_holds_two_node_arrays_per_hidden_layer_plus_one(self, widths):
+        edges, h0, labels = stacked_batch()
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=5)
+        workspace = Workspace()
+        self.kernel(params, edges, h0, labels, widths, "relu", workspace)
+        # not counted: the column-wide readout and BCE head arrays; counted in
+        # bytes, as the relu masks are bool and the scatter blocks at most
+        # node-wide
+        wide = [a for a in workspace._arrays.values() if a.size > edges.n_nodes + 1]
+        node_array_bytes = (edges.n_nodes + 1) * max(widths) * 8
+        assert sum(a.nbytes for a in wide) <= (2 * len(widths) + 1) * node_array_bytes
+
     @pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
     def test_workspace_holds_what_each_vjp_reads(self, widths, activation):
