@@ -28,6 +28,8 @@ DEFAULT_HIDDEN_WIDTHS = (16, 16)
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "linear")
 DEFAULT_FLAG_THRESHOLD = 0.5
 DEFAULT_LABEL_HORIZON = 2
+# initial row and edge capacity of the training batch, which doubles when full
+BATCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -257,20 +259,49 @@ def fails_within(trace: CascadeTrace, tick: int, horizon: int) -> np.ndarray:
     ])
 
 
-def _training_samples(traces, label_horizon, rng):
-    """(src, dst, h0, labels) per sample: two ticks per trace, sampled near
-    onset, each with its graph's edge ends, its input embeddings and its
-    `fails_within` labels. Each trace is read once and none is kept."""
-    samples = []
-    for trace in traces:
+def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
+    """`buffer` if it holds `need` entries along its first axis; otherwise a
+    buffer of double its length (or `need`, if larger) with its first `used`
+    entries copied."""
+    if need <= len(buffer):
+        return buffer
+    grown = np.empty((max(need, 2 * len(buffer)), *buffer.shape[1:]), dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def _training_batch(traces, width: int, label_horizon: int, rng):
+    """The training batch (src, dst, h0, labels): two ticks per trace, sampled
+    near onset, stacked on one node axis, each with its graph's edge ends
+    offset to its rows, its input embeddings and its `fails_within` labels.
+
+    Each trace is read once and none is kept: its rows, labels and edge ends
+    are written straight into arrays that double when full, so no per-sample
+    array outlives the trace it came from.
+    """
+    h0, labels = np.empty((BATCH_ROWS, width)), np.empty(BATCH_ROWS)
+    src, dst = np.empty(BATCH_ROWS, dtype=np.intp), np.empty(BATCH_ROWS, dtype=np.intp)
+    rows = n_edges = 0
+    for position, trace in enumerate(traces):
         span = min(6, trace.ticks - trace.onset)
-        offsets = rng.integers(0, span, size=2)
-        src, dst = _edge_ends(trace.graph)
-        for off in sorted(int(o) for o in offsets):
-            tick = trace.onset + off
-            h0 = _inputs_by_tick(trace.graph, trace.node_telemetry, [tick])[0]
-            samples.append((src, dst, h0, fails_within(trace, tick, label_horizon)))
-    return samples
+        offsets = sorted(int(o) for o in rng.integers(0, span, size=2))
+        ticks = [trace.onset + off for off in offsets]
+        # both ticks from one call: the same bits as one call per tick
+        h = _inputs_by_tick(trace.graph, trace.node_telemetry, ticks)
+        if h.shape[2] != width:
+            raise InputError(f"trace {position} of the dataset has embedding width "
+                             f"{h.shape[2]}, but the network's input width is {width}")
+        trace_src, trace_dst = _edge_ends(trace.graph)
+        n, m = h.shape[1], len(trace_src)
+        h0, labels = _grown(h0, rows, rows + 2 * n), _grown(labels, rows, rows + 2 * n)
+        src, dst = _grown(src, n_edges, n_edges + 2 * m), _grown(dst, n_edges, n_edges + 2 * m)
+        h0[rows:rows + 2 * n] = h.reshape(2 * n, width)
+        for tick in ticks:
+            labels[rows:rows + n] = fails_within(trace, tick, label_horizon)
+            np.add(trace_src, rows, out=src[n_edges:n_edges + m])
+            np.add(trace_dst, rows, out=dst[n_edges:n_edges + m])
+            rows, n_edges = rows + n, n_edges + m
+    return src[:n_edges], dst[:n_edges], h0[:rows], labels[:rows]
 
 
 def train_gnn(
@@ -300,22 +331,14 @@ def train_gnn(
         raise InputError("dataset must be nonempty")
     gnn = init_gnn(first.graph, seed=seed, hidden_widths=tuple(hidden_widths),
                    label_horizon=label_horizon)
-    samples = _training_samples(itertools.chain((first,), traces), label_horizon, rng)
+    src, dst, h0, labels = _training_batch(itertools.chain((first,), traces),
+                                           gnn.input_width, label_horizon, rng)
     del first
-
-    src_parts, dst_parts = [], []
-    offset = 0
-    for src, dst, h, _ in samples:
-        src_parts.append(src + offset)
-        dst_parts.append(dst + offset)
-        offset += h.shape[0]
-    edges = tape.EdgeIndex(np.concatenate(src_parts), np.concatenate(dst_parts), offset)
-    h0 = np.vstack([h for _, _, h, _ in samples])
-    labels = np.concatenate([y for *_, y in samples])
+    edges = tape.EdgeIndex(src, dst, len(h0))
     # h0 is a constant: its aggregate is the same every epoch, and only that
     # aggregate is read from here on
     x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
-    del samples, src_parts, dst_parts, h0
+    del src, dst, h0
 
     (weights, layer_spec), workspace = _network(gnn), Workspace()
     curve: list[float] = []

@@ -13,16 +13,6 @@ from .objectives import ObjectiveVector, RewardWeights
 from .qlearning import QHyper, evaluate_policy, train_agent
 
 
-def _non_dominated(points: list[ObjectiveVector]) -> np.ndarray:
-    """Boolean mask of the points no other point dominates (all minimized)."""
-    arr = np.array(points)
-    # all-pairs dominance: dominated[i] iff some j has arr[j] <= arr[i]
-    # everywhere and arr[j] < arr[i] somewhere
-    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    lt = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
-    return ~(le & lt).any(axis=0)
-
-
 def pareto_front(points: list[ObjectiveVector]) -> list[ObjectiveVector]:
     """The non-dominated subset, minimizing all objectives.
 
@@ -33,7 +23,12 @@ def pareto_front(points: list[ObjectiveVector]) -> list[ObjectiveVector]:
     """
     if not points:
         return []
-    return [p for p, keep in zip(points, _non_dominated(points)) if keep]
+    arr = np.array(points)
+    # all-pairs dominance: dominated[i] iff some j has arr[j] <= arr[i]
+    # everywhere and arr[j] < arr[i] somewhere
+    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    lt = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
+    return [p for p, dominated in zip(points, (le & lt).any(axis=0)) if not dominated]
 
 
 @dataclass
@@ -60,7 +55,8 @@ def weight_sweep(
 
     Every grid point trains on its own seeded episodes, is evaluated greedily
     on a shared held-out set, and contributes its mean ObjectiveVector; the
-    front is computed over those means.
+    front is computed over those means: an entry is on it when its mean is
+    in `pareto_front` of all the means (equal means are dominated alike).
     """
     if not weight_grid:
         raise InputError("weight grid must be nonempty")
@@ -72,6 +68,5 @@ def weight_sweep(
         )
         mean_vec = evaluate_policy(env, result.policy.choose, eval_seeds)
         entries.append(SweepEntry(weights=weights, objectives=mean_vec))
-    mask = _non_dominated([e.objectives for e in entries])
-    front = [e for e, keep in zip(entries, mask) if keep]
-    return SweepResult(entries=entries, front=front)
+    front = pareto_front([e.objectives for e in entries])
+    return SweepResult(entries=entries, front=[e for e in entries if e.objectives in front])

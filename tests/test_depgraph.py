@@ -27,8 +27,8 @@ from selfheal.depgraph import (
 )
 from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _forward_probs, _probs_by_tick, _training_samples, edge_arrays, fails_within,
-    gnn_param_shapes,
+    _edge_ends, _forward_probs, _inputs_by_tick, _probs_by_tick, _training_batch, edge_arrays,
+    fails_within, gnn_param_shapes,
 )
 from selfheal.numerics import (
     GradientTape, ParamSet, Tensor, Workspace, bce_loss, finite_diff_grad,
@@ -419,15 +419,9 @@ class TestTrainGnn:
 
         gnn = init_gnn(traces[0].graph, seed=seed, hidden_widths=widths)
         rng = np.random.Generator(np.random.PCG64(seed))
-        samples = _training_samples(traces, gnn.label_horizon, rng)
-        src, dst, offset = [], [], 0
-        for sample_src, sample_dst, h, _ in samples:
-            src.append(sample_src + offset)
-            dst.append(sample_dst + offset)
-            offset += h.shape[0]
-        edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
-        h0 = np.vstack([h for _, _, h, _ in samples])
-        labels = np.concatenate([y for *_, y in samples]).reshape(-1, 1)
+        src, dst, h0, labels = _training_batch(traces, gnn.input_width, gnn.label_horizon,
+                                               rng)
+        edges, labels = tape.EdgeIndex(src, dst, len(h0)), labels.reshape(-1, 1)
         params, curve = gnn.params, []
         for _ in range(epochs):
             recorder = GradientTape(params)
@@ -457,6 +451,120 @@ class TestTrainGnn:
         assert flags["n4"] < trace.failure_times["n4"]
 
 
+def reference_batch(traces, label_horizon, rng):
+    """(src, dst, h0, labels) built the plain way, the oracle of
+    `_training_batch`: one set of arrays per sampled tick, then one stacking
+    loop."""
+    samples = []
+    for trace in traces:
+        span = min(6, trace.ticks - trace.onset)
+        offsets = rng.integers(0, span, size=2)
+        src, dst = _edge_ends(trace.graph)
+        for off in sorted(int(o) for o in offsets):
+            tick = trace.onset + off
+            h0 = _inputs_by_tick(trace.graph, trace.node_telemetry, [tick])[0]
+            samples.append((src, dst, h0, fails_within(trace, tick, label_horizon)))
+    src_parts, dst_parts, offset = [], [], 0
+    for src, dst, h, _ in samples:
+        src_parts.append(src + offset)
+        dst_parts.append(dst + offset)
+        offset += h.shape[0]
+    return (np.concatenate(src_parts), np.concatenate(dst_parts),
+            np.vstack([h for _, _, h, _ in samples]), np.concatenate([y for *_, y in samples]))
+
+
+def multigraph_traces(n_traces, seed, static_width=3):
+    """Cascades on random multigraphs: 1-12 nodes, up to three times as many
+    edges (repeated pairs included, none at all in some), horizons of 1-10
+    ticks and onsets up to the last tick, where both sampled ticks coincide."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_traces):
+        n = int(rng.integers(1, 13))
+        nodes = [(f"v{i}", NODE_KINDS[int(rng.integers(5))],
+                  tuple(float(x) for x in rng.uniform(0, 1, static_width))) for i in range(n)]
+        edges = []
+        for _ in range(int(rng.integers(0, 3 * n + 1)) if n > 1 else 0):
+            src, dst = rng.choice(n, size=2, replace=False)
+            edges.append((f"v{src}", f"v{dst}", float(rng.uniform(0.05, 1.0))))
+        horizon = int(rng.integers(1, 11))
+        yield propagate_cascade(ComponentGraph(nodes, edges), f"v{int(rng.integers(n))}",
+                                onset=int(rng.integers(horizon)), horizon=horizon,
+                                fail_threshold=0.5, seed=int(rng.integers(2**32)))
+
+
+BATCH_CASES = {
+    "trees-10": lambda: make_cascade_dataset(40, seed=31),
+    "trees-40": lambda: make_cascade_dataset(30, seed=32, n_nodes=40, horizon=24),
+    "trees-3": lambda: make_cascade_dataset(40, seed=33, n_nodes=3, horizon=6),
+    "single-node": lambda: make_cascade_dataset(10, seed=34, n_nodes=1),
+    "multigraphs-a": lambda: multigraph_traces(50, seed=35),
+    "multigraphs-b": lambda: multigraph_traces(50, seed=36, static_width=1),
+}
+
+
+class TestTrainingBatch:
+    """`_training_batch` against `reference_batch`, the per-sample stacking."""
+
+    @pytest.mark.parametrize("capacity", [1, 7, gnn_module.BATCH_ROWS])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_bitwise_equal_to_per_sample_stacking(self, monkeypatch, case, capacity):
+        monkeypatch.setattr(gnn_module, "BATCH_ROWS", capacity)
+        traces = list(BATCH_CASES[case]())
+        width = embedding_width(traces[0].graph)
+        batch = _training_batch(traces, width, 2, np.random.Generator(np.random.PCG64(8)))
+        reference = reference_batch(traces, 2, np.random.Generator(np.random.PCG64(8)))
+        for name, got, want in zip(("src", "dst", "h0", "labels"), batch, reference):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_cases_cover_what_the_builder_must_handle(self):
+        traces = [t for case in BATCH_CASES.values() for t in case()]
+        assert len(traces) >= 200
+        assert any(not t.graph.edges for t in traces)
+        # a tick one before the end leaves one offset to draw: the ticks coincide
+        assert sum(t.ticks - t.onset == 1 for t in traces) >= 5
+        pairs = [[(e.src, e.dst) for e in t.graph.edges] for t in traces]
+        assert any(len(set(p)) < len(p) for p in pairs)
+        rows = edges = 0
+        for t in BATCH_CASES["trees-40"]():
+            rows, edges = rows + 2 * len(t.graph.nodes), edges + 2 * len(t.graph.edges)
+        assert min(rows, edges) > gnn_module.BATCH_ROWS
+
+    def test_stacked_kernel_batch_is_the_per_sample_stacking(self):
+        edges, h0, labels = stacked_batch()
+        src, dst, ref_h0, ref_labels = reference_batch(
+            make_cascade_dataset(5, seed=12), 2, np.random.Generator(np.random.PCG64(3)))
+        assert edges.src.tobytes() == src.tobytes() and edges.dst.tobytes() == dst.tobytes()
+        assert edges.n_nodes == len(ref_h0) == 100
+        assert h0.tobytes() == ref_h0.tobytes() and labels.tobytes() == ref_labels.tobytes()
+
+    def test_one_embedding_call_per_trace_and_none_kept_two_traces_back(self, monkeypatch):
+        outputs, alive = [], []
+        inputs_by_tick = gnn_module._inputs_by_tick
+
+        def watched(graph, node_telemetry, ticks):
+            # trace k is being read: the outputs of traces 0 .. k - 2
+            alive.append([ref() is not None for ref in outputs[:-1]])
+            h = inputs_by_tick(graph, node_telemetry, ticks)
+            outputs.append(weakref.ref(h))
+            return h
+
+        monkeypatch.setattr(gnn_module, "_inputs_by_tick", watched)
+        train_gnn(make_cascade_dataset(8, seed=6), epochs=0, seed=4)
+        assert alive == [[False] * max(k - 1, 0) for k in range(8)]
+
+    def test_mixed_embedding_widths_are_an_input_error(self):
+        traces = list(make_cascade_dataset(3, seed=4))
+        graph = traces[2].graph
+        wider = ComponentGraph([(n.id, n.kind, n.static_features + (0.5,)) for n in graph.nodes],
+                               graph.edges)
+        traces[2] = replace(traces[2], graph=wider)
+        message = ("trace 2 of the dataset has embedding width 13, but the network's input "
+                   "width is 12")
+        with pytest.raises(InputError, match=re.escape(message)):
+            train_gnn(traces, epochs=1, seed=0)
+
+
 def hub7():
     """(edges, h0, labels) of the 7-node hub graph: in- and out-degree 5 at n0,
     which gives the forward and the vjp scatters several rank groups."""
@@ -473,16 +581,9 @@ def hub7():
 def stacked_batch(n_cascades=5):
     """(edges, h0, labels) of several cascade samples stacked on one node axis
     with offset edge indices, as `train_gnn` stacks them: 20 nodes a cascade."""
-    samples = _training_samples(make_cascade_dataset(n_cascades, seed=12), 2,
-                                np.random.Generator(np.random.PCG64(3)))
-    src, dst, offset = [], [], 0
-    for sample_src, sample_dst, h, _ in samples:
-        src.append(sample_src + offset)
-        dst.append(sample_dst + offset)
-        offset += h.shape[0]
-    edges = tape.EdgeIndex(np.concatenate(src), np.concatenate(dst), offset)
-    return (edges, np.vstack([h for _, _, h, _ in samples]),
-            np.concatenate([y for *_, y in samples]))
+    src, dst, h0, labels = _training_batch(make_cascade_dataset(n_cascades, seed=12), 12, 2,
+                                           np.random.Generator(np.random.PCG64(3)))
+    return tape.EdgeIndex(src, dst, len(h0)), h0, labels
 
 
 KERNEL_GRAPHS = {"hub": hub7, "stacked": stacked_batch}

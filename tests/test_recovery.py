@@ -35,6 +35,7 @@ from selfheal.recovery import (
     weight_sweep,
     weighted_objective,
 )
+from selfheal.recovery import pareto
 from selfheal.seeding import derive_seed
 from selfheal.simulator import AFFECTED_METRICS, ANOMALY_KINDS, METRICS, healthy_series
 
@@ -672,3 +673,26 @@ class TestWeightSweep:
         env = FixedEnv()
         result = weight_sweep(env, grid, episodes=3, seed=2, eval_episodes=2)
         assert len(result.front) == 2
+
+    def test_front_comes_from_one_pareto_front_call(self, monkeypatch):
+        calls = []
+
+        def spy(points):
+            calls.append(list(points))
+            return pareto_front(points)
+
+        monkeypatch.setattr(pareto, "pareto_front", spy)
+        result = weight_sweep(SingleStateEnv(), DESK_SWEEP_GRID[:3], episodes=3, seed=2,
+                              eval_episodes=2)
+        assert calls == [[e.objectives for e in result.entries]]
+
+    def test_entries_with_equal_objectives_share_their_front_status(self, monkeypatch):
+        # per grid point: dominated by the third, its equal, the dominating
+        # point, an incomparable point and its equal
+        means = iter([ObjectiveVector(2.0, 2.0, 2.0), ObjectiveVector(2.0, 2.0, 2.0),
+                      ObjectiveVector(1.0, 1.0, 1.0), ObjectiveVector(0.5, 3.0, 1.0),
+                      ObjectiveVector(0.5, 3.0, 1.0)])
+        monkeypatch.setattr(pareto, "evaluate_policy", lambda *args: next(means))
+        grid = [RewardWeights.normalized(1, i, 1) for i in range(5)]
+        result = weight_sweep(SingleStateEnv(), grid, episodes=1, seed=2, eval_episodes=1)
+        assert [result.entries.index(e) for e in result.front] == [2, 3, 4]
