@@ -94,53 +94,52 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_train_detector(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _trained_detector(cfg: RunConfig):
     result = detector_stage(cfg, *build_tasks(cfg))[0]
-    save_checkpoint(result.model, out / "detector.json")
-    (out / "detector-loss.json").write_text(json.dumps(result.loss_curve))
-    note = f" (final meta-loss {result.loss_curve[-1]:.4f})" if result.loss_curve else ""
-    print(f"saved detector checkpoint to {out / 'detector.json'}{note}")
-    return EXIT_OK
+    return result.model, result.loss_curve
 
 
-def _cmd_train_gnn(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _trained_gnn(cfg: RunConfig):
     result = gnn_stage(cfg)[0]
-    save_gnn(result.gnn, out / "gnn.json")
-    (out / "gnn-loss.json").write_text(json.dumps(result.loss_curve))
-    note = f" (final loss {result.loss_curve[-1]:.4f})" if result.loss_curve else ""
-    print(f"saved GNN parameters to {out / 'gnn.json'}{note}")
-    return EXIT_OK
+    return result.gnn, result.loss_curve
 
 
-def _cmd_train_agent(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def _trained_agent(cfg: RunConfig):
     result = agent_stage(cfg)[1]
-    save_policy(result.policy, out / "policy.tsv")
-    (out / "agent-returns.json").write_text(json.dumps(result.returns))
-    last = result.returns[-20:]
-    note = (f" (mean return of last {len(last)} episodes {sum(last) / len(last):.4f})"
-            if last else "")
-    print(f"saved policy table to {out / 'policy.tsv'}{note}")
+    return result.policy, result.returns
+
+
+def _mean_return(returns: list[float]) -> str:
+    last = returns[-20:]
+    return f"mean return of last {len(last)} episodes {sum(last) / len(last):.4f}"
+
+
+# command: (train -> (model, curve), save, model file, curve file, what the
+# model file holds, a summary of a nonempty curve)
+_TRAIN_COMMANDS = {
+    "train-detector": (_trained_detector, save_checkpoint, "detector.json",
+                       "detector-loss.json", "detector checkpoint",
+                       lambda curve: f"final meta-loss {curve[-1]:.4f}"),
+    "train-gnn": (_trained_gnn, save_gnn, "gnn.json", "gnn-loss.json", "GNN parameters",
+                  lambda curve: f"final loss {curve[-1]:.4f}"),
+    "train-agent": (_trained_agent, save_policy, "policy.tsv", "agent-returns.json",
+                    "policy table", _mean_return),
+}
+
+
+def _cmd_train(cfg: RunConfig, train, save, name, curve_name, what, summary) -> int:
+    """Train, then save the model and its curve and say where they went."""
+    model, curve = train(cfg)
+    out = _out_dir(cfg)
+    save(model, out / name)
+    (out / curve_name).write_text(json.dumps(curve))
+    note = f" ({summary(curve)})" if curve else ""
+    print(f"saved {what} to {out / name}{note}")
     return EXIT_OK
 
 
-def _cmd_run(cfg: RunConfig, print_config: bool) -> int:
-    if print_config:
-        print(resolved_config_json(cfg))
-        return EXIT_OK
-    report = run_pipeline(cfg)
-    written = emit_report(report, _out_dir(cfg))
-    for fmt, path in written.items():
-        print(f"{fmt}: {path}")
-    return EXIT_OK
-
-
-def _cmd_report(cfg: RunConfig, input_path: Path) -> int:
-    report = parse_report(input_path)
-    written = emit_report(report, _out_dir(cfg))
-    for fmt, path in written.items():
+def _emit(cfg: RunConfig, report) -> int:
+    for fmt, path in emit_report(report, _out_dir(cfg)).items():
         print(f"{fmt}: {path}")
     return EXIT_OK
 
@@ -162,16 +161,15 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "simulate":
             return _cmd_simulate(cfg)
-        if args.command == "train-detector":
-            return _cmd_train_detector(cfg)
-        if args.command == "train-gnn":
-            return _cmd_train_gnn(cfg)
-        if args.command == "train-agent":
-            return _cmd_train_agent(cfg)
+        if args.command in _TRAIN_COMMANDS:
+            return _cmd_train(cfg, *_TRAIN_COMMANDS[args.command])
+        if args.command == "run" and args.print_config:
+            print(resolved_config_json(cfg))
+            return EXIT_OK
         if args.command == "run":
-            return _cmd_run(cfg, args.print_config)
+            return _emit(cfg, run_pipeline(cfg))
         if args.command == "report":
-            return _cmd_report(cfg, args.input)
+            return _emit(cfg, parse_report(args.input))
         if args.command == "sweep":
             return _cmd_sweep(cfg)
         parser.error(f"unknown command {args.command}")

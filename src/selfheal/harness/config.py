@@ -120,13 +120,11 @@ class AgentSection(QHyper):
                     f"'{key}' must be three numbers (latency, resource, cost), "
                     f"got {vector!r}")
         for pair in self.action_costs:
-            if not isinstance(pair, tuple) or len(pair) != 2:
+            if not isinstance(pair, tuple) or len(pair) != 2 or not isinstance(pair[0], str):
                 raise ConfigurationError(
                     f"'agent.action_costs' must map action names to costs, got {pair!r}"
                 )
-            # the range RecoveryEnv enforces: a negative cost is the only way to
-            # a negative objective, and a non-finite one poisons every reward
-            files.number(pair[1], f"'agent.action_costs.{pair[0]}'", 0.0, ConfigurationError)
+        resolve_action_costs(self)  # names and costs, at load rather than in a stage
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,8 @@ def resolve_action_costs(agent: AgentSection):
             raise ConfigurationError(
                 f"agent.action_costs names unknown action '{name}'"
             ) from None
+        # the range RecoveryEnv enforces: a negative cost is the only way to
+        # a negative objective, and a non-finite one poisons every reward
         files.number(cost, f"'agent.action_costs.{name}'", 0.0, ConfigurationError)
         table[action] = float(cost)
     return table

@@ -35,7 +35,6 @@ from ..depgraph import (
 )
 from ..explain import BackgroundSet, metric_groups, shapley_attribution
 from ..recovery import (
-    AgentTrainResult,
     RecoveryEnv,
     RewardWeights,
     estimate_normalizers,
@@ -47,7 +46,6 @@ from ..recovery import (
     train_agent,
     weight_sweep,
     weighted_objective,
-    zero_policy,
 )
 from ..simulator import augment_tasks, default_patterns, make_tasks
 from ..simulator.cascade import make_cascade_dataset, make_tree_graph, propagate_cascade
@@ -212,12 +210,8 @@ def agent_stage(cfg: RunConfig):
     seed = derive_seed(cfg.seed, "agent")
     env = _recovery_env(cfg)
     weights = RewardWeights.normalized(*agent.weights)
-    if agent.episodes == 0:
-        result = AgentTrainResult(policy=zero_policy(agent), returns=[],
-                                  normalizers=(1.0, 1.0, 1.0))
-    else:
-        result = train_agent(env, weights, episodes=agent.episodes, hyper=agent,
-                             seed=derive_seed(seed, "train"))
+    result = train_agent(env, weights, episodes=agent.episodes, hyper=agent,
+                         seed=derive_seed(seed, "train"))
 
     eval_seed = derive_seed(cfg.seed, "eval")
     episode_seeds = [
@@ -264,15 +258,14 @@ def agent_stage(cfg: RunConfig):
 
 
 @_stage("sweep")
-def sweep_stage(cfg: RunConfig, env: RecoveryEnv | None = None):
-    """Train across the weight grid and mark the Pareto front. Without `env`
-    the sweep runs on a fresh copy of the agent stage's environment."""
+def sweep_stage(cfg: RunConfig):
+    """Train across the weight grid and mark the Pareto front, on its own
+    build of the agent stage's environment (an env keeps nothing across
+    `reset`, so a build gives the same episodes)."""
     agent = cfg.agent
-    if env is None:
-        env = _recovery_env(cfg)
     grid = [RewardWeights.normalized(*w) for w in agent.sweep_grid]
     result = weight_sweep(
-        env, grid, episodes=agent.sweep_episodes,
+        _recovery_env(cfg), grid, episodes=agent.sweep_episodes,
         seed=derive_seed(cfg.seed, "agent", "sweep"),
         eval_episodes=agent.sweep_eval_episodes, hyper=agent,
     )
@@ -332,7 +325,8 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
                     seed=derive_seed(ep_seed, "cascade"),
                 )
                 pred = predict_failures(graph, trace.node_telemetry, gnn,
-                                        horizon=trace.ticks)
+                                        horizon=trace.ticks,
+                                        flag_threshold=cfg.gnn.flag_threshold)
                 lead = mttfp(pred, trace, cfg.eval.tick_seconds)
                 cascade_pred = {"early_warning": lead is not None and lead > 0,
                                 "lead_seconds": lead}
@@ -407,7 +401,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     meta, detection, adaptation = detector_stage(cfg, train_tasks, eval_tasks)
     gnn, dependency = gnn_stage(cfg)
     env, agent, weights, norms, recovery = agent_stage(cfg)
-    pareto = sweep_stage(cfg, env)
+    pareto = sweep_stage(cfg)
     closed_loop = _closed_loop(cfg, meta.model, gnn.gnn, env, agent.policy, weights,
                                norms)
     attribution = _attribution(cfg, meta.model, eval_tasks)

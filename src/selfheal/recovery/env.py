@@ -272,20 +272,17 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
     """Run one episode with `choose(state index, tick) -> RecoveryAction`.
 
     Its objectives are the mean latency and resource over every snapshot,
-    the one after reset included, and the plain sum of the action costs.
+    the one after reset included, and the last snapshot's cumulative cost:
+    the action costs summed in the order they were paid.
     """
     state = env.reset(episode_seed)
-    costs = [env.action_costs[a] for a in ACTIONS]  # by action code
     snap = env.snapshot()
     latencies = [snap.latency]
     resources = [snap.resource]
-    action_costs: list[float] = []
     tick = 0
     done = False
     while not done:
-        action = choose(state, tick)
-        action_costs.append(costs[action._value_])
-        state, done = env.step(action)
+        state, done = env.step(choose(state, tick))
         snap = env.snapshot()
         latencies.append(snap.latency)
         resources.append(snap.resource)
@@ -293,5 +290,5 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
     return ObjectiveVector(
         latency=float(np.array(latencies).mean()),
         resource=float(np.array(resources).mean()),
-        cost=float(sum(action_costs)),
+        cost=float(snap.cost),
     )

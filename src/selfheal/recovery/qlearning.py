@@ -7,7 +7,7 @@ is bitwise deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,9 @@ class QHyper:
 
 @dataclass
 class Policy:
-    """Full Q table plus the hyperparameters it was trained with."""
+    """The full Q table; scoring and saving read nothing else."""
 
     q: np.ndarray  # (N_STATES, N_ACTIONS)
-    hyper: QHyper = field(default_factory=QHyper)
 
     def __post_init__(self):
         if self.q.shape != (N_STATES, N_ACTIONS):
@@ -63,10 +62,6 @@ class Policy:
 
     def choose(self, state: int, tick: int) -> RecoveryAction:
         return self.greedy(state)
-
-
-def zero_policy(hyper: QHyper | None = None) -> Policy:
-    return Policy(q=np.zeros((N_STATES, N_ACTIONS)), hyper=hyper or QHyper())
 
 
 def random_policy(seed: int):
@@ -90,31 +85,29 @@ def no_op_policy(state: int, tick: int) -> RecoveryAction:
     return RecoveryAction.NO_OP
 
 
-def estimate_normalizers(
-    env: RecoveryEnv, episodes: int = 10, seed: int = 0
-) -> tuple[float, float, float]:
-    """Running means of each objective's magnitude over random-policy warmup."""
-    if episodes < 1:
-        raise InputError("need at least one warmup episode")
+WARMUP_EPISODES = 10  # random-policy episodes behind each normalizer estimate
+
+
+def estimate_normalizers(env: RecoveryEnv, seed: int = 0) -> tuple[float, float, float]:
+    """Means of each objective's magnitude over `WARMUP_EPISODES` random-policy
+    episodes."""
     totals = np.zeros(3)
-    for e in range(episodes):
+    for e in range(WARMUP_EPISODES):
         vec = rollout(env, random_policy(derive_seed(seed, "warmup-pi", e)),
                       derive_seed(seed, "warmup", e))
         totals += np.abs(np.array(vec))
-    means = totals / episodes
+    means = totals / WARMUP_EPISODES
     return tuple(float(max(m, 1e-9)) for m in means)
 
 
-def _step_normalizers(
-    env: RecoveryEnv, episodes: int = 10, seed: int = 0
-) -> tuple[float, float, float]:
+def _step_normalizers(env: RecoveryEnv, seed: int = 0) -> tuple[float, float, float]:
     """Per-tick magnitude scales for the TD reward.
 
     Latency and resource are per-tick quantities already; cost is scaled by
     the mean cost of one action so a single wasted action is visible against
     one tick's latency signal rather than diluted by the episode total.
     """
-    episode_scale = estimate_normalizers(env, episodes, seed)
+    episode_scale = estimate_normalizers(env, seed)
     mean_action_cost = float(np.mean([c for c in env.action_costs.values()]))
     return episode_scale[0], episode_scale[1], max(mean_action_cost, 1e-9)
 
@@ -138,10 +131,11 @@ def train_agent(
 
     The per-step reward compares the post-action snapshot against the healthy
     baseline counterfactual at the same tick, normalized per objective.
-    Deterministic in `seed`.
+    Deterministic in `seed`. Zero episodes leave the all-zero table, which
+    idles (ties break to NO_OP), and no returns.
     """
-    if episodes < 1:
-        raise InputError("episodes must be >= 1")
+    if episodes < 0:
+        raise InputError(f"episodes must be >= 0, got {episodes}")
     hyper = hyper or QHyper()
     if normalizers is None:
         normalizers = _step_normalizers(env, seed=derive_seed(seed, "norms"))
@@ -174,7 +168,7 @@ def train_agent(
             total += r
             prev_cost = actual.cost
         returns.append(total)
-    return AgentTrainResult(policy=Policy(q=np.array(q), hyper=hyper), returns=returns,
+    return AgentTrainResult(policy=Policy(q=np.array(q)), returns=returns,
                             normalizers=normalizers)
 
 
@@ -195,7 +189,7 @@ def save_policy(policy: Policy, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_policy(path: str | Path, hyper: QHyper | None = None) -> Policy:
+def load_policy(path: str | Path) -> Policy:
     lines = read_text(path).strip().splitlines()
     if not lines or lines[0].split("\t") != ["state", "action", "q"]:
         raise SchemaError(f"{path}: not a policy table")
@@ -222,4 +216,4 @@ def load_policy(path: str | Path, hyper: QHyper | None = None) -> Policy:
         seen[s, a] = True
     if not seen.all():
         raise SchemaError(f"{path}: table does not cover every (state, action)")
-    return Policy(q=q, hyper=hyper or QHyper())
+    return Policy(q=q)

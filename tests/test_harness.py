@@ -3,6 +3,7 @@ import re
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selfheal.detector import load_checkpoint
@@ -216,9 +217,11 @@ class TestConfig:
         ("eval", {"recovery_episodes": 0}, "'eval.recovery_episodes' must be"),
         ("eval", {"background_rows": 0}, "'eval.background_rows' must be"),
         ("eval", {"closed_loop_episodes": 0}, "'eval.closed_loop_episodes' must be"),
+        ("agent", {"action_costs": {"reboot": 1.0}},
+         "agent.action_costs names unknown action 'reboot'"),
     ], ids=["meta_batch", "meta_mode", "gamma", "lr", "epsilon", "sweep_grid",
             "sweep_eval_episodes", "recovery_episodes", "background_rows",
-            "closed_loop_episodes"])
+            "closed_loop_episodes", "action_costs"])
     def test_learner_range_or_zero_count_exits_at_load_by_key(
         self, tmp_path, capsys, section, values, message
     ):
@@ -232,11 +235,8 @@ class TestConfig:
         assert not list(tmp_path.glob("report.*"))
 
     def test_unknown_action_cost_name_rejected(self):
-        from selfheal.harness.config import resolve_action_costs
-
-        cfg = config_from_dict({"agent": {"action_costs": {"explode": 1.0}}})
         with pytest.raises(ConfigurationError, match="explode"):
-            resolve_action_costs(cfg.agent)
+            config_from_dict({"agent": {"action_costs": {"explode": 1.0}}})
 
     @pytest.mark.parametrize("cost", [-1, -0.5, float("nan"), float("inf"), "3", True])
     def test_bad_action_cost_rejected_when_read(self, cost):
@@ -261,8 +261,9 @@ class TestConfig:
             resolve_action_costs(agent)
 
     def test_malformed_action_cost_pairs_rejected(self):
-        with pytest.raises(ConfigurationError, match="must map action names to costs"):
-            config_from_dict({"agent": {"action_costs": [["no_op"]]}})
+        for pairs in ([["no_op"]], [[1, 2.0]]):  # no cost; a name that is not a string
+            with pytest.raises(ConfigurationError, match="must map action names to costs"):
+                config_from_dict({"agent": {"action_costs": pairs}})
 
 
 class TestReportEmission:
@@ -341,7 +342,7 @@ class TestPipeline:
         # an untrained, unadapted detector scores near 0.5 everywhere; with
         # threshold 0.5 it degenerates rather than reaching high F1
         assert report.detection["f1"] <= 0.75
-        assert report.recovery["proposed"]["cost"] == 0.0  # zero policy idles
+        assert report.recovery["proposed"]["cost"] == 0.0  # the all-zero table idles
 
     def test_sweep_trains_with_the_configured_hyperparameters(self):
         from selfheal.harness.pipeline import _recovery_env, sweep_stage
@@ -363,6 +364,30 @@ class TestPipeline:
             [e.objectives.latency, e.objectives.resource, e.objectives.cost]
             for e in expected.entries
         ]
+
+    def test_closed_loop_flags_cascades_at_the_configured_threshold(self, monkeypatch):
+        from selfheal.depgraph import init_gnn
+        from selfheal.harness import pipeline
+        from selfheal.recovery import BALANCED_WEIGHTS, N_ACTIONS, N_STATES, Policy
+        from selfheal.simulator.cascade import make_tree_graph
+
+        thresholds = []
+
+        def spy(*args, **kwargs):
+            thresholds.append(kwargs.get("flag_threshold"))
+            return predict(*args, **kwargs)
+
+        predict = pipeline.predict_failures
+        monkeypatch.setattr(pipeline, "predict_failures", spy)
+        # a detector that flags every tick, so each cascade episode is scored
+        monkeypatch.setattr(pipeline, "detect", lambda model, feature: (1.0, 1))
+        cfg = config_from_dict({**FAST_CONFIG, "gnn": {"flag_threshold": 0.3},
+                                "eval": {"closed_loop_episodes": 10}})
+        gnn = init_gnn(make_tree_graph(cfg.simulator.cascade_nodes, seed=0), seed=0)
+        pipeline._closed_loop(cfg, None, gnn, pipeline._recovery_env(cfg),
+                              Policy(q=np.zeros((N_STATES, N_ACTIONS))), BALANCED_WEIGHTS,
+                              (1.0, 1.0, 1.0))
+        assert thresholds and set(thresholds) == {0.3}
 
     def test_report_sections_present(self, fast_report):
         raw = fast_report.to_dict()
@@ -473,9 +498,20 @@ class TestCli:
         sweep = json.loads((out / "sweep.json").read_text())
         assert sweep == fast_report.pareto["entries"]
 
+    def test_sweep_writes_the_pareto_entries_run_reports(self, tmp_path, capsys):
+        path = tmp_path / "costly.json"
+        path.write_text(json.dumps({
+            **FAST_CONFIG, "seed": 11, "output_dir": str(tmp_path),
+            "agent": {**FAST_CONFIG["agent"], "action_costs": {"scale_up": 3.5}},
+        }))
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert json.loads((tmp_path / "sweep.json").read_text()) == report["pareto"]["entries"]
+
     def test_train_commands_without_training_steps(self, tmp_path, capsys):
         # zero iterations, epochs and episodes save the initial models, as
-        # `run` scores them; agent.episodes 0 is the zero policy
+        # `run` scores them; agent.episodes 0 trains the all-zero table
         path = tmp_path / "idle.json"
         path.write_text(json.dumps({
             **FAST_CONFIG, "output_dir": str(tmp_path),

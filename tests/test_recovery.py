@@ -375,6 +375,16 @@ class TestTrainAgent:
         assert np.array_equal(a.policy.q, b.policy.q)
         assert a.returns == b.returns
 
+    def test_zero_episodes_return_the_zero_table(self):
+        result = train_agent(RecoveryEnv(seed=3), BALANCED_WEIGHTS, episodes=0, seed=7)
+        assert result.policy.q.shape == (N_STATES, N_ACTIONS)
+        assert not result.policy.q.any()
+        assert result.returns == []
+
+    def test_negative_episodes_rejected(self):
+        with pytest.raises(InputError, match="episodes must be >= 0"):
+            train_agent(SingleStateEnv(), BALANCED_WEIGHTS, episodes=-1, seed=0)
+
     def test_greedy_invariant_under_constant_q_shift(self):
         rng = np.random.default_rng(5)
         policy = Policy(q=rng.normal(size=(N_STATES, 7)))
