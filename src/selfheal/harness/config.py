@@ -15,6 +15,7 @@ from .. import files
 from ..detector import MetaConfig
 from ..errors import ConfigurationError, InputError
 from ..recovery import QHyper, RecoveryAction
+from ..simulator.cascade import ONSET_RANGE
 
 
 def _check_value(key: str, default, value) -> None:
@@ -51,7 +52,12 @@ class SimulatorSection:
     fail_threshold: float = 0.5
 
     def __post_init__(self):
-        files.integer(self.window_width, "'simulator.window_width'", 1, ConfigurationError)
+        for name in ("n_train_patterns", "n_eval_patterns", "window_width", "n_support",
+                     "n_query", "cascade_nodes"):
+            files.integer(getattr(self, name), f"'simulator.{name}'", 1, ConfigurationError)
+        # every cascade's seed node fails at a tick drawn from range(*ONSET_RANGE)
+        files.integer(self.cascade_horizon, "'simulator.cascade_horizon'", ONSET_RANGE[1],
+                      ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,14 @@ class RunConfig:
             raise ConfigurationError(
                 f"'gnn.train_fraction' {fraction!r} of 'simulator.n_cascades' {n} leaves "
                 f"{split} training and {n - split} held-out cascades; each side needs one")
+        # augment_tasks gives each training pattern a jittered copy, plus the mixes
+        sim = self.simulator
+        pool = 2 * sim.n_train_patterns + sim.mix_count
+        if self.detector.meta_batch > pool:
+            raise ConfigurationError(
+                f"'detector.meta_batch' {self.detector.meta_batch} exceeds the {pool} "
+                f"training tasks (2 * 'simulator.n_train_patterns' {sim.n_train_patterns} "
+                f"+ 'simulator.mix_count' {sim.mix_count})")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

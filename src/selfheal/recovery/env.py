@@ -113,12 +113,10 @@ class RecoveryEnv:
                 raise InputError(f"action cost for {action.name} must be finite "
                                  f"and >= 0, got {cost}")
         self._costs = tuple(self.action_costs[a] for a in ACTIONS)  # by action code
-        qps = healthy_series(self.pattern, _rng(derive_seed(seed, "load-reference")),
-                             600)[:, METRICS.index("qps")]
-        self._load_cuts = (
-            float(np.percentile(qps, 33.0)),
-            float(np.percentile(qps, 66.0)),
-        )
+        qps = np.sort(healthy_series(
+            self.pattern, _rng(derive_seed(seed, "load-reference")), 600
+        )[:, METRICS.index("qps")]).tolist()
+        self._load_cuts = (_percentile(qps, 33.0), _percentile(qps, 66.0))
         self._base = None  # the episode's healthy metric rows; set by reset()
 
     # -- episode state ---------------------------------------------------
@@ -261,6 +259,24 @@ class RecoveryEnv:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _percentile(ascending: list[float], q: float) -> float:
+    """`np.percentile(values, q)` from the values sorted ascending, with the
+    same bits, but without the `np.unique` call that imports `numpy.ma`.
+
+    numpy's linear rule reads the neighbours a <= b of the position
+    (n - 1) * q / 100 and its fraction t, and interpolates from a when t is
+    below 0.5 and back from b otherwise, which rounds differently from a
+    plain a + (b - a) * t. Past the last value both neighbours are the last.
+    """
+    last = len(ascending) - 1
+    pos = last * (q / 100.0)
+    i = math.floor(pos)
+    t = pos - i
+    a, b = (ascending[i], ascending[i + 1]) if pos < last else (ascending[-1],) * 2
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
 def _unit_clip(value: float) -> float:

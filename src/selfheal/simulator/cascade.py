@@ -39,6 +39,10 @@ _PARENT_WINDOW = 3
 _CROSS_EDGE_PROB = 0.25
 _STATIC_WIDTH = 2  # static features per node
 
+# make_cascade_dataset draws each seed node's failure tick from
+# range(*ONSET_RANGE), so its horizon must be at least ONSET_RANGE[1]
+ONSET_RANGE = (2, 5)
+
 
 @dataclass(frozen=True)
 class GraphNode:
@@ -268,7 +272,7 @@ def make_cascade_dataset(
             nid for nid in graph.node_ids[: min(4, n_nodes)] if nid in sources
         ] or ["n0"]
         seed_node = candidates[int(rng.integers(len(candidates)))]
-        onset = int(rng.integers(2, 5))
+        onset = int(rng.integers(*ONSET_RANGE))
         yield propagate_cascade(
             graph,
             seed_node=seed_node,

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -219,9 +222,21 @@ class TestConfig:
         ("eval", {"closed_loop_episodes": 0}, "'eval.closed_loop_episodes' must be"),
         ("agent", {"action_costs": {"reboot": 1.0}},
          "agent.action_costs names unknown action 'reboot'"),
+        ("simulator", {"n_eval_patterns": 0}, "'simulator.n_eval_patterns' must be"),
+        ("simulator", {"n_train_patterns": 0}, "'simulator.n_train_patterns' must be"),
+        ("simulator", {"n_support": 0}, "'simulator.n_support' must be"),
+        ("simulator", {"n_query": 0}, "'simulator.n_query' must be"),
+        ("simulator", {"cascade_nodes": 0}, "'simulator.cascade_nodes' must be"),
+        # a cascade's onset is drawn from 2-4, and must lie inside the horizon
+        ("simulator", {"cascade_horizon": 4},
+         "'simulator.cascade_horizon' must be an integer >= 5"),
+        # more than the 2 * n_train_patterns + mix_count augmented tasks
+        ("detector", {"meta_batch": 40}, "'detector.meta_batch' 40 exceeds the"),
     ], ids=["meta_batch", "meta_mode", "gamma", "lr", "epsilon", "sweep_grid",
             "sweep_eval_episodes", "recovery_episodes", "background_rows",
-            "closed_loop_episodes", "action_costs"])
+            "closed_loop_episodes", "action_costs", "n_eval_patterns",
+            "n_train_patterns", "n_support", "n_query", "cascade_nodes",
+            "cascade_horizon", "meta_batch_over_pool"])
     def test_learner_range_or_zero_count_exits_at_load_by_key(
         self, tmp_path, capsys, section, values, message
     ):
@@ -324,6 +339,49 @@ class TestPipeline:
         assert len(refs) == 30
         assert (dependency["training_cascades"], dependency["held_out_cascades"]) == (24, 6)
 
+    def test_gnn_stage_runs_before_the_tasks_and_detector_stages(self, monkeypatch):
+        """The depgraph stage trains first. Its node-wide epoch arrays, the
+        run's largest working set, then sit on the import floor, and the
+        later stages reuse the space they free. This was measured, not
+        derived: on perfbench's `desk` workload (seed 20260811, 2 vCPU,
+        numpy 2.4.6), a run that loads neither `numpy.ma` nor `statistics`
+        peaked at 40.3-40.4 MB with the GNN trained after the tasks and
+        detector stages, and at 39.8 MB with it first."""
+        from selfheal.harness import pipeline
+
+        order = []
+
+        def recorded(name, stage):
+            def run(*args, **kwargs):
+                order.append(name)
+                return stage(*args, **kwargs)
+            return run
+
+        for name in ("gnn_stage", "build_tasks", "detector_stage", "agent_stage"):
+            monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
+        pipeline.run_pipeline(config_from_dict(FAST_CONFIG))
+        assert order == ["gnn_stage", "build_tasks", "detector_stage", "agent_stage"]
+
+    def test_run_loads_neither_numpy_ma_nor_statistics(self):
+        # a fresh process: the test session itself may have loaded them. The
+        # load cuts and the medians are computed from sorted values instead.
+        import selfheal
+
+        unwanted = ("numpy.ma", "statistics", "fractions", "decimal")
+        script = (
+            "import json, sys\n"
+            "from selfheal.harness import config_from_dict, run_pipeline\n"
+            f"run_pipeline(config_from_dict({FAST_CONFIG!r}))\n"
+            f"print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))\n"
+        )
+        src = str(Path(selfheal.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_baselines_share_episode_seeds(self, fast_report):
         seeds = fast_report.recovery["episode_seeds"]
         assert len(seeds) == len(set(seeds)) == fast_report.recovery["episodes"]
@@ -398,6 +456,16 @@ class TestPipeline:
 
 
 class TestCompareAdaptation:
+    def test_median_equals_statistics_median(self):
+        import statistics
+
+        from selfheal.harness.pipeline import _median
+
+        rng = np.random.default_rng(0)
+        for n in range(1, 30):  # odd and even counts, ties included
+            counts = rng.integers(0, 26, n).tolist()
+            assert repr(_median(counts)) == repr(float(statistics.median(counts)))
+
     def test_identical_initializations_give_identical_step_counts(self):
         from selfheal.detector import init_detector
         from selfheal.harness import compare_adaptation

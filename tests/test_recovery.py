@@ -588,6 +588,39 @@ class TestEnv:
                     assert step == busy.step(action)
                     done, tick = step[1], tick + 1
 
+    def test_percentile_rule_equals_np_percentile_bitwise(self):
+        # one-element series, ties (few distinct values), long series, and q
+        # whose position has a fraction at or above 0.5. numpy orders 0.0
+        # and -0.0 arbitrarily, so the values hold no zero.
+        from selfheal.recovery.env import _percentile
+
+        def plain(ascending, q):  # a + (b - a) * t, which rounds differently
+            pos = (len(ascending) - 1) * (q / 100.0)
+            i = min(int(pos), len(ascending) - 1)
+            b = ascending[min(i + 1, len(ascending) - 1)]
+            return ascending[i] + (b - ascending[i]) * (pos - i)
+
+        rng = np.random.default_rng(23)
+        ours = theirs = upper = 0
+        for k in range(4000):
+            n = 1 if k < 50 else int(rng.integers(1, 800))
+            if k % 3 == 0:
+                x = rng.integers(1, 6, n).astype(float)
+            elif k % 3 == 1:
+                x = rng.normal(300.0, 60.0, n)
+            else:
+                x = rng.uniform(0.5, 1.0, n) * 10.0 ** rng.integers(-30, 30)
+            ascending = np.sort(x).tolist()
+            for q in (33.0, 66.0, 50.0, 100.0, float(rng.uniform(0.0, 100.0))):
+                expected = np.percentile(x, q).tobytes()
+                ours += np.float64(_percentile(ascending, q)).tobytes() != expected
+                theirs += np.float64(plain(ascending, q)).tobytes() != expected
+                pos = (n - 1) * (q / 100.0)
+                upper += pos % 1.0 >= 0.5
+        assert ours == 0
+        assert theirs > 0  # the test tells the two rules apart
+        assert upper > 1000
+
     @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
     def test_bad_action_cost_rejected_at_construction(self, cost):
         with pytest.raises(InputError, match="NO_OP"):
