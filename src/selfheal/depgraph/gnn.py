@@ -198,33 +198,32 @@ class FailurePrediction:
 def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
                    gnn: GnnParams, horizon: int) -> np.ndarray:
     """Each node's probability of failing within the label horizon, at ticks
-    0 .. horizon - 1: (horizon, n_nodes), from one `gnn_forward` per tick."""
-    edges, workspace = edge_arrays(graph), Workspace()
-    (weights, layer_spec), probs = _network(gnn), np.empty((horizon, edges.n_nodes))
-    for tick, h0 in enumerate(_inputs_by_tick(graph, node_telemetry, range(horizon))):
-        x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
-        # copied: the next tick overwrites the workspace's readout
-        probs[tick] = gnn_forward(weights, x, edges, layer_spec, workspace)[:, 0]
-    return probs
+    0 .. horizon - 1: (horizon, n_nodes), from one `gnn_forward` over the
+    ticks stacked on a leading axis, which equals one pass per tick bitwise."""
+    edges, (weights, layer_spec) = edge_arrays(graph), _network(gnn)
+    h0 = _inputs_by_tick(graph, node_telemetry, range(horizon))
+    x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+    return gnn_forward(weights, x, edges, layer_spec)[..., 0]
+
+
+def check_flag_threshold(threshold: float) -> None:
+    """A flag threshold above 1 could never flag: probabilities are at most 1."""
+    if not threshold <= 1.0:
+        raise InputError(f"flag_threshold must be <= 1, got {threshold}")
 
 
 def _flag_failures(node_ids, probs: np.ndarray, flag_threshold: float) -> FailurePrediction:
-    """`predict_failures` from the scanned probabilities `probs` (ticks, nodes)."""
-    best: dict[str, float] = {nid: 0.0 for nid in node_ids}
-    flag_tick: dict[str, int | None] = {nid: None for nid in node_ids}
-    flag_prob: dict[str, float] = {}
-    for tick, row in enumerate(probs.tolist()):
-        for nid, p in zip(node_ids, row):
-            best[nid] = max(best[nid], p)
-            if flag_tick[nid] is None and p >= flag_threshold:
-                flag_tick[nid] = tick
-                flag_prob[nid] = p
-    return FailurePrediction(
-        horizon=len(probs),
-        per_node={
-            nid: (flag_prob.get(nid, best[nid]), flag_tick[nid]) for nid in node_ids
-        },
-    )
+    """`predict_failures` from the scanned probabilities `probs` (ticks, nodes):
+    a node's flag tick is the first tick at or above the threshold, and its
+    probability the one there, else the largest seen (at least 0.0)."""
+    check_flag_threshold(flag_threshold)
+    flagged = probs >= flag_threshold
+    first, best = flagged.argmax(axis=0).tolist(), probs.max(axis=0, initial=0.0).tolist()
+    per_node = {}
+    for k, nid in enumerate(node_ids):
+        tick = first[k] if flagged[first[k], k] else None
+        per_node[nid] = (best[k] if tick is None else float(probs[tick, k]), tick)
+    return FailurePrediction(horizon=len(probs), per_node=per_node)
 
 
 def predict_failures(

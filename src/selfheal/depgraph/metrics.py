@@ -14,6 +14,12 @@ from .gnn import (
 _EVAL_OFFSET = 1  # node_failure_accuracy scores the tick after each onset
 
 
+def check_tick_seconds(tick_seconds: float) -> None:
+    """A tick must last more than 0 seconds."""
+    if tick_seconds <= 0:
+        raise InputError(f"tick_seconds must be > 0, got {tick_seconds}")
+
+
 def mttfp(
     pred: FailurePrediction, truth: CascadeTrace, tick_seconds: float
 ) -> float | None:
@@ -24,8 +30,7 @@ def mttfp(
     nodes, are excluded (those show up in prediction_rates instead). Returns
     None when no node qualifies.
     """
-    if tick_seconds <= 0:
-        raise InputError(f"tick_seconds must be > 0, got {tick_seconds}")
+    check_tick_seconds(tick_seconds)
     if set(pred.per_node) != set(truth.failure_times):
         raise InputError("prediction and trace cover different node sets")
     leads = []

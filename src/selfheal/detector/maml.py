@@ -286,32 +286,45 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def evaluate(model: DetectorModel, task: Task, cfg: MetaConfig) -> EvalReport:
-    """Adapt on support, score the query set, and report P/R/F1.
+def evaluate(model: DetectorModel, tasks: list[Task], cfg: MetaConfig) -> list[EvalReport]:
+    """Adapt on each task's support set, score its query set, and report
+    P/R/F1: one report per task, in task order.
 
+    The tasks adapt together, stacked on a leading task axis of the fused
+    kernel as in `meta_train`, so they must share one shape (InputError
+    naming the first that does not). Each task's adapted weights, support
+    losses and query scores equal those of adapting it alone, bitwise.
     adaptation_steps is the smallest step count at which the support loss
     reaches ADAPT_LOSS_BOUND, or cfg.inner_steps if it never does within the
     budget.
     """
+    if not tasks:
+        raise InputError("tasks must be nonempty")
     spec = model.layer_spec
     weights, loss, _ = _loss(model.params, spec, None)
-    weights, losses = _adapt(weights, loss, *_as_xy((task.support_x, task.support_y)),
-                             cfg.inner_lr, cfg.inner_steps)
-    adaptation_steps = next(
-        (step for step, value in enumerate(losses) if value <= ADAPT_LOSS_BOUND),
-        cfg.inner_steps)
+    ((support_x, support_y, query_x, query_y),) = _batches(tasks, None)
+    # one copy of the model per task, so every pass below is stacked alike
+    weights = [np.broadcast_to(w, (len(tasks), *w.shape)) for w in weights]
+    weights, losses = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,
+                             cfg.inner_steps)
+    met = np.reshape(losses, (len(losses), len(tasks))) <= ADAPT_LOSS_BOUND
 
-    # an (n, 1, d) stack scores each row as `detect` does, bitwise; an (n, d)
-    # batch can differ from it in the last bits
-    scores = mlp_forward(weights, task.query_x[:, None, :], spec)[-1]
-    flags, positive = scores[:, 0, 0] >= model.threshold, task.query_y == 1.0
-    tp, fp, fn, tn = (int(np.count_nonzero(f & p)) for f, p in (
-        (flags, positive), (flags, ~positive), (~flags, positive), (~flags, ~positive)))
-    precision, recall, f1 = _prf(tp, fp, fn)
-    return EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        adaptation_steps=adaptation_steps,
-        confusion=(tp, fp, fn, tn),
-    )
+    # a (1, d) row per query row, behind the task and row axes, scores each
+    # row as `detect` does, bitwise; an (n, d) batch can differ from it in
+    # the last bits
+    scores = mlp_forward([w[:, None] for w in weights], query_x[:, :, None, :], spec)[-1]
+    flags, positive = scores[..., 0, 0] >= model.threshold, query_y == 1.0
+    reports = []
+    for k in range(len(tasks)):
+        tp, fp, fn, tn = (int(np.count_nonzero(f & p)) for f, p in (
+            (flags[k], positive[k]), (flags[k], ~positive[k]), (~flags[k], positive[k]),
+            (~flags[k], ~positive[k])))
+        precision, recall, f1 = _prf(tp, fp, fn)
+        reports.append(EvalReport(
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            adaptation_steps=int(np.argmax(met[:, k])) if met[:, k].any() else cfg.inner_steps,
+            confusion=(tp, fp, fn, tn),
+        ))
+    return reports

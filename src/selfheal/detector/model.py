@@ -26,6 +26,12 @@ DEFAULT_LAYER_SPEC = ((32, "relu"), (16, "relu"), (1, "sigmoid"))
 CHECKPOINT_FORMAT = "selfheal-detector"
 
 
+def check_threshold(threshold: float) -> None:
+    """A decision threshold on sigmoid scores must lie in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """An MLP anomaly scorer with a decision threshold."""
@@ -36,10 +42,7 @@ class DetectorModel:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigurationError(
-                f"threshold must be in (0, 1), got {self.threshold}"
-            )
+        check_threshold(self.threshold)
         if self.layer_spec[-1][0] != 1:
             raise ConfigurationError("final layer must have width 1")
 

@@ -12,10 +12,17 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .. import files
+from ..depgraph.gnn import check_flag_threshold
+from ..depgraph.metrics import check_tick_seconds
 from ..detector import MetaConfig
+from ..detector.model import check_threshold
 from ..errors import ConfigurationError, InputError
-from ..recovery import QHyper, RecoveryAction
-from ..simulator.cascade import ONSET_RANGE
+from ..numerics.nets import check_learning_rate
+from ..recovery import QHyper, RecoveryAction, RewardWeights
+from ..recovery.env import ONSET_RANGE as EPISODE_ONSET_RANGE
+from ..simulator.cascade import ONSET_RANGE, check_fail_threshold
+from ..simulator.tasks import MIN_SPLIT, check_jitter_std
+from ..simulator.telemetry import check_anomaly_rate
 
 
 def _check_value(key: str, default, value) -> None:
@@ -36,6 +43,15 @@ def _check_value(key: str, default, value) -> None:
                                  f"got {value!r}")
 
 
+def _owned(key: str, check, *values) -> None:
+    """`check(*values)`, the range check of the code that uses the value, so
+    that each range has one home; its error names the key."""
+    try:
+        check(*values)
+    except (InputError, ConfigurationError) as err:
+        raise ConfigurationError(f"'{key}': {err}") from None
+
+
 @dataclass(frozen=True)
 class SimulatorSection:
     n_train_patterns: int = 12
@@ -52,9 +68,14 @@ class SimulatorSection:
     fail_threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("n_train_patterns", "n_eval_patterns", "window_width", "n_support",
-                     "n_query", "cascade_nodes"):
+        for name in ("n_train_patterns", "n_eval_patterns", "window_width", "cascade_nodes"):
             files.integer(getattr(self, name), f"'simulator.{name}'", 1, ConfigurationError)
+        for name in ("n_support", "n_query"):
+            files.integer(getattr(self, name), f"'simulator.{name}'", MIN_SPLIT,
+                          ConfigurationError)
+        _owned("simulator.anomaly_rate", check_anomaly_rate, self.anomaly_rate)
+        _owned("simulator.jitter_std", check_jitter_std, self.jitter_std)
+        _owned("simulator.fail_threshold", check_fail_threshold, self.fail_threshold)
         # every cascade's seed node fails at a tick drawn from range(*ONSET_RANGE)
         files.integer(self.cascade_horizon, "'simulator.cascade_horizon'", ONSET_RANGE[1],
                       ConfigurationError)
@@ -69,6 +90,7 @@ class DetectorSection(MetaConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _owned("detector.threshold", check_threshold, self.threshold)
         # the floor `load_checkpoint` enforces, so a trained detector loads back
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'detector.hidden_widths.{i}'", 1, ConfigurationError)
@@ -86,6 +108,8 @@ class GnnSection:
     def __post_init__(self):
         # the ranges `load_gnn` enforces, so a trained GNN always loads back
         files.integer(self.label_horizon, "'gnn.label_horizon'", 0, ConfigurationError)
+        _owned("gnn.lr", check_learning_rate, self.lr)
+        _owned("gnn.flag_threshold", check_flag_threshold, self.flag_threshold)
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'gnn.hidden_widths.{i}'", 1, ConfigurationError)
         # the share of `simulator.n_cascades` that trains; the rest is held out
@@ -125,6 +149,10 @@ class AgentSection(QHyper):
                 raise ConfigurationError(
                     f"'{key}' must be three numbers (latency, resource, cost), "
                     f"got {vector!r}")
+            _owned(key, RewardWeights.normalized, *vector)
+        # each episode's anomaly starts by tick EPISODE_ONSET_RANGE[1]
+        files.integer(self.episode_ticks, "'agent.episode_ticks'", EPISODE_ONSET_RANGE[1] + 1,
+                      ConfigurationError)
         for pair in self.action_costs:
             if not isinstance(pair, tuple) or len(pair) != 2 or not isinstance(pair[0], str):
                 raise ConfigurationError(
@@ -143,6 +171,7 @@ class EvalSection:
     def __post_init__(self):
         for name in ("recovery_episodes", "background_rows", "closed_loop_episodes"):
             files.integer(getattr(self, name), f"'eval.{name}'", 1, ConfigurationError)
+        _owned("eval.tick_seconds", check_tick_seconds, self.tick_seconds)
 
 
 @dataclass(frozen=True)

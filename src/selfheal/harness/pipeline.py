@@ -84,12 +84,9 @@ def compare_adaptation(
 ) -> list[tuple[int, int]]:
     """Adaptation-step counts for both initializations on identical tasks."""
     cfg = MetaConfig(inner_lr=inner_lr, inner_steps=max_steps)
-    pairs = []
-    for task in tasks:
-        proposed = evaluate(meta_model, task, cfg).adaptation_steps
-        baseline = evaluate(baseline_model, task, cfg).adaptation_steps
-        pairs.append((proposed, baseline))
-    return pairs
+    return [(proposed.adaptation_steps, baseline.adaptation_steps)
+            for proposed, baseline in zip(evaluate(meta_model, tasks, cfg),
+                                          evaluate(baseline_model, tasks, cfg))]
 
 
 def workload_patterns(cfg: RunConfig, split: str):
@@ -141,7 +138,7 @@ def detector_stage(cfg: RunConfig, train_tasks, eval_tasks):
     result = meta_train(init, train_tasks, det, seed=derive_seed(seed, "train"))
 
     eval_cfg = MetaConfig(inner_lr=det.inner_lr, inner_steps=det.eval_inner_steps)
-    reports = [evaluate(result.model, task, eval_cfg) for task in eval_tasks]
+    reports = evaluate(result.model, eval_tasks, eval_cfg)
     detection = {
         "precision": float(np.mean([r.precision for r in reports])),
         "recall": float(np.mean([r.recall for r in reports])),

@@ -238,27 +238,30 @@ SCATTER_BLOCK_ROWS = 1024
 _VJP_READS_OUTPUT = ("sigmoid", "tanh")
 
 
-def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec):
-    """(slot, output, mask, blocks) of a GNN pass on `ws`.
+def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec, lead: tuple[int, ...] = ()):
+    """(slot, output, mask, blocks) of a GNN pass on `ws`, behind the leading
+    axes `lead` of its input.
 
-    slot(name, width, rows=n_nodes): a (rows, width) view of the array `name`
-    of `ws`, which holds n_nodes + 1 rows of the widest hidden layer.
-    output(i): the slot of hidden layer i's output, ("out", i) when its vjp
-    reads it, else "out", which relu and linear layers share. mask(i): the
-    bool array ("mask", i) that keeps a relu layer's out > 0. blocks(width):
-    the scatter's two scratch blocks of at most `SCATTER_BLOCK_ROWS` rows.
+    slot(name, width, rows=n_nodes): a lead + (rows, width) view of the array
+    `name` of `ws`, which holds n_nodes + 1 rows of the widest hidden layer
+    per leading index. output(i): the slot of hidden layer i's output,
+    ("out", i) when its vjp reads it, else "out", which relu and linear
+    layers share. mask(i): the bool array ("mask", i) that keeps a relu
+    layer's out > 0. blocks(width): the scatter's two scratch blocks of at
+    most `SCATTER_BLOCK_ROWS` rows.
     """
     widest = max((width for width, _ in layer_spec[:-1]), default=0)
     block_rows = min(SCATTER_BLOCK_ROWS, n_nodes)
 
     def slot(name, width, rows=n_nodes, capacity=n_nodes + 1):
-        return ws(name, (capacity * widest,))[:rows * width].reshape(rows, width)
+        flat = ws(name, lead + (capacity * widest,))
+        return flat[..., :rows * width].reshape(lead + (rows, width))
 
     def output(i):
         return ("out", i) if layer_spec[i][1] in _VJP_READS_OUTPUT else "out"
 
     def mask(i):
-        return ws(("mask", i), (n_nodes, layer_spec[i][0]), np.bool_)
+        return ws(("mask", i), lead + (n_nodes, layer_spec[i][0]), np.bool_)
 
     def blocks(width):
         return [slot(("block", k), width, block_rows, block_rows) for k in (0, 1)]
@@ -278,6 +281,11 @@ def gnn_forward(
     layer, h0 when it has none. The ops replay the taped ones, so the output
     equals the taped network's bitwise.
 
+    Nodes lie on axis -2 of `x`. Leading axes before it, such as the ticks of
+    one trace, each run the same gemms as a pass of their own, so each slice
+    of the output equals that pass bitwise; stacking the rows of many passes
+    on one node axis would not.
+
     Each hidden layer keeps in `workspace` what its vjp reads: a tanh or
     sigmoid layer writes its output to its own slot ("out", i), while relu and
     linear layers write theirs to the one slot "out", which the next layer
@@ -288,19 +296,21 @@ def gnn_forward(
     """
     ws = Workspace() if workspace is None else workspace
     h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
-    if h.ndim != 2 or h.shape[0] != n_nodes:
+    if h.ndim < 2 or h.shape[-2] != n_nodes:
         raise InputError(f"x {h.shape} must have one row per node of the "
                          f"{n_nodes}-node edges")
-    slot, output, mask, blocks = _gnn_slots(ws, n_nodes, layer_spec)
+    lead = h.shape[:-2]
+    slot, output, mask, blocks = _gnn_slots(ws, n_nodes, layer_spec, lead)
     last = len(layer_spec) - 1
     for i, (out_width, activation) in enumerate(layer_spec):
         w, b = weights[2 * i], weights[2 * i + 1]
-        _check_layer(i, activation, h.shape[1], out_width, w, b)
+        _check_layer(i, activation, h.shape[-1], out_width, w, b)
         if 0 < i < last:
-            h = tape.scatter_add(slot(output(i - 1), h.shape[1], n_nodes + 1),
-                                 edges.into_dst, slot(("aggregate", i), h.shape[1]),
-                                 blocks(h.shape[1]))
-        z = slot(output(i), out_width) if i < last else ws("readout", (n_nodes, out_width))
+            h = tape.scatter_add(slot(output(i - 1), h.shape[-1], n_nodes + 1),
+                                 edges.into_dst, slot(("aggregate", i), h.shape[-1]),
+                                 blocks(h.shape[-1]))
+        z = (slot(output(i), out_width) if i < last
+             else ws("readout", lead + (n_nodes, out_width)))
         np.add(np.matmul(h, w, out=z), b, out=z)
         h = tape.ACTIVATIONS[activation][0](z, z)
         if i < last and activation == "relu":
@@ -335,6 +345,9 @@ def gnn_loss_and_grad(
     (loss, gradients).
     """
     ws = Workspace() if workspace is None else workspace
+    if np.ndim(x) != 2:
+        raise InputError(f"x {np.shape(x)} must be one (nodes, width) batch; training "
+                         "takes no leading axis")
     labels = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     _check_labels(labels)
     if labels.shape[0] != edges.n_nodes:
@@ -373,12 +386,17 @@ def gnn_loss_and_grad(
     return loss, grads
 
 
+def check_learning_rate(lr: float) -> None:
+    """A descent step's learning rate must be >= 0."""
+    if lr < 0:
+        raise InputError(f"learning rate must be >= 0, got {lr}")
+
+
 def descend(weights: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             lr: float) -> list[np.ndarray]:
     """One descent step on raw arrays: w - lr * g for each pair, with the
     checks a Tensor makes (InputError on lr < 0 or a non-finite result)."""
-    if lr < 0:
-        raise InputError(f"learning rate must be >= 0, got {lr}")
+    check_learning_rate(lr)
     out = [w - lr * g for w, g in zip(weights, grads)]
     if not all(np.isfinite(w).all() for w in out):
         raise InputError("tensor values must be finite (no NaN/Inf)")

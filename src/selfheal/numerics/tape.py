@@ -290,7 +290,9 @@ def scatter_add(padded: Array, groups: RankGroups, out: Array | None = None,
                 scratch=None) -> Array:
     """v[r] plus the sum of v[s] over the grouped pairs (r, s), in edge order,
     where v is `padded` without its last row: `edge_aggregate` with the
-    `into_dst` groups of an `EdgeIndex`, its vjp with `into_src`.
+    `into_dst` groups of an `EdgeIndex`, its vjp with `into_src`. Rows lie on
+    axis -2; any axes before it are leading axes, each slice along them
+    scattered alike.
 
     The last row of `padded` is a spare that this sets to -0.0, the value the
     rank-0 gather gives a row with no rank-0 pair: x + (-0.0) == x bitwise for
@@ -301,40 +303,44 @@ def scatter_add(padded: Array, groups: RankGroups, out: Array | None = None,
     nothing the size of v. No receiver repeats within a group, so the blocks
     give the same bits as whole groups.
     """
-    padded[-1] = -0.0
-    v = padded[:-1]
+    padded[..., -1, :] = -0.0
+    v = padded[..., :-1, :]
     # np.take gathers rows faster than fancy indexing, and with mode="clip" it
     # writes `out=` unbuffered
-    out = np.take(padded, groups.first, axis=0, out=out, mode="clip")
+    out = np.take(padded, groups.first, axis=-2, out=out, mode="clip")
     np.add(v, out, out=out)
     for receivers, senders in groups.later:
-        block = len(receivers) if scratch is None else len(scratch[0])
+        block = len(receivers) if scratch is None else scratch[0].shape[-2]
         for start in range(0, len(receivers), block):
             r, s = receivers[start:start + block], senders[start:start + block]
-            rows, sent = (None, None) if scratch is None else (a[:len(r)] for a in scratch)
-            rows = np.take(out, r, axis=0, out=rows, mode="clip")
-            rows += np.take(v, s, axis=0, out=sent, mode="clip")
-            out[r] = rows
+            rows, sent = ((None, None) if scratch is None
+                          else (a[..., :len(r), :] for a in scratch))
+            rows = np.take(out, r, axis=-2, out=rows, mode="clip")
+            rows += np.take(v, s, axis=-2, out=sent, mode="clip")
+            out[..., r, :] = rows
     return out
 
 
 def _padded(v: Array) -> Array:
-    """A copy of `v` with one spare row after its rows, for `scatter_add`."""
-    padded = np.empty((v.shape[0] + 1,) + v.shape[1:])
-    padded[:-1] = v
+    """A copy of `v` with one spare row after its rows (axis -2), for
+    `scatter_add`."""
+    padded = np.empty(v.shape[:-2] + (v.shape[-2] + 1, v.shape[-1]))
+    padded[..., :-1, :] = v
     return padded
 
 
 def edge_aggregate(x, edges: EdgeIndex):
     """out[v] = x[v] + sum of x[src] over edges (src -> dst) with dst == v.
 
-    The message-passing aggregation (self term plus in-neighbor sum). Each row
-    receives its additions in edge order, group by group of `EdgeIndex`, as an
-    unbuffered edge-by-edge accumulation would, so results are bitwise fixed by
-    the edge arrays regardless of BLAS threading.
+    The message-passing aggregation (self term plus in-neighbor sum). Nodes
+    lie on axis -2 of x, behind any leading axes (a tick axis, say), whose
+    slices each aggregate alike. Each row receives its additions in edge
+    order, group by group of `EdgeIndex`, as an unbuffered edge-by-edge
+    accumulation would, so results are bitwise fixed by the edge arrays
+    regardless of BLAS threading.
     """
     xv = _val(x)
-    if xv.ndim == 0 or xv.shape[0] != edges.n_nodes:
+    if xv.ndim < 2 or xv.shape[-2] != edges.n_nodes:
         raise InputError(f"x has shape {xv.shape}, edges span {edges.n_nodes} rows")
     out = scatter_add(_padded(xv), edges.into_dst)
     if not _is_node(x):

@@ -23,15 +23,15 @@ from ..seeding import derive_seed
 from ..simulator import (
     AFFECTED_METRICS, ANOMALY_KINDS, METRICS, default_patterns, healthy_series,
 )
-from ..simulator.telemetry import clip_metrics
+from ..simulator.telemetry import clip_metrics, diurnal_levels
 from .objectives import ObjectiveVector
 from .states import (
     ACTIONS,
     ANOMALY_STATUSES,
     DEFAULT_ACTION_COSTS,
+    FAILED_BINS,
     RecoveryAction,
     failed_bin,
-    state_index,
 )
 
 # Actions that fully clear an active anomaly, per kind.
@@ -61,6 +61,11 @@ _RESTART = RecoveryAction.RESTART_COMPONENT.value
 _THROTTLE = RecoveryAction.THROTTLE_ADMISSION.value
 
 _ANOMALY_KINDS = ANOMALY_STATUSES[1:]
+_N_STATUSES, _N_FAILED_BINS = len(ANOMALY_STATUSES), len(FAILED_BINS)
+
+# the first and last tick an episode's anomaly may start at, so an episode
+# needs more ticks than ONSET_RANGE[1]
+ONSET_RANGE = (5, 12)
 
 _LATENCY_INFLATION = 3.0
 _ANOMALY_RESOURCE_BOOST = {"cpu": 0.3, "memory": 0.3, "lock": 0.1, "io": 0.15, "cascade": 0.2}
@@ -85,12 +90,18 @@ _OBSERVED_INFLATION = 2.8
 
 
 class RecoveryEnv:
-    """Deterministic anomaly-and-recovery episodes over a workload pattern."""
+    """Deterministic anomaly-and-recovery episodes over a workload pattern.
+
+    `reset` and `step` compute the tick's objectives once and keep them as
+    plain attributes, which a training loop reads without a call:
+    `latency`, `resource` and the cumulative `cost` are `snapshot()`'s,
+    `healthy_latency` and `healthy_resource` are `baseline_snapshot()`'s.
+    """
 
     def __init__(
         self,
         episode_ticks: int = 40,
-        onset_range: tuple[int, int] = (5, 12),
+        onset_range: tuple[int, int] = ONSET_RANGE,
         action_costs: dict[RecoveryAction, float] | None = None,
         seed: int = 0,
     ):
@@ -117,7 +128,10 @@ class RecoveryEnv:
             self.pattern, _rng(derive_seed(seed, "load-reference")), 600
         )[:, METRICS.index("qps")]).tolist()
         self._load_cuts = (_percentile(qps, 33.0), _percentile(qps, 66.0))
+        # every episode's noise-free levels: the same ticks of the same pattern
+        self._levels = diurnal_levels(self.pattern, episode_ticks)
         self._base = None  # the episode's healthy metric rows; set by reset()
+        self._tick = self._last_tick = episode_ticks - 1  # step() waits for reset()
 
     # -- episode state ---------------------------------------------------
 
@@ -126,7 +140,8 @@ class RecoveryEnv:
         rng = _rng(derive_seed(episode_seed, "episode"))
         # Python floats, so the per-tick arithmetic stays on scalars
         self._base = healthy_series(
-            self.pattern, _rng(derive_seed(episode_seed, "base-trace")), self.episode_ticks
+            self.pattern, _rng(derive_seed(episode_seed, "base-trace")), self.episode_ticks,
+            self._levels,
         ).tolist()
         self._tick = 0
         self._kind = _ANOMALY_KINDS[int(rng.integers(len(_ANOMALY_KINDS)))]
@@ -139,50 +154,55 @@ class RecoveryEnv:
         self._scale_ups = 0
         self._scale_downs = 0
         self._throttled = False
-        self._hiccup = 0.0
+        self._rescale()
+        self._restarted = False  # the last action restarted the component
         self._failed_fraction = 0.0
-        self._cum_cost = 0.0
-        self._keep_healthy()
-        return self._observe()
+        self._failed_bin = 0
+        self.cost = 0.0
+        return self._settle()
 
     def _require_episode(self) -> None:
         if self._base is None:
             raise InputError("call reset() before stepping the environment")
 
-    def _keep_healthy(self) -> None:
+    def _settle(self) -> int:
         """Compute the current tick's values once, after reset() and each
-        step(): its base metric row (METRICS order) and its healthy latency,
-        resource (unclipped) and qps under the actions taken so far."""
-        row = self._base[self._tick]
-        cpu, memory, latency_ms, _, qps = row
-        latency_scale = _SCALE_DOWN_LATENCY ** self._scale_downs
+        step(): its base metric row (METRICS order), its qps and healthy
+        latency under the actions taken so far, and the attributes behind
+        `snapshot` and `baseline_snapshot`. Returns the tick's state index."""
+        cpu, memory, latency, _, qps = row = self._base[self._tick]
+        self._row, self._qps = row, qps * self._qps_scale
+        self.healthy_latency = latency = latency * self._latency_scale
+        resource = 0.5 * (cpu + memory) + self._resource_shift
+        self.healthy_resource = _unit_clip(resource)
+        status = 0  # ANOMALY_STATUSES[0] is "none"
+        if self._active:
+            status = self._status
+            latency *= 1.0 + (_LATENCY_INFLATION - 1.0) * self._mitigation
+            resource += _ANOMALY_RESOURCE_BOOST[self._kind]
+        if self._restarted:
+            latency *= _RESTART_HICCUP
+        self.latency, self.resource = latency, _unit_clip(resource)
+        # state_index(load, status, failed bin), where the load level is qps
+        # at or below the 33rd, the 66th, or above both cuts
+        load = bisect_left(self._load_cuts, self._qps)
+        return (load * _N_STATUSES + status) * _N_FAILED_BINS + self._failed_bin
+
+    def _rescale(self) -> None:
+        """The factors and shift that the scaling and throttling actions taken
+        so far apply to every later tick's healthy values."""
+        latency_scale, qps_scale = _SCALE_DOWN_LATENCY ** self._scale_downs, 1.0
         if self._throttled:
             latency_scale *= _THROTTLE_LATENCY
-            qps *= _THROTTLE_QPS
-        self._row = row
-        self._latency = latency_ms * latency_scale
-        self._resource = 0.5 * (cpu + memory) + (
-            _SCALE_UP_RESOURCE * self._scale_ups
-            - _SCALE_DOWN_RESOURCE * self._scale_downs
-        )
-        self._qps = qps
-
-    def _observe(self) -> int:
-        # load level: qps at or below the 33rd, the 66th, or above both cuts
-        load = bisect_left(self._load_cuts, self._qps)
-        status = self._status if self._active else 0  # ANOMALY_STATUSES[0] is "none"
-        return state_index(load, status, failed_bin(self._failed_fraction))
+            qps_scale = _THROTTLE_QPS
+        self._latency_scale, self._qps_scale = latency_scale, qps_scale
+        self._resource_shift = (_SCALE_UP_RESOURCE * self._scale_ups
+                                - _SCALE_DOWN_RESOURCE * self._scale_downs)
 
     def snapshot(self) -> ObjectiveVector:
         """Instantaneous (latency, resource, cumulative cost) at the current tick."""
         self._require_episode()
-        latency, resource = self._latency, self._resource
-        if self._active:
-            latency *= 1.0 + (_LATENCY_INFLATION - 1.0) * self._mitigation
-            resource += _ANOMALY_RESOURCE_BOOST[self._kind]
-        if self._hiccup > 0:
-            latency *= _RESTART_HICCUP
-        return ObjectiveVector(latency, _unit_clip(resource), self._cum_cost)
+        return ObjectiveVector(self.latency, self.resource, self.cost)
 
     def current_metrics(self) -> list[float]:
         """The telemetry row (METRICS order) a monitor would sample right now.
@@ -193,13 +213,13 @@ class RecoveryEnv:
         """
         self._require_episode()
         cpu, memory, _, io_ops, _ = self._row
-        row = [cpu, memory, self._latency, io_ops, self._qps]
+        row = [cpu, memory, self.healthy_latency, io_ops, self._qps]
         if self._active:
             inflation = 1.0 + (_OBSERVED_INFLATION - 1.0) * self._mitigation
             for j in _OBSERVED_COLUMNS[self._kind]:
                 row[j] *= inflation
             row = clip_metrics(row).tolist()
-        if self._hiccup > 0:
+        if self._restarted:
             row[2] *= _RESTART_HICCUP  # latency_ms
         return row
 
@@ -216,30 +236,31 @@ class RecoveryEnv:
     def baseline_snapshot(self) -> ObjectiveVector:
         """The healthy counterfactual at the current tick (no anomaly, no cost)."""
         self._require_episode()
-        return ObjectiveVector(self._latency, _unit_clip(self._resource), 0.0)
+        return ObjectiveVector(self.healthy_latency, self.healthy_resource, 0.0)
 
     def step(self, action: RecoveryAction) -> tuple[int, bool]:
         """Apply the action, advance one tick; returns (state index, done)."""
-        self._require_episode()
-        if self._tick >= self.episode_ticks - 1:
+        if self._tick >= self._last_tick:
+            self._require_episode()
             raise InputError("episode finished; call reset() to start another")
         code = action._value_  # the field behind the `.value` property, without its call
-        self._cum_cost += self._costs[code]
-        self._hiccup = max(0.0, self._hiccup - 1.0)
+        self.cost += self._costs[code]
+        self._restarted = code == _RESTART
 
         if code == _SCALE_UP:
             self._scale_ups = min(_MAX_SCALE_UPS, self._scale_ups + 1)
+            self._rescale()
         elif code == _SCALE_DOWN:
             self._scale_downs = min(_MAX_SCALE_DOWNS, self._scale_downs + 1)
+            self._rescale()
         elif code == _THROTTLE:
             self._throttled = True
-        if code == _RESTART:
-            self._hiccup = 1.0
+            self._rescale()
 
         if self._active:
             if code in self._clearing:
                 self._active = False
-                self._failed_fraction = 0.0
+                self._failed_fraction, self._failed_bin = 0.0, 0
             elif code in self._mitigating:
                 self._mitigation *= 0.5
 
@@ -251,10 +272,8 @@ class RecoveryEnv:
             self._failed_fraction = min(
                 _CASCADE_CAP, self._failed_fraction + _CASCADE_GROWTH
             )
-
-        done = self._tick >= self.episode_ticks - 1
-        self._keep_healthy()
-        return self._observe(), done
+            self._failed_bin = failed_bin(self._failed_fraction)
+        return self._settle(), self._tick >= self._last_tick
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -292,19 +311,16 @@ def rollout(env: RecoveryEnv, choose, episode_seed: int) -> ObjectiveVector:
     the action costs summed in the order they were paid.
     """
     state = env.reset(episode_seed)
-    snap = env.snapshot()
-    latencies = [snap.latency]
-    resources = [snap.resource]
+    latencies, resources = [env.latency], [env.resource]
     tick = 0
     done = False
     while not done:
         state, done = env.step(choose(state, tick))
-        snap = env.snapshot()
-        latencies.append(snap.latency)
-        resources.append(snap.resource)
+        latencies.append(env.latency)
+        resources.append(env.resource)
         tick += 1
     return ObjectiveVector(
         latency=float(np.array(latencies).mean()),
         resource=float(np.array(resources).mean()),
-        cost=float(snap.cost),
+        cost=float(env.cost),
     )

@@ -65,22 +65,24 @@ def _positive(normalizers: tuple[float, float, float]) -> np.ndarray:
 
 def make_reward(
     weights: RewardWeights, normalizers: tuple[float, float, float]
-) -> Callable[[tuple[float, float, float], tuple[float, float, float]], float]:
-    """The reward `r(prev, next) = -(w . (next - prev) / normalizers)` over
-    (latency, resource, cost) tuples, positive when the objectives improved.
-    Weights and normalizers are checked here, once, not on every call."""
+) -> Callable[[float, float, float], float]:
+    """The reward `r(latency, resource, cost) = -(w . (increments / normalizers))`
+    of the objectives' increments between two snapshots, positive when the
+    objectives improved. Weights and normalizers are checked here, once, not
+    on every call."""
     w = weights.as_array()
     n0, n1, n2 = _positive(normalizers).tolist()
+    x = np.empty(3)  # the scaled increments, rewritten by every call
+    dot = w.dot
 
-    def reward(prev: tuple[float, float, float], nxt: tuple[float, float, float]) -> float:
-        # Each quotient is the same IEEE operation as in `(nxt - prev) / n` on
+    def reward(latency: float, resource: float, cost: float) -> float:
+        # Each quotient is the same IEEE operation as in `increments / n` on
         # arrays, but the weighted sum must stay the BLAS dot: for 3-vectors it
         # equals an exact fused multiply-add chain, which the plain scalar
         # w0*x0 + w1*x1 + w2*x2 misses on a quarter to a third of random
         # triples, so a scalar sum would change every report.
-        x = np.array([(nxt[0] - prev[0]) / n0, (nxt[1] - prev[1]) / n1,
-                      (nxt[2] - prev[2]) / n2])
-        return float(-(w @ x))
+        x[0], x[1], x[2] = latency / n0, resource / n1, cost / n2
+        return -float(dot(x))
 
     return reward
 

@@ -149,7 +149,7 @@ def train_agent(
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
         epsilon = hyper.epsilon_at(episode, episodes)
         s = env.reset(derive_seed(seed, "episode", episode))
-        prev_cost = env.snapshot().cost  # changes only in step(): carried below
+        prev_cost = env.cost  # changes only in step(): carried below
         total = 0.0
         done = False
         while not done:
@@ -159,14 +159,15 @@ def train_agent(
             else:
                 a = row.index(max(row))  # the first maximum, as np.argmax
             nxt, done = env.step(ACTIONS[a])
-            actual = env.snapshot()
-            baseline = env.baseline_snapshot()
-            r = reward((baseline.latency, baseline.resource, prev_cost), actual)
+            # the step's snapshot against its healthy baseline at the same tick
+            cost = env.cost
+            r = reward(env.latency - env.healthy_latency,
+                       env.resource - env.healthy_resource, cost - prev_cost)
             target = r if done else r + gamma * max(q[nxt])
             row[a] += lr * (target - row[a])
             s = nxt
             total += r
-            prev_cost = actual.cost
+            prev_cost = cost
         returns.append(total)
     return AgentTrainResult(policy=Policy(q=np.array(q)), returns=returns,
                             normalizers=normalizers)

@@ -130,6 +130,12 @@ class CascadeTrace:
         }
 
 
+def check_fail_threshold(threshold: float) -> None:
+    """A node's failed share of in-weight that fails it must lie in (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise InputError(f"fail_threshold must be in (0, 1], got {threshold}")
+
+
 def propagate_cascade(
     graph: ComponentGraph,
     seed_node: str,
@@ -146,8 +152,7 @@ def propagate_cascade(
     fail by propagation. Failed nodes stay failed and their telemetry degrades
     from the failure tick onward.
     """
-    if not 0.0 < fail_threshold <= 1.0:
-        raise InputError(f"fail_threshold must be in (0, 1], got {fail_threshold}")
+    check_fail_threshold(fail_threshold)
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= onset < horizon:

@@ -29,6 +29,8 @@ FEATURE_UNIT_SCALE = {
 _SCALE_VECTOR = np.array([FEATURE_UNIT_SCALE[m] for m in METRICS])
 
 _MAX_TRACE_ATTEMPTS = 20
+# each side of a task's split holds at least one window of each class
+MIN_SPLIT = 2
 
 
 @dataclass
@@ -98,8 +100,6 @@ def _stratified_split(
     pool = [i for i in rng.permutation(len(labels)) if i not in (*support, *query)]
     need_support = n_support - 2
     need_query = n_query - 2
-    if need_support < 0 or need_query < 0:
-        raise InputError("n_support and n_query must be >= 2 for both-class splits")
     if len(pool) < need_support + need_query:
         return None
     support += pool[:need_support]
@@ -119,8 +119,9 @@ def make_tasks(
     Traces are regenerated (bounded attempts, fresh sub-seed) when anomaly
     placement leaves a class unrepresented.
     """
-    if n_support < 1 or n_query < 1:
-        raise InputError("n_support and n_query must be >= 1")
+    if min(n_support, n_query) < MIN_SPLIT:
+        raise InputError(f"n_support and n_query must be >= {MIN_SPLIT}, got "
+                         f"{n_support} and {n_query}")
     ticks = max(240, (n_support + n_query) * window_width * 3)
     tasks = []
     for pattern in patterns:
@@ -168,6 +169,12 @@ def _mix_side(
     return np.stack(rows), y_a.copy()
 
 
+def check_jitter_std(jitter_std: float) -> None:
+    """The jittered copies' feature noise must have a std >= 0."""
+    if jitter_std < 0:
+        raise InputError(f"jitter_std must be >= 0, got {jitter_std}")
+
+
 def augment_tasks(
     tasks: list[Task], jitter_std: float, mix_count: int, seed: int
 ) -> list[Task]:
@@ -179,8 +186,7 @@ def augment_tasks(
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    if jitter_std < 0:
-        raise InputError(f"jitter_std must be >= 0, got {jitter_std}")
+    check_jitter_std(jitter_std)
     out = list(tasks)
 
     for i, task in enumerate(tasks):

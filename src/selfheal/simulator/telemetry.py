@@ -123,10 +123,13 @@ class WorkloadPattern:
                 raise InputError(f"{name} missing metrics: {missing}")
         if any(self.noise_std[m] < 0 for m in METRICS):
             raise InputError("noise_std must be >= 0")
-        if not 0.0 <= self.anomaly_rate <= 0.5:
-            raise InputError(
-                f"anomaly_rate must be in [0, 0.5], got {self.anomaly_rate}"
-            )
+        check_anomaly_rate(self.anomaly_rate)
+
+
+def check_anomaly_rate(rate: float) -> None:
+    """A pattern's expected share of anomalous ticks must lie in [0, 0.5]."""
+    if not 0.0 <= rate <= 0.5:
+        raise InputError(f"anomaly_rate must be in [0, 0.5], got {rate}")
 
 
 @dataclass(frozen=True)
@@ -180,24 +183,35 @@ def default_patterns(count: int, seed: int, anomaly_rate: float = 0.05) -> list[
     return patterns
 
 
+def diurnal_levels(pattern: WorkloadPattern, ticks: int) -> np.ndarray:
+    """The pattern's noise-free metrics as a (ticks, 5) array, METRICS order:
+    each metric's base plus its diurnal sinusoid, which `healthy_series`
+    adds its noise to."""
+    if ticks < 1:
+        raise InputError(f"ticks must be >= 1, got {ticks}")
+    phase = np.sin(2.0 * math.pi * np.arange(ticks) / DIURNAL_PERIOD)
+    levels = np.empty((ticks, len(METRICS)))
+    for j, metric in enumerate(METRICS):
+        levels[:, j] = pattern.base_rates[metric] + pattern.diurnal_amplitude[metric] * phase
+    return levels
+
+
 def healthy_series(
-    pattern: WorkloadPattern, rng: np.random.Generator, ticks: int
+    pattern: WorkloadPattern, rng: np.random.Generator, ticks: int,
+    levels: np.ndarray | None = None,
 ) -> np.ndarray:
     """The pattern's anomaly-free metrics as a (ticks, 5) array, METRICS order.
 
     Each metric is base + diurnal sinusoid + Gaussian noise, clamped to its
-    range; the noise is drawn from `rng` one metric at a time.
+    range; the noise is drawn from `rng` one metric at a time. A caller that
+    draws many series of one length may pass `levels`, the pattern's
+    `diurnal_levels(pattern, ticks)`, computed once.
     """
-    if ticks < 1:
-        raise InputError(f"ticks must be >= 1, got {ticks}")
-    phase = np.sin(2.0 * math.pi * np.arange(ticks) / DIURNAL_PERIOD)
-    series = np.empty((ticks, len(METRICS)))
+    if levels is None:
+        levels = diurnal_levels(pattern, ticks)
+    series = np.empty_like(levels)
     for j, metric in enumerate(METRICS):
-        series[:, j] = (
-            pattern.base_rates[metric]
-            + pattern.diurnal_amplitude[metric] * phase
-            + rng.normal(0.0, pattern.noise_std[metric], size=ticks)
-        )
+        series[:, j] = levels[:, j] + rng.normal(0.0, pattern.noise_std[metric], size=ticks)
     return clip_metrics(series)
 
 

@@ -190,8 +190,8 @@ def test_c04_adaptation_latency_direction(detector_runs):
     model, held_tasks, baseline_seed = detector_runs[0]
     baseline = init_detector(20, seed=baseline_seed)
     cfg = MetaConfig(inner_lr=0.5, inner_steps=25)
-    proposed = [evaluate(model, t, cfg).adaptation_steps for t in held_tasks]
-    base = [evaluate(baseline, t, cfg).adaptation_steps for t in held_tasks]
+    proposed = [r.adaptation_steps for r in evaluate(model, held_tasks, cfg)]
+    base = [r.adaptation_steps for r in evaluate(baseline, held_tasks, cfg)]
     median_p = float(np.median(proposed))
     median_b = float(np.median(base))
     assert median_p <= 5.0, f"meta-trained median {median_p} > 5"
@@ -206,7 +206,7 @@ def test_c05_detection_quality_direction(detector_runs):
     means = []
     for i in range(5):
         model, held_tasks, _ = detector_runs[i]
-        means.append(float(np.mean([evaluate(model, t, cfg).f1 for t in held_tasks])))
+        means.append(float(np.mean([r.f1 for r in evaluate(model, held_tasks, cfg)])))
     overall = float(np.mean(means))
     assert overall >= 0.85, f"mean F1 {overall:.3f} < 0.85 (per-seed {means})"
     _passed(5, f"held-out F1 after <=5 inner steps: {overall:.3f} over 5 seeds")

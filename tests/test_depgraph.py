@@ -652,6 +652,37 @@ class TestGnnKernel:
         self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
                             self.taped(params, edges, h0, labels, widths, activation))
 
+    @pytest.mark.parametrize("block_rows", [8, nets.SCATTER_BLOCK_ROWS])
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)], ids=str)
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("widths", [(), (5,), (16, 16), (4, 3, 2)], ids=str)
+    def test_leading_axes_equal_one_pass_per_slice(self, monkeypatch, widths, activation,
+                                                   lead, block_rows):
+        # a pass over stacked inputs (a trace's ticks, say) runs the gemms of
+        # one pass per slice, so each slice's output is that pass's, bitwise
+        edges, h0, _ = stacked_batch()
+        monkeypatch.setattr(nets, "SCATTER_BLOCK_ROWS", block_rows)
+        scale = np.random.default_rng(6).uniform(0.5, 1.5, size=(*lead, 1, h0.shape[1]))
+        stack = h0 * scale  # every slice differs
+        slices = [stack[k] for k in np.ndindex(lead)]
+        x = tape.edge_aggregate(stack, edges) if widths else stack
+        parts = [tape.edge_aggregate(h, edges) if widths else h for h in slices]
+        assert [x[k].tobytes() for k in np.ndindex(lead)] == [p.tobytes() for p in parts]
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=9)
+        names = list(gnn_param_shapes(h0.shape[1], widths))
+        weights = [params[name].values for name in names]
+        spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
+        out = nets.gnn_forward(weights, x, edges, spec)
+        assert out.shape == (*lead, edges.n_nodes, 1)
+        assert [out[k].tobytes() for k in np.ndindex(lead)] == [
+            nets.gnn_forward(weights, part, edges, spec).tobytes() for part in parts]
+
+    def test_training_takes_no_leading_axis(self):
+        edges, h0, labels = hub7()
+        params = init_uniform_params(gnn_param_shapes(h0.shape[1], (5,)), seed=0)
+        with pytest.raises(InputError, match="no leading axis"):
+            self.kernel(params, edges, np.stack([h0, h0]), labels, (5,), "relu")
+
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
     def test_workspace_holds_two_node_arrays_per_hidden_layer_plus_one(self, widths):
         edges, h0, labels = stacked_batch()

@@ -477,7 +477,7 @@ class TestEvaluate:
         x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([1.0, 1.0, 0.0, 0.0])
         task = Task(x, y, x, y, "perfect")
-        report = evaluate(model, task, MetaConfig(inner_steps=0))
+        (report,) = evaluate(model, [task], MetaConfig(inner_steps=0))
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
         assert report.adaptation_steps == 0
 
@@ -508,27 +508,29 @@ class TestEvaluate:
         tasks = make_tasks(default_patterns(4, seed=23, anomaly_rate=0.2), 6, 60, 4, seed=2)
         cfg = MetaConfig(inner_lr=0.5, inner_steps=3)
         totals = np.zeros(4, dtype=int)
-        for seed, task in enumerate(tasks):
+        for seed in range(4):
             model = init_detector(20, seed=seed)
-            report = evaluate(model, task, cfg)
-            adapted = model.with_params(inner_adapt(
-                model.params, (task.support_x, task.support_y), cfg.inner_lr,
-                cfg.inner_steps, model.layer_spec))
-            tp = fp = fn = tn = 0
-            for row, label, score in zip(task.query_x, task.query_y, scored[-1][:, 0, 0]):
-                reference, flag = detect(adapted, row)
-                assert np.float64(score).tobytes() == np.float64(reference).tobytes()
-                if flag and label == 1.0:
-                    tp += 1
-                elif flag:
-                    fp += 1
-                elif label == 1.0:
-                    fn += 1
-                else:
-                    tn += 1
-            assert report.confusion == (tp, fp, fn, tn)
-            totals += report.confusion
-        assert len(scored) == len(tasks) and totals.min() > 0
+            reports = evaluate(model, tasks, cfg)
+            # one scoring pass for all the tasks: (tasks, rows, 1, 1)
+            for task, report, scores in zip(tasks, reports, scored[-1][:, :, 0, 0]):
+                adapted = model.with_params(inner_adapt(
+                    model.params, (task.support_x, task.support_y), cfg.inner_lr,
+                    cfg.inner_steps, model.layer_spec))
+                tp = fp = fn = tn = 0
+                for row, label, score in zip(task.query_x, task.query_y, scores):
+                    reference, flag = detect(adapted, row)
+                    assert np.float64(score).tobytes() == np.float64(reference).tobytes()
+                    if flag and label == 1.0:
+                        tp += 1
+                    elif flag:
+                        fp += 1
+                    elif label == 1.0:
+                        fn += 1
+                    else:
+                        tn += 1
+                assert report.confusion == (tp, fp, fn, tn)
+                totals += report.confusion
+        assert len(scored) == 4 and totals.min() > 0
 
     @staticmethod
     def reference_adaptation_steps(model, task, cfg):
@@ -566,14 +568,70 @@ class TestEvaluate:
             task = tiny_task(task_seed)
         cfg = MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps)
         assert self.reference_adaptation_steps(model, task, cfg) == expected
-        assert evaluate(model, task, cfg).adaptation_steps == expected
+        assert evaluate(model, [task], cfg)[0].adaptation_steps == expected
+
+    @staticmethod
+    def reference_evaluate(model, task, cfg):
+        """`evaluate` as first written, one task at a time: (its report, the
+        adapted weights)."""
+        from selfheal.detector.maml import EvalReport, _prf
+        from selfheal.numerics import mlp_forward, mlp_weights
+
+        spec = model.layer_spec
+        weights, losses = mlp_weights(model.params, spec), []
+        for _ in range(cfg.inner_steps if cfg.inner_lr else min(cfg.inner_steps, 1)):
+            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y, spec)
+            losses.append(loss)
+            if cfg.inner_lr:
+                weights = [w - cfg.inner_lr * g for w, g in zip(weights, grads)]
+        steps = next((step for step, value in enumerate(losses) if value <= ADAPT_LOSS_BOUND),
+                     cfg.inner_steps)
+        scores = mlp_forward(weights, task.query_x[:, None, :], spec)[-1][:, 0, 0]
+        flags, positive = scores >= model.threshold, task.query_y == 1.0
+        tp, fp, fn, tn = (int(np.count_nonzero(f & p)) for f, p in (
+            (flags, positive), (flags, ~positive), (~flags, positive), (~flags, ~positive)))
+        return EvalReport(*_prf(tp, fp, fn), steps, (tp, fp, fn, tn)), weights
+
+    @pytest.mark.parametrize("inner_lr, inner_steps", [(0.5, 5), (0.5, 25), (1.5, 4),
+                                                       (0.0, 3), (0.5, 0)])
+    def test_stacked_tasks_equal_one_task_at_a_time(
+        self, detector_runs, monkeypatch, inner_lr, inner_steps
+    ):
+        # the meta-trained model and a random init, on the held-out tasks
+        from selfheal.detector import maml
+
+        scored_with = []
+
+        def spy(weights, x, layer_spec):
+            scored_with.append(weights)
+            return real(weights, x, layer_spec)
+
+        real = maml.mlp_forward
+        monkeypatch.setattr(maml, "mlp_forward", spy)
+        meta_model, tasks, baseline_seed = detector_runs[0]
+        cfg = MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps)
+        for model in (meta_model, init_detector(20, seed=baseline_seed)):
+            reports = evaluate(model, tasks, cfg)
+            assert len(reports) == len(tasks)
+            for k, (task, report) in enumerate(zip(tasks, reports)):
+                expected, adapted = self.reference_evaluate(model, task, cfg)
+                assert report == expected
+                # scored as (tasks, 1, ...) stacks of the adapted weights
+                assert [w[k, 0].tobytes() for w in scored_with[-1]] == [
+                    w.tobytes() for w in adapted]
+
+    def test_tasks_of_another_shape_rejected(self):
+        tasks = [tiny_task(0), tiny_task(1, n=10)]
+        with pytest.raises(InputError, match="tiny-1"):
+            evaluate(constant_half_model(), tasks, MetaConfig())
+        with pytest.raises(InputError, match="nonempty"):
+            evaluate(constant_half_model(), [], MetaConfig())
 
     def test_confusion_sums_to_query_size(self):
         patterns = default_patterns(2, seed=31, anomaly_rate=0.15)
         tasks = make_tasks(patterns, 6, 12, 4, seed=1)
         model = init_detector(20, seed=8)
-        for task in tasks:
-            report = evaluate(model, task, MetaConfig(inner_steps=3))
+        for task, report in zip(tasks, evaluate(model, tasks, MetaConfig(inner_steps=3))):
             assert sum(report.confusion) == len(task.query_y)
 
 
@@ -584,8 +642,8 @@ def test_meta_trained_init_dominates_random_init(detector_runs):
     for i in range(5):
         model, held_tasks, baseline_seed = detector_runs[i]
         baseline = init_detector(20, seed=baseline_seed)
-        meta_f1 = np.mean([evaluate(model, t, cfg).f1 for t in held_tasks])
-        base_f1 = np.mean([evaluate(baseline, t, cfg).f1 for t in held_tasks])
+        meta_f1 = np.mean([r.f1 for r in evaluate(model, held_tasks, cfg)])
+        base_f1 = np.mean([r.f1 for r in evaluate(baseline, held_tasks, cfg)])
         assert meta_f1 >= base_f1, f"seed {i}: {meta_f1:.3f} < {base_f1:.3f}"
 
 

@@ -232,11 +232,43 @@ class TestConfig:
          "'simulator.cascade_horizon' must be an integer >= 5"),
         # more than the 2 * n_train_patterns + mix_count augmented tasks
         ("detector", {"meta_batch": 40}, "'detector.meta_batch' 40 exceeds the"),
+        # each side of a split holds one window of each class
+        ("simulator", {"n_support": 1}, "'simulator.n_support' must be an integer >= 2"),
+        ("simulator", {"n_query": 1}, "'simulator.n_query' must be an integer >= 2"),
+        ("simulator", {"anomaly_rate": 0.6},
+         "'simulator.anomaly_rate': anomaly_rate must be in [0, 0.5]"),
+        ("simulator", {"anomaly_rate": -0.1},
+         "'simulator.anomaly_rate': anomaly_rate must be in [0, 0.5]"),
+        ("simulator", {"fail_threshold": 0.0},
+         "'simulator.fail_threshold': fail_threshold must be in (0, 1]"),
+        ("simulator", {"fail_threshold": 1.5},
+         "'simulator.fail_threshold': fail_threshold must be in (0, 1]"),
+        ("simulator", {"jitter_std": -0.01}, "'simulator.jitter_std': jitter_std must be >= 0"),
+        ("eval", {"tick_seconds": 0.0}, "'eval.tick_seconds': tick_seconds must be > 0"),
+        ("detector", {"threshold": 1.0}, "'detector.threshold': threshold must be in (0, 1)"),
+        ("detector", {"threshold": 0.0}, "'detector.threshold': threshold must be in (0, 1)"),
+        ("gnn", {"lr": -0.3}, "'gnn.lr': learning rate must be >= 0"),
+        ("agent", {"weights": [1.0, -1.0, 1.0]},
+         "'agent.weights': weights must be nonnegative with a positive sum"),
+        ("agent", {"weights": [0.0, 0.0, 0.0]},
+         "'agent.weights': weights must be nonnegative with a positive sum"),
+        ("agent", {"sweep_grid": [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]},
+         "'agent.sweep_grid.1': weights must be nonnegative with a positive sum"),
+        ("agent", {"sweep_grid": [[0.5, 0.5, -0.1]]},
+         "'agent.sweep_grid.0': weights must be nonnegative with a positive sum"),
+        # an episode's anomaly starts at tick 5 to 12
+        ("agent", {"episode_ticks": 12}, "'agent.episode_ticks' must be an integer >= 13"),
+        # probabilities are at most 1, so a higher threshold never flags
+        ("gnn", {"flag_threshold": 1.5}, "'gnn.flag_threshold': flag_threshold must be <= 1"),
     ], ids=["meta_batch", "meta_mode", "gamma", "lr", "epsilon", "sweep_grid",
             "sweep_eval_episodes", "recovery_episodes", "background_rows",
             "closed_loop_episodes", "action_costs", "n_eval_patterns",
             "n_train_patterns", "n_support", "n_query", "cascade_nodes",
-            "cascade_horizon", "meta_batch_over_pool"])
+            "cascade_horizon", "meta_batch_over_pool", "n_support_1", "n_query_1",
+            "anomaly_rate_high", "anomaly_rate_negative", "fail_threshold_zero",
+            "fail_threshold_high", "jitter_std", "tick_seconds", "threshold_one",
+            "threshold_zero", "gnn_lr", "weights_negative", "weights_zero",
+            "sweep_grid_zero", "sweep_grid_negative", "episode_ticks", "flag_threshold"])
     def test_learner_range_or_zero_count_exits_at_load_by_key(
         self, tmp_path, capsys, section, values, message
     ):
@@ -522,10 +554,11 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
     def test_stage_failure_exit_code_3(self, tmp_path, capsys):
-        # n_support=1 cannot satisfy the both-classes-per-side contract, so
-        # the tasks stage fails
+        # at this anomaly rate no trace holds both classes, so the tasks
+        # stage fails after its bounded attempts
         path = tmp_path / "doomed.json"
-        path.write_text(json.dumps({**FAST_CONFIG, "simulator": {"n_support": 1}}))
+        path.write_text(json.dumps({**FAST_CONFIG, "simulator": {
+            **FAST_CONFIG["simulator"], "anomaly_rate": 1e-6}}))
         assert main(["run", "--config", str(path)]) == 3
         assert "tasks" in capsys.readouterr().err
 
@@ -595,7 +628,7 @@ class TestCli:
 
     def test_train_detector_failure_names_stage(self, tmp_path, capsys):
         path = tmp_path / "doomed.json"
-        path.write_text(json.dumps({**FAST_CONFIG, "output_dir": str(tmp_path),
-                                    "simulator": {"n_support": 1}}))
+        path.write_text(json.dumps({**FAST_CONFIG, "output_dir": str(tmp_path), "simulator": {
+            **FAST_CONFIG["simulator"], "anomaly_rate": 1e-6}}))
         assert main(["train-detector", "--config", str(path)]) == 3
         assert "stage 'tasks'" in capsys.readouterr().err

@@ -35,15 +35,18 @@ from selfheal.recovery import (
     weight_sweep,
     weighted_objective,
 )
+from selfheal.recovery import env as envmod
 from selfheal.recovery import pareto
 from selfheal.seeding import derive_seed
 from selfheal.simulator import AFFECTED_METRICS, ANOMALY_KINDS, METRICS, healthy_series
+from selfheal.simulator.telemetry import DIURNAL_PERIOD, clip_metrics
 
 DESK_SWEEP_GRID = [RewardWeights.normalized(*w) for w in AgentSection().sweep_grid]
 
 
 def reward(prev, nxt, weights, normalizers):
-    return make_reward(weights, normalizers)(prev, nxt)
+    """The reward from `prev` to `nxt`, (latency, resource, cost) tuples."""
+    return make_reward(weights, normalizers)(*(b - a for a, b in zip(prev, nxt)))
 
 
 class TestSystemState:
@@ -172,7 +175,8 @@ class TestRewardDot:
                 prev = tuple((rng.uniform(size=3) * scale).tolist())
                 nxt = tuple((rng.uniform(size=3) * scale).tolist())
                 expected = float(-(w @ ((np.array(nxt) - np.array(prev)) / n)))
-                assert fast(prev, nxt).hex() == expected.hex()
+                increments = (b - a for a, b in zip(prev, nxt))
+                assert fast(*increments).hex() == expected.hex()
 
 
 class TestRewardWeights:
@@ -280,7 +284,11 @@ class TestParetoFront:
 
 class SingleStateEnv:
     """Toy episode generator: scale_up removes all latency excess, anything
-    else leaves it; the state never changes."""
+    else leaves it; the state never changes. Its objectives are attributes,
+    as `RecoveryEnv` keeps them."""
+
+    resource = healthy_resource = 0.5
+    healthy_latency = 20.0
 
     def __init__(self, excess=80.0, ticks=6):
         self.action_costs = {a: float(a.value) for a in ACTIONS}
@@ -298,12 +306,19 @@ class SingleStateEnv:
         self._last = RecoveryAction.NO_OP
         return named_state("medium", "cpu", "none")
 
+    @property
+    def latency(self):
+        return 20.0 if self._last is RecoveryAction.SCALE_UP else 20.0 + self.excess
+
+    @property
+    def cost(self):
+        return self._cum
+
     def snapshot(self):
-        lat = 20.0 if self._last is RecoveryAction.SCALE_UP else 20.0 + self.excess
-        return ObjectiveVector(lat, 0.5, self._cum)
+        return ObjectiveVector(self.latency, self.resource, self.cost)
 
     def baseline_snapshot(self):
-        return ObjectiveVector(20.0, 0.5, 0.0)
+        return ObjectiveVector(self.healthy_latency, self.healthy_resource, 0.0)
 
     def step(self, action):
         if self.first_action is None:
@@ -424,6 +439,217 @@ def reference_train(env, weights, episodes, hyper, seed, normalizers):
             prev_cost = actual.cost
         returns.append(total)
     return q, returns
+
+
+class ReferenceEnv(RecoveryEnv):
+    """`RecoveryEnv`'s episodes with the tick as first written, kept as a
+    bitwise reference: every reset recomputes the diurnal levels, and every
+    tick recomputes the action scaling, calls `_keep_healthy` and `_observe`
+    (through `state_index` and `failed_bin`), and is read through two
+    ObjectiveVectors. It records the anomaly kind of every episode."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.kinds = []
+
+    def reset(self, episode_seed):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, "episode")))
+        noise = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, "base-trace")))
+        phase = np.sin(2.0 * np.pi * np.arange(self.episode_ticks) / DIURNAL_PERIOD)
+        series = np.empty((self.episode_ticks, len(METRICS)))
+        for j, metric in enumerate(METRICS):
+            series[:, j] = (
+                self.pattern.base_rates[metric]
+                + self.pattern.diurnal_amplitude[metric] * phase
+                + noise.normal(0.0, self.pattern.noise_std[metric], size=self.episode_ticks)
+            )
+        self._base = clip_metrics(series).tolist()
+        self._tick = 0
+        self._kind = ANOMALY_STATUSES[1:][int(rng.integers(len(ANOMALY_STATUSES) - 1))]
+        self.kinds.append(self._kind)
+        self._onset = int(rng.integers(self.onset_range[0], self.onset_range[1] + 1))
+        self._active = False
+        self._mitigation = 1.0
+        self._scale_ups = 0
+        self._scale_downs = 0
+        self._throttled = False
+        self._hiccup = 0.0
+        self._failed_fraction = 0.0
+        self._cum_cost = 0.0
+        self._keep_healthy()
+        return self._observe()
+
+    def _keep_healthy(self):
+        cpu, memory, latency_ms, _, qps = self._base[self._tick]
+        latency_scale = envmod._SCALE_DOWN_LATENCY ** self._scale_downs
+        if self._throttled:
+            latency_scale *= envmod._THROTTLE_LATENCY
+            qps *= envmod._THROTTLE_QPS
+        self._latency = latency_ms * latency_scale
+        self._resource = 0.5 * (cpu + memory) + (
+            envmod._SCALE_UP_RESOURCE * self._scale_ups
+            - envmod._SCALE_DOWN_RESOURCE * self._scale_downs
+        )
+        self._qps = qps
+
+    def _observe(self):
+        load = sum(self._qps > cut for cut in self._load_cuts)
+        status = ANOMALY_STATUSES.index(self._kind) if self._active else 0
+        return state_index(load, status, failed_bin(self._failed_fraction))
+
+    def snapshot(self):
+        latency, resource = self._latency, self._resource
+        if self._active:
+            latency *= 1.0 + (envmod._LATENCY_INFLATION - 1.0) * self._mitigation
+            resource += envmod._ANOMALY_RESOURCE_BOOST[self._kind]
+        if self._hiccup > 0:
+            latency *= envmod._RESTART_HICCUP
+        return ObjectiveVector(latency, float(np.clip(resource, 0.0, 1.0)), self._cum_cost)
+
+    def baseline_snapshot(self):
+        return ObjectiveVector(self._latency, float(np.clip(self._resource, 0.0, 1.0)), 0.0)
+
+    def step(self, action):
+        if self._tick >= self.episode_ticks - 1:
+            raise InputError("episode finished; call reset() to start another")
+        self._cum_cost += self.action_costs[action]
+        self._hiccup = max(0.0, self._hiccup - 1.0)
+        if action is RecoveryAction.SCALE_UP:
+            self._scale_ups = min(envmod._MAX_SCALE_UPS, self._scale_ups + 1)
+        elif action is RecoveryAction.SCALE_DOWN:
+            self._scale_downs = min(envmod._MAX_SCALE_DOWNS, self._scale_downs + 1)
+        elif action is RecoveryAction.THROTTLE_ADMISSION:
+            self._throttled = True
+        if action is RecoveryAction.RESTART_COMPONENT:
+            self._hiccup = 1.0
+        if self._active:
+            if action in envmod.CLEARING_ACTIONS[self._kind]:
+                self._active = False
+                self._failed_fraction = 0.0
+            elif action in envmod.MITIGATING_ACTIONS[self._kind]:
+                self._mitigation *= 0.5
+        self._tick += 1
+        if not self._active and self._tick == self._onset:
+            self._active = True
+            self._mitigation = 1.0
+        if self._active and self._kind == "cascade":
+            self._failed_fraction = min(envmod._CASCADE_CAP,
+                                        self._failed_fraction + envmod._CASCADE_GROWTH)
+        self._keep_healthy()
+        return self._observe(), self._tick >= self.episode_ticks - 1
+
+
+def reference_reward(prev, nxt, weights, normalizers):
+    """The reward as first written: the increments as a new 3-element array."""
+    n0, n1, n2 = normalizers
+    x = np.array([(nxt[0] - prev[0]) / n0, (nxt[1] - prev[1]) / n1, (nxt[2] - prev[2]) / n2])
+    return float(-(weights.as_array() @ x))
+
+
+def reference_rollout(env, choose, episode_seed):
+    """`rollout` as first written: one ObjectiveVector read per tick."""
+    state = env.reset(episode_seed)
+    snaps, tick, done = [env.snapshot()], 0, False
+    while not done:
+        state, done = env.step(choose(state, tick))
+        snaps.append(env.snapshot())
+        tick += 1
+    return ObjectiveVector(float(np.array([v.latency for v in snaps]).mean()),
+                           float(np.array([v.resource for v in snaps]).mean()),
+                           float(snaps[-1].cost))
+
+
+def reference_normalizers(env, seed):
+    """`train_agent`'s default normalizers, from ten reference rollouts."""
+    seed = derive_seed(seed, "norms")
+    totals = np.zeros(3)
+    for e in range(10):
+        vec = reference_rollout(env, random_policy(derive_seed(seed, "warmup-pi", e)),
+                                derive_seed(seed, "warmup", e))
+        totals += np.abs(np.array(vec))
+    latency, resource, _ = (float(max(m, 1e-9)) for m in totals / 10)
+    return latency, resource, max(float(np.mean(list(env.action_costs.values()))), 1e-9)
+
+
+def reference_train_agent(env, weights, episodes, hyper, seed):
+    """`train_agent`'s loop as first written over tuples: (Q, returns,
+    normalizers)."""
+    normalizers = reference_normalizers(env, seed)
+    q = [[0.0] * N_ACTIONS for _ in range(N_STATES)]
+    returns = []
+    for episode in range(episodes):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "explore", episode)))
+        epsilon = hyper.epsilon_at(episode, episodes)
+        s = env.reset(derive_seed(seed, "episode", episode))
+        prev_cost = env.snapshot().cost
+        total, done = 0.0, False
+        while not done:
+            row = q[s]
+            if rng.random() < epsilon:
+                a = int(rng.integers(N_ACTIONS))
+            else:
+                a = row.index(max(row))
+            nxt, done = env.step(ACTIONS[a])
+            actual, baseline = env.snapshot(), env.baseline_snapshot()
+            r = reference_reward((baseline.latency, baseline.resource, prev_cost), actual,
+                                 weights, normalizers)
+            target = r if done else r + hyper.gamma * max(q[nxt])
+            row[a] += hyper.lr * (target - row[a])
+            s, total, prev_cost = nxt, total + r, actual.cost
+        returns.append(total)
+    return np.array(q), returns, normalizers
+
+
+def _tick_cases():
+    """(env kwargs, weights, hyper, seed): seeds, episode lengths from the
+    shortest a config allows to the default, the desk sweep's weight vectors
+    and random ones, default and overridden action costs, and exploration
+    pinned to always or never."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k in range(24):
+        costs = None
+        if k % 3 == 1:
+            costs = {ACTIONS[int(i)]: float(c) for i, c in zip(
+                rng.choice(N_ACTIONS, size=3, replace=False), rng.uniform(0.0, 12.0, 3))}
+        elif k % 3 == 2:
+            costs = dict.fromkeys(ACTIONS, 0.0)  # a free action on every tick
+        weights = (DESK_SWEEP_GRID[k % 4] if k < 8
+                   else RewardWeights.normalized(*rng.uniform(0.0, 1.0, 3)))
+        epsilon = (0.3, 1.0, 0.0)[k % 3] if k >= 12 else None
+        hyper = QHyper() if epsilon is None else QHyper(epsilon_start=epsilon,
+                                                        epsilon_end=epsilon)
+        env = {"episode_ticks": (40, 13, 25)[k % 3], "action_costs": costs, "seed": k}
+        cases.append((env, weights, hyper, int(rng.integers(2**32))))
+    return cases
+
+
+class TestReferenceTick:
+    EPISODES = 40
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_training_equals_the_reference_bitwise(self, case):
+        env_kwargs, weights, hyper, seed = _tick_cases()[case]
+        result = train_agent(RecoveryEnv(**env_kwargs), weights, self.EPISODES,
+                             hyper=hyper, seed=seed)
+        reference = ReferenceEnv(**env_kwargs)
+        q, returns, normalizers = reference_train_agent(reference, weights, self.EPISODES,
+                                                        hyper, seed)
+        assert result.policy.q.tobytes() == q.tobytes()
+        assert np.array(result.returns).tobytes() == np.array(returns).tobytes()
+        assert np.array(result.normalizers).tobytes() == np.array(normalizers).tobytes()
+        assert "cascade" in reference.kinds and np.count_nonzero(q) > 0
+
+    @pytest.mark.parametrize("case", range(0, 24, 5))
+    def test_rollouts_equal_the_reference_bitwise(self, case):
+        env_kwargs, weights, hyper, seed = _tick_cases()[case]
+        env, reference = RecoveryEnv(**env_kwargs), ReferenceEnv(**env_kwargs)
+        policy = train_agent(env, weights, self.EPISODES, hyper=hyper, seed=seed).policy
+        for e in range(30):
+            for choose in (policy.choose, random_policy(e), no_op_policy):
+                assert (np.array(rollout(env, choose, e)).tobytes()
+                        == np.array(reference_rollout(reference, choose, e)).tobytes())
+        assert set(reference.kinds) == set(ANOMALY_STATUSES[1:])
 
 
 class TestTrainingOracle:
@@ -706,8 +932,7 @@ class TestWeightSweep:
     def test_duplicate_objectives_all_on_front(self):
         # a constant environment: objectives are weight-independent
         class FixedEnv(SingleStateEnv):
-            def snapshot(self):
-                return ObjectiveVector(20.0, 0.5, self._cum)
+            latency = 20.0
 
         grid = [
             RewardWeights(0.6, 0.2, 0.2),
