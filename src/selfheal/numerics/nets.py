@@ -238,6 +238,35 @@ SCATTER_BLOCK_ROWS = 1024
 _VJP_READS_OUTPUT = ("sigmoid", "tanh")
 
 
+def column_sum(g: np.ndarray) -> np.ndarray:
+    """`g.sum(axis=0)` of a 2-D array, bitwise, in one pass over the array.
+
+    On a C-contiguous array at least two columns wide, `.sum(axis=0)` runs a
+    short inner loop once per row; `np.einsum("ij->j")` adds the rows to each
+    column in the same order, a row at a time, without that per-row cost. One
+    column wide, numpy's sum is pairwise, and on other layouts einsum's order
+    differs, so those keep `.sum`.
+    """
+    if g.shape[1] > 1 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g)
+    return g.sum(axis=0)
+
+
+def readout_adjoint(g: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`np.matmul(g, w.T, out=out)`, bitwise: the adjoint of a readout's input
+    from the adjoint `g` of its (n, 1) output and its (width, 1) weight `w`.
+
+    With one column in `g` the product has K = 1, which BLAS runs slowly for
+    its shape, and so does an elementwise product broadcast along rows of
+    `width`. Each entry is the one product g[r] * w[c] added to +0.0, which
+    turns a -0.0 product into +0.0; `np.einsum` zeroes its output and adds
+    that one product to it, so it gives the same bits in one pass.
+    """
+    if g.shape[-1] != 1:
+        return np.matmul(g, w.T, out=out)
+    return np.einsum("ik,kj->ij", g, w.T, out=out)
+
+
 def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec, lead: tuple[int, ...] = ()):
     """(slot, output, mask, blocks) of a GNN pass on `ws`, behind the leading
     axes `lead` of its input.
@@ -341,8 +370,10 @@ def gnn_loss_and_grad(
     aggregate, and its scatter lands in the slot the adjoint left. A caller
     that keeps one workspace across passes so allocates them once. What a
     pass still allocates is one column wide (the label check's masks and the
-    sigmoid vjp's 1 - p), one byte wide (a relu vjp's mask) or returned
-    (loss, gradients).
+    sigmoid vjp's 1 - p) or returned (loss, gradients); a relu vjp multiplies
+    by its layer's kept mask. The hidden bias gradients and the readout's
+    input adjoint are whole-array passes, `column_sum` and `readout_adjoint`,
+    that give the bits of `.sum(axis=0)` and the K = 1 product.
     """
     ws = Workspace() if workspace is None else workspace
     if np.ndim(x) != 2:
@@ -369,7 +400,7 @@ def gnn_loss_and_grad(
             adjoint = output(i)
             out = slot(adjoint, width)
             g = vjp(g, out, out)
-        grads[2 * i + 1] = g.sum(axis=0)
+        grads[2 * i + 1] = column_sum(g)
         if not i:  # x itself is a constant, so layer 0's input gets no adjoint
             grads[0] = np.asarray(x, dtype=np.float64).T @ g
             break
@@ -378,7 +409,7 @@ def gnn_loss_and_grad(
         if i == last:
             # the readout's input is dead now, unless the vjp below reads it
             adjoint = "out" if output(i - 1) == "out" else "spare"
-            g = np.matmul(g, weights[2 * i].T, out=slot(adjoint, width))
+            g = readout_adjoint(g, weights[2 * i], slot(adjoint, width))
             continue
         padded = slot(("aggregate", i), width, edges.n_nodes + 1)
         np.matmul(g, weights[2 * i].T, out=padded[:-1])

@@ -158,11 +158,14 @@ def _sigmoid_vjp(g, out, into=None):
     return np.multiply(np.multiply(g, out, out=into), complement, out=into)
 
 
+def _relu_vjp(g, out, into=None):
+    # a bool `out` is the mask out > 0 itself, which np.greater would copy
+    keep = out if out.dtype == np.bool_ else np.greater(out, 0.0)
+    return np.multiply(g, keep, out=into)
+
+
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (
-        lambda z, into=None: np.maximum(z, 0.0, out=into),
-        lambda g, out, into=None: np.multiply(g, np.greater(out, 0.0), out=into),
-    ),
+    "relu": (lambda z, into=None: np.maximum(z, 0.0, out=into), _relu_vjp),
     "sigmoid": (_sigmoid, _sigmoid_vjp),
     "tanh": (
         lambda z, into=None: np.tanh(z, out=into),

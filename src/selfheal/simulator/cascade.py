@@ -78,6 +78,8 @@ class ComponentGraph:
         self.edges: tuple[GraphEdge, ...] = tuple(
             e if isinstance(e, GraphEdge) else GraphEdge(*e) for e in edges
         )
+        if not self.nodes:
+            raise InputError("a graph needs at least one node")
         self._index: dict[str, int] = {}
         for i, n in enumerate(self.nodes):
             if n.id in self._index:
@@ -217,8 +219,6 @@ def make_tree_graph(n_nodes: int, seed: int) -> ComponentGraph:
     threshold, a failed strong parent always triggers the child while a failed
     cross neighbor alone never does.
     """
-    if n_nodes < 1:
-        raise InputError("need at least one node")
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = [
         GraphNode(

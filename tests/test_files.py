@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from selfheal.depgraph import init_gnn, load_gnn, read_graph, save_gnn, write_graph
 from selfheal.detector import init_detector, load_checkpoint, save_checkpoint
-from selfheal.errors import ConfigurationError, RowError, SchemaError
+from selfheal.errors import ConfigurationError, InputError, RowError, SchemaError
 from selfheal.harness import (
     RunReport,
     config_from_dict,
@@ -113,6 +113,17 @@ def test_json_top_level_must_be_an_object(tmp_path, name):
     load, error, _ = LOADERS[name]
     with pytest.raises(error, match="expected a JSON object"):
         load(path)
+
+
+def test_graph_without_nodes_is_named_error(tmp_path):
+    # ComponentGraph refuses it where it is built, so no network is sized by
+    # an empty graph
+    path = tmp_path / "empty-graph.json"
+    path.write_text(json.dumps({"nodes": [], "edges": []}))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: a graph needs at least one node")):
+        read_graph(path)
+    with pytest.raises(InputError, match="a graph needs at least one node"):
+        make_tree_graph(0, seed=1)
 
 
 # sha256 of the bytes each writer gave for the small fixed models below before

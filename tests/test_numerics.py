@@ -17,6 +17,7 @@ from selfheal.numerics import (
     mlp_loss_and_grad,
     mlp_params,
     mlp_weights,
+    nets,
     sgd_step,
     tape,
 )
@@ -517,6 +518,53 @@ class TestActivations:
         assert vjp(g, out > 0.0).tobytes() == expected
         into = g.copy()
         assert vjp(into, out > 0.0, into).tobytes() == expected
+
+
+def _heavy_tailed(rng, shape):
+    """Cauchy draws scaled by 1e-30..1e30, so that the order of the adds moves
+    the last bits, with some dead columns of random-signed zeros."""
+    values = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-30, 31, size=shape)
+    dead = rng.random(shape[1]) < 0.2
+    values[:, dead] = np.where(rng.random((shape[0], int(dead.sum()))) < 0.5, -0.0, 0.0)
+    return values
+
+
+class TestWholeArrayForms:
+    """The GNN backward's whole-array forms equal the numpy calls they stand
+    in for, bit for bit."""
+
+    ROWS = (1, 2, 7, 8, 9, 16, 17, 129, 1000, 20_000)
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_column_sum_equals_sum_over_rows(self, width):
+        rng = np.random.default_rng(width)
+        for rows in self.ROWS:
+            g = _heavy_tailed(rng, (rows, width))
+            assert nets.column_sum(g).tobytes() == g.sum(axis=0).tobytes(), rows
+            # other layouts: a Fortran-ordered copy, and every other row
+            for other in (np.asfortranarray(g), g[::2]):
+                assert nets.column_sum(other).tobytes() == other.sum(axis=0).tobytes(), rows
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 17])
+    def test_readout_adjoint_equals_the_k1_product(self, width):
+        rng = np.random.default_rng(100 + width)
+        # signed zeros, subnormals and products that underflow to zero
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e-300]
+        g = np.concatenate([specials, rng.normal(size=500) * 10.0 ** rng.integers(-8, 9, 500)])
+        g = g.reshape(-1, 1)
+        for w in (np.concatenate([[0.0, -0.0, 1e-20, -1e-20], rng.normal(size=width)])[:width],
+                  rng.normal(size=width) * 1e-300):
+            w = w.reshape(width, 1)
+            expected = np.matmul(g, w.T)
+            out = np.full(expected.shape, 7.0)
+            assert nets.readout_adjoint(g, w, out).tobytes() == expected.tobytes()
+            assert nets.readout_adjoint(g, w).tobytes() == expected.tobytes()
+
+    def test_readout_adjoint_of_a_wider_head_is_the_product(self):
+        rng = np.random.default_rng(5)
+        g, w = rng.normal(size=(30, 3)), rng.normal(size=(8, 3))
+        assert nets.readout_adjoint(g, w).tobytes() == np.matmul(g, w.T).tobytes()
+
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
