@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    ParamSet, Workspace, descend, gnn_forward, gnn_loss_and_grad, init_uniform_params,
-    mlp_param_shapes, tape,
+    ParamSet, Tensor, Workspace, descend, gnn_forward, gnn_loss_and_grad,
+    init_uniform_params, mlp_param_shapes, ops,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NODE_KINDS
@@ -113,10 +113,10 @@ def _edge_ends(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def edge_arrays(graph: ComponentGraph) -> tape.EdgeIndex:
+def edge_arrays(graph: ComponentGraph) -> ops.EdgeIndex:
     """The graph's edges as an `EdgeIndex` over its nodes; self-loops are
     implicit in the aggregation op, not listed here."""
-    return tape.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
+    return ops.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
 
 
 def gnn_layer(
@@ -127,11 +127,13 @@ def gnn_layer(
     w, b, activation = layer
     if activation not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
-    w, edges = tape.value_of(w), edge_arrays(graph)
+    w, b = (np.asarray(v.values if isinstance(v, Tensor) else v, dtype=np.float64)
+            for v in (w, b))
     if w.ndim != 2:
         raise ConfigurationError(f"layer weight must be a matrix, got shape {w.shape}")
-    out = gnn_forward([w, tape.value_of(b)], tape.edge_aggregate(emb.vectors, edges),
-                      edges, [(w.shape[-1], activation)])
+    edges = edge_arrays(graph)
+    out = gnn_forward([w, b], ops.edge_aggregate(emb.vectors, edges), edges,
+                      [(w.shape[-1], activation)])
     return NodeEmbeddings(layer_index=emb.layer_index + 1, node_ids=emb.node_ids,
                           vectors=out)
 
@@ -163,19 +165,6 @@ def gnn_param_shapes(
     return shapes
 
 
-def _forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
-    """Per-node failure probabilities from taped ops, on arrays or tape leaves:
-    the reference of `gnn_forward` and `gnn_loss_and_grad`, which scoring and
-    training run on."""
-    h = h0
-    for i in range(len(hidden_widths)):
-        z = tape.matmul(tape.edge_aggregate(h, edges), params_map[f"layer{i}.W"])
-        h = tape.activate(activation, tape.add(z, params_map[f"layer{i}.b"]))
-    return tape.activate("sigmoid", tape.add(
-        tape.matmul(h, params_map["readout.w"]), params_map["readout.b"]
-    ))
-
-
 def _network(gnn: GnnParams) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
     """The weights and layer spec of `gnn` for `gnn_forward`: the hidden layers,
     then the sigmoid readout."""
@@ -202,7 +191,7 @@ def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
     ticks stacked on a leading axis, which equals one pass per tick bitwise."""
     edges, (weights, layer_spec) = edge_arrays(graph), _network(gnn)
     h0 = _inputs_by_tick(graph, node_telemetry, range(horizon))
-    x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+    x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
     return gnn_forward(weights, x, edges, layer_spec)[..., 0]
 
 
@@ -316,8 +305,8 @@ def train_gnn(
     A node's label at a sampled tick is 1 iff it fails within `label_horizon`
     ticks of it. All samples are stacked into one node axis with offset edge
     indices, so every epoch is a single forward/backward pass: the closed-form
-    `gnn_loss_and_grad` on one workspace, bitwise equal to the taped pass
-    `grad(bce_loss(_forward_probs(...)))` followed by `sgd_step`.
+    `gnn_loss_and_grad` on one workspace, bitwise equal to a taped reverse
+    sweep of the same loss followed by `sgd_step`.
 
     `dataset` is any iterable of traces, a one-shot generator included: each
     trace is read once, before the first epoch, and none is kept while the
@@ -333,10 +322,10 @@ def train_gnn(
     src, dst, h0, labels = _training_batch(itertools.chain((first,), traces),
                                            gnn.input_width, label_horizon, rng)
     del first
-    edges = tape.EdgeIndex(src, dst, len(h0))
+    edges = ops.EdgeIndex(src, dst, len(h0))
     # h0 is a constant: its aggregate is the same every epoch, and only that
     # aggregate is read from here on
-    x = tape.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+    x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
     del src, dst, h0
 
     (weights, layer_spec), workspace = _network(gnn), Workspace()

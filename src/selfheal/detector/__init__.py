@@ -10,7 +10,6 @@ from .maml import (
     meta_gradient,
     meta_train,
     meta_update,
-    task_loss,
 )
 from .model import (
     DEFAULT_LAYER_SPEC,
@@ -37,5 +36,4 @@ __all__ = [
     "meta_train",
     "meta_update",
     "save_checkpoint",
-    "task_loss",
 ]

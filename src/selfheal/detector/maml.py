@@ -6,6 +6,10 @@ batch. Two meta-gradient modes exist: `first_order` treats the inner-loop
 Jacobian as identity (the default and the fast path); `exact_fd_oracle`
 differentiates through the inner loop by central finite differences and is
 meant for verification on small models only.
+
+Every entry point runs on one loss contract, f(weights, x, y) -> (loss, grads)
+on arrays with the tasks stacked on a leading axis: the fused
+`mlp_loss_and_grad` by default, or a custom `loss_fn` of the same shape.
 """
 
 from __future__ import annotations
@@ -16,17 +20,14 @@ import numpy as np
 
 from ..errors import InputError, TrainingError
 from ..numerics import (
-    GradientTape,
     ParamSet,
     descend,
     finite_diff_grad,
-    grad,
     mlp_forward,
     mlp_loss_and_grad,
     mlp_params,
     mlp_weights,
     sgd_step,
-    tape,
 )
 from ..simulator import Task
 from .model import DEFAULT_LAYER_SPEC, DetectorModel
@@ -73,25 +74,21 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
 
 def _loss(params: ParamSet, layer_spec, loss_fn):
     """`params` as a list of arrays, the loss f(weights, x, y) -> (loss, grads)
-    on such lists, and the way back to a ParamSet. Without `loss_fn`, f is the
-    fused `mlp_loss_and_grad`, which takes a leading task axis; a custom
-    `loss_fn(leaves, x, y)` runs on the tape, one task at a time."""
+    on such lists, and the way back to a ParamSet.
+
+    f is the fused `mlp_loss_and_grad` on the MLP's weights in layer order,
+    unless a custom `loss_fn` is given, which takes the arrays of `params` in
+    their (lexicographic) order and keeps the kernel's shapes: x (B, n, d) and
+    y (B, n) carry a leading task axis, the weights may carry it too, and the
+    loss is (B,) with each gradient stacked on that axis. A single task, as
+    `inner_adapt` gives it, has no task axis."""
     if loss_fn is None:
         return (mlp_weights(params, layer_spec),
                 lambda weights, x, y: mlp_loss_and_grad(weights, x, y, layer_spec),
                 lambda weights: mlp_params(weights, layer_spec))
     names = list(params)
-
-    def back(weights) -> ParamSet:
-        return ParamSet(dict(zip(names, weights)))
-
-    def taped(weights, x, y):
-        current = back(weights)
-        loss = loss_fn(GradientTape(current).leaves, x, y)
-        grads = grad(loss, current)
-        return np.asarray(tape.value_of(loss)), [grads[name].values for name in names]
-
-    return [params[name].values for name in names], taped, back
+    return ([params[name].values for name in names], loss_fn,
+            lambda weights: ParamSet(dict(zip(names, weights))))
 
 
 def _adapt(weights, loss, x, y, lr: float, steps: int):
@@ -110,58 +107,47 @@ def _adapt(weights, loss, x, y, lr: float, steps: int):
 _TASK_FIELDS = ("support_x", "support_y", "query_x", "query_y")
 
 
-def _batches(tasks: list[Task], loss_fn) -> list[tuple]:
-    """The tasks' (support_x, support_y, query_x, query_y): all of them stacked
-    on a leading task axis for the fused loss, one tuple per task on the tape.
-    Stacked tasks must share their shapes (InputError naming the first that
-    does not)."""
+def _stacked(tasks: list[Task]) -> tuple:
+    """The tasks' (support_x, support_y, query_x, query_y), each stacked on a
+    leading task axis. The tasks must share their shapes (InputError naming
+    the first that does not)."""
     arrays = [tuple(getattr(t, f) for f in _TASK_FIELDS) for t in tasks]
-    if loss_fn is not None:
-        return arrays
     shapes = [tuple(a.shape for a in task) for task in arrays]
     for task, shape in zip(tasks, shapes):
         if shape != shapes[0]:
             raise InputError(
                 f"task '{task.source_pattern_id}' has shapes {shape}, task "
-                f"'{tasks[0].source_pattern_id}' {shapes[0]}; the fused loss "
-                "stacks tasks of one shape")
-    return [tuple(np.stack(a) for a in zip(*arrays))]
+                f"'{tasks[0].source_pattern_id}' {shapes[0]}; the loss stacks "
+                "tasks of one shape")
+    return tuple(np.stack(a) for a in zip(*arrays))
 
 
-def _first_order(weights, loss, batches, cfg: MetaConfig):
-    """First-order meta-gradient and summed query loss of `batches` at `weights`.
+def _first_order(weights, loss, batch, cfg: MetaConfig):
+    """First-order meta-gradient and summed query loss of the stacked tasks
+    `batch` at `weights`.
 
     Each task adapts on its support set, then takes its query loss and
     gradient at the adapted weights; both are summed in task order.
     """
+    support_x, support_y, query_x, query_y = batch
+    adapted = _adapt(weights, loss, support_x, support_y, cfg.inner_lr, cfg.inner_steps)[0]
+    losses, grads = loss(adapted, query_x, query_y)
     batch_loss, total = 0.0, None
-    for support_x, support_y, query_x, query_y in batches:
-        adapted = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,
-                         cfg.inner_steps)[0]
-        losses, grads = loss(adapted, query_x, query_y)
-        # one index per stacked task, or the single index () of a taped task
-        for i in np.ndindex(losses.shape):
-            batch_loss += float(losses[i])
-            task_grads = [g[i] for g in grads]
-            total = task_grads if total is None else [
-                a + b for a, b in zip(total, task_grads)]
+    for i in range(len(losses)):
+        batch_loss += float(losses[i])
+        task_grads = [g[i] for g in grads]
+        total = task_grads if total is None else [a + b for a, b in zip(total, task_grads)]
     return total, batch_loss
 
 
-def _fd_gradient(params: ParamSet, batches, cfg: MetaConfig, layer_spec, loss_fn):
+def _fd_gradient(params: ParamSet, batch, cfg: MetaConfig, layer_spec, loss_fn):
     """Central finite differences of the summed post-adaptation query loss."""
 
     def objective(p: ParamSet) -> float:
         weights, loss, _ = _loss(p, layer_spec, loss_fn)
-        return _first_order(weights, loss, batches, cfg)[1]
+        return _first_order(weights, loss, batch, cfg)[1]
 
     return finite_diff_grad(objective, params, _FD_STEP)
-
-
-def task_loss(params: ParamSet, data, layer_spec=DEFAULT_LAYER_SPEC) -> float:
-    """Mean BCE of the model's outputs over a labeled dataset."""
-    x, y = _as_xy(data)
-    return float(mlp_loss_and_grad(mlp_weights(params, layer_spec), x, y, layer_spec)[0])
 
 
 def inner_adapt(
@@ -174,9 +160,9 @@ def inner_adapt(
 ) -> ParamSet:
     """`steps` gradient steps on the support loss; the input set is untouched.
 
-    With inner_lr == 0 or steps == 0 this is exactly the identity. Without a
-    `loss_fn` the steps run on the fused MLP kernel; a custom `loss_fn` runs
-    on the tape.
+    With inner_lr == 0 or steps == 0 this is exactly the identity. The steps
+    run on the fused MLP kernel, or on a custom `loss_fn` of its shape (see
+    `_loss`).
     """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
@@ -198,17 +184,18 @@ def meta_gradient(
     first_order evaluates each task's query gradient at the adapted
     parameters (inner Jacobian taken as identity) and sums in task order.
     exact_fd_oracle differentiates the full two-loop objective by central
-    finite differences; intended for small verification models. Both run on
-    the fused MLP kernel, with the tasks stacked, unless a custom `loss_fn`
-    is given.
+    finite differences; intended for small verification models. Both stack
+    the tasks on a leading axis, so the tasks must share one shape
+    (InputError naming the first that does not), and run on the fused MLP
+    kernel or a custom `loss_fn` of its shape (see `_loss`).
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    batches = _batches(tasks, loss_fn)
+    batch = _stacked(tasks)
     if cfg.meta_mode == "exact_fd_oracle":
-        return _fd_gradient(params, batches, cfg, layer_spec, loss_fn)
+        return _fd_gradient(params, batch, cfg, layer_spec, loss_fn)
     weights, loss, back = _loss(params, layer_spec, loss_fn)
-    return back(_first_order(weights, loss, batches, cfg)[0])
+    return back(_first_order(weights, loss, batch, cfg)[0])
 
 
 def meta_update(
@@ -250,11 +237,11 @@ def meta_train(
     rng = np.random.Generator(np.random.PCG64(seed))
     spec = init.layer_spec
     weights, loss, back = _loss(init.params, spec, None)
-    (pool,) = _batches(tasks, None)
+    pool = _stacked(tasks)
     curve: list[float] = []
     for iteration in range(cfg.meta_iterations):
         picked = rng.choice(len(tasks), size=cfg.meta_batch, replace=False)
-        batch = [tuple(a[picked] for a in pool)]
+        batch = tuple(a[picked] for a in pool)
         try:
             grads, batch_loss = _first_order(weights, loss, batch, cfg)
             if not np.isfinite(batch_loss):
@@ -302,7 +289,7 @@ def evaluate(model: DetectorModel, tasks: list[Task], cfg: MetaConfig) -> list[E
         raise InputError("tasks must be nonempty")
     spec = model.layer_spec
     weights, loss, _ = _loss(model.params, spec, None)
-    ((support_x, support_y, query_x, query_y),) = _batches(tasks, None)
+    support_x, support_y, query_x, query_y = _stacked(tasks)
     # one copy of the model per task, so every pass below is stacked alike
     weights = [np.broadcast_to(w, (len(tasks), *w.shape)) for w in weights]
     weights, losses = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,

@@ -15,9 +15,9 @@ from ..numerics import (
     mlp_forward,
     mlp_param_shapes,
     mlp_weights,
+    ops,
     params_from_payload,
     read_model,
-    tape,
     write_model,
 )
 
@@ -100,7 +100,7 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
         )
     layer_spec = []
     for i, (width, activation) in enumerate(entries):
-        if not isinstance(activation, str) or activation not in tape.ACTIVATIONS:
+        if not isinstance(activation, str) or activation not in ops.ACTIVATIONS:
             raise SchemaError(
                 f"{path}: field 'layer_spec.{i}' has unknown activation {activation!r}"
             )

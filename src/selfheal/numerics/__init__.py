@@ -1,13 +1,12 @@
-"""Minimal dense tensor arithmetic with reverse-mode autodiff and SGD."""
+"""Dense float64 parameters, small networks on raw arrays with closed-form
+loss gradients, SGD, and the finite-difference gradient oracle."""
 
-from . import tape
+from . import ops
 from .nets import (
     LOG_CLAMP,
     Workspace,
-    bce_loss,
     descend,
     finite_diff_grad,
-    forward_mlp,
     gnn_forward,
     gnn_loss_and_grad,
     init_mlp_params,
@@ -19,23 +18,17 @@ from .nets import (
     mlp_weights,
     sgd_step,
 )
-from .tape import GradientTape, Node, grad
 from .tensor import ParamSet, Tensor, params_from_payload, read_model, write_model
 
 __all__ = [
     "LOG_CLAMP",
-    "GradientTape",
-    "Node",
     "ParamSet",
     "Tensor",
     "Workspace",
-    "bce_loss",
     "descend",
     "finite_diff_grad",
-    "forward_mlp",
     "gnn_forward",
     "gnn_loss_and_grad",
-    "grad",
     "init_mlp_params",
     "init_uniform_params",
     "mlp_forward",
@@ -43,9 +36,9 @@ __all__ = [
     "mlp_param_shapes",
     "mlp_params",
     "mlp_weights",
+    "ops",
     "params_from_payload",
     "read_model",
     "sgd_step",
-    "tape",
     "write_model",
 ]

@@ -8,18 +8,17 @@ them. `mlp_loss_and_grad` (optionally batched over tasks) and
 `gnn_loss_and_grad` (on a reused `Workspace`) call them and add the BCE loss
 and its gradient in closed form; the detector and the GNN train with them,
 stepping with `descend`, the one SGD step on arrays (`sgd_step` runs it on a
-ParamSet). `forward_mlp` and `bce_loss` build the same network and loss from
-taped ops: the reference of both kernels and the generic path for custom
-losses."""
+ParamSet). Both kernels replay the operation order of a taped reverse sweep
+of the same loss, the reference in `tests/taped.py`, and equal it bitwise."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, InputError
-from . import tape
+from . import ops
 from .tensor import ParamSet, Tensor
 
 LOG_CLAMP = 1e-7
@@ -46,12 +45,17 @@ def mlp_param_shapes(
 
 def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
     """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)], drawn in `shapes`
-    order; each bias takes the fan-in of the weight matrix listed before it."""
+    order; each bias takes the fan-in of the weight matrix listed before it, so
+    the first entry must be a matrix (InputError naming it otherwise)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     entries: dict[str, Tensor] = {}
+    bound = None
     for name, shape in shapes.items():
         if len(shape) == 2:
             bound = 0.5 / np.sqrt(shape[0])
+        elif bound is None:
+            raise InputError(f"entry '{name}' of shape {tuple(shape)} comes before any "
+                             "weight matrix, so it has no fan-in")
         entries[name] = Tensor(rng.uniform(-bound, bound, size=shape))
     return ParamSet(entries)
 
@@ -72,11 +76,11 @@ def _entry(params, name: str):
 
 
 def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> None:
-    """Layer `i` must name an activation of `tape.ACTIVATIONS` and take W
+    """Layer `i` must name an activation of `ops.ACTIVATIONS` and take W
     (width, out_width) and b (out_width,), behind the same leading task axes."""
-    if activation not in tape.ACTIVATIONS:
+    if activation not in ops.ACTIVATIONS:
         raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
-    w_shape, b_shape = w.shape, b.shape  # arrays or tape nodes
+    w_shape, b_shape = w.shape, b.shape
     lead = w_shape[:-2]
     if w_shape != lead + (width, out_width) or b_shape != lead + (out_width,):
         raise ConfigurationError(
@@ -85,52 +89,9 @@ def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> N
         )
 
 
-def forward_mlp(
-    params: ParamSet | Mapping[str, tape.Node],
-    x,
-    layer_spec: LayerSpec,
-):
-    """Feed-forward pass through the layers of `layer_spec`.
-
-    `params` may be a ParamSet (pure evaluation, returns a Tensor) or a
-    mapping of tape leaves (taped evaluation, returns a Node). Input may be a
-    single feature vector (d,) or a batch (n, d).
-    """
-    h = tape.value_of(x)
-    if h.ndim not in (1, 2):
-        raise InputError(f"input must be a vector or batch, got shape {h.shape}")
-    taped = any(isinstance(v, tape.Node) for v in dict(params).values())
-    current: object = h
-    width = h.shape[-1]
-    for i, (out_width, activation) in enumerate(layer_spec):
-        w, b = (_entry(params, name) for name in layer_param_names(i))
-        _check_layer(i, activation, width, out_width, w, b)
-        current = tape.activate(activation, tape.add(tape.matmul(current, w), b))
-        width = out_width
-    if taped:
-        return current
-    return Tensor(np.asarray(current, dtype=np.float64))
-
-
 def _check_labels(labels: np.ndarray) -> None:
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise InputError("labels must be 0 or 1")
-
-
-def bce_loss(pred, label):
-    """Binary cross-entropy, -[y ln p + (1-y) ln(1-p)], averaged over a batch.
-
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs. Accepts
-    scalars, arrays, or taped nodes for `pred`; labels must be 0/1.
-    """
-    labels = np.asarray(tape.value_of(label), dtype=np.float64)
-    _check_labels(labels)
-    p = tape.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    term = tape.add(
-        tape.mul(labels, tape.log(p)),
-        tape.mul(1.0 - labels, tape.log(tape.sub(1.0, p))),
-    )
-    return tape.mul(tape.mean(term), -1.0)
 
 
 def _mlp_names(layer_spec: LayerSpec) -> list[str]:
@@ -163,9 +124,11 @@ class Workspace:
 
 
 def _bce_head(out: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
-    """`bce_loss` of predictions `out` (..., n, 1) against 0/1 `labels`, and
-    its adjoint d(loss)/d(out): the taped ops (clip, two logs, mean, negate)
-    and then the adjoint of each, on arrays from `ws` when given."""
+    """Binary cross-entropy, -[y ln p + (1-y) ln(1-p)] averaged over the rows,
+    of predictions `out` (..., n, 1) clamped to [LOG_CLAMP, 1 - LOG_CLAMP],
+    against 0/1 `labels`, and its adjoint d(loss)/d(out): the ops (clip, two
+    logs, mean, negate) and then the adjoint of each, on arrays from `ws`
+    when given."""
     shape = None if ws is None else np.broadcast_shapes(out.shape, labels.shape)
 
     def buf(k):
@@ -194,14 +157,14 @@ def mlp_forward(
     """The MLP's input and each layer's output on raw arrays, [x, h_1, ..., h_L].
 
     `weights` is [W0, b0, W1, b1, ...] as from `mlp_weights`. Each layer is
-    the taped ops of `forward_mlp`, act(h @ W + b), so a row scored alone, as
-    (1, d) or on an (n, 1, d) stack, equals its taped score bitwise.
+    act(h @ W + b), the ops of the taped reference forward, so a row scored
+    alone, as (1, d) or on an (n, 1, d) stack, equals its taped score bitwise.
     """
     activations = [np.asarray(x, dtype=np.float64)]
     for i, (out_width, activation) in enumerate(layer_spec):
         w, b, h = weights[2 * i], weights[2 * i + 1], activations[-1]
         _check_layer(i, activation, h.shape[-1], out_width, w, b)
-        activations.append(tape.ACTIVATIONS[activation][0](h @ w + b[..., None, :]))
+        activations.append(ops.ACTIVATIONS[activation][0](h @ w + b[..., None, :]))
     return activations
 
 
@@ -213,9 +176,9 @@ def mlp_loss_and_grad(
     `x` is (n, d) and `y` (n,) of 0/1 labels. Any of them and the weights may
     carry a leading task axis of length B, e.g. x (B, n, d) with weights
     (B, d, h) and (B, h), and then the loss has shape (B,) and every gradient
-    a leading B axis. The pass replays the operation order of
-    `grad(bce_loss(forward_mlp(...)))` on the tape, so each task's loss and
-    gradient equal the taped ones bitwise.
+    a leading B axis. The pass replays the operation order of the taped
+    reverse sweep of the same loss, so each task's loss and gradient equal
+    the taped ones bitwise.
     """
     labels = np.asarray(y, dtype=np.float64)[..., None]
     _check_labels(labels)
@@ -223,7 +186,7 @@ def mlp_loss_and_grad(
     loss, g = _bce_head(activations[-1], labels)
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
-        g = tape.ACTIVATIONS[layer_spec[i][1]][1](g, activations[i + 1])
+        g = ops.ACTIVATIONS[layer_spec[i][1]][1](g, activations[i + 1])
         grads[2 * i + 1] = g.sum(axis=-2)
         grads[2 * i] = np.swapaxes(activations[i], -1, -2) @ g
         if i:
@@ -299,7 +262,7 @@ def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec, lead: tuple[i
 
 
 def gnn_forward(
-    weights: Sequence[np.ndarray], x: np.ndarray, edges: tape.EdgeIndex,
+    weights: Sequence[np.ndarray], x: np.ndarray, edges: ops.EdgeIndex,
     layer_spec: LayerSpec, workspace: Workspace | None = None,
 ) -> np.ndarray:
     """A message-passing network on raw arrays, one row of `x` per node of
@@ -307,8 +270,8 @@ def gnn_forward(
     later layer but the last reads `edge_aggregate` of the previous output,
     and the last (the readout) reads that output itself. A GNN over input
     embeddings h0 so passes `edge_aggregate(h0, edges)` when it has a hidden
-    layer, h0 when it has none. The ops replay the taped ones, so the output
-    equals the taped network's bitwise.
+    layer, h0 when it has none. The ops are those of the taped reference
+    network, so the output equals its bitwise.
 
     Nodes lie on axis -2 of `x`. Leading axes before it, such as the ticks of
     one trace, each run the same gemms as a pass of their own, so each slice
@@ -335,13 +298,13 @@ def gnn_forward(
         w, b = weights[2 * i], weights[2 * i + 1]
         _check_layer(i, activation, h.shape[-1], out_width, w, b)
         if 0 < i < last:
-            h = tape.scatter_add(slot(output(i - 1), h.shape[-1], n_nodes + 1),
+            h = ops.scatter_add(slot(output(i - 1), h.shape[-1], n_nodes + 1),
                                  edges.into_dst, slot(("aggregate", i), h.shape[-1]),
                                  blocks(h.shape[-1]))
         z = (slot(output(i), out_width) if i < last
              else ws("readout", lead + (n_nodes, out_width)))
         np.add(np.matmul(h, w, out=z), b, out=z)
-        h = tape.ACTIVATIONS[activation][0](z, z)
+        h = ops.ACTIVATIONS[activation][0](z, z)
         if i < last and activation == "relu":
             np.greater(h, 0.0, out=mask(i))
     return h
@@ -349,13 +312,13 @@ def gnn_forward(
 
 def gnn_loss_and_grad(
     weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
-    edges: tape.EdgeIndex, layer_spec: LayerSpec, workspace: Workspace | None = None,
+    edges: ops.EdgeIndex, layer_spec: LayerSpec, workspace: Workspace | None = None,
 ) -> tuple[np.floating, list[np.ndarray]]:
     """Mean BCE of `gnn_forward` and its gradient, in closed form on raw
     arrays; `y` holds one 0/1 label per node.
 
-    The pass replays the operation order of `grad(bce_loss(...))` over the
-    taped network, so the loss and gradient equal the taped ones bitwise.
+    The pass replays the operation order of the taped reverse sweep of the
+    same loss, so the loss and gradient equal the taped ones bitwise.
     Each hidden layer keeps only what its vjp reads (see `gnn_forward`), so
     with L hidden layers the node-sized float arrays are L - 1 aggregates
     plus one slot "out" shared by the relu and linear layers, one slot per
@@ -391,7 +354,7 @@ def gnn_loss_and_grad(
     grads: list = [None] * len(weights)
     for i in reversed(range(len(layer_spec))):
         width, activation = layer_spec[i]
-        vjp = tape.ACTIVATIONS[activation][1]
+        vjp = ops.ACTIVATIONS[activation][1]
         if i == last:
             g = vjp(g, h, h)
         elif output(i) == "out":  # relu or linear: the adjoint stays in its slot
@@ -413,7 +376,7 @@ def gnn_loss_and_grad(
             continue
         padded = slot(("aggregate", i), width, edges.n_nodes + 1)
         np.matmul(g, weights[2 * i].T, out=padded[:-1])
-        g = tape.scatter_add(padded, edges.into_src, slot(adjoint, width), blocks(width))
+        g = ops.scatter_add(padded, edges.into_src, slot(adjoint, width), blocks(width))
     return loss, grads
 
 
@@ -449,8 +412,9 @@ def finite_diff_grad(
 ) -> ParamSet:
     """Central-difference gradient (L(p+h) - L(p-h)) / 2h per coordinate.
 
-    The verification oracle: independent of the tape, exact for linear and
-    quadratic losses up to rounding.
+    The verification oracle: it only evaluates the loss, so it is independent
+    of any hand-derived gradient, and exact for linear and quadratic losses up
+    to rounding.
     """
     if step <= 0:
         raise InputError(f"step must be > 0, got {step}")

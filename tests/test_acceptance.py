@@ -8,21 +8,22 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from selfheal.seeding import derive_seed
 from selfheal.numerics import (
-    GradientTape,
     ParamSet,
     Tensor,
-    bce_loss,
     finite_diff_grad,
-    forward_mlp,
-    grad,
+    gnn_loss_and_grad,
     init_mlp_params,
-    tape,
+    mlp_loss_and_grad,
+    mlp_params,
+    mlp_weights,
+    ops,
 )
 from selfheal.detector import (
     MetaConfig,
@@ -41,7 +42,7 @@ from selfheal.depgraph import (
     predict_failures,
     train_gnn,
 )
-from selfheal.depgraph.gnn import NodeEmbeddings, _forward_probs, edge_arrays
+from selfheal.depgraph.gnn import NodeEmbeddings, _network, edge_arrays, gnn_param_shapes
 from selfheal.explain import BackgroundSet, shapley_attribution
 from selfheal.harness import emit_report, load_config, run_pipeline
 from selfheal.recovery import (
@@ -92,11 +93,12 @@ def test_c01_gradient_oracle():
             f"MLP seed {seed}: a relu pre-activation lies within the "
             "finite-difference reach of the kink")
 
-        recorder = GradientTape(params)
-        loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y)
-        reverse = grad(loss, params)
+        # the detector's closed-form gradient against central differences of
+        # its loss
+        reverse = mlp_params(mlp_loss_and_grad(mlp_weights(params, spec), x, y[:, 0], spec)[1],
+                             spec)
         oracle = finite_diff_grad(
-            lambda p: float(tape.value_of(bce_loss(forward_mlp(p, x, spec).values, y))),
+            lambda p: float(mlp_loss_and_grad(mlp_weights(p, spec), x, y[:, 0], spec)[0]),
             params, 1e-4,
         )
         for name in params:
@@ -115,15 +117,17 @@ def test_c01_gradient_oracle():
     telemetry = {nid: np.full((2, 5), 0.3) for nid in graph.node_ids}
     h0 = init_embeddings(graph, telemetry, 0).vectors
     labels = np.array([[1.0], [0.0], [1.0]])
-    recorder = GradientTape(gnn.params)
-    loss = bce_loss(_forward_probs(recorder.leaves, edges, h0, (4,)), labels)
-    reverse = grad(loss, gnn.params)
-    oracle = finite_diff_grad(
-        lambda p: float(tape.value_of(bce_loss(
-            _forward_probs({k: v.values for k, v in p.items()}, edges, h0, (4,)),
-            labels))),
-        gnn.params, 1e-4,
-    )
+    # the GNN's closed-form gradient, as training takes it: the input
+    # embeddings aggregated once
+    x = ops.edge_aggregate(h0, edges)
+
+    def kernel(params):
+        weights, layer_spec = _network(replace(gnn, params=params))
+        return gnn_loss_and_grad(weights, x, labels, edges, layer_spec)
+
+    names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
+    reverse = ParamSet(dict(zip(names, kernel(gnn.params)[1])))
+    oracle = finite_diff_grad(lambda p: float(kernel(p)[0]), gnn.params, 1e-4)
     for name in gnn.params:
         assert np.allclose(
             reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
@@ -158,10 +162,11 @@ def test_c03_meta_gradient_oracle():
     task = Task(np.array([[x_s]]), np.array([y_s]),
                 np.array([[x_q]]), np.array([y_q]), "fixture")
 
-    def loss_fn(pm, x, y):
-        resid = tape.sub(tape.add(tape.mul(pm["u"], float(x[0, 0])), pm["v"]),
-                         float(y[0]))
-        return tape.mul(resid, resid)
+    def loss_fn(weights, x, y):
+        # squared error and its gradient on arrays, the tasks on a leading axis
+        u, v = weights
+        x, resid = x[..., 0, 0], u * x[..., 0, 0] + v - y[..., 0]
+        return resid * resid, [2.0 * resid * x, 2.0 * resid]
 
     base = dict(inner_lr=alpha, meta_lr=1.0, inner_steps=1, meta_batch=1,
                 meta_iterations=1)

@@ -27,13 +27,15 @@ from selfheal.depgraph import (
 )
 from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _edge_ends, _forward_probs, _inputs_by_tick, _probs_by_tick, _training_batch, edge_arrays,
+    _edge_ends, _inputs_by_tick, _probs_by_tick, _training_batch, edge_arrays,
     fails_within, gnn_param_shapes,
 )
 from selfheal.numerics import (
-    GradientTape, ParamSet, Tensor, Workspace, bce_loss, finite_diff_grad,
-    gnn_loss_and_grad, grad, init_uniform_params, nets, sgd_step, tape,
+    ParamSet, Tensor, Workspace, finite_diff_grad, gnn_loss_and_grad, init_uniform_params,
+    nets, ops, sgd_step,
 )
+import taped
+from taped import GradientTape, bce_loss, forward_probs, grad, value_of
 from selfheal.simulator import ComponentGraph, propagate_cascade
 from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
 
@@ -188,12 +190,12 @@ class TestGnnLayer:
             params = ParamSet({"W": Tensor(rng.normal(size=(emb.width, 5))),
                                "b": Tensor(rng.normal(size=5))})
             leaves = GradientTape(params).leaves
-            taped = tape.activate(activation, tape.add(tape.matmul(
-                tape.edge_aggregate(emb.vectors, edge_arrays(trace.graph)), leaves["W"]),
+            taped_out = taped.activate(activation, taped.add(taped.matmul(
+                taped.edge_aggregate(emb.vectors, edge_arrays(trace.graph)), leaves["W"]),
                 leaves["b"]))
             out = gnn_layer(trace.graph, emb, (params["W"], params["b"], activation))
             assert out.layer_index == 1 and out.node_ids == emb.node_ids
-            assert out.vectors.tobytes() == taped.value.tobytes()
+            assert out.vectors.tobytes() == taped_out.value.tobytes()
 
     def test_width_mismatch_rejected(self):
         graph = chain3()
@@ -221,7 +223,7 @@ class TestGnnLayer:
             emb = gnn_layer(trace.graph, emb, layer)
         z = emb.vectors @ gnn.params["readout.w"].values + gnn.params["readout.b"].values
         chained = 1.0 / (1.0 + np.exp(-z))
-        probs = _forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+        probs = forward_probs(gnn.params, edge_arrays(trace.graph), h0,
                                gnn.hidden_widths, activation)
         assert np.array_equal(chained, probs)
 
@@ -276,7 +278,7 @@ class TestPredictFailures:
             assert probs.shape == (trace.ticks, len(trace.graph.nodes))
             for tick in range(trace.ticks):
                 h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-                taped = _forward_probs(gnn.params, edge_arrays(trace.graph), h0, widths,
+                taped = forward_probs(gnn.params, edge_arrays(trace.graph), h0, widths,
                                        activation)[:, 0]
                 assert probs[tick].tobytes() == taped.tobytes(), tick
             # the ticks differ, so a scan that read one tick's readout for all would fail
@@ -370,11 +372,11 @@ class TestTrainGnn:
 
         def loss_fn(ps: ParamSet) -> float:
             arrays = {k: v.values for k, v in ps.items()}
-            probs = _forward_probs(arrays, edges, h0, (4,))
-            return float(tape.value_of(bce_loss(probs, labels)))
+            probs = forward_probs(arrays, edges, h0, (4,))
+            return float(value_of(bce_loss(probs, labels)))
 
         recorder = GradientTape(gnn.params)
-        probs = _forward_probs(recorder.leaves, edges, h0, (4,))
+        probs = forward_probs(recorder.leaves, edges, h0, (4,))
         reverse = grad(bce_loss(probs, labels), gnn.params)
         oracle = finite_diff_grad(loss_fn, gnn.params, 1e-4)
         for name in gnn.params:
@@ -399,11 +401,11 @@ class TestTrainGnn:
 
         def loss_fn(ps: ParamSet) -> float:
             arrays = {k: v.values for k, v in ps.items()}
-            probs = _forward_probs(arrays, edge_index, h0, widths, "tanh")
-            return float(tape.value_of(bce_loss(probs, labels)))
+            probs = forward_probs(arrays, edge_index, h0, widths, "tanh")
+            return float(value_of(bce_loss(probs, labels)))
 
         recorder = GradientTape(gnn.params)
-        probs = _forward_probs(recorder.leaves, edge_index, h0, widths, "tanh")
+        probs = forward_probs(recorder.leaves, edge_index, h0, widths, "tanh")
         reverse = grad(bce_loss(probs, labels), gnn.params)
         oracle = finite_diff_grad(loss_fn, gnn.params, 1e-5)
         for name in gnn.params:
@@ -421,12 +423,12 @@ class TestTrainGnn:
         rng = np.random.Generator(np.random.PCG64(seed))
         src, dst, h0, labels = _training_batch(traces, gnn.input_width, gnn.label_horizon,
                                                rng)
-        edges, labels = tape.EdgeIndex(src, dst, len(h0)), labels.reshape(-1, 1)
+        edges, labels = ops.EdgeIndex(src, dst, len(h0)), labels.reshape(-1, 1)
         params, curve = gnn.params, []
         for _ in range(epochs):
             recorder = GradientTape(params)
-            loss = bce_loss(_forward_probs(recorder.leaves, edges, h0, widths), labels)
-            curve.append(float(tape.value_of(loss)))
+            loss = bce_loss(forward_probs(recorder.leaves, edges, h0, widths), labels)
+            curve.append(float(value_of(loss)))
             params = sgd_step(params, grad(loss, params), lr)
 
         assert result.loss_curve == curve
@@ -583,20 +585,20 @@ def stacked_batch(n_cascades=5):
     with offset edge indices, as `train_gnn` stacks them: 20 nodes a cascade."""
     src, dst, h0, labels = _training_batch(make_cascade_dataset(n_cascades, seed=12), 12, 2,
                                            np.random.Generator(np.random.PCG64(3)))
-    return tape.EdgeIndex(src, dst, len(h0)), h0, labels
+    return ops.EdgeIndex(src, dst, len(h0)), h0, labels
 
 
 KERNEL_GRAPHS = {"hub": hub7, "stacked": stacked_batch}
 
 
 class TestGnnKernel:
-    """`gnn_loss_and_grad` against the taped grad(bce_loss(_forward_probs(...)))."""
+    """`gnn_loss_and_grad` against the taped grad(bce_loss(forward_probs(...)))."""
 
     @staticmethod
     def kernel(params, edges, h0, labels, widths, activation, workspace=None):
         names = list(gnn_param_shapes(h0.shape[1], widths))
         spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
-        x = tape.edge_aggregate(h0, edges) if widths else h0
+        x = ops.edge_aggregate(h0, edges) if widths else h0
         loss, grads = gnn_loss_and_grad([params[name].values for name in names], x,
                                         labels, edges, spec, workspace)
         return loss, dict(zip(names, grads))
@@ -604,9 +606,9 @@ class TestGnnKernel:
     @staticmethod
     def taped(params, edges, h0, labels, widths, activation):
         recorder = GradientTape(params)
-        loss = bce_loss(_forward_probs(recorder.leaves, edges, h0, widths, activation),
+        loss = bce_loss(forward_probs(recorder.leaves, edges, h0, widths, activation),
                         labels.reshape(-1, 1))
-        return tape.value_of(loss), grad(loss, params)
+        return value_of(loss), grad(loss, params)
 
     def assert_bitwise(self, result, reference):
         (loss, grads), (ref_loss, ref_grads) = result, reference
@@ -665,8 +667,8 @@ class TestGnnKernel:
         scale = np.random.default_rng(6).uniform(0.5, 1.5, size=(*lead, 1, h0.shape[1]))
         stack = h0 * scale  # every slice differs
         slices = [stack[k] for k in np.ndindex(lead)]
-        x = tape.edge_aggregate(stack, edges) if widths else stack
-        parts = [tape.edge_aggregate(h, edges) if widths else h for h in slices]
+        x = ops.edge_aggregate(stack, edges) if widths else stack
+        parts = [ops.edge_aggregate(h, edges) if widths else h for h in slices]
         assert [x[k].tobytes() for k in np.ndindex(lead)] == [p.tobytes() for p in parts]
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=9)
         names = list(gnn_param_shapes(h0.shape[1], widths))
@@ -740,7 +742,7 @@ class TestScoreTraces:
         for trace in held:
             tick = min(trace.onset + 1, trace.ticks - 1)
             h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-            probs = _forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+            probs = forward_probs(gnn.params, edge_arrays(trace.graph), h0,
                                    gnn.hidden_widths, gnn.hidden_activation)[:, 0]
             labels = fails_within(trace, tick, gnn.label_horizon)
             correct += int(np.sum((probs >= 0.4) == (labels == 1.0)))

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from selfheal.errors import InputError, SchemaError
+from selfheal.errors import ConfigurationError, InputError, SchemaError
 from selfheal.detector import (
     ADAPT_LOSS_BOUND,
     DetectorModel,
@@ -19,20 +20,11 @@ from selfheal.detector import (
     meta_train,
     meta_update,
     save_checkpoint,
-    task_loss,
 )
-from selfheal.numerics import (
-    GradientTape,
-    ParamSet,
-    Tensor,
-    bce_loss,
-    forward_mlp,
-    grad,
-    mlp_loss_and_grad,
-    sgd_step,
-    tape,
-)
+from selfheal.numerics import ParamSet, Tensor, mlp_loss_and_grad, mlp_weights, sgd_step
+from selfheal.numerics.nets import layer_param_names
 from selfheal.simulator import Task, default_patterns, make_tasks
+from taped import GradientTape, bce_loss, forward_mlp, grad, value_of
 
 
 def constant_half_model(width=4) -> DetectorModel:
@@ -55,10 +47,12 @@ def tiny_task(seed=0, n=8, width=4) -> Task:
 # params: slope "u" and intercept "v"; squared-error loss on one (x, y) point.
 
 
-def quadratic_loss(params_map, x, y):
-    u, v = params_map["u"], params_map["v"]
-    resid = tape.sub(tape.add(tape.mul(u, float(x[0, 0])), v), float(y[0]))
-    return tape.mul(resid, resid)
+def quadratic_loss(weights, x, y):
+    """(u x + v - y)^2 and its gradient (2 r x, 2 r) in the residual r, as a
+    custom `loss_fn`: one point per task, the tasks on any leading axes."""
+    u, v = weights
+    x, resid = x[..., 0, 0], u * x[..., 0, 0] + v - y[..., 0]
+    return resid * resid, [2.0 * resid * x, 2.0 * resid]
 
 
 def quad_task(x_s, y_s, x_q, y_q) -> Task:
@@ -68,10 +62,17 @@ def quad_task(x_s, y_s, x_q, y_q) -> Task:
 
 
 class TestTaskLoss:
+    """A task's loss, the mean BCE of the model's outputs over a labeled set,
+    as the detector's `mlp_loss_and_grad` gives it."""
+
+    @staticmethod
+    def loss(params, x, y, spec) -> float:
+        return float(mlp_loss_and_grad(mlp_weights(params, spec), x, y, spec)[0])
+
     def test_constant_half_output_gives_ln2(self):
         model = constant_half_model()
-        data = (np.ones((6, 4)), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
-        loss = task_loss(model.params, data, model.layer_spec)
+        x, y = np.ones((6, 4)), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        loss = self.loss(model.params, x, y, model.layer_spec)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_predictions_near_zero(self):
@@ -79,20 +80,20 @@ class TestTaskLoss:
         params = ParamSet(
             {"layer0.W": Tensor(np.full((1, 1), 50.0)), "layer0.b": Tensor([0.0])}
         )
-        data = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
-        assert task_loss(params, data, spec) <= 1.1e-7
+        x, y = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
+        assert self.loss(params, x, y, spec) <= 1.1e-7
 
     def test_singleton_equals_bce(self):
         model = constant_half_model()
-        data = (np.ones((1, 4)), np.array([1.0]))
-        assert task_loss(model.params, data, model.layer_spec) == pytest.approx(
+        x, y = np.ones((1, 4)), np.array([1.0])
+        assert self.loss(model.params, x, y, model.layer_spec) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
     def test_width_mismatch_rejected(self):
         model = constant_half_model(width=4)
-        with pytest.raises(Exception):
-            task_loss(model.params, (np.ones((2, 7)), np.zeros(2)), model.layer_spec)
+        with pytest.raises(ConfigurationError, match="layer 0"):
+            self.loss(model.params, np.ones((2, 7)), np.zeros(2), model.layer_spec)
 
 
 class TestInnerAdapt:
@@ -114,8 +115,9 @@ class TestInnerAdapt:
         # loss = theta^2 at theta=1, lr=0.1, one step -> 0.8
         params = ParamSet({"theta": Tensor(1.0)})
 
-        def loss_fn(pm, x, y):
-            return tape.mul(pm["theta"], pm["theta"])
+        def loss_fn(weights, x, y):
+            (theta,) = weights
+            return theta * theta, [2.0 * theta]
 
         out = inner_adapt(
             params, (np.zeros((1, 1)), np.zeros(1)), 0.1, 1, loss_fn=loss_fn
@@ -327,8 +329,28 @@ class TestMetaTrain:
 
 
 def bce_mlp(spec):
-    """The detector's loss as a custom `loss_fn`: BCE of `forward_mlp` on the tape."""
-    return lambda leaves, x, y: bce_loss(forward_mlp(leaves, x, spec), y.reshape(-1, 1))
+    """The detector's loss as a custom `loss_fn`: each task's BCE of the taped
+    `forward_mlp` and its `grad`, one task at a time along the leading axis
+    of x, stacked on that axis."""
+    names = sorted(name for i in range(len(spec)) for name in layer_param_names(i))
+
+    def loss_fn(weights, x, y):
+        lead = x.shape[:-2]
+        shapes = [w.shape[w.ndim - (2 if name.endswith(".W") else 1):]
+                  for name, w in zip(names, weights)]
+        losses, grads = [], []
+        for k in np.ndindex(lead):
+            params = ParamSet({name: Tensor(np.broadcast_to(w, lead + shape)[k])
+                               for name, w, shape in zip(names, weights, shapes)})
+            loss = bce_loss(forward_mlp(GradientTape(params).leaves, x[k], spec),
+                            y[k].reshape(-1, 1))
+            losses.append(value_of(loss))
+            grads.append(grad(loss, params))
+        return np.reshape(losses, lead), [
+            np.reshape([g[name].values for g in grads], lead + shape)
+            for name, shape in zip(names, shapes)]
+
+    return loss_fn
 
 
 def taped_meta_train(init, tasks, cfg, seed):
@@ -339,7 +361,7 @@ def taped_meta_train(init, tasks, cfg, seed):
     def loss_and_grad(params, x, y):
         recorder = GradientTape(params)
         loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y.reshape(-1, 1))
-        return float(tape.value_of(loss)), grad(loss, params)
+        return float(value_of(loss)), grad(loss, params)
 
     params, curve = init.params, []
     for _ in range(cfg.meta_iterations):
@@ -381,20 +403,36 @@ class TestBatchedMetaTrain:
         self._check_against_reference(tasks, cfg, tasks[0].feature_width)
 
     def test_mixed_shapes_refused_by_name(self):
-        # the fused loss stacks its tasks; the taped one still takes any shapes
+        # every loss stacks its tasks, the fused one and a custom loss_fn alike
         tasks = [tiny_task(s, n=8 + 2 * (s % 3)) for s in range(6)]
         cfg = MetaConfig(inner_lr=0.4, meta_lr=0.1, inner_steps=2,
                          meta_batch=3, meta_iterations=12)
         model = init_detector(4, seed=21, layer_spec=self.SPEC)
         with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
             meta_train(model, tasks, cfg, seed=5)
-        with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
-            meta_gradient(model.params, tasks[:3], cfg, self.SPEC)
-        taped = meta_gradient(model.params, tasks[:3], cfg, self.SPEC, bce_mlp(self.SPEC))
-        alone = [meta_gradient(model.params, [t], cfg, self.SPEC) for t in tasks[:3]]
-        for k in model.params:
+        for loss_fn in (None, bce_mlp(self.SPEC)):
+            for mode in ("first_order", "exact_fd_oracle"):
+                with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
+                    meta_gradient(model.params, tasks[:3], replace(cfg, meta_mode=mode),
+                                  self.SPEC, loss_fn)
+
+    @pytest.mark.parametrize("loss", ["taped-bce", "quadratic"])
+    def test_custom_loss_on_stacked_tasks_equals_one_task_calls_summed(self, loss):
+        cfg = MetaConfig(inner_lr=0.4, inner_steps=2, meta_batch=3)
+        if loss == "quadratic":
+            params, loss_fn = ParamSet({"u": Tensor(0.4), "v": Tensor(0.2)}), quadratic_loss
+            tasks = [quad_task(1.2, 0.9, -0.7, 0.1), quad_task(-0.3, 0.5, 0.8, -0.2),
+                     quad_task(2.0, -1.0, 0.4, 0.6)]
+        else:
+            params, loss_fn = init_detector(4, seed=21, layer_spec=self.SPEC).params, bce_mlp(
+                self.SPEC)
+            tasks = [tiny_task(s) for s in range(3)]
+        stacked = meta_gradient(params, tasks, cfg, self.SPEC, loss_fn)
+        alone = [meta_gradient(params, [t], cfg, self.SPEC, loss_fn) for t in tasks]
+        assert np.abs(stacked.flatten()).max() > 1e-3
+        for k in params:
             total = alone[0][k].values + alone[1][k].values + alone[2][k].values
-            assert taped[k].values.tobytes() == total.tobytes()
+            assert stacked[k].values.tobytes() == total.tobytes(), k
 
     def test_stacks_equal_shapes(self, monkeypatch):
         from selfheal.detector import maml

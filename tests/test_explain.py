@@ -11,8 +11,9 @@ from selfheal.explain import (
     metric_groups,
     shapley_attribution,
 )
-from selfheal.numerics import ParamSet, Tensor, forward_mlp
+from selfheal.numerics import ParamSet, Tensor
 from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, named_state
+from taped import forward_mlp
 
 
 def linear_model(weights, bias=0.0) -> DetectorModel:

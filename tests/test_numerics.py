@@ -6,25 +6,24 @@ import pytest
 from selfheal.errors import ConfigurationError, InputError
 from selfheal.numerics import (
     LOG_CLAMP,
-    GradientTape,
     ParamSet,
     Tensor,
-    bce_loss,
     finite_diff_grad,
-    forward_mlp,
-    grad,
     init_mlp_params,
+    init_uniform_params,
     mlp_loss_and_grad,
     mlp_params,
     mlp_weights,
     nets,
+    ops,
     sgd_step,
-    tape,
 )
+import taped
+from taped import GradientTape, bce_loss, forward_mlp, grad
 
 
 def _scalar(x) -> float:
-    return float(tape.value_of(x))
+    return float(taped.value_of(x))
 
 
 class TestTensor:
@@ -58,6 +57,23 @@ class TestParamSet:
     def test_flatten_like_roundtrip(self):
         p = ParamSet({"w": Tensor([[1.0, 2.0], [3.0, 4.0]]), "b": Tensor([5.0])})
         assert p.like(p.flatten()) == p
+
+
+class TestInitUniformParams:
+    def test_each_bias_takes_the_fan_in_of_the_weight_before_it(self):
+        params = init_uniform_params({"W": (4, 3), "b": (3,), "V": (16, 2), "c": (2,)}, 7)
+        assert list(params) == ["V", "W", "b", "c"]
+        for name, fan_in in (("W", 4), ("b", 4), ("V", 16), ("c", 16)):
+            values = params[name].values
+            assert np.abs(values).max() <= 0.5 / math.sqrt(fan_in), name
+            assert values.std() > 0.0, name
+
+    @pytest.mark.parametrize("shapes", [{"b": (3,), "W": (2, 3)}, {"s": (), "W": (2, 3)}],
+                             ids=["1-d", "0-d"])
+    def test_first_entry_without_a_fan_in_rejected_by_name(self, shapes):
+        name = next(iter(shapes))
+        with pytest.raises(InputError, match=f"entry '{name}'"):
+            init_uniform_params(shapes, seed=0)
 
 
 class TestForwardMlp:
@@ -140,7 +156,7 @@ class TestGrad:
     def test_constant_loss_gives_zero_gradients(self):
         params = ParamSet({"theta": Tensor([1.0, 2.0])})
         t = GradientTape(params)
-        loss = tape.mul(tape.total(tape.mul(t.leaves["theta"], 0.0)), 1.0)
+        loss = taped.mul(taped.total(taped.mul(t.leaves["theta"], 0.0)), 1.0)
         g = grad(loss, params)
         assert np.array_equal(g["theta"].values, np.zeros(2))
 
@@ -148,14 +164,14 @@ class TestGrad:
         params = ParamSet({"theta": Tensor(3.0)})
         t = GradientTape(params)
         th = t.leaves["theta"]
-        g = grad(tape.mul(th, th), params)
+        g = grad(taped.mul(th, th), params)
         assert float(g["theta"].values) == pytest.approx(6.0, abs=1e-12)
 
     def test_off_tape_param_gets_zero_gradient(self):
         params = ParamSet({"used": Tensor(2.0), "frozen": Tensor([1.0, 1.0])})
         t = GradientTape(params)
         u = t.leaves["used"]
-        g = grad(tape.mul(u, u), params)
+        g = grad(taped.mul(u, u), params)
         assert float(g["used"].values) == pytest.approx(4.0)
         assert np.array_equal(g["frozen"].values, np.zeros(2))
 
@@ -196,7 +212,7 @@ class TestGrad:
 def _taped_loss_and_grad(params, x, y, spec):
     recorder = GradientTape(params)
     loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y.reshape(-1, 1))
-    return float(tape.value_of(loss)), grad(loss, params)
+    return float(taped.value_of(loss)), grad(loss, params)
 
 
 FUSED_SPECS = [
@@ -340,15 +356,15 @@ class TestEdgeAggregate:
     def test_forward_and_vjp_bitwise_equal_to_add_at(self, case, width):
         n, src, dst = EDGE_CASES[case]
         src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-        edges = tape.EdgeIndex(src, dst, n)
+        edges = ops.EdgeIndex(src, dst, n)
         rng = np.random.default_rng(width)
         x, g = rng.normal(size=(n, width)), rng.normal(size=(n, width))
-        out = tape.edge_aggregate(x, edges)
+        out = ops.edge_aggregate(x, edges)
         assert out.tobytes() == _add_at_aggregate(x, src, dst).tobytes()
         # d(sum(aggregate(x) * g))/dx is the vjp applied to g
         params = ParamSet({"x": Tensor(x)})
         leaf = GradientTape(params).leaves["x"]
-        loss = tape.total(tape.mul(tape.edge_aggregate(leaf, edges), g))
+        loss = taped.total(taped.mul(taped.edge_aggregate(leaf, edges), g))
         dx = grad(loss, params)["x"].values
         assert dx.tobytes() == _add_at_aggregate(g, dst, src).tobytes()
 
@@ -358,7 +374,7 @@ class TestEdgeAggregate:
             n = int(rng.integers(1, 40))
             src, dst = rng.integers(0, n, size=(2, int(rng.integers(0, 120))))
             x = rng.normal(size=(n, 5))
-            out = tape.edge_aggregate(x, tape.EdgeIndex(src, dst, n))
+            out = ops.edge_aggregate(x, ops.EdgeIndex(src, dst, n))
             assert out.tobytes() == _add_at_aggregate(x, src, dst).tobytes()
 
     @pytest.mark.parametrize("src, dst, match", [
@@ -369,17 +385,17 @@ class TestEdgeAggregate:
     ])
     def test_bad_indices_rejected_when_built(self, src, dst, match):
         with pytest.raises(InputError, match=match):
-            tape.EdgeIndex(np.array(src), np.array(dst), 3)
+            ops.EdgeIndex(np.array(src), np.array(dst), 3)
 
     def test_negative_node_count_rejected(self):
         with pytest.raises(InputError, match="n_nodes"):
-            tape.EdgeIndex(np.array([], dtype=np.intp), np.array([], dtype=np.intp), -1)
+            ops.EdgeIndex(np.array([], dtype=np.intp), np.array([], dtype=np.intp), -1)
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_row_count_must_match_node_count(self, rows):
-        edges = tape.EdgeIndex(np.array([0, 1]), np.array([1, 2]), 3)
+        edges = ops.EdgeIndex(np.array([0, 1]), np.array([1, 2]), 3)
         with pytest.raises(InputError, match="3 rows"):
-            tape.edge_aggregate(np.ones((rows, 2)), edges)
+            ops.edge_aggregate(np.ones((rows, 2)), edges)
 
 
 def _loop_scatter(v, receivers, senders):
@@ -411,7 +427,7 @@ class TestScatterAdd:
     @pytest.mark.parametrize("direction", ["into_dst", "into_src"])
     @pytest.mark.parametrize("buffers", [False, True])
     def test_equal_to_an_edge_by_edge_loop(self, direction, buffers):
-        edges = tape.EdgeIndex(self.SRC, self.DST, 7)
+        edges = ops.EdgeIndex(self.SRC, self.DST, 7)
         groups = getattr(edges, direction)
         receivers, senders = ((self.DST, self.SRC) if direction == "into_dst"
                               else (self.SRC, self.DST))
@@ -421,7 +437,7 @@ class TestScatterAdd:
         out, scratch = ((np.full((7, 4), 9.0), [np.full((7, 4), 9.0) for _ in range(2)])
                         if buffers else (None, None))
         with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both sides
-            result = tape.scatter_add(padded, groups, out, scratch)
+            result = ops.scatter_add(padded, groups, out, scratch)
             expected = _loop_scatter(v, receivers, senders)
         assert result.tobytes() == expected.tobytes()
         assert np.signbit(result[6]).all() and not result[6].any()
@@ -435,12 +451,12 @@ class TestScatterAdd:
         rng = np.random.default_rng(8)
         n = 60
         src, dst = rng.integers(0, n, size=(2, 400))
-        groups = getattr(tape.EdgeIndex(src, dst, n), direction)
+        groups = getattr(ops.EdgeIndex(src, dst, n), direction)
         assert max(len(receivers) for receivers, _ in groups.later) > 8
         padded = np.vstack([rng.normal(size=(n, 5)), np.zeros((1, 5))])
-        whole = tape.scatter_add(padded, groups)
+        whole = ops.scatter_add(padded, groups)
         blocks = [np.full((8, 5), 9.0) for _ in range(2)]
-        assert tape.scatter_add(padded, groups, None, blocks).tobytes() == whole.tobytes()
+        assert ops.scatter_add(padded, groups, None, blocks).tobytes() == whole.tobytes()
 
 
 def _loop_rank_groups(keys, others, n_rows):
@@ -462,7 +478,7 @@ def _loop_rank_groups(keys, others, n_rows):
 class TestRankGroups:
     @staticmethod
     def assert_equal_to_loop(src, dst, n):
-        edges = tape.EdgeIndex(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), n)
+        edges = ops.EdgeIndex(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), n)
         for groups, keys, others in ((edges.into_dst, edges.dst, edges.src),
                                      (edges.into_src, edges.src, edges.dst)):
             first, later = _loop_rank_groups(keys, others, n)
@@ -490,28 +506,28 @@ class TestActivations:
     Z = np.array([[-2.0, -0.0, 0.0, 0.5, 3.0], [np.nan, -np.inf, np.inf, 1e-300, -1e-300]])
     G = np.array([[1.0, -1.0, -2.0, 0.5, -0.0], [-3.0, 2.0, -1.0, 4.0, -1.0]])
 
-    @pytest.mark.parametrize("name", sorted(tape.ACTIVATIONS))
+    @pytest.mark.parametrize("name", sorted(ops.ACTIVATIONS))
     def test_vjp_into_its_own_output_equals_out_of_place(self, name):
-        forward, vjp = tape.ACTIVATIONS[name]
+        forward, vjp = ops.ACTIVATIONS[name]
         out = forward(self.Z.copy())
         expected = vjp(self.G, out.copy())
         into = out.copy()
         assert vjp(self.G, into, into).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name", sorted(tape.ACTIVATIONS))
+    @pytest.mark.parametrize("name", sorted(ops.ACTIVATIONS))
     def test_forward_into_its_input_equals_out_of_place(self, name):
-        forward, _ = tape.ACTIVATIONS[name]
+        forward, _ = ops.ACTIVATIONS[name]
         z = self.Z.copy()
         assert forward(z, z).tobytes() == forward(self.Z.copy()).tobytes()
 
     def test_relu_vjp_reads_the_mask_of_z_from_the_output(self):
-        forward, vjp = tape.ACTIVATIONS["relu"]
+        forward, vjp = ops.ACTIVATIONS["relu"]
         z, g = self.Z, self.G
         assert vjp(g, forward(z)).tobytes() == np.multiply(g, np.greater(z, 0.0)).tobytes()
 
 
     def test_relu_vjp_on_the_mask_equals_it_on_the_output(self):
-        forward, vjp = tape.ACTIVATIONS["relu"]
+        forward, vjp = ops.ACTIVATIONS["relu"]
         out = forward(self.Z.copy())
         g = np.array([[-0.0, 0.0, -0.0, -0.0, 0.0], [-0.0, 1.0, -0.0, -2.0, -0.0]])
         expected = vjp(g, out).tobytes()
