@@ -25,7 +25,11 @@ class RowError(InputError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 class GenerationError(SelfHealError, RuntimeError):
@@ -37,7 +41,11 @@ class TrainingError(SelfHealError, RuntimeError):
 
     def __init__(self, message: str, iteration: int):
         super().__init__(f"iteration {iteration}: {message}")
+        self.message = message
         self.iteration = iteration
+
+    def __reduce__(self):
+        return type(self), (self.message, self.iteration)
 
 
 class CapacityError(SelfHealError, ValueError):
@@ -51,3 +59,6 @@ class StageError(SelfHealError, RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)

@@ -9,6 +9,9 @@ others and two runs of the same config produce identical reports.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import sys
 
 import numpy as np
 
@@ -399,17 +402,98 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
             "instance_value": None, "source_task": None}
 
 
+# Linux only: elsewhere fork is unsafe or missing, and the lane runs in
+# process at its join point.
+FORK_LANES = sys.platform == "linux"
+
+
+@_stage("detector")
+def _detector_lane(cfg: RunConfig):
+    """The tasks and detector stages: (MetaTrainResult, detection, adaptation,
+    eval_tasks). It raises only StageErrors, which pickle."""
+    train_tasks, eval_tasks = build_tasks(cfg)
+    return (*detector_stage(cfg, train_tasks, eval_tasks), eval_tasks)
+
+
+def _fork_lane(lane, cfg: RunConfig) -> tuple[int, int] | None:
+    """Run `lane(cfg)` in a forked child, which pickles its result, or the
+    StageError it raised, into a pipe and exits. Returns the child's pid and
+    the pipe's read end, or None if no child could be started."""
+    sys.stdout.flush()  # else the child could write the parent's buffered output again
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the lane runs in process
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = lane(cfg)
+        except StageError as err:
+            payload = err
+        data = pickle.dumps(payload, protocol=5)  # 5 keeps read-only arrays read-only
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _kill_lane(pid: int) -> None:
+    os.kill(pid, 9)  # SIGKILL, without importing `signal`
+    os.waitpid(pid, 0)
+
+
+@_stage("detector")
+def _join_lane(pid: int, read_fd: int):
+    """Read the forked lane's result to EOF and reap the child; a StageError
+    the lane raised re-raises here unchanged."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    except BaseException:
+        _kill_lane(pid)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise ChildProcessError(f"the detector lane's process {how} without a result")
+    result = pickle.loads(data)
+    if isinstance(result, StageError):
+        raise result
+    return result
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
+    # Two lanes. The learners share no state and draw from their own seed
+    # substreams, so where they train does not change the report. A forked
+    # child runs the tasks and detector stages while this process trains the
+    # GNN, the agent and the sweep, which balances the two lanes on `desk`.
     # The GNN trains first: its node-wide epoch arrays, the run's largest
     # working set, then sit on the import floor, and the later stages reuse
-    # what they free, so the run peaks lower. The stages share no state and
-    # draw from their own seed substreams, so the order does not change the
-    # report.
-    gnn, dependency = gnn_stage(cfg)
-    train_tasks, eval_tasks = build_tasks(cfg)
-    meta, detection, adaptation = detector_stage(cfg, train_tasks, eval_tasks)
-    env, agent, weights, norms, recovery = agent_stage(cfg)
-    pareto = sweep_stage(cfg)
+    # what they free, so the run peaks lower.
+    lane = _fork_lane(_detector_lane, cfg) if FORK_LANES else None
+    try:
+        gnn, dependency = gnn_stage(cfg)
+        env, agent, weights, norms, recovery = agent_stage(cfg)
+        pareto = sweep_stage(cfg)
+    except BaseException:
+        if lane is not None:
+            os.close(lane[1])
+            _kill_lane(lane[0])
+        raise
+    meta, detection, adaptation, eval_tasks = (
+        _detector_lane(cfg) if lane is None else _join_lane(*lane))
     closed_loop = _closed_loop(cfg, meta.model, gnn.gnn, env, agent.policy, weights,
                                norms)
     attribution = _attribution(cfg, meta.model, eval_tasks)

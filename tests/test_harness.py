@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,7 +12,14 @@ import pytest
 
 from selfheal.detector import load_checkpoint
 from selfheal.depgraph import load_gnn
-from selfheal.errors import ConfigurationError, SchemaError
+from selfheal.errors import (
+    ConfigurationError,
+    GenerationError,
+    RowError,
+    SchemaError,
+    StageError,
+    TrainingError,
+)
 from selfheal.harness import (
     RunConfig,
     RunReport,
@@ -42,9 +50,32 @@ FAST_CONFIG = {
 }
 
 
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="the lane forks on Linux only")
+
+
 @pytest.fixture(scope="module")
 def fast_report():
     return run_pipeline(config_from_dict(FAST_CONFIG))
+
+
+def _fields(err: BaseException) -> dict:
+    """An exception's type, args and attributes, causes compared the same way."""
+    return {"type": type(err), "args": err.args,
+            **{k: _fields(v) if isinstance(v, BaseException) else v
+               for k, v in vars(err).items()}}
+
+
+@pytest.mark.parametrize("err", [
+    RowError("cannot parse qps cell 'x'", 4),
+    TrainingError("meta-loss is not finite", 12),
+    StageError("tasks", GenerationError("no trace holds both classes")),
+    StageError("detector", TrainingError("meta-loss is not finite", 12)),
+], ids=["row", "training", "stage", "stage_of_training"])
+def test_errors_survive_a_pickle_round_trip(err):
+    # a StageError raised in the forked detector lane crosses a pipe
+    again = pickle.loads(pickle.dumps(err, protocol=5))
+    assert _fields(again) == _fields(err)
+    assert str(again) == str(err)
 
 
 class TestConfig:
@@ -372,13 +403,16 @@ class TestPipeline:
         assert (dependency["training_cascades"], dependency["held_out_cascades"]) == (24, 6)
 
     def test_gnn_stage_runs_before_the_tasks_and_detector_stages(self, monkeypatch):
-        """The depgraph stage trains first. Its node-wide epoch arrays, the
-        run's largest working set, then sit on the import floor, and the
-        later stages reuse the space they free. This was measured, not
-        derived: on perfbench's `desk` workload (seed 20260811, 2 vCPU,
-        numpy 2.4.6), a run that loads neither `numpy.ma` nor `statistics`
-        peaked at 40.3-40.4 MB with the GNN trained after the tasks and
-        detector stages, and at 39.8 MB with it first."""
+        """The depgraph stage trains first in the process that trains it
+        beside other stages. Its node-wide epoch arrays, the run's largest
+        working set, then sit on the import floor, and the later stages reuse
+        the space they free. This was measured, not derived: on perfbench's
+        `desk` workload (seed 20260811, 2 vCPU, numpy 2.4.6), a run that
+        loads neither `numpy.ma` nor `statistics` peaked at 40.3-40.4 MB with
+        the GNN trained after the tasks and detector stages, and at 39.8 MB
+        with it first. Forked, the tasks and detector stages run in the
+        child, so this process records only its own lane; in process, they
+        run at the join."""
         from selfheal.harness import pipeline
 
         order = []
@@ -389,10 +423,67 @@ class TestPipeline:
                 return stage(*args, **kwargs)
             return run
 
-        for name in ("gnn_stage", "build_tasks", "detector_stage", "agent_stage"):
+        names = ("gnn_stage", "build_tasks", "detector_stage", "agent_stage", "sweep_stage")
+        for name in names:
             monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
-        pipeline.run_pipeline(config_from_dict(FAST_CONFIG))
-        assert order == ["gnn_stage", "build_tasks", "detector_stage", "agent_stage"]
+        parent_lane = ["gnn_stage", "agent_stage", "sweep_stage"]
+        for fork, expected in ((True, parent_lane),
+                               (False, [*parent_lane, "build_tasks", "detector_stage"])):
+            if fork and sys.platform != "linux":
+                continue
+            monkeypatch.setattr(pipeline, "FORK_LANES", fork)
+            order.clear()
+            pipeline.run_pipeline(config_from_dict(FAST_CONFIG))
+            assert order == expected, f"FORK_LANES={fork}"
+
+    @linux_only
+    def test_forked_and_in_process_lanes_give_the_same_bytes(self, monkeypatch, tmp_path):
+        from selfheal.harness import pipeline
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        written = []
+        for fork, fork_call in ((True, os.fork), (False, os.fork), (True, no_fork)):
+            monkeypatch.setattr(pipeline, "FORK_LANES", fork)
+            monkeypatch.setattr(os, "fork", fork_call)
+            report = run_pipeline(config_from_dict(FAST_CONFIG))
+            out = tmp_path / f"{fork}-{fork_call.__name__}"
+            written.append(emit_report(report, out)["json"].read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @linux_only
+    def test_forked_lane_returns_read_only_parameters(self):
+        # pickle protocol 4 would hand back writeable copies; 5 keeps the flag
+        from selfheal.harness import pipeline
+
+        cfg = config_from_dict({**FAST_CONFIG, "detector": {"meta_iterations": 3}})
+        meta, *_ = pipeline._join_lane(*pipeline._fork_lane(pipeline._detector_lane, cfg))
+        arrays = [tensor.values for tensor in meta.model.params.values()]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @linux_only
+    def test_lane_that_dies_without_a_result_is_a_detector_stage_error(self):
+        from selfheal.harness import pipeline
+
+        cfg = config_from_dict(FAST_CONFIG)
+        with pytest.raises(StageError, match="exited with code 7") as info:
+            pipeline._join_lane(*pipeline._fork_lane(lambda cfg: os._exit(7), cfg))
+        assert info.value.stage == "detector"
+
+    @linux_only
+    def test_parent_stage_failure_leaves_no_child(self, monkeypatch):
+        from selfheal.harness import pipeline
+
+        @pipeline._stage("depgraph")
+        def broken(cfg):
+            raise TrainingError("training loss is not finite", 0)
+
+        monkeypatch.setattr(pipeline, "gnn_stage", broken)
+        with pytest.raises(StageError, match="depgraph"):
+            pipeline.run_pipeline(config_from_dict(FAST_CONFIG))
+        with pytest.raises(ChildProcessError):  # no child left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
 
     def test_run_loads_neither_numpy_ma_nor_statistics(self):
         # a fresh process: the test session itself may have loaded them. The
@@ -561,6 +652,19 @@ class TestCli:
             **FAST_CONFIG["simulator"], "anomaly_rate": 1e-6}}))
         assert main(["run", "--config", str(path)]) == 3
         assert "tasks" in capsys.readouterr().err
+
+    def test_detector_lane_failure_exit_code_3(self, tmp_path, capsys, monkeypatch):
+        # a forked lane inherits the patch. A diverging meta_lr would fail
+        # too, but with overflow RuntimeWarnings on the way.
+        from selfheal.harness import pipeline
+
+        def diverging(cfg, train_tasks, eval_tasks):
+            raise TrainingError("meta-loss is not finite", 3)
+
+        monkeypatch.setattr(pipeline, "detector_stage", diverging)
+        assert main(["run", "--config", str(self._write_config(tmp_path))]) == 3
+        assert ("stage 'detector' failed: iteration 3: meta-loss is not finite"
+                in capsys.readouterr().err)
 
     def test_simulate_writes_traces_and_graph(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(self._write_config(tmp_path))])
