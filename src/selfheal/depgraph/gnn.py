@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    ParamSet, Tensor, Workspace, descend, gnn_forward, gnn_loss_and_grad,
+    Workspace, descend, frozen_weights, gnn_forward, gnn_loss_and_grad,
     init_uniform_params, mlp_param_shapes, ops,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
@@ -32,15 +32,35 @@ DEFAULT_LABEL_HORIZON = 2
 BATCH_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GnnParams:
-    """Stacked message-passing layers plus a per-node sigmoid readout."""
+    """Stacked message-passing layers plus a per-node sigmoid readout.
+
+    `weights` is the network's weight list in `gnn_param_shapes` order, the
+    hidden layers' [W0, b0, W1, b1, ...] and then the readout's w and b: the
+    constructor checks the hidden activation (ConfigurationError), each
+    array's shape and finite values (InputError naming the weight), and
+    keeps read-only copies."""
 
     input_width: int
     hidden_widths: tuple[int, ...]
-    params: ParamSet
+    weights: tuple[np.ndarray, ...]
     hidden_activation: str = "relu"
     label_horizon: int = DEFAULT_LABEL_HORIZON
+
+    def __post_init__(self):
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ConfigurationError(f"hidden activation must be one of "
+                                     f"{list(HIDDEN_ACTIVATIONS)}, got {self.hidden_activation!r}")
+        object.__setattr__(self, "weights", frozen_weights(
+            self.weights, gnn_param_shapes(self.input_width, self.hidden_widths)))
+
+    @property
+    def layer_spec(self) -> list[tuple[int, str]]:
+        """The layer spec of `weights` for `gnn_forward`: the hidden layers,
+        then the sigmoid readout."""
+        return [(width, self.hidden_activation) for width in self.hidden_widths] + [
+            (1, "sigmoid")]
 
 
 @dataclass(frozen=True)
@@ -127,8 +147,7 @@ def gnn_layer(
     w, b, activation = layer
     if activation not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
-    w, b = (np.asarray(v.values if isinstance(v, Tensor) else v, dtype=np.float64)
-            for v in (w, b))
+    w, b = (np.asarray(v, dtype=np.float64) for v in (w, b))
     if w.ndim != 2:
         raise ConfigurationError(f"layer weight must be a matrix, got shape {w.shape}")
     edges = edge_arrays(graph)
@@ -149,7 +168,7 @@ def init_gnn(
     return GnnParams(
         input_width=width,
         hidden_widths=hidden_widths,
-        params=init_uniform_params(gnn_param_shapes(width, hidden_widths), seed),
+        weights=init_uniform_params(gnn_param_shapes(width, hidden_widths), seed),
         label_horizon=label_horizon,
     )
 
@@ -163,14 +182,6 @@ def gnn_param_shapes(
     fan_in = hidden_widths[-1] if hidden_widths else input_width
     shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
     return shapes
-
-
-def _network(gnn: GnnParams) -> tuple[list[np.ndarray], list[tuple[int, str]]]:
-    """The weights and layer spec of `gnn` for `gnn_forward`: the hidden layers,
-    then the sigmoid readout."""
-    names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
-    layer_spec = [(width, gnn.hidden_activation) for width in gnn.hidden_widths]
-    return [gnn.params[name].values for name in names], layer_spec + [(1, "sigmoid")]
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,10 @@ def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
     """Each node's probability of failing within the label horizon, at ticks
     0 .. horizon - 1: (horizon, n_nodes), from one `gnn_forward` over the
     ticks stacked on a leading axis, which equals one pass per tick bitwise."""
-    edges, (weights, layer_spec) = edge_arrays(graph), _network(gnn)
+    edges = edge_arrays(graph)
     h0 = _inputs_by_tick(graph, node_telemetry, range(horizon))
     x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
-    return gnn_forward(weights, x, edges, layer_spec)[..., 0]
+    return gnn_forward(gnn.weights, x, edges, gnn.layer_spec)[..., 0]
 
 
 def check_flag_threshold(threshold: float) -> None:
@@ -306,7 +317,7 @@ def train_gnn(
     ticks of it. All samples are stacked into one node axis with offset edge
     indices, so every epoch is a single forward/backward pass: the closed-form
     `gnn_loss_and_grad` on one workspace, bitwise equal to a taped reverse
-    sweep of the same loss followed by `sgd_step`.
+    sweep of the same loss, followed by a `descend` step.
 
     `dataset` is any iterable of traces, a one-shot generator included: each
     trace is read once, before the first epoch, and none is kept while the
@@ -328,7 +339,7 @@ def train_gnn(
     x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
     del src, dst, h0
 
-    (weights, layer_spec), workspace = _network(gnn), Workspace()
+    weights, layer_spec, workspace = gnn.weights, gnn.layer_spec, Workspace()
     curve: list[float] = []
     for epoch in range(epochs):
         loss, grads = gnn_loss_and_grad(weights, x, labels, edges, layer_spec, workspace)
@@ -340,6 +351,4 @@ def train_gnn(
             weights = descend(weights, grads, lr)
         except InputError as err:
             raise TrainingError(f"parameters diverged: {err}", epoch) from err
-    names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
-    return GnnTrainResult(gnn=replace(gnn, params=ParamSet(dict(zip(names, weights)))),
-                          loss_curve=curve)
+    return GnnTrainResult(gnn=replace(gnn, weights=weights), loss_curve=curve)

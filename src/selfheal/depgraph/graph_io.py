@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..errors import InputError, SchemaError
+from ..errors import ConfigurationError, InputError, SchemaError
 from ..files import fields, integer, number, read_json, string
 from ..numerics import params_from_payload, read_model, write_model
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
-from .gnn import HIDDEN_ACTIVATIONS, GnnParams, gnn_param_shapes
+from .gnn import GnnParams, gnn_param_shapes
 
 
 def write_graph(graph: ComponentGraph, path: str | Path) -> None:
@@ -82,7 +82,7 @@ def save_gnn(gnn: GnnParams, path: str | Path) -> None:
         "hidden_widths": list(gnn.hidden_widths),
         "hidden_activation": gnn.hidden_activation,
         "label_horizon": gnn.label_horizon,
-    }, gnn.params)
+    }, gnn_param_shapes(gnn.input_width, gnn.hidden_widths), gnn.weights)
 
 
 def load_gnn(path: str | Path) -> GnnParams:
@@ -97,19 +97,17 @@ def load_gnn(path: str | Path) -> GnnParams:
     hidden_widths = tuple(
         integer(w, f"{path}: field 'hidden_widths.{i}'", 1) for i, w in enumerate(widths)
     )
-    activation = payload["hidden_activation"]
-    if activation not in HIDDEN_ACTIVATIONS:
-        raise SchemaError(
-            f"{path}: field 'hidden_activation' must be one of "
-            f"{list(HIDDEN_ACTIVATIONS)}, got {activation!r}"
-        )
-    params = params_from_payload(
+    label_horizon = integer(payload["label_horizon"], f"{path}: field 'label_horizon'", 0)
+    weights = params_from_payload(
         payload["params"], gnn_param_shapes(input_width, hidden_widths), path
     )
-    return GnnParams(
-        input_width=input_width,
-        hidden_widths=hidden_widths,
-        params=params,
-        hidden_activation=activation,
-        label_horizon=integer(payload["label_horizon"], f"{path}: field 'label_horizon'", 0),
-    )
+    try:
+        return GnnParams(
+            input_width=input_width,
+            hidden_widths=hidden_widths,
+            weights=weights,
+            hidden_activation=payload["hidden_activation"],
+            label_horizon=label_horizon,
+        )
+    except ConfigurationError as err:  # an unknown hidden activation
+        raise SchemaError(f"{path}: field 'hidden_activation': {err}") from None

@@ -84,7 +84,7 @@ def score_traces(
 
 
 def node_failure_accuracy(
-    gnn: GnnParams, traces: list[CascadeTrace], flag_threshold: float = 0.5
+    gnn: GnnParams, traces: list[CascadeTrace], flag_threshold: float = DEFAULT_FLAG_THRESHOLD
 ) -> float:
     """Accuracy of 'fails within the label horizon' at onset + _EVAL_OFFSET."""
     return score_traces(gnn, traces, flag_threshold)[0]

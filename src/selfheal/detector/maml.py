@@ -7,9 +7,10 @@ Jacobian as identity (the default and the fast path); `exact_fd_oracle`
 differentiates through the inner loop by central finite differences and is
 meant for verification on small models only.
 
-Every entry point runs on one loss contract, f(weights, x, y) -> (loss, grads)
-on arrays with the tasks stacked on a leading axis: the fused
-`mlp_loss_and_grad` by default, or a custom `loss_fn` of the same shape.
+Every entry point takes and returns the model's weight list and runs on one
+loss contract, f(weights, x, y) -> (loss, grads) on arrays with the tasks
+stacked on a leading axis: the fused `mlp_loss_and_grad` by default, or a
+custom `loss_fn` of the same shape.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, TrainingError
-from ..numerics import (
-    ParamSet,
-    descend,
-    finite_diff_grad,
-    mlp_forward,
-    mlp_loss_and_grad,
-    mlp_params,
-    mlp_weights,
-    sgd_step,
-)
+from ..numerics import descend, finite_diff_grad, mlp_forward, mlp_loss_and_grad
 from ..simulator import Task
 from .model import DEFAULT_LAYER_SPEC, DetectorModel
 
@@ -72,23 +64,19 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _loss(params: ParamSet, layer_spec, loss_fn):
-    """`params` as a list of arrays, the loss f(weights, x, y) -> (loss, grads)
-    on such lists, and the way back to a ParamSet.
+def _loss(layer_spec, loss_fn):
+    """The loss f(weights, x, y) -> (loss, grads) on weight lists.
 
     f is the fused `mlp_loss_and_grad` on the MLP's weights in layer order,
-    unless a custom `loss_fn` is given, which takes the arrays of `params` in
-    their (lexicographic) order and keeps the kernel's shapes: x (B, n, d) and
-    y (B, n) carry a leading task axis, the weights may carry it too, and the
-    loss is (B,) with each gradient stacked on that axis. A single task, as
-    `inner_adapt` gives it, has no task axis."""
+    unless a custom `loss_fn` is given, which takes the weights in the order
+    the caller passes them (a model's own order for a model's weights) and
+    keeps the kernel's shapes: x (B, n, d) and y (B, n) carry a leading task
+    axis, the weights may carry it too, and the loss is (B,) with each
+    gradient stacked on that axis. A single task, as `inner_adapt` gives it,
+    has no task axis."""
     if loss_fn is None:
-        return (mlp_weights(params, layer_spec),
-                lambda weights, x, y: mlp_loss_and_grad(weights, x, y, layer_spec),
-                lambda weights: mlp_params(weights, layer_spec))
-    names = list(params)
-    return ([params[name].values for name in names], loss_fn,
-            lambda weights: ParamSet(dict(zip(names, weights))))
+        return lambda weights, x, y: mlp_loss_and_grad(weights, x, y, layer_spec)
+    return loss_fn
 
 
 def _adapt(weights, loss, x, y, lr: float, steps: int):
@@ -140,25 +128,21 @@ def _first_order(weights, loss, batch, cfg: MetaConfig):
     return total, batch_loss
 
 
-def _fd_gradient(params: ParamSet, batch, cfg: MetaConfig, layer_spec, loss_fn):
+def _fd_gradient(weights, loss, batch, cfg: MetaConfig):
     """Central finite differences of the summed post-adaptation query loss."""
-
-    def objective(p: ParamSet) -> float:
-        weights, loss, _ = _loss(p, layer_spec, loss_fn)
-        return _first_order(weights, loss, batch, cfg)[1]
-
-    return finite_diff_grad(objective, params, _FD_STEP)
+    return finite_diff_grad(lambda w: _first_order(w, loss, batch, cfg)[1], weights, _FD_STEP)
 
 
 def inner_adapt(
-    params: ParamSet,
+    weights,
     support,
     inner_lr: float,
     steps: int,
     layer_spec=DEFAULT_LAYER_SPEC,
     loss_fn=None,
-) -> ParamSet:
-    """`steps` gradient steps on the support loss; the input set is untouched.
+):
+    """`steps` gradient steps on the support loss: the adapted weight list;
+    the input weights are untouched.
 
     With inner_lr == 0 or steps == 0 this is exactly the identity. The steps
     run on the fused MLP kernel, or on a custom `loss_fn` of its shape (see
@@ -167,19 +151,19 @@ def inner_adapt(
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
     if steps == 0 or inner_lr == 0.0:
-        return params
-    weights, loss, back = _loss(params, layer_spec, loss_fn)
-    return back(_adapt(weights, loss, *_as_xy(support), inner_lr, steps)[0])
+        return weights
+    return _adapt(weights, _loss(layer_spec, loss_fn), *_as_xy(support), inner_lr, steps)[0]
 
 
 def meta_gradient(
-    params: ParamSet,
+    weights,
     tasks: list[Task],
     cfg: MetaConfig,
     layer_spec=DEFAULT_LAYER_SPEC,
     loss_fn=None,
-) -> ParamSet:
-    """Gradient of the summed post-adaptation query losses w.r.t. `params`.
+) -> list[np.ndarray]:
+    """Gradient of the summed post-adaptation query losses w.r.t. `weights`,
+    one array per weight.
 
     first_order evaluates each task's query gradient at the adapted
     parameters (inner Jacobian taken as identity) and sums in task order.
@@ -191,27 +175,27 @@ def meta_gradient(
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    batch = _stacked(tasks)
+    batch, loss = _stacked(tasks), _loss(layer_spec, loss_fn)
     if cfg.meta_mode == "exact_fd_oracle":
-        return _fd_gradient(params, batch, cfg, layer_spec, loss_fn)
-    weights, loss, back = _loss(params, layer_spec, loss_fn)
-    return back(_first_order(weights, loss, batch, cfg)[0])
+        return _fd_gradient(weights, loss, batch, cfg)
+    return _first_order(weights, loss, batch, cfg)[0]
 
 
 def meta_update(
-    params: ParamSet,
+    weights,
     tasks: list[Task],
     cfg: MetaConfig,
     layer_spec=DEFAULT_LAYER_SPEC,
     loss_fn=None,
-) -> ParamSet:
-    """One meta step: params - meta_lr * meta_gradient. Identity when meta_lr=0."""
+):
+    """One meta step, weights - meta_lr * meta_gradient: the new weight list.
+    Identity when meta_lr=0."""
     if not tasks:
         raise InputError("tasks must be nonempty")
     if cfg.meta_lr == 0.0:
-        return params
-    g = meta_gradient(params, tasks, cfg, layer_spec, loss_fn)
-    return sgd_step(params, g, cfg.meta_lr)
+        return weights
+    g = meta_gradient(weights, tasks, cfg, layer_spec, loss_fn)
+    return descend(weights, g, cfg.meta_lr)
 
 
 @dataclass
@@ -226,17 +210,14 @@ def meta_train(
     """Run `meta_iterations` meta-updates over seeded task minibatches.
 
     The task pool is stacked once and each minibatch gathered from it by
-    index, so every task must share one shape. The parameters stay raw
-    arrays on the fused MLP kernel throughout and become a ParamSet once, at
-    the end.
+    index, so every task must share one shape.
     """
     if len(tasks) < cfg.meta_batch:
         raise InputError(
             f"need at least meta_batch={cfg.meta_batch} tasks, got {len(tasks)}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = init.layer_spec
-    weights, loss, back = _loss(init.params, spec, None)
+    weights, loss = init.weights, _loss(init.layer_spec, None)
     pool = _stacked(tasks)
     curve: list[float] = []
     for iteration in range(cfg.meta_iterations):
@@ -247,12 +228,12 @@ def meta_train(
             if not np.isfinite(batch_loss):
                 raise TrainingError("meta-loss is not finite", iteration)
             if cfg.meta_mode == "exact_fd_oracle":
-                grads = mlp_weights(_fd_gradient(back(weights), batch, cfg, spec, None), spec)
+                grads = _fd_gradient(weights, loss, batch, cfg)
             weights = descend(weights, grads, cfg.meta_lr)
         except InputError as err:
             raise TrainingError(f"parameters diverged: {err}", iteration) from err
         curve.append(batch_loss / cfg.meta_batch)
-    return MetaTrainResult(model=init.with_params(back(weights)), loss_curve=curve)
+    return MetaTrainResult(model=init.with_weights(weights), loss_curve=curve)
 
 
 @dataclass(frozen=True)
@@ -288,10 +269,10 @@ def evaluate(model: DetectorModel, tasks: list[Task], cfg: MetaConfig) -> list[E
     if not tasks:
         raise InputError("tasks must be nonempty")
     spec = model.layer_spec
-    weights, loss, _ = _loss(model.params, spec, None)
+    loss = _loss(spec, None)
     support_x, support_y, query_x, query_y = _stacked(tasks)
     # one copy of the model per task, so every pass below is stacked alike
-    weights = [np.broadcast_to(w, (len(tasks), *w.shape)) for w in weights]
+    weights = [np.broadcast_to(w, (len(tasks), *w.shape)) for w in model.weights]
     weights, losses = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,
                              cfg.inner_steps)
     met = np.reshape(losses, (len(losses), len(tasks))) <= ADAPT_LOSS_BOUND

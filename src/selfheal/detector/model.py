@@ -10,11 +10,10 @@ import numpy as np
 from ..errors import ConfigurationError, InputError, SchemaError
 from ..files import integer, number
 from ..numerics import (
-    ParamSet,
+    frozen_weights,
     init_mlp_params,
     mlp_forward,
     mlp_param_shapes,
-    mlp_weights,
     ops,
     params_from_payload,
     read_model,
@@ -32,22 +31,29 @@ def check_threshold(threshold: float) -> None:
         raise ConfigurationError(f"threshold must be in (0, 1), got {threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorModel:
-    """An MLP anomaly scorer with a decision threshold."""
+    """An MLP anomaly scorer with a decision threshold.
+
+    `weights` is the MLP's weight list, [W0, b0, W1, b1, ...] as
+    `mlp_param_shapes` orders it: the constructor checks each array's shape
+    and finite values (InputError naming the weight) and keeps read-only
+    copies."""
 
     input_width: int
     layer_spec: tuple[tuple[int, str], ...]
-    params: ParamSet
+    weights: tuple[np.ndarray, ...]
     threshold: float = 0.5
 
     def __post_init__(self):
         check_threshold(self.threshold)
         if self.layer_spec[-1][0] != 1:
             raise ConfigurationError("final layer must have width 1")
+        object.__setattr__(self, "weights", frozen_weights(
+            self.weights, mlp_param_shapes(self.input_width, self.layer_spec)))
 
-    def with_params(self, params: ParamSet) -> "DetectorModel":
-        return replace(self, params=params)
+    def with_weights(self, weights) -> "DetectorModel":
+        return replace(self, weights=weights)
 
 
 def init_detector(
@@ -60,7 +66,7 @@ def init_detector(
     return DetectorModel(
         input_width=input_width,
         layer_spec=spec,
-        params=init_mlp_params(input_width, spec, seed),
+        weights=init_mlp_params(input_width, spec, seed),
         threshold=threshold,
     )
 
@@ -73,8 +79,7 @@ def detect(model: DetectorModel, x) -> tuple[float, int]:
             f"expected a feature vector of width {model.input_width}, "
             f"got shape {vec.shape}"
         )
-    weights = mlp_weights(model.params, model.layer_spec)
-    score = float(mlp_forward(weights, vec[None], model.layer_spec)[-1][0, 0])
+    score = float(mlp_forward(model.weights, vec[None], model.layer_spec)[-1][0, 0])
     return score, int(score >= model.threshold)
 
 
@@ -83,7 +88,7 @@ def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
         "input_width": model.input_width,
         "threshold": model.threshold,
         "layer_spec": [[w, a] for w, a in model.layer_spec],
-    }, model.params)
+    }, mlp_param_shapes(model.input_width, model.layer_spec), model.weights)
 
 
 def load_checkpoint(path: str | Path) -> DetectorModel:
@@ -106,14 +111,14 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
             )
         layer_spec.append((integer(width, f"{path}: field 'layer_spec.{i}'", 1), activation))
     threshold = number(payload["threshold"], f"{path}: field 'threshold'")
-    params = params_from_payload(
+    weights = params_from_payload(
         payload["params"], mlp_param_shapes(input_width, layer_spec), path
     )
     try:
         return DetectorModel(
             input_width=input_width,
             layer_spec=tuple(layer_spec),
-            params=params,
+            weights=weights,
             threshold=float(threshold),
         )
     except ConfigurationError as err:  # threshold outside (0, 1), final width != 1

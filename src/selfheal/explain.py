@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .detector.model import DetectorModel
-from .numerics import mlp_forward, mlp_weights
+from .numerics import mlp_forward
 from .recovery import ACTIONS, Policy, RecoveryAction, state_positions
 from .simulator import METRICS
 
@@ -93,7 +93,7 @@ def shapley_attribution(
     for j, name in enumerate(names):
         in_coalition[:, groups[name]] = (np.arange(2 ** g) >> j & 1).astype(bool)[:, None]
     data = np.where(in_coalition[:, None, :], vec, background.rows)
-    scores = mlp_forward(mlp_weights(model.params, model.layer_spec), data, model.layer_spec)
+    scores = mlp_forward(model.weights, data, model.layer_spec)
     values = [float(block.mean()) for block in scores[-1]]
 
     fact = [math.factorial(k) for k in range(g + 1)]

@@ -377,11 +377,10 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
     det = cfg.detector
     groups = metric_groups(cfg.simulator.window_width)
     for task in eval_tasks:
-        adapted_params = inner_adapt(
-            model.params, (task.support_x, task.support_y), det.inner_lr,
+        adapted = model.with_weights(inner_adapt(
+            model.weights, (task.support_x, task.support_y), det.inner_lr,
             det.eval_inner_steps, model.layer_spec,
-        )
-        adapted = model.with_params(adapted_params)
+        ))
         normals = np.concatenate(
             [task.support_x[task.support_y == 0.0], task.query_x[task.query_y == 0.0]]
         )

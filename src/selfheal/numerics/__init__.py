@@ -1,7 +1,9 @@
-"""Dense float64 parameters, small networks on raw arrays with closed-form
-loss gradients, SGD, and the finite-difference gradient oracle."""
+"""Small networks on weight lists of float64 arrays, with closed-form loss
+gradients, SGD, the finite-difference gradient oracle, and the model files
+that name the weights."""
 
 from . import ops
+from .model_file import frozen_weights, params_from_payload, read_model, write_model
 from .nets import (
     LOG_CLAMP,
     Workspace,
@@ -14,19 +16,14 @@ from .nets import (
     mlp_forward,
     mlp_loss_and_grad,
     mlp_param_shapes,
-    mlp_params,
-    mlp_weights,
-    sgd_step,
 )
-from .tensor import ParamSet, Tensor, params_from_payload, read_model, write_model
 
 __all__ = [
     "LOG_CLAMP",
-    "ParamSet",
-    "Tensor",
     "Workspace",
     "descend",
     "finite_diff_grad",
+    "frozen_weights",
     "gnn_forward",
     "gnn_loss_and_grad",
     "init_mlp_params",
@@ -34,11 +31,8 @@ __all__ = [
     "mlp_forward",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
-    "mlp_params",
-    "mlp_weights",
     "ops",
     "params_from_payload",
     "read_model",
-    "sgd_step",
     "write_model",
 ]

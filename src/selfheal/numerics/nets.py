@@ -2,14 +2,16 @@
 and gradient, SGD, and the finite-difference oracle every gradient in this
 package is checked against.
 
-`mlp_forward` is the MLP and `gnn_forward` the message-passing network on raw
-arrays; detection, evaluation, Shapley attribution and GNN scoring run on
-them. `mlp_loss_and_grad` (optionally batched over tasks) and
-`gnn_loss_and_grad` (on a reused `Workspace`) call them and add the BCE loss
-and its gradient in closed form; the detector and the GNN train with them,
-stepping with `descend`, the one SGD step on arrays (`sgd_step` runs it on a
-ParamSet). Both kernels replay the operation order of a taped reverse sweep
-of the same loss, the reference in `tests/taped.py`, and equal it bitwise."""
+Every function here takes a network's parameters as its weight list,
+[W0, b0, W1, b1, ...] in layer order, the form the models hold.
+`mlp_forward` is the MLP and `gnn_forward` the message-passing network;
+detection, evaluation, Shapley attribution and GNN scoring run on them.
+`mlp_loss_and_grad` (optionally batched over tasks) and `gnn_loss_and_grad`
+(on a reused `Workspace`) call them and add the BCE loss and its gradient in
+closed form; the detector and the GNN train with them, stepping with
+`descend`, the one SGD step. Both kernels replay the operation order of a
+taped reverse sweep of the same loss, the reference in `tests/taped.py`, and
+equal it bitwise."""
 
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError
 from . import ops
-from .tensor import ParamSet, Tensor
 
 LOG_CLAMP = 1e-7
 
@@ -43,12 +44,13 @@ def mlp_param_shapes(
     return shapes
 
 
-def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
-    """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)], drawn in `shapes`
-    order; each bias takes the fan-in of the weight matrix listed before it, so
-    the first entry must be a matrix (InputError naming it otherwise)."""
+def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> list[np.ndarray]:
+    """One array per entry of `shapes`, in its order, uniform in
+    [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)]; each bias takes the fan-in of the
+    weight matrix listed before it, so the first entry must be a matrix
+    (InputError naming it otherwise)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    entries: dict[str, Tensor] = {}
+    weights = []
     bound = None
     for name, shape in shapes.items():
         if len(shape) == 2:
@@ -56,23 +58,15 @@ def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParamS
         elif bound is None:
             raise InputError(f"entry '{name}' of shape {tuple(shape)} comes before any "
                              "weight matrix, so it has no fan-in")
-        entries[name] = Tensor(rng.uniform(-bound, bound, size=shape))
-    return ParamSet(entries)
+        weights.append(rng.uniform(-bound, bound, size=shape))
+    return weights
 
 
 def init_mlp_params(
     input_width: int, layer_spec: LayerSpec, seed: int
-) -> ParamSet:
+) -> list[np.ndarray]:
     """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)] per layer."""
     return init_uniform_params(mlp_param_shapes(input_width, layer_spec), seed)
-
-
-def _entry(params, name: str):
-    try:
-        value = params[name]
-    except KeyError:
-        raise ConfigurationError(f"missing parameter '{name}'") from None
-    return value.values if isinstance(value, Tensor) else value
 
 
 def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> None:
@@ -92,20 +86,6 @@ def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> N
 def _check_labels(labels: np.ndarray) -> None:
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise InputError("labels must be 0 or 1")
-
-
-def _mlp_names(layer_spec: LayerSpec) -> list[str]:
-    return [name for i in range(len(layer_spec)) for name in layer_param_names(i)]
-
-
-def mlp_weights(params: ParamSet, layer_spec: LayerSpec) -> list[np.ndarray]:
-    """The MLP's parameter arrays in layer order: [W0, b0, W1, b1, ...]."""
-    return [_entry(params, name) for name in _mlp_names(layer_spec)]
-
-
-def mlp_params(weights: Sequence[np.ndarray], layer_spec: LayerSpec) -> ParamSet:
-    """Inverse of `mlp_weights`: name the arrays and wrap them as Tensors."""
-    return ParamSet(dict(zip(_mlp_names(layer_spec), weights)))
 
 
 class Workspace:
@@ -156,7 +136,7 @@ def mlp_forward(
 ) -> list[np.ndarray]:
     """The MLP's input and each layer's output on raw arrays, [x, h_1, ..., h_L].
 
-    `weights` is [W0, b0, W1, b1, ...] as from `mlp_weights`. Each layer is
+    `weights` is [W0, b0, W1, b1, ...]. Each layer is
     act(h @ W + b), the ops of the taped reference forward, so a row scored
     alone, as (1, d) or on an (n, 1, d) stack, equals its taped score bitwise.
     """
@@ -176,11 +156,15 @@ def mlp_loss_and_grad(
     `x` is (n, d) and `y` (n,) of 0/1 labels. Any of them and the weights may
     carry a leading task axis of length B, e.g. x (B, n, d) with weights
     (B, d, h) and (B, h), and then the loss has shape (B,) and every gradient
-    a leading B axis. The pass replays the operation order of the taped
-    reverse sweep of the same loss, so each task's loss and gradient equal
-    the taped ones bitwise.
+    a leading B axis. `y` must hold one label per row of `x` (InputError
+    naming both shapes otherwise); only the task axis broadcasts. The pass
+    replays the operation order of the taped reverse sweep of the same loss,
+    so each task's loss and gradient equal the taped ones bitwise.
     """
+    x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(y, dtype=np.float64)[..., None]
+    if x.ndim < 2 or labels.ndim < 2 or labels.shape[-2] != x.shape[-2]:
+        raise InputError(f"y {np.shape(y)} must hold one label per row of x {x.shape}")
     _check_labels(labels)
     activations = mlp_forward(weights, x, layer_spec)
     loss, g = _bce_head(activations[-1], labels)
@@ -388,43 +372,41 @@ def check_learning_rate(lr: float) -> None:
 
 def descend(weights: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             lr: float) -> list[np.ndarray]:
-    """One descent step on raw arrays: w - lr * g for each pair, with the
-    checks a Tensor makes (InputError on lr < 0 or a non-finite result)."""
+    """One SGD step: a new array w - lr * g for each weight and its gradient;
+    the inputs are unchanged. InputError when the two lists differ in length,
+    when lr < 0 or when a result is not finite."""
     check_learning_rate(lr)
+    if len(weights) != len(grads):
+        raise InputError(f"{len(weights)} weights but {len(grads)} gradients")
     out = [w - lr * g for w, g in zip(weights, grads)]
     if not all(np.isfinite(w).all() for w in out):
         raise InputError("tensor values must be finite (no NaN/Inf)")
     return out
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One descent step: out[k] = params[k] - lr * grads[k]. Inputs unchanged."""
-    bad = params.mismatches(grads)
-    if bad:
-        raise InputError(f"params and grads are not update-compatible: {bad}")
-    names = list(params)
-    return ParamSet(dict(zip(names, descend(
-        [params[k].values for k in names], [grads[k].values for k in names], lr))))
-
-
 def finite_diff_grad(
-    loss_fn: Callable[[ParamSet], float], params: ParamSet, step: float
-) -> ParamSet:
-    """Central-difference gradient (L(p+h) - L(p-h)) / 2h per coordinate.
+    loss_fn: Callable[[list[np.ndarray]], float], weights: Sequence[np.ndarray], step: float
+) -> list[np.ndarray]:
+    """Central-difference gradient (L(w+h) - L(w-h)) / 2h per coordinate of
+    each array of `weights`, one gradient array per weight.
 
     The verification oracle: it only evaluates the loss, so it is independent
     of any hand-derived gradient, and exact for linear and quadratic losses up
-    to rounding.
+    to rounding. `loss_fn` receives a list of copies of the weights with one
+    coordinate moved, and must not keep it.
     """
     if step <= 0:
         raise InputError(f"step must be > 0, got {step}")
-    flat = params.flatten()
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        hi = float(loss_fn(params.like(bumped)))
-        bumped[i] = flat[i] - step
-        lo = float(loss_fn(params.like(bumped)))
-        out[i] = (hi - lo) / (2.0 * step)
-    return params.like(out)
+    bumped = [np.array(w, dtype=np.float64) for w in weights]
+    grads = [np.zeros_like(w) for w in bumped]
+    for w, g in zip(bumped, grads):
+        flat, out = w.reshape(-1), g.reshape(-1)
+        for i in range(flat.size):
+            value = flat[i]
+            flat[i] = value + step
+            hi = float(loss_fn(bumped))
+            flat[i] = value - step
+            lo = float(loss_fn(bumped))
+            flat[i] = value
+            out[i] = (hi - lo) / (2.0 * step)
+    return grads

@@ -6,8 +6,9 @@ Each arithmetic op either runs directly on numpy arrays (pure evaluation) or,
 when any operand is a `Node`, records itself on the implicit tape by linking
 the output node to its parents together with a vector-Jacobian product. A
 backward sweep from a scalar loss node then accumulates d(loss)/d(leaf) for
-every named leaf. Replaying the same tape is bitwise deterministic: the graph
-is the recording, and the backward traversal order is fixed by it.
+every leaf: the arrays of a weight list, each named by its index. Replaying
+the same tape is bitwise deterministic: the graph is the recording, and the
+backward traversal order is fixed by it.
 
 Supported shapes are scalars, vectors, and matrices (matrix-vector and
 matrix-matrix products plus elementwise ops with bias-style broadcasting);
@@ -24,10 +25,8 @@ from typing import Callable
 import numpy as np
 
 from selfheal.errors import InputError
-from selfheal.numerics import ParamSet, Tensor, ops
-from selfheal.numerics.nets import (
-    LOG_CLAMP, _check_labels, _check_layer, _entry, layer_param_names,
-)
+from selfheal.numerics import ops
+from selfheal.numerics.nets import LOG_CLAMP, _check_labels, _check_layer
 
 Array = np.ndarray
 
@@ -41,7 +40,7 @@ class Node:
         self,
         value,
         parents: tuple[tuple["Node", Callable[[Array], Array]], ...] = (),
-        name: str | None = None,
+        name: int | None = None,
     ):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
@@ -55,8 +54,6 @@ class Node:
 def _val(x) -> Array:
     if isinstance(x, Node):
         return x.value
-    if isinstance(x, Tensor):
-        return x.values
     return np.asarray(x, dtype=np.float64)
 
 
@@ -203,21 +200,20 @@ def edge_aggregate(x, edges: ops.EdgeIndex):
 
 
 def value_of(x) -> Array:
-    """Plain numpy value of an array, Tensor, or Node."""
+    """Plain numpy value of an array or Node."""
     return _val(x)
 
 
 class GradientTape:
-    """Wraps a ParamSet's tensors as named leaves of one recording.
+    """Wraps the arrays of a weight list as leaves of one recording, each
+    named by its index.
 
     A tape is confined to one logical execution; leaves are fresh nodes, so
-    two tapes over the same ParamSet never share graph state.
+    two tapes over the same weights never share graph state.
     """
 
-    def __init__(self, params: ParamSet):
-        self.leaves: dict[str, Node] = {
-            name: Node(tensor.values, name=name) for name, tensor in params.items()
-        }
+    def __init__(self, weights):
+        self.leaves: list[Node] = [Node(w, name=i) for i, w in enumerate(weights)]
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -239,10 +235,10 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def grad(loss, params: ParamSet) -> ParamSet:
-    """d(loss)/d(param) for every entry of `params`.
+def grad(loss, weights) -> list[Array]:
+    """d(loss)/d(w) for every array w of `weights`, in their order.
 
-    `loss` must be a scalar produced by taped operations. Parameters whose
+    `loss` must be a scalar produced by taped operations. Weights whose
     leaves do not appear on the tape get zero gradients: that is the contract
     that lets callers freeze components by simply not taping them.
     """
@@ -252,7 +248,7 @@ def grad(loss, params: ParamSet) -> ParamSet:
         raise InputError(f"loss must be scalar, got shape {loss.shape}")
 
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.value)}
-    by_name: dict[str, Array] = {}
+    by_name: dict[int, Array] = {}
     for node in reversed(_topo_order(loss)):
         g = adjoint.pop(id(node), None)
         if g is None:
@@ -265,37 +261,33 @@ def grad(loss, params: ParamSet) -> ParamSet:
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if acc is None else acc + contrib
 
-    out: dict[str, Tensor] = {}
-    for name, tensor in params.items():
-        g = by_name.get(name)
-        if g is None:
-            out[name] = Tensor.zeros(tensor.shape)
-        else:
-            out[name] = Tensor(np.asarray(g, dtype=np.float64).reshape(tensor.shape))
-    return ParamSet(out)
+    out = []
+    for i, w in enumerate(weights):
+        g = by_name.get(i)
+        shape = np.shape(w)
+        out.append(np.zeros(shape) if g is None
+                   else np.asarray(g, dtype=np.float64).reshape(shape))
+    return out
 
 
-def forward_mlp(params, x, layer_spec):
+def forward_mlp(weights, x, layer_spec):
     """Feed-forward pass through the layers of `layer_spec`.
 
-    `params` may be a ParamSet (pure evaluation, returns a Tensor) or a
-    mapping of tape leaves (taped evaluation, returns a Node). Input may be a
-    single feature vector (d,) or a batch (n, d).
+    `weights` is [W0, b0, W1, b1, ...] as arrays (pure evaluation, returns an
+    array) or as tape leaves (taped evaluation, returns a Node). Input may be
+    a single feature vector (d,) or a batch (n, d).
     """
     h = value_of(x)
     if h.ndim not in (1, 2):
         raise InputError(f"input must be a vector or batch, got shape {h.shape}")
-    taped = any(isinstance(v, Node) for v in dict(params).values())
     current: object = h
     width = h.shape[-1]
     for i, (out_width, activation) in enumerate(layer_spec):
-        w, b = (_entry(params, name) for name in layer_param_names(i))
+        w, b = weights[2 * i], weights[2 * i + 1]
         _check_layer(i, activation, width, out_width, w, b)
         current = activate(activation, add(matmul(current, w), b))
         width = out_width
-    if taped:
-        return current
-    return Tensor(np.asarray(current, dtype=np.float64))
+    return current
 
 
 def bce_loss(pred, label):
@@ -314,14 +306,12 @@ def bce_loss(pred, label):
     return mul(mean(term), -1.0)
 
 
-def forward_probs(params_map, edges, h0, hidden_widths, activation="relu"):
-    """Per-node failure probabilities of the GNN from taped ops, on arrays,
-    Tensors or tape leaves: the reference of `gnn_forward` and
-    `gnn_loss_and_grad`."""
+def forward_probs(weights, edges, h0, hidden_widths, activation="relu"):
+    """Per-node failure probabilities of the GNN from taped ops, on a weight
+    list in `gnn_param_shapes` order, as arrays or tape leaves: the reference
+    of `gnn_forward` and `gnn_loss_and_grad`."""
     h = h0
     for i in range(len(hidden_widths)):
-        z = matmul(edge_aggregate(h, edges), params_map[f"layer{i}.W"])
-        h = activate(activation, add(z, params_map[f"layer{i}.b"]))
-    return activate("sigmoid", add(
-        matmul(h, params_map["readout.w"]), params_map["readout.b"]
-    ))
+        z = matmul(edge_aggregate(h, edges), weights[2 * i])
+        h = activate(activation, add(z, weights[2 * i + 1]))
+    return activate("sigmoid", add(matmul(h, weights[-2]), weights[-1]))

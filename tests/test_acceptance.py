@@ -8,21 +8,16 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from selfheal.seeding import derive_seed
 from selfheal.numerics import (
-    ParamSet,
-    Tensor,
     finite_diff_grad,
     gnn_loss_and_grad,
     init_mlp_params,
     mlp_loss_and_grad,
-    mlp_params,
-    mlp_weights,
     ops,
 )
 from selfheal.detector import (
@@ -42,7 +37,7 @@ from selfheal.depgraph import (
     predict_failures,
     train_gnn,
 )
-from selfheal.depgraph.gnn import NodeEmbeddings, _network, edge_arrays, gnn_param_shapes
+from selfheal.depgraph.gnn import NodeEmbeddings, edge_arrays, gnn_param_shapes
 from selfheal.explain import BackgroundSet, shapley_attribution
 from selfheal.harness import emit_report, load_config, run_pipeline
 from selfheal.recovery import (
@@ -69,6 +64,11 @@ def _passed(criterion: int, message: str):
     print(f"ACCEPTANCE {criterion}: PASS - {message}")
 
 
+def _bits(weights):
+    """A weight list as comparable bytes: each array's shape and bits."""
+    return [(np.shape(w), np.asarray(w).tobytes()) for w in weights]
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_c01_gradient_oracle():
         # a +-1e-4 step of W0 or b0 moves row r's pre-activations by at most
         # 1e-4 * max(1, max |x_r|); within that of 0 the central difference
         # straddles relu's kink and the oracle itself is wrong
-        z = x @ params["layer0.W"].values + params["layer0.b"].values
+        z = x @ params[0] + params[1]
         reach = 1e-4 * np.maximum(1.0, np.abs(x).max(axis=1, keepdims=True))
         assert (np.abs(z) > reach).all(), (
             f"MLP seed {seed}: a relu pre-activation lies within the "
@@ -95,16 +95,12 @@ def test_c01_gradient_oracle():
 
         # the detector's closed-form gradient against central differences of
         # its loss
-        reverse = mlp_params(mlp_loss_and_grad(mlp_weights(params, spec), x, y[:, 0], spec)[1],
-                             spec)
+        reverse = mlp_loss_and_grad(params, x, y[:, 0], spec)[1]
         oracle = finite_diff_grad(
-            lambda p: float(mlp_loss_and_grad(mlp_weights(p, spec), x, y[:, 0], spec)[0]),
-            params, 1e-4,
+            lambda p: float(mlp_loss_and_grad(p, x, y[:, 0], spec)[0]), params, 1e-4,
         )
-        for name in params:
-            assert np.allclose(
-                reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
-            ), f"MLP seed {seed}, {name}"
+        for k, (a, b) in enumerate(zip(reverse, oracle, strict=True)):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-8), f"MLP seed {seed}, weight {k}"
 
     # 3-node chain GNN fixture
     graph = ComponentGraph(
@@ -121,17 +117,14 @@ def test_c01_gradient_oracle():
     # embeddings aggregated once
     x = ops.edge_aggregate(h0, edges)
 
-    def kernel(params):
-        weights, layer_spec = _network(replace(gnn, params=params))
-        return gnn_loss_and_grad(weights, x, labels, edges, layer_spec)
+    def kernel(weights):
+        return gnn_loss_and_grad(weights, x, labels, edges, gnn.layer_spec)
 
     names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
-    reverse = ParamSet(dict(zip(names, kernel(gnn.params)[1])))
-    oracle = finite_diff_grad(lambda p: float(kernel(p)[0]), gnn.params, 1e-4)
-    for name in gnn.params:
-        assert np.allclose(
-            reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
-        ), f"GNN {name}"
+    reverse = kernel(gnn.weights)[1]
+    oracle = finite_diff_grad(lambda w: float(kernel(w)[0]), gnn.weights, 1e-4)
+    for name, a, b in zip(names, reverse, oracle, strict=True):
+        assert np.allclose(a, b, rtol=1e-5, atol=1e-8), f"GNN {name}"
 
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"gradient oracle took {elapsed:.1f}s (limit 10s)"
@@ -140,25 +133,25 @@ def test_c01_gradient_oracle():
 
 def test_c02_maml_identity_cases():
     spec = ((4, "relu"), (1, "sigmoid"))
-    params = init_detector(3, seed=1, layer_spec=spec).params
+    params = init_detector(3, seed=1, layer_spec=spec).weights
     rng = np.random.default_rng(0)
     task = Task(rng.normal(size=(4, 3)), np.array([0.0, 1.0, 0.0, 1.0]),
                 rng.normal(size=(4, 3)), np.array([1.0, 0.0, 1.0, 0.0]), "t")
     support = (task.support_x, task.support_y)
-    assert inner_adapt(params, support, 0.0, 5, spec) == params
-    assert inner_adapt(params, support, 0.5, 0, spec) == params
+    assert _bits(inner_adapt(params, support, 0.0, 5, spec)) == _bits(params)
+    assert _bits(inner_adapt(params, support, 0.5, 0, spec)) == _bits(params)
     cfg = MetaConfig(inner_lr=0.5, meta_lr=0.0, inner_steps=1, meta_batch=1,
                      meta_iterations=1)
-    assert meta_update(params, [task], cfg, spec) == params
+    assert _bits(meta_update(params, [task], cfg, spec)) == _bits(params)
     _passed(2, "inner_adapt and meta_update are exact identities at zero rates")
 
 
 def test_c03_meta_gradient_oracle():
-    # linear-regression surrogate: params (u, v), squared error on one point
+    # linear-regression surrogate: weights (u, v), squared error on one point
     u0, v0 = 0.4, 0.2
     x_s, y_s, x_q, y_q = 1.2, 0.9, -0.7, 0.1
     alpha = 0.1
-    params = ParamSet({"u": Tensor(u0), "v": Tensor(v0)})
+    params = [np.array(u0), np.array(v0)]
     task = Task(np.array([[x_s]]), np.array([y_s]),
                 np.array([[x_q]]), np.array([y_q]), "fixture")
 
@@ -180,11 +173,11 @@ def test_c03_meta_gradient_oracle():
     grad_q = np.array([2 * r_q * x_q, 2 * r_q])
     hessian = 2.0 * np.array([[x_s * x_s, x_s], [x_s, 1.0]])
     expected = (np.eye(2) - alpha * hessian).T @ grad_q
-    got = fd.flatten()
+    got = np.ravel(fd)
     assert np.all(np.abs(got - expected) <= 1e-4 * np.maximum(np.abs(expected), 1e-8))
 
-    fo = meta_gradient(params, [task], MetaConfig(**base, meta_mode="first_order"),
-                       loss_fn=loss_fn).flatten()
+    fo = np.ravel(meta_gradient(params, [task], MetaConfig(**base, meta_mode="first_order"),
+                                loss_fn=loss_fn))
     cosine = float(fo @ got / (np.linalg.norm(fo) * np.linalg.norm(got)))
     assert cosine >= 0.95
     _passed(3, f"exact FD meta-gradient matches chain rule; cosine(FO, exact)={cosine:.4f}")
@@ -365,8 +358,7 @@ def test_c10_shapley_properties():
     # linear closed form
     rng = np.random.default_rng(derive_seed(ROOT_SEED, "acc10", "linear"))
     w = rng.normal(size=6)
-    params = ParamSet({"layer0.W": Tensor(w.reshape(-1, 1)),
-                       "layer0.b": Tensor([0.3])})
+    params = [w.reshape(-1, 1), np.array([0.3])]
     from selfheal.detector import DetectorModel
 
     linear = DetectorModel(6, ((1, "linear"),), params)
@@ -378,16 +370,14 @@ def test_c10_shapley_properties():
     assert np.all(np.abs(np.array(att.contributions) - closed_form) <= 1e-9)
 
     # dummy and symmetry axioms
-    dummy_params = ParamSet({"layer0.W": Tensor([[1.0], [0.0]]),
-                             "layer0.b": Tensor([0.0])})
+    dummy_params = [np.array([[1.0], [0.0]]), np.array([0.0])]
     dummy_model = DetectorModel(2, ((1, "linear"),), dummy_params)
     att = shapley_attribution(dummy_model, np.array([3.0, 9.0]),
                               BackgroundSet(np.zeros((3, 2))),
                               {"used": [0], "ignored": [1]})
     assert abs(att.contributions[1]) <= 1e-9
 
-    sym_params = ParamSet({"layer0.W": Tensor([[2.0], [2.0]]),
-                           "layer0.b": Tensor([0.0])})
+    sym_params = [np.array([[2.0], [2.0]]), np.array([0.0])]
     sym_model = DetectorModel(2, ((1, "linear"),), sym_params)
     att = shapley_attribution(sym_model, np.array([1.0, 1.0]),
                               BackgroundSet(np.full((2, 2), 0.25)),

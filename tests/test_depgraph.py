@@ -31,13 +31,17 @@ from selfheal.depgraph.gnn import (
     fails_within, gnn_param_shapes,
 )
 from selfheal.numerics import (
-    ParamSet, Tensor, Workspace, finite_diff_grad, gnn_loss_and_grad, init_uniform_params,
-    nets, ops, sgd_step,
+    Workspace, descend, finite_diff_grad, gnn_loss_and_grad, init_uniform_params, nets, ops,
 )
 import taped
 from taped import GradientTape, bce_loss, forward_probs, grad, value_of
 from selfheal.simulator import ComponentGraph, propagate_cascade
 from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
+
+
+def bits(weights):
+    """A weight list as comparable bytes: each array's shape and bits."""
+    return [(np.shape(w), np.asarray(w).tobytes()) for w in weights]
 
 
 def chain3() -> ComponentGraph:
@@ -187,13 +191,12 @@ class TestGnnLayer:
         rng = np.random.default_rng(9)
         for trace in list(make_cascade_dataset(4, seed=6, n_nodes=12)):
             emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset)
-            params = ParamSet({"W": Tensor(rng.normal(size=(emb.width, 5))),
-                               "b": Tensor(rng.normal(size=5))})
-            leaves = GradientTape(params).leaves
+            w, b = rng.normal(size=(emb.width, 5)), rng.normal(size=5)
+            leaves = GradientTape([w, b]).leaves
             taped_out = taped.activate(activation, taped.add(taped.matmul(
-                taped.edge_aggregate(emb.vectors, edge_arrays(trace.graph)), leaves["W"]),
-                leaves["b"]))
-            out = gnn_layer(trace.graph, emb, (params["W"], params["b"], activation))
+                taped.edge_aggregate(emb.vectors, edge_arrays(trace.graph)), leaves[0]),
+                leaves[1]))
+            out = gnn_layer(trace.graph, emb, (w, b, activation))
             assert out.layer_index == 1 and out.node_ids == emb.node_ids
             assert out.vectors.tobytes() == taped_out.value.tobytes()
 
@@ -219,11 +222,11 @@ class TestGnnLayer:
         emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset + 1)
         h0 = emb.vectors
         for i in range(len(gnn.hidden_widths)):
-            layer = (gnn.params[f"layer{i}.W"], gnn.params[f"layer{i}.b"], activation)
+            layer = (gnn.weights[2 * i], gnn.weights[2 * i + 1], activation)
             emb = gnn_layer(trace.graph, emb, layer)
-        z = emb.vectors @ gnn.params["readout.w"].values + gnn.params["readout.b"].values
+        z = emb.vectors @ gnn.weights[-2] + gnn.weights[-1]
         chained = 1.0 / (1.0 + np.exp(-z))
-        probs = forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+        probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0,
                                gnn.hidden_widths, activation)
         assert np.array_equal(chained, probs)
 
@@ -255,12 +258,7 @@ class TestPredictFailures:
     def test_zero_readout_gives_half_probabilities(self):
         graph = chain3()
         gnn = init_gnn(graph, seed=0)
-        zeroed = ParamSet(
-            {
-                k: (Tensor(np.zeros(v.shape)) if k.startswith("readout") else v)
-                for k, v in gnn.params.items()
-            }
-        )
+        zeroed = [*gnn.weights[:-2], *(np.zeros(w.shape) for w in gnn.weights[-2:])]
         gnn = GnnParams(gnn.input_width, gnn.hidden_widths, zeroed)
         pred = predict_failures(graph, flat_telemetry(graph), gnn, horizon=3)
         for prob, _tick in pred.per_node.values():
@@ -278,7 +276,7 @@ class TestPredictFailures:
             assert probs.shape == (trace.ticks, len(trace.graph.nodes))
             for tick in range(trace.ticks):
                 h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-                taped = forward_probs(gnn.params, edge_arrays(trace.graph), h0, widths,
+                taped = forward_probs(gnn.weights, edge_arrays(trace.graph), h0, widths,
                                        activation)[:, 0]
                 assert probs[tick].tobytes() == taped.tobytes(), tick
             # the ticks differ, so a scan that read one tick's readout for all would fail
@@ -297,16 +295,16 @@ class TestTrainGnn:
     def test_zero_epochs_returns_initialization(self):
         traces = list(make_cascade_dataset(4, seed=5))
         result = train_gnn(traces, epochs=0, seed=9)
-        assert result.gnn.params == init_gnn(
+        assert bits(result.gnn.weights) == bits(init_gnn(
             traces[0].graph, seed=9, label_horizon=result.gnn.label_horizon
-        ).params
+        ).weights)
         assert result.loss_curve == []
 
     def test_fixed_seed_reproducible(self):
         traces = list(make_cascade_dataset(6, seed=6))
         a = train_gnn(traces, epochs=10, seed=4)
         b = train_gnn(traces, epochs=10, seed=4)
-        assert a.gnn.params == b.gnn.params
+        assert bits(a.gnn.weights) == bits(b.gnn.weights)
         assert a.loss_curve == b.loss_curve
 
     def test_loss_decreases(self):
@@ -331,8 +329,7 @@ class TestTrainGnn:
         streamed = train_gnn(make_cascade_dataset(6, seed=6), hidden_widths=widths,
                              epochs=10, seed=4)
         assert streamed.loss_curve == listed.loss_curve
-        assert list(streamed.gnn.params) == list(listed.gnn.params)
-        assert streamed.gnn.params.flatten().tobytes() == listed.gnn.params.flatten().tobytes()
+        assert bits(streamed.gnn.weights) == bits(listed.gnn.weights)
 
     def test_no_training_trace_alive_when_training_starts(self, monkeypatch):
         refs = []
@@ -370,19 +367,17 @@ class TestTrainGnn:
         h0 = init_embeddings(graph, flat_telemetry(graph), 0).vectors
         labels = np.array([[1.0], [0.0], [1.0]])
 
-        def loss_fn(ps: ParamSet) -> float:
-            arrays = {k: v.values for k, v in ps.items()}
-            probs = forward_probs(arrays, edges, h0, (4,))
+        def loss_fn(weights) -> float:
+            probs = forward_probs(weights, edges, h0, (4,))
             return float(value_of(bce_loss(probs, labels)))
 
-        recorder = GradientTape(gnn.params)
+        recorder = GradientTape(gnn.weights)
         probs = forward_probs(recorder.leaves, edges, h0, (4,))
-        reverse = grad(bce_loss(probs, labels), gnn.params)
-        oracle = finite_diff_grad(loss_fn, gnn.params, 1e-4)
-        for name in gnn.params:
-            assert np.allclose(
-                reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
-            ), name
+        reverse = grad(bce_loss(probs, labels), gnn.weights)
+        oracle = finite_diff_grad(loss_fn, gnn.weights, 1e-4)
+        for name, a, b in zip(gnn_param_shapes(gnn.input_width, (4,)), reverse, oracle,
+                              strict=True):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-8), name
 
     def test_two_layer_tanh_gradient_matches_finite_differences_on_hub(self):
         # a hub with in- and out-degree 5 gives the grouped vjp several rank
@@ -399,19 +394,17 @@ class TestTrainGnn:
         labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0]])
         edge_index = edge_arrays(graph)
 
-        def loss_fn(ps: ParamSet) -> float:
-            arrays = {k: v.values for k, v in ps.items()}
-            probs = forward_probs(arrays, edge_index, h0, widths, "tanh")
+        def loss_fn(weights) -> float:
+            probs = forward_probs(weights, edge_index, h0, widths, "tanh")
             return float(value_of(bce_loss(probs, labels)))
 
-        recorder = GradientTape(gnn.params)
+        recorder = GradientTape(gnn.weights)
         probs = forward_probs(recorder.leaves, edge_index, h0, widths, "tanh")
-        reverse = grad(bce_loss(probs, labels), gnn.params)
-        oracle = finite_diff_grad(loss_fn, gnn.params, 1e-5)
-        for name in gnn.params:
-            assert np.allclose(
-                reverse[name].values, oracle[name].values, rtol=1e-5, atol=1e-8
-            ), name
+        reverse = grad(bce_loss(probs, labels), gnn.weights)
+        oracle = finite_diff_grad(loss_fn, gnn.weights, 1e-5)
+        for name, a, b in zip(gnn_param_shapes(gnn.input_width, widths), reverse, oracle,
+                              strict=True):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-8), name
 
     @pytest.mark.parametrize("widths", [(16, 16), (5,), ()])
     def test_equal_to_a_loop_that_aggregates_h0_every_epoch(self, widths):
@@ -424,16 +417,15 @@ class TestTrainGnn:
         src, dst, h0, labels = _training_batch(traces, gnn.input_width, gnn.label_horizon,
                                                rng)
         edges, labels = ops.EdgeIndex(src, dst, len(h0)), labels.reshape(-1, 1)
-        params, curve = gnn.params, []
+        params, curve = gnn.weights, []
         for _ in range(epochs):
             recorder = GradientTape(params)
             loss = bce_loss(forward_probs(recorder.leaves, edges, h0, widths), labels)
             curve.append(float(value_of(loss)))
-            params = sgd_step(params, grad(loss, params), lr)
+            params = descend(params, grad(loss, params), lr)
 
         assert result.loss_curve == curve
-        assert list(result.gnn.params) == list(params)
-        assert result.gnn.params.flatten().tobytes() == params.flatten().tobytes()
+        assert bits(result.gnn.weights) == bits(params)
 
     def test_trained_model_flags_seed_before_deep_downstream(self):
         # chain deeper than the model's receptive field: the far node can only
@@ -596,12 +588,9 @@ class TestGnnKernel:
 
     @staticmethod
     def kernel(params, edges, h0, labels, widths, activation, workspace=None):
-        names = list(gnn_param_shapes(h0.shape[1], widths))
         spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
         x = ops.edge_aggregate(h0, edges) if widths else h0
-        loss, grads = gnn_loss_and_grad([params[name].values for name in names], x,
-                                        labels, edges, spec, workspace)
-        return loss, dict(zip(names, grads))
+        return gnn_loss_and_grad(params, x, labels, edges, spec, workspace)
 
     @staticmethod
     def taped(params, edges, h0, labels, widths, activation):
@@ -614,10 +603,7 @@ class TestGnnKernel:
         (loss, grads), (ref_loss, ref_grads) = result, reference
         # tobytes, so that a signed zero from the relu vjp counts
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        assert sorted(grads) == sorted(ref_grads)
-        for name, g in grads.items():
-            assert g.shape == ref_grads[name].shape, name
-            assert g.tobytes() == ref_grads[name].values.tobytes(), name
+        assert bits(grads) == bits(ref_grads)
 
     @pytest.mark.parametrize("graph", sorted(KERNEL_GRAPHS))
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
@@ -670,9 +656,7 @@ class TestGnnKernel:
         x = ops.edge_aggregate(stack, edges) if widths else stack
         parts = [ops.edge_aggregate(h, edges) if widths else h for h in slices]
         assert [x[k].tobytes() for k in np.ndindex(lead)] == [p.tobytes() for p in parts]
-        params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=9)
-        names = list(gnn_param_shapes(h0.shape[1], widths))
-        weights = [params[name].values for name in names]
+        weights = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=9)
         spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
         out = nets.gnn_forward(weights, x, edges, spec)
         assert out.shape == (*lead, edges.n_nodes, 1)
@@ -742,7 +726,7 @@ class TestScoreTraces:
         for trace in held:
             tick = min(trace.onset + 1, trace.ticks - 1)
             h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
-            probs = forward_probs(gnn.params, edge_arrays(trace.graph), h0,
+            probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0,
                                    gnn.hidden_widths, gnn.hidden_activation)[:, 0]
             labels = fails_within(trace, tick, gnn.label_horizon)
             correct += int(np.sum((probs >= 0.4) == (labels == 1.0)))
@@ -810,6 +794,45 @@ class TestMttfp:
         rates = prediction_rates(pred, truth)
         assert rates["false_alarm_rate"] == pytest.approx(0.5)
         assert rates["miss_rate"] == 0.0
+
+
+class TestGnnParams:
+    @staticmethod
+    def gnn():
+        return init_gnn(chain3(), seed=1, hidden_widths=(4,))
+
+    def test_non_finite_weight_refused_by_name(self):
+        gnn = self.gnn()
+        weights = list(gnn.weights)
+        weights[-2] = np.full((4, 1), np.inf)
+        with pytest.raises(InputError, match="weight 'readout.w' holds non-finite values"):
+            replace(gnn, weights=weights)
+
+    @pytest.mark.parametrize("hidden_widths, match", [
+        ((5,), r"weight 'layer0.W' has shape \(\d+, 4\), expected \(\d+, 5\)"),
+        ((4, 4), r"4 weight arrays for the 6 parameters"),
+        ((), r"4 weight arrays for the 2 parameters \['readout.w', 'readout.b'\]"),
+    ], ids=["width", "deeper", "readout-only"])
+    def test_weights_that_do_not_fit_the_widths_refused(self, hidden_widths, match):
+        # such a model used to be built, and failed only at its first forward pass
+        with pytest.raises(InputError, match=match):
+            replace(self.gnn(), hidden_widths=hidden_widths)
+        with pytest.raises(InputError, match=r"weight 'layer0.W' has shape"):
+            replace(self.gnn(), input_width=self.gnn().input_width + 1)
+
+    def test_unknown_activation_refused(self):
+        with pytest.raises(ConfigurationError, match="hidden activation must be one of"):
+            replace(self.gnn(), hidden_activation="gelu")
+
+    def test_weights_are_read_only_copies(self):
+        gnn = self.gnn()
+        source = [np.array(w) for w in gnn.weights]
+        copy = replace(gnn, weights=source)
+        assert not any(w.flags.writeable for w in copy.weights)
+        source[-1][0] = 9.0
+        assert bits(copy.weights) == bits(gnn.weights)
+        with pytest.raises(ValueError):
+            copy.weights[-1][0] = 9.0
 
 
 class TestGraphIo:
@@ -950,9 +973,9 @@ class TestGraphIo:
         path = tmp_path / "gnn.json"
         save_gnn(gnn, path)
         loaded = load_gnn(path)
-        assert loaded == gnn
-        for k in gnn.params:
-            assert loaded.params[k].values.tobytes() == gnn.params[k].values.tobytes()
+        for field in ("input_width", "hidden_widths", "hidden_activation", "label_horizon"):
+            assert getattr(loaded, field) == getattr(gnn, field), field
+        assert bits(loaded.weights) == bits(gnn.weights)
 
     def test_gnn_shape_disagreeing_with_widths_rejected(self, tmp_path):
         path = tmp_path / "gnn.json"

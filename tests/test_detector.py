@@ -21,18 +21,20 @@ from selfheal.detector import (
     meta_update,
     save_checkpoint,
 )
-from selfheal.numerics import ParamSet, Tensor, mlp_loss_and_grad, mlp_weights, sgd_step
-from selfheal.numerics.nets import layer_param_names
+from selfheal.numerics import descend, mlp_loss_and_grad
 from selfheal.simulator import Task, default_patterns, make_tasks
 from taped import GradientTape, bce_loss, forward_mlp, grad, value_of
 
 
+def bits(weights):
+    """A weight list as comparable bytes: each array's shape and bits."""
+    return [(np.shape(w), np.asarray(w).tobytes()) for w in weights]
+
+
 def constant_half_model(width=4) -> DetectorModel:
     spec = ((1, "sigmoid"),)
-    params = ParamSet(
-        {"layer0.W": Tensor(np.zeros((width, 1))), "layer0.b": Tensor(np.zeros(1))}
-    )
-    return DetectorModel(input_width=width, layer_spec=spec, params=params)
+    return DetectorModel(input_width=width, layer_spec=spec,
+                         weights=[np.zeros((width, 1)), np.zeros(1)])
 
 
 def tiny_task(seed=0, n=8, width=4) -> Task:
@@ -44,7 +46,7 @@ def tiny_task(seed=0, n=8, width=4) -> Task:
 
 
 # --- linear-regression surrogate used for the hand-derived meta fixtures ---
-# params: slope "u" and intercept "v"; squared-error loss on one (x, y) point.
+# weights: slope u and intercept v; squared-error loss on one (x, y) point.
 
 
 def quadratic_loss(weights, x, y):
@@ -67,53 +69,51 @@ class TestTaskLoss:
 
     @staticmethod
     def loss(params, x, y, spec) -> float:
-        return float(mlp_loss_and_grad(mlp_weights(params, spec), x, y, spec)[0])
+        return float(mlp_loss_and_grad(params, x, y, spec)[0])
 
     def test_constant_half_output_gives_ln2(self):
         model = constant_half_model()
         x, y = np.ones((6, 4)), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        loss = self.loss(model.params, x, y, model.layer_spec)
+        loss = self.loss(model.weights, x, y, model.layer_spec)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_predictions_near_zero(self):
         spec = ((1, "sigmoid"),)
-        params = ParamSet(
-            {"layer0.W": Tensor(np.full((1, 1), 50.0)), "layer0.b": Tensor([0.0])}
-        )
+        params = [np.full((1, 1), 50.0), np.array([0.0])]
         x, y = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
         assert self.loss(params, x, y, spec) <= 1.1e-7
 
     def test_singleton_equals_bce(self):
         model = constant_half_model()
         x, y = np.ones((1, 4)), np.array([1.0])
-        assert self.loss(model.params, x, y, model.layer_spec) == pytest.approx(
+        assert self.loss(model.weights, x, y, model.layer_spec) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
     def test_width_mismatch_rejected(self):
         model = constant_half_model(width=4)
         with pytest.raises(ConfigurationError, match="layer 0"):
-            self.loss(model.params, np.ones((2, 7)), np.zeros(2), model.layer_spec)
+            self.loss(model.weights, np.ones((2, 7)), np.zeros(2), model.layer_spec)
 
 
 class TestInnerAdapt:
     def test_zero_lr_is_identity(self):
         task = tiny_task()
-        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).params
+        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).weights
         out = inner_adapt(params, (task.support_x, task.support_y), 0.0, 5,
                           ((3, "relu"), (1, "sigmoid")))
-        assert out == params
+        assert out is params and bits(out) == bits(params)
 
     def test_zero_steps_is_identity(self):
         task = tiny_task()
-        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).params
+        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).weights
         out = inner_adapt(params, (task.support_x, task.support_y), 0.5, 0,
                           ((3, "relu"), (1, "sigmoid")))
-        assert out == params
+        assert out is params and bits(out) == bits(params)
 
     def test_scalar_square_surrogate_single_step(self):
         # loss = theta^2 at theta=1, lr=0.1, one step -> 0.8
-        params = ParamSet({"theta": Tensor(1.0)})
+        params = [np.array(1.0)]
 
         def loss_fn(weights, x, y):
             (theta,) = weights
@@ -122,28 +122,38 @@ class TestInnerAdapt:
         out = inner_adapt(
             params, (np.zeros((1, 1)), np.zeros(1)), 0.1, 1, loss_fn=loss_fn
         )
-        assert float(out["theta"].values) == pytest.approx(0.8, abs=1e-15)
+        assert float(out[0]) == pytest.approx(0.8, abs=1e-15)
 
     def test_input_params_not_modified(self):
         task = tiny_task()
         spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=2, layer_spec=spec).params
-        before = {k: params[k].values.copy() for k in params}
+        params = init_detector(4, seed=2, layer_spec=spec).weights
+        before = bits(params)
         inner_adapt(params, (task.support_x, task.support_y), 0.5, 3, spec)
-        for k in params:
-            assert np.array_equal(params[k].values, before[k])
+        assert bits(params) == before
+
+    @pytest.mark.parametrize("labels", [[1.0], [1.0, 0.0, 1.0]], ids=["one", "three"])
+    def test_labels_of_another_length_refused(self, labels):
+        # one label used to broadcast over every row and adapt silently
+        spec = ((3, "relu"), (1, "sigmoid"))
+        params = init_detector(4, seed=2, layer_spec=spec).weights
+        x = tiny_task(n=10).support_x
+        with pytest.raises(InputError, match=r"y \(\d,\) must hold one label per row "
+                                             r"of x \(5, 4\)"):
+            inner_adapt(params, (x, labels), 0.5, 1, spec)
 
 
 class TestMetaUpdate:
     def test_zero_meta_lr_is_identity(self):
         task = tiny_task()
         spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=3, layer_spec=spec).params
+        params = init_detector(4, seed=3, layer_spec=spec).weights
         cfg = MetaConfig(meta_lr=0.0, meta_iterations=1)
-        assert meta_update(params, [task], cfg, spec) == params
+        out = meta_update(params, [task], cfg, spec)
+        assert out is params and bits(out) == bits(params)
 
     def test_empty_tasks_rejected(self):
-        params = init_detector(4, seed=3).params
+        params = init_detector(4, seed=3).weights
         with pytest.raises(InputError):
             meta_update(params, [], MetaConfig())
 
@@ -153,7 +163,7 @@ class TestMetaUpdate:
         u0, v0 = 0.8, -0.3
         x_s, y_s, x_q, y_q = 1.5, 1.0, -0.5, 0.5
         alpha, beta = 0.1, 0.05
-        params = ParamSet({"u": Tensor(u0), "v": Tensor(v0)})
+        params = [np.array(u0), np.array(v0)]
         task = quad_task(x_s, y_s, x_q, y_q)
         cfg = MetaConfig(inner_lr=alpha, meta_lr=beta, inner_steps=1,
                          meta_batch=1, meta_iterations=1)
@@ -165,8 +175,8 @@ class TestMetaUpdate:
         r_q = u1 * x_q + v1 - y_q
         expected_u = u0 - beta * 2.0 * r_q * x_q
         expected_v = v0 - beta * 2.0 * r_q
-        assert float(out["u"].values) == pytest.approx(expected_u, rel=1e-12)
-        assert float(out["v"].values) == pytest.approx(expected_v, rel=1e-12)
+        assert float(out[0]) == pytest.approx(expected_u, rel=1e-12)
+        assert float(out[1]) == pytest.approx(expected_v, rel=1e-12)
 
     def test_exact_fd_meta_gradient_matches_chain_rule(self):
         # Full meta-gradient through one inner step:
@@ -175,7 +185,7 @@ class TestMetaUpdate:
         u0, v0 = 0.4, 0.2
         x_s, y_s, x_q, y_q = 1.2, 0.9, -0.7, 0.1
         alpha = 0.1
-        params = ParamSet({"u": Tensor(u0), "v": Tensor(v0)})
+        params = [np.array(u0), np.array(v0)]
         task = quad_task(x_s, y_s, x_q, y_q)
         cfg = MetaConfig(inner_lr=alpha, meta_lr=1.0, inner_steps=1,
                          meta_batch=1, meta_iterations=1, meta_mode="exact_fd_oracle")
@@ -189,57 +199,59 @@ class TestMetaUpdate:
         hessian_s = 2.0 * np.array([[x_s * x_s, x_s], [x_s, 1.0]])
         expected = (np.eye(2) - alpha * hessian_s).T @ grad_q
 
-        got = np.array([float(fd["u"].values), float(fd["v"].values)])
+        got = np.array([float(fd[0]), float(fd[1])])
         assert np.allclose(got, expected, rtol=1e-4)
 
     def test_first_order_cosine_similarity_with_exact(self):
         u0, v0 = 0.4, 0.2
-        params = ParamSet({"u": Tensor(u0), "v": Tensor(v0)})
+        params = [np.array(u0), np.array(v0)]
         task = quad_task(1.2, 0.9, -0.7, 0.1)
         base = dict(inner_lr=0.05, meta_lr=1.0, inner_steps=1,
                     meta_batch=1, meta_iterations=1)
         fo = meta_gradient(params, [task],
                            MetaConfig(**base, meta_mode="first_order"),
-                           loss_fn=quadratic_loss).flatten()
+                           loss_fn=quadratic_loss)
         ex = meta_gradient(params, [task],
                            MetaConfig(**base, meta_mode="exact_fd_oracle"),
-                           loss_fn=quadratic_loss).flatten()
+                           loss_fn=quadratic_loss)
+        fo, ex = np.ravel(fo), np.ravel(ex)
         cosine = fo @ ex / (np.linalg.norm(fo) * np.linalg.norm(ex))
         assert cosine >= 0.95
 
     def test_permutation_invariant_up_to_reassociation(self):
         spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=4, layer_spec=spec).params
+        params = init_detector(4, seed=4, layer_spec=spec).weights
         tasks = [tiny_task(s) for s in range(4)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1,
                          meta_batch=4, meta_iterations=1)
         fwd = meta_update(params, tasks, cfg, spec)
         rev = meta_update(params, list(reversed(tasks)), cfg, spec)
-        for k in params:
-            assert np.allclose(fwd[k].values, rev[k].values, atol=1e-12)
+        for a, b in zip(fwd, rev, strict=True):
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_default_loss_exact_fd_equals_first_order_when_inner_loop_is_identity(self):
         # inner_lr = 0 makes the inner loop the identity, so the two-loop
         # objective is the summed query loss and its gradient the first-order one
         spec = ((3, "tanh"), (1, "sigmoid"))
-        params = init_detector(4, seed=6, layer_spec=spec).params
+        params = init_detector(4, seed=6, layer_spec=spec).weights
         tasks = [tiny_task(s) for s in range(3)]
         base = dict(inner_lr=0.0, inner_steps=2, meta_batch=3)
         fd = meta_gradient(params, tasks, MetaConfig(**base, meta_mode="exact_fd_oracle"),
                            spec)
         fo = meta_gradient(params, tasks, MetaConfig(**base), spec)
-        assert np.abs(fo.flatten()).max() > 1e-3
-        assert np.allclose(fd.flatten(), fo.flatten(), rtol=1e-5, atol=1e-8)
+        fd, fo = (np.concatenate([g.ravel() for g in grads]) for grads in (fd, fo))
+        assert np.abs(fo).max() > 1e-3
+        assert np.allclose(fd, fo, rtol=1e-5, atol=1e-8)
 
     def test_fixed_order_bitwise_deterministic(self):
         spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=4, layer_spec=spec).params
+        params = init_detector(4, seed=4, layer_spec=spec).weights
         tasks = [tiny_task(s) for s in range(3)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1,
                          meta_batch=3, meta_iterations=1)
         a = meta_update(params, tasks, cfg, spec)
         b = meta_update(params, tasks, cfg, spec)
-        assert a == b
+        assert bits(a) == bits(b)
 
 
 class TestMetaTrain:
@@ -247,7 +259,7 @@ class TestMetaTrain:
         model = init_detector(4, seed=5, layer_spec=((3, "relu"), (1, "sigmoid")))
         cfg = MetaConfig(meta_iterations=0, meta_batch=2)
         result = meta_train(model, [tiny_task(0), tiny_task(1)], cfg, seed=0)
-        assert result.model.params == model.params
+        assert bits(result.model.weights) == bits(model.weights)
         assert result.loss_curve == []
 
     def test_fixed_seed_reproducible(self):
@@ -257,7 +269,7 @@ class TestMetaTrain:
                          meta_batch=2, meta_iterations=20)
         a = meta_train(model, tasks, cfg, seed=9)
         b = meta_train(model, tasks, cfg, seed=9)
-        assert a.model.params == b.model.params
+        assert bits(a.model.weights) == bits(b.model.weights)
         assert a.loss_curve == b.loss_curve
 
     def test_exact_fd_oracle_iteration_is_one_meta_update(self):
@@ -268,9 +280,9 @@ class TestMetaTrain:
                          meta_iterations=1, meta_mode="exact_fd_oracle")
         result = meta_train(model, tasks, cfg, seed=1)
         picked = np.random.Generator(np.random.PCG64(1)).choice(3, size=2, replace=False)
-        expected = meta_update(model.params, [tasks[int(i)] for i in picked], cfg, spec)
+        expected = meta_update(model.weights, [tasks[int(i)] for i in picked], cfg, spec)
         assert len(result.loss_curve) == 1 and np.isfinite(result.loss_curve[0])
-        assert result.model.params == expected != model.params
+        assert bits(result.model.weights) == bits(expected) != bits(model.weights)
 
     def test_too_few_tasks_rejected(self):
         model = init_detector(4, seed=6)
@@ -294,9 +306,7 @@ class TestMetaTrain:
         poison = np.zeros((4, 4))
         poison[:, 0] = 1e300
         tasks.append(Task(poison, np.ones(4), poison, np.ones(4), "poison"))
-        model = DetectorModel(4, ((1, "sigmoid"),), ParamSet(
-            {"layer0.W": Tensor(np.zeros((4, 1))), "layer0.b": Tensor(np.zeros(1))}
-        ))
+        model = DetectorModel(4, ((1, "sigmoid"),), [np.zeros((4, 1)), np.zeros(1)])
 
         def cfg(iterations):
             return MetaConfig(inner_lr=1e9, meta_lr=0.05, inner_steps=1,
@@ -332,23 +342,20 @@ def bce_mlp(spec):
     """The detector's loss as a custom `loss_fn`: each task's BCE of the taped
     `forward_mlp` and its `grad`, one task at a time along the leading axis
     of x, stacked on that axis."""
-    names = sorted(name for i in range(len(spec)) for name in layer_param_names(i))
 
     def loss_fn(weights, x, y):
         lead = x.shape[:-2]
-        shapes = [w.shape[w.ndim - (2 if name.endswith(".W") else 1):]
-                  for name, w in zip(names, weights)]
+        # [W0, b0, W1, b1, ...]: a matrix, then a vector, behind any task axis
+        shapes = [w.shape[w.ndim - (1 if i % 2 else 2):] for i, w in enumerate(weights)]
         losses, grads = [], []
         for k in np.ndindex(lead):
-            params = ParamSet({name: Tensor(np.broadcast_to(w, lead + shape)[k])
-                               for name, w, shape in zip(names, weights, shapes)})
+            params = [np.broadcast_to(w, lead + shape)[k] for w, shape in zip(weights, shapes)]
             loss = bce_loss(forward_mlp(GradientTape(params).leaves, x[k], spec),
                             y[k].reshape(-1, 1))
             losses.append(value_of(loss))
             grads.append(grad(loss, params))
         return np.reshape(losses, lead), [
-            np.reshape([g[name].values for g in grads], lead + shape)
-            for name, shape in zip(names, shapes)]
+            np.reshape([g[i] for g in grads], lead + shape) for i, shape in enumerate(shapes)]
 
     return loss_fn
 
@@ -363,7 +370,7 @@ def taped_meta_train(init, tasks, cfg, seed):
         loss = bce_loss(forward_mlp(recorder.leaves, x, spec), y.reshape(-1, 1))
         return float(value_of(loss)), grad(loss, params)
 
-    params, curve = init.params, []
+    params, curve = init.weights, []
     for _ in range(cfg.meta_iterations):
         picked = rng.choice(len(tasks), size=cfg.meta_batch, replace=False)
         total, batch_loss = None, 0.0
@@ -372,13 +379,11 @@ def taped_meta_train(init, tasks, cfg, seed):
             adapted = params
             for _ in range(cfg.inner_steps):
                 g = loss_and_grad(adapted, task.support_x, task.support_y)[1]
-                adapted = sgd_step(adapted, g, cfg.inner_lr)
+                adapted = descend(adapted, g, cfg.inner_lr)
             loss, g = loss_and_grad(adapted, task.query_x, task.query_y)
             batch_loss += loss
-            total = g if total is None else ParamSet(
-                {k: total[k].values + g[k].values for k in total}
-            )
-        params = sgd_step(params, total, cfg.meta_lr)
+            total = g if total is None else [a + b for a, b in zip(total, g)]
+        params = descend(params, total, cfg.meta_lr)
         curve.append(batch_loss / cfg.meta_batch)
     return params, curve
 
@@ -391,8 +396,7 @@ class TestBatchedMetaTrain:
         result = meta_train(model, tasks, cfg, seed=5)
         params, curve = taped_meta_train(model, tasks, cfg, seed=5)
         assert result.loss_curve == curve
-        for k in params:
-            assert result.model.params[k].values.tobytes() == params[k].values.tobytes()
+        assert bits(result.model.weights) == bits(params)
 
     @pytest.mark.parametrize("inner_steps", [0, 1, 3])
     def test_equal_shapes_bitwise_equal_to_taped_loop(self, inner_steps):
@@ -413,26 +417,26 @@ class TestBatchedMetaTrain:
         for loss_fn in (None, bce_mlp(self.SPEC)):
             for mode in ("first_order", "exact_fd_oracle"):
                 with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
-                    meta_gradient(model.params, tasks[:3], replace(cfg, meta_mode=mode),
+                    meta_gradient(model.weights, tasks[:3], replace(cfg, meta_mode=mode),
                                   self.SPEC, loss_fn)
 
     @pytest.mark.parametrize("loss", ["taped-bce", "quadratic"])
     def test_custom_loss_on_stacked_tasks_equals_one_task_calls_summed(self, loss):
         cfg = MetaConfig(inner_lr=0.4, inner_steps=2, meta_batch=3)
         if loss == "quadratic":
-            params, loss_fn = ParamSet({"u": Tensor(0.4), "v": Tensor(0.2)}), quadratic_loss
+            params, loss_fn = [np.array(0.4), np.array(0.2)], quadratic_loss
             tasks = [quad_task(1.2, 0.9, -0.7, 0.1), quad_task(-0.3, 0.5, 0.8, -0.2),
                      quad_task(2.0, -1.0, 0.4, 0.6)]
         else:
-            params, loss_fn = init_detector(4, seed=21, layer_spec=self.SPEC).params, bce_mlp(
-                self.SPEC)
+            params = init_detector(4, seed=21, layer_spec=self.SPEC).weights
+            loss_fn = bce_mlp(self.SPEC)
             tasks = [tiny_task(s) for s in range(3)]
         stacked = meta_gradient(params, tasks, cfg, self.SPEC, loss_fn)
         alone = [meta_gradient(params, [t], cfg, self.SPEC, loss_fn) for t in tasks]
-        assert np.abs(stacked.flatten()).max() > 1e-3
-        for k in params:
-            total = alone[0][k].values + alone[1][k].values + alone[2][k].values
-            assert stacked[k].values.tobytes() == total.tobytes(), k
+        assert max(np.abs(g).max() for g in stacked) > 1e-3
+        for k, g in enumerate(stacked):
+            total = alone[0][k] + alone[1][k] + alone[2][k]
+            assert g.tobytes() == total.tobytes(), k
 
     def test_stacks_equal_shapes(self, monkeypatch):
         from selfheal.detector import maml
@@ -445,7 +449,7 @@ class TestBatchedMetaTrain:
             return real(weights, x, y, layer_spec)
 
         monkeypatch.setattr(maml, "mlp_loss_and_grad", spy)
-        params = init_detector(4, seed=3, layer_spec=self.SPEC).params
+        params = init_detector(4, seed=3, layer_spec=self.SPEC).weights
         cfg = MetaConfig(inner_lr=0.4, inner_steps=1, meta_batch=3)
         same = [tiny_task(s) for s in range(3)]
         meta_gradient(params, same, cfg, self.SPEC)
@@ -454,24 +458,20 @@ class TestBatchedMetaTrain:
     @pytest.mark.parametrize("meta_mode", ["first_order", "exact_fd_oracle"])
     def test_taped_loss_equals_fused_bitwise(self, meta_mode):
         spec = ((3, "relu"), (2, "tanh"), (1, "sigmoid"))
-        params = init_detector(4, seed=8, layer_spec=spec).params
+        params = init_detector(4, seed=8, layer_spec=spec).weights
         tasks = [tiny_task(s) for s in range(3)]
         cfg = MetaConfig(inner_lr=0.4, inner_steps=2, meta_batch=3, meta_mode=meta_mode)
         fused = meta_gradient(params, tasks, cfg, spec)
         taped = meta_gradient(params, tasks, cfg, spec, bce_mlp(spec))
-        assert np.abs(fused.flatten()).max() > 1e-3
-        for k in params:
-            assert taped[k].values.tobytes() == fused[k].values.tobytes()
+        assert max(np.abs(g).max() for g in fused) > 1e-3
+        assert bits(taped) == bits(fused)
 
 
 class TestDetect:
     def test_threshold_rule(self):
         model = constant_half_model()
         spec = ((1, "sigmoid"),)
-        params = ParamSet(
-            {"layer0.W": Tensor(np.zeros((4, 1))), "layer0.b": Tensor([0.847298])}
-        )
-        model = DetectorModel(4, spec, params, threshold=0.5)
+        model = DetectorModel(4, spec, [np.zeros((4, 1)), np.array([0.847298])], threshold=0.5)
         score, flag = detect(model, np.zeros(4))
         assert score == pytest.approx(0.7, abs=1e-6)
         assert flag == 1
@@ -499,7 +499,7 @@ class TestDetect:
         for seed in range(3):
             model = init_detector(20, seed, **({} if spec is None else {"layer_spec": spec}))
             for row in rows:
-                taped = forward_mlp(model.params, row, model.layer_spec).values[0]
+                taped = forward_mlp(model.weights, row, model.layer_spec)[0]
                 score, flag = detect(model, row)
                 assert np.float64(score).tobytes() == taped.tobytes()
                 assert flag == int(taped >= model.threshold)
@@ -508,10 +508,7 @@ class TestDetect:
 class TestEvaluate:
     def test_perfect_predictions(self):
         spec = ((1, "sigmoid"),)
-        params = ParamSet(
-            {"layer0.W": Tensor(np.full((1, 1), 60.0)), "layer0.b": Tensor([0.0])}
-        )
-        model = DetectorModel(1, spec, params)
+        model = DetectorModel(1, spec, [np.full((1, 1), 60.0), np.array([0.0])])
         x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([1.0, 1.0, 0.0, 0.0])
         task = Task(x, y, x, y, "perfect")
@@ -551,8 +548,8 @@ class TestEvaluate:
             reports = evaluate(model, tasks, cfg)
             # one scoring pass for all the tasks: (tasks, rows, 1, 1)
             for task, report, scores in zip(tasks, reports, scored[-1][:, :, 0, 0]):
-                adapted = model.with_params(inner_adapt(
-                    model.params, (task.support_x, task.support_y), cfg.inner_lr,
+                adapted = model.with_weights(inner_adapt(
+                    model.weights, (task.support_x, task.support_y), cfg.inner_lr,
                     cfg.inner_steps, model.layer_spec))
                 tp = fp = fn = tn = 0
                 for row, label, score in zip(task.query_x, task.query_y, scores):
@@ -574,9 +571,7 @@ class TestEvaluate:
     def reference_adaptation_steps(model, task, cfg):
         """The count as evaluate took it with a loop of its own: the support
         loss after 0, 1, ..., inner_steps steps, the first within the bound."""
-        spec = model.layer_spec
-        weights = [model.params[f"layer{i}.{k}"].values
-                   for i in range(len(spec)) for k in "Wb"]
+        spec, weights = model.layer_spec, model.weights
         found = None
         for step in range(cfg.inner_steps + 1):
             if step:
@@ -597,8 +592,7 @@ class TestEvaluate:
         self, model_seed, task_seed, inner_lr, inner_steps, expected
     ):
         if model_seed is None:
-            model = DetectorModel(1, ((1, "sigmoid"),), ParamSet(
-                {"layer0.W": Tensor(np.full((1, 1), 60.0)), "layer0.b": Tensor([0.0])}))
+            model = DetectorModel(1, ((1, "sigmoid"),), [np.full((1, 1), 60.0), np.array([0.0])])
             x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
             task = Task(x, np.array([1.0, 1.0, 0.0, 0.0]), x, np.ones(4), "perfect")
         else:
@@ -613,10 +607,10 @@ class TestEvaluate:
         """`evaluate` as first written, one task at a time: (its report, the
         adapted weights)."""
         from selfheal.detector.maml import EvalReport, _prf
-        from selfheal.numerics import mlp_forward, mlp_weights
+        from selfheal.numerics import mlp_forward
 
         spec = model.layer_spec
-        weights, losses = mlp_weights(model.params, spec), []
+        weights, losses = model.weights, []
         for _ in range(cfg.inner_steps if cfg.inner_lr else min(cfg.inner_steps, 1)):
             loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y, spec)
             losses.append(loss)
@@ -685,6 +679,52 @@ def test_meta_trained_init_dominates_random_init(detector_runs):
         assert meta_f1 >= base_f1, f"seed {i}: {meta_f1:.3f} < {base_f1:.3f}"
 
 
+class TestDetectorModel:
+    SPEC = ((3, "relu"), (1, "sigmoid"))
+
+    def weights(self):
+        return [np.array(w) for w in init_detector(4, seed=1, layer_spec=self.SPEC).weights]
+
+    def test_non_finite_weight_refused_by_name(self):
+        weights = self.weights()
+        weights[3] = np.array([np.nan])
+        with pytest.raises(InputError, match="weight 'layer1.b' holds non-finite values"):
+            DetectorModel(4, self.SPEC, weights)
+        weights[3] = np.array([0.0])
+        weights[0][1, 2] = np.inf
+        with pytest.raises(InputError, match="weight 'layer0.W' holds non-finite values"):
+            DetectorModel(4, self.SPEC, weights)
+
+    @pytest.mark.parametrize("input_width, spec, match", [
+        (5, SPEC, r"weight 'layer0.W' has shape \(4, 3\), expected \(5, 3\)"),
+        (4, ((2, "relu"), (1, "sigmoid")), r"weight 'layer0.W' has shape \(4, 3\), "
+                                           r"expected \(4, 2\)"),
+        (4, ((3, "relu"), (3, "relu"), (1, "sigmoid")),
+         r"4 weight arrays for the 6 parameters \['layer0.W', 'layer0.b', 'layer1.W'"),
+    ], ids=["input-width", "layer-width", "layer-count"])
+    def test_weights_that_do_not_fit_the_layer_spec_refused(self, input_width, spec, match):
+        # such a model used to be built, and failed only at its first forward pass
+        with pytest.raises(InputError, match=match):
+            DetectorModel(input_width, spec, self.weights())
+        model = DetectorModel(4, self.SPEC, self.weights())
+        with pytest.raises(InputError, match="weight 'layer0.b' has shape"):
+            model.with_weights([model.weights[0], np.zeros(4), *model.weights[2:]])
+
+    def test_weights_are_read_only_copies(self):
+        source = self.weights()
+        source[0] = np.asfortranarray(source[0])
+        model = DetectorModel(4, self.SPEC, source)
+        assert isinstance(model.weights, tuple)
+        assert all(w.dtype == np.float64 and w.flags.c_contiguous and not w.flags.writeable
+                   for w in model.weights)
+        before = bits(model.weights)
+        source[0][0, 0] += 1.0
+        source[3][0] = 7.0
+        assert bits(model.weights) == before
+        with pytest.raises(ValueError):
+            model.weights[1][0] = 1.0
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = init_detector(20, seed=99, threshold=0.62)
@@ -694,11 +734,7 @@ class TestCheckpoint:
         assert loaded.input_width == model.input_width
         assert loaded.layer_spec == model.layer_spec
         assert loaded.threshold == model.threshold
-        assert loaded.params == model.params
-        for k in model.params:
-            assert (
-                loaded.params[k].values.tobytes() == model.params[k].values.tobytes()
-            )
+        assert bits(loaded.weights) == bits(model.weights)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

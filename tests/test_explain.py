@@ -11,16 +11,14 @@ from selfheal.explain import (
     metric_groups,
     shapley_attribution,
 )
-from selfheal.numerics import ParamSet, Tensor
 from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, named_state
 from taped import forward_mlp
 
 
 def linear_model(weights, bias=0.0) -> DetectorModel:
     w = np.asarray(weights, dtype=float).reshape(-1, 1)
-    params = ParamSet({"layer0.W": Tensor(w), "layer0.b": Tensor([bias])})
     return DetectorModel(
-        input_width=w.shape[0], layer_spec=((1, "linear"),), params=params
+        input_width=w.shape[0], layer_spec=((1, "linear"),), weights=[w, np.array([bias])]
     )
 
 
@@ -79,8 +77,8 @@ class TestShapley:
                 for j, name in enumerate(names):
                     if bits >> j & 1:
                         data[:, groups[name]] = x[groups[name]]
-                values.append(float(forward_mlp(model.params, data, model.layer_spec)
-                                    .values.mean()))
+                values.append(float(forward_mlp(model.weights, data, model.layer_spec)
+                                    .mean()))
             g, fact = len(names), [math.factorial(k) for k in range(len(names) + 1)]
             expected = []
             for j in range(g):

@@ -459,7 +459,7 @@ class TestPipeline:
 
         cfg = config_from_dict({**FAST_CONFIG, "detector": {"meta_iterations": 3}})
         meta, *_ = pipeline._join_lane(*pipeline._fork_lane(pipeline._detector_lane, cfg))
-        arrays = [tensor.values for tensor in meta.model.params.values()]
+        arrays = meta.model.weights
         assert arrays and not any(a.flags.writeable for a in arrays)
 
     @linux_only
