@@ -21,7 +21,7 @@ from ..numerics import (
     init_uniform_params, mlp_param_shapes, ops,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
-from ..simulator.cascade import NODE_KINDS
+from ..simulator.cascade import NEVER, NODE_KINDS
 from ..simulator.tasks import unit_scaled
 
 DEFAULT_HIDDEN_WIDTHS = (16, 16)
@@ -90,27 +90,24 @@ def embedding_width(graph: ComponentGraph) -> int:
     return len(NODE_KINDS) + static + len(METRICS)
 
 
-def _inputs_by_tick(
-    graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], ticks
-) -> np.ndarray:
+def _inputs_by_tick(graph: ComponentGraph, telemetry: np.ndarray, ticks) -> np.ndarray:
     """h0 at each of `ticks`, stacked (len(ticks), n_nodes, width): per node,
-    one-hot kind, static features and unit-scaled metrics at the tick. The
+    one-hot kind, static features and unit-scaled metrics at the tick.
+    `telemetry` is (n_nodes, ticks, len(METRICS)) in `graph.nodes` order. The
     constant columns are built once for all the ticks."""
+    telemetry = np.asarray(telemetry)
+    n_nodes, n_metrics = len(graph.nodes), len(METRICS)
+    if telemetry.ndim != 3 or telemetry.shape[::2] != (n_nodes, n_metrics):
+        raise InputError(f"telemetry has shape {telemetry.shape}, expected "
+                         f"({n_nodes}, ticks, {n_metrics})")
     ticks = list(ticks)
-    lo, hi = min(ticks), max(ticks)
-    readings = []
-    for node in graph.nodes:
-        if node.id not in node_telemetry:
-            raise InputError(f"telemetry missing for node '{node.id}'")
-        series = np.asarray(node_telemetry[node.id])
-        if lo < 0 or hi >= series.shape[0]:
-            tick = next(t for t in ticks if t < 0 or t >= series.shape[0])
-            raise InputError(f"tick {tick} outside telemetry of node '{node.id}'")
-        readings.append(series[ticks])
+    outside = [t for t in ticks if not 0 <= t < telemetry.shape[1]]
+    if outside:
+        raise InputError(f"tick {outside[0]} outside telemetry of {telemetry.shape[1]} ticks")
     kinds = np.eye(len(NODE_KINDS))[[NODE_KINDS.index(n.kind) for n in graph.nodes]]
     static = np.array([n.static_features for n in graph.nodes], dtype=np.float64)
     constant = np.hstack([kinds, static])
-    scaled = unit_scaled(np.stack(readings, axis=1))
+    scaled = unit_scaled(telemetry[:, ticks].swapaxes(0, 1))
     h0 = np.concatenate(
         [np.broadcast_to(constant, (len(ticks), *constant.shape)), scaled], axis=2)
     if not np.all(np.isfinite(h0)):
@@ -118,25 +115,16 @@ def _inputs_by_tick(
     return h0
 
 
-def init_embeddings(
-    graph: ComponentGraph, node_telemetry: dict[str, np.ndarray], tick: int
-) -> NodeEmbeddings:
+def init_embeddings(graph: ComponentGraph, telemetry: np.ndarray, tick: int) -> NodeEmbeddings:
     """h0 per node: one-hot kind, static features, unit-scaled metrics at tick."""
     return NodeEmbeddings(layer_index=0, node_ids=graph.node_ids,
-                          vectors=_inputs_by_tick(graph, node_telemetry, [tick])[0])
-
-
-def _edge_ends(graph: ComponentGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoints as (src_indices, dst_indices)."""
-    src = np.array([graph.index_of(e.src) for e in graph.edges], dtype=np.intp)
-    dst = np.array([graph.index_of(e.dst) for e in graph.edges], dtype=np.intp)
-    return src, dst
+                          vectors=_inputs_by_tick(graph, telemetry, [tick])[0])
 
 
 def edge_arrays(graph: ComponentGraph) -> ops.EdgeIndex:
     """The graph's edges as an `EdgeIndex` over its nodes; self-loops are
     implicit in the aggregation op, not listed here."""
-    return ops.EdgeIndex(*_edge_ends(graph), len(graph.nodes))
+    return ops.EdgeIndex(graph.edge_src, graph.edge_dst, len(graph.nodes))
 
 
 def gnn_layer(
@@ -184,26 +172,13 @@ def gnn_param_shapes(
     return shapes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FailurePrediction:
-    """Per-node failure probability and first flag tick, if any."""
+    """Per node, in graph order: the failure probability and the first flag
+    tick (`NEVER` when the node is never flagged)."""
 
-    horizon: int
-    per_node: dict[str, tuple[float, int | None]]
-
-    def flagged(self) -> dict[str, int]:
-        return {n: t for n, (_, t) in self.per_node.items() if t is not None}
-
-
-def _probs_by_tick(graph: ComponentGraph, node_telemetry: dict[str, np.ndarray],
-                   gnn: GnnParams, horizon: int) -> np.ndarray:
-    """Each node's probability of failing within the label horizon, at ticks
-    0 .. horizon - 1: (horizon, n_nodes), from one `gnn_forward` over the
-    ticks stacked on a leading axis, which equals one pass per tick bitwise."""
-    edges = edge_arrays(graph)
-    h0 = _inputs_by_tick(graph, node_telemetry, range(horizon))
-    x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
-    return gnn_forward(gnn.weights, x, edges, gnn.layer_spec)[..., 0]
+    probs: np.ndarray  # (n_nodes,)
+    flag_ticks: np.ndarray  # (n_nodes,) int
 
 
 def check_flag_threshold(threshold: float) -> None:
@@ -212,23 +187,31 @@ def check_flag_threshold(threshold: float) -> None:
         raise InputError(f"flag_threshold must be <= 1, got {threshold}")
 
 
-def _flag_failures(node_ids, probs: np.ndarray, flag_threshold: float) -> FailurePrediction:
-    """`predict_failures` from the scanned probabilities `probs` (ticks, nodes):
-    a node's flag tick is the first tick at or above the threshold, and its
-    probability the one there, else the largest seen (at least 0.0)."""
+def scan_failures(
+    graph: ComponentGraph, telemetry: np.ndarray, gnn: GnnParams, horizon: int,
+    flag_threshold: float,
+) -> tuple[np.ndarray, FailurePrediction]:
+    """`predict_failures`, and the scan it comes from: each node's probability
+    of failing within the label horizon at ticks 0 .. horizon - 1, (horizon,
+    n_nodes), from one `gnn_forward` over the ticks stacked on a leading axis,
+    which equals one pass per tick bitwise."""
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     check_flag_threshold(flag_threshold)
+    edges = edge_arrays(graph)
+    h0 = _inputs_by_tick(graph, telemetry, range(horizon))
+    x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
+    probs = gnn_forward(gnn.weights, x, edges, gnn.layer_spec)[..., 0]
     flagged = probs >= flag_threshold
-    first, best = flagged.argmax(axis=0).tolist(), probs.max(axis=0, initial=0.0).tolist()
-    per_node = {}
-    for k, nid in enumerate(node_ids):
-        tick = first[k] if flagged[first[k], k] else None
-        per_node[nid] = (best[k] if tick is None else float(probs[tick, k]), tick)
-    return FailurePrediction(horizon=len(probs), per_node=per_node)
+    first, hit = flagged.argmax(axis=0), flagged.any(axis=0)
+    at_flag = probs[first, np.arange(probs.shape[1])]
+    best = np.where(hit, at_flag, probs.max(axis=0, initial=0.0))
+    return probs, FailurePrediction(probs=best, flag_ticks=np.where(hit, first, NEVER))
 
 
 def predict_failures(
     graph: ComponentGraph,
-    node_telemetry: dict[str, np.ndarray],
+    telemetry: np.ndarray,
     gnn: GnnParams,
     horizon: int,
     flag_threshold: float = DEFAULT_FLAG_THRESHOLD,
@@ -236,11 +219,8 @@ def predict_failures(
     """Scan `horizon` ticks; a node's flag tick is the first tick at which its
     predicted probability of failing within the label horizon reaches
     `flag_threshold`. The stored probability is the one at the flag tick, or
-    the maximum seen when the node is never flagged."""
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    return _flag_failures(graph.node_ids, _probs_by_tick(graph, node_telemetry, gnn, horizon),
-                          flag_threshold)
+    the maximum seen (at least 0.0) when the node is never flagged."""
+    return scan_failures(graph, telemetry, gnn, horizon, flag_threshold)[1]
 
 
 @dataclass
@@ -251,11 +231,8 @@ class GnnTrainResult:
 
 def fails_within(trace: CascadeTrace, tick: int, horizon: int) -> np.ndarray:
     """Per node, in graph order: 1.0 if it has failed by `tick + horizon`, else 0.0."""
-    return np.array([
-        1.0 if (fail := trace.failure_times[nid]) is not None and fail <= tick + horizon
-        else 0.0
-        for nid in trace.graph.node_ids
-    ])
+    fails = trace.failure_ticks
+    return ((fails != NEVER) & (fails <= tick + horizon)).astype(np.float64)
 
 
 def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -286,11 +263,11 @@ def _training_batch(traces, width: int, label_horizon: int, rng):
         offsets = sorted(int(o) for o in rng.integers(0, span, size=2))
         ticks = [trace.onset + off for off in offsets]
         # both ticks from one call: the same bits as one call per tick
-        h = _inputs_by_tick(trace.graph, trace.node_telemetry, ticks)
+        h = _inputs_by_tick(trace.graph, trace.telemetry, ticks)
         if h.shape[2] != width:
             raise InputError(f"trace {position} of the dataset has embedding width "
                              f"{h.shape[2]}, but the network's input width is {width}")
-        trace_src, trace_dst = _edge_ends(trace.graph)
+        trace_src, trace_dst = trace.graph.edge_src, trace.graph.edge_dst
         n, m = h.shape[1], len(trace_src)
         h0, labels = _grown(h0, rows, rows + 2 * n), _grown(labels, rows, rows + 2 * n)
         src, dst = _grown(src, n_edges, n_edges + 2 * m), _grown(dst, n_edges, n_edges + 2 * m)

@@ -69,7 +69,7 @@ def read_graph(path: str | Path) -> ComponentGraph:
             raise SchemaError(f"{where}: {err}") from None
     try:
         return ComponentGraph(nodes, edges)
-    except InputError as err:  # duplicate ids, dangling edges, ragged features
+    except InputError as err:  # repeated ids or edges, dangling edges, ragged features
         raise SchemaError(f"{path}: {err}") from None
 
 

@@ -6,10 +6,8 @@ import numpy as np
 
 from ..errors import InputError
 from ..simulator import CascadeTrace
-from .gnn import (
-    DEFAULT_FLAG_THRESHOLD, FailurePrediction, GnnParams, _flag_failures, _probs_by_tick,
-    fails_within,
-)
+from ..simulator.cascade import NEVER
+from .gnn import DEFAULT_FLAG_THRESHOLD, FailurePrediction, GnnParams, fails_within, scan_failures
 
 _EVAL_OFFSET = 1  # node_failure_accuracy scores the tick after each onset
 
@@ -18,6 +16,14 @@ def check_tick_seconds(tick_seconds: float) -> None:
     """A tick must last more than 0 seconds."""
     if tick_seconds <= 0:
         raise InputError(f"tick_seconds must be > 0, got {tick_seconds}")
+
+
+def _failed_and_flagged(pred: FailurePrediction, truth: CascadeTrace):
+    """The trace's failure ticks and the prediction's flag ticks, of the same nodes."""
+    fails, flags = truth.failure_ticks, pred.flag_ticks
+    if fails.shape != flags.shape:
+        raise InputError(f"prediction covers {len(flags)} nodes, trace {len(fails)}")
+    return fails, flags
 
 
 def mttfp(
@@ -31,17 +37,11 @@ def mttfp(
     None when no node qualifies.
     """
     check_tick_seconds(tick_seconds)
-    if set(pred.per_node) != set(truth.failure_times):
-        raise InputError("prediction and trace cover different node sets")
-    leads = []
-    for nid, (_prob, flag_tick) in pred.per_node.items():
-        fail_tick = truth.failure_times[nid]
-        if fail_tick is None or flag_tick is None or flag_tick >= fail_tick:
-            continue
-        leads.append((fail_tick - flag_tick) * tick_seconds)
-    if not leads:
+    fails, flags = _failed_and_flagged(pred, truth)
+    early = (fails != NEVER) & (flags != NEVER) & (flags < fails)
+    if not early.any():
         return None
-    return float(np.mean(leads))
+    return float(np.mean((fails[early] - flags[early]) * tick_seconds))
 
 
 def prediction_rates(
@@ -49,16 +49,12 @@ def prediction_rates(
 ) -> dict[str, float]:
     """false_alarm_rate: flagged share of never-failing nodes.
     miss_rate: never-flagged share of truly-failing nodes."""
-    if set(pred.per_node) != set(truth.failure_times):
-        raise InputError("prediction and trace cover different node sets")
-    failing = [n for n, t in truth.failure_times.items() if t is not None]
-    healthy = [n for n, t in truth.failure_times.items() if t is None]
-    flagged = set(pred.flagged())
-    false_alarms = sum(1 for n in healthy if n in flagged)
-    misses = sum(1 for n in failing if n not in flagged)
+    fails, flags = _failed_and_flagged(pred, truth)
+    failing, flagged = fails != NEVER, flags != NEVER
+    healthy_flags, failing_flags = flagged[~failing], flagged[failing]
     return {
-        "false_alarm_rate": false_alarms / len(healthy) if healthy else 0.0,
-        "miss_rate": misses / len(failing) if failing else 0.0,
+        "false_alarm_rate": float(healthy_flags.mean()) if healthy_flags.size else 0.0,
+        "miss_rate": float((~failing_flags).mean()) if failing_flags.size else 0.0,
     }
 
 
@@ -74,8 +70,9 @@ def score_traces(
     total = 0
     predictions = []
     for trace in traces:
-        probs = _probs_by_tick(trace.graph, trace.node_telemetry, gnn, trace.ticks)
-        predictions.append(_flag_failures(trace.graph.node_ids, probs, flag_threshold))
+        probs, prediction = scan_failures(trace.graph, trace.telemetry, gnn, trace.ticks,
+                                          flag_threshold)
+        predictions.append(prediction)
         tick = min(trace.onset + _EVAL_OFFSET, trace.ticks - 1)
         labels = fails_within(trace, tick, gnn.label_horizon)
         correct += int(np.sum((probs[tick] >= flag_threshold) == (labels == 1.0)))

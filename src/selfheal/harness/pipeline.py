@@ -330,7 +330,7 @@ def _closed_loop(cfg: RunConfig, model: DetectorModel, gnn, env: RecoveryEnv,
                     fail_threshold=cfg.simulator.fail_threshold,
                     seed=derive_seed(ep_seed, "cascade"),
                 )
-                pred = predict_failures(graph, trace.node_telemetry, gnn,
+                pred = predict_failures(graph, trace.telemetry, gnn,
                                         horizon=trace.ticks,
                                         flag_threshold=cfg.gnn.flag_threshold)
                 lead = mttfp(pred, trace, cfg.eval.tick_seconds)

@@ -43,6 +43,10 @@ _STATIC_WIDTH = 2  # static features per node
 # range(*ONSET_RANGE), so its horizon must be at least ONSET_RANGE[1]
 ONSET_RANGE = (2, 5)
 
+# the failure tick of a node that never fails, and the flag tick of a node
+# that is never flagged
+NEVER = -1
+
 
 @dataclass(frozen=True)
 class GraphNode:
@@ -69,7 +73,8 @@ class GraphEdge:
 
 
 class ComponentGraph:
-    """Typed components with weighted directed dependency edges."""
+    """Typed components with weighted directed dependency edges; `edge_src` and
+    `edge_dst` are the edges' ends as node positions (read-only intp arrays)."""
 
     def __init__(self, nodes, edges):
         self.nodes: tuple[GraphNode, ...] = tuple(
@@ -90,9 +95,18 @@ class ComponentGraph:
             if width != first:
                 raise InputError(f"node {i} has {width} static features, node 0 "
                                  f"has {first}; widths must agree")
+        ends: dict[tuple[int, int], int] = {}
         for i, e in enumerate(self.edges):
             if e.src not in self._index or e.dst not in self._index:
                 raise InputError(f"edge {i} ({e.src}->{e.dst}) references unknown node")
+            pair = self._index[e.src], self._index[e.dst]
+            if pair in ends:
+                raise InputError(f"edge {i} repeats the dependency {e.src}->{e.dst} of "
+                                 f"edge {ends[pair]}; each pair may be listed once")
+            ends[pair] = i
+        self.edge_src = np.array([src for src, _ in ends], dtype=np.intp)
+        self.edge_dst = np.array([dst for _, dst in ends], dtype=np.intp)
+        self.edge_src.flags.writeable = self.edge_dst.flags.writeable = False
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -110,26 +124,21 @@ class ComponentGraph:
         return self.nodes == other.nodes and self.edges == other.edges
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CascadeTrace:
-    """One simulated cascade: who failed when, and what telemetry showed."""
+    """One simulated cascade, by node position in `graph.nodes` order: each
+    node's failure tick (`NEVER` if it never fails) and its telemetry, both
+    read-only."""
 
     graph: ComponentGraph
     seed_node: str
     onset: int
-    failure_times: dict[str, int | None]
-    node_telemetry: dict[str, np.ndarray]  # (ticks, 5) in METRICS order
+    failure_ticks: np.ndarray  # (n_nodes,) int
+    telemetry: np.ndarray  # (n_nodes, ticks, len(METRICS)) in METRICS order
 
     @property
     def ticks(self) -> int:
-        return next(iter(self.node_telemetry.values())).shape[0]
-
-    def failed_by(self, tick: int) -> set[str]:
-        return {
-            nid
-            for nid, t in self.failure_times.items()
-            if t is not None and t <= tick
-        }
+        return self.telemetry.shape[1]
 
 
 def check_fail_threshold(threshold: float) -> None:
@@ -159,55 +168,49 @@ def propagate_cascade(
         raise InputError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= onset < horizon:
         raise InputError(f"onset {onset} outside [0, {horizon})")
-    graph.index_of(seed_node)  # raises for unknown ids
-
+    seed_position = graph.index_of(seed_node)  # raises for unknown ids
+    n_nodes = len(graph.nodes)
     # in-edges in graph.edges order, so every weight sums in that order
-    in_weights: dict[str, list[tuple[str, float]]] = {n.id: [] for n in graph.nodes}
-    dependents: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    totals = dict.fromkeys(in_weights, 0.0)
-    for e in graph.edges:
-        in_weights[e.dst].append((e.src, e.weight))
-        dependents[e.src].append(e.dst)
-        totals[e.dst] += e.weight
-    failure_times: dict[str, int | None] = {n.id: None for n in graph.nodes}
-    failure_times[seed_node] = onset
+    in_weights: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
+    dependents: list[list[int]] = [[] for _ in range(n_nodes)]
+    totals = [0.0] * n_nodes
+    for src, dst, e in zip(graph.edge_src.tolist(), graph.edge_dst.tolist(), graph.edges):
+        in_weights[dst].append((src, e.weight))
+        dependents[src].append(dst)
+        totals[dst] += e.weight
+    failure_ticks = [NEVER] * n_nodes
+    failure_ticks[seed_position] = onset
 
     # A healthy node's failed in-weight grows only when an in-neighbour fails,
     # so each tick re-checks only the dependents of the previous tick's
     # failures, and a tick without a failure ends the cascade.
-    newly = [seed_node]
+    newly = [seed_position]
     for tick in range(onset + 1, horizon):
         candidates = dict.fromkeys(
-            dst for src in newly for dst in dependents[src] if failure_times[dst] is None
+            dst for src in newly for dst in dependents[src] if failure_ticks[dst] == NEVER
         )
         newly = [
-            nid for nid in candidates
-            if sum(w for src, w in in_weights[nid] if failure_times[src] is not None)
-            / totals[nid] >= fail_threshold
+            v for v in candidates
+            if sum(w for src, w in in_weights[v] if failure_ticks[src] != NEVER)
+            / totals[v] >= fail_threshold
         ]
         if not newly:
             break
-        for nid in newly:  # after the checks: a failure acts from the next tick
-            failure_times[nid] = tick
+        for v in newly:  # after the checks: a failure acts from the next tick
+            failure_ticks[v] = tick
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    series = np.empty((len(graph.nodes), horizon, len(METRICS)))
-    for node, rows in zip(graph.nodes, series):
+    series = np.empty((n_nodes, horizon, len(METRICS)))
+    for node, rows, fail_tick in zip(graph.nodes, series, failure_ticks):
         level = _BASE_LEVELS[node.kind] * rng.uniform(0.85, 1.15, size=5)
         rows[:] = level + rng.normal(0.0, 0.02, size=(horizon, 5)) * level
-        fail_tick = failure_times[node.id]
-        if fail_tick is not None:
+        if fail_tick != NEVER:
             rows[fail_tick:] *= _FAILURE_EFFECT
     series = clip_metrics(series)
-    series.flags.writeable = False
-
-    return CascadeTrace(
-        graph=graph,
-        seed_node=seed_node,
-        onset=onset,
-        failure_times=failure_times,
-        node_telemetry=dict(zip(graph.node_ids, series)),
-    )
+    failure_ticks = np.array(failure_ticks)
+    series.flags.writeable = failure_ticks.flags.writeable = False
+    return CascadeTrace(graph=graph, seed_node=seed_node, onset=onset,
+                        failure_ticks=failure_ticks, telemetry=series)
 
 
 def make_tree_graph(n_nodes: int, seed: int) -> ComponentGraph:
@@ -273,9 +276,7 @@ def make_cascade_dataset(
         # seed somewhere shallow that actually has dependents, so the cascade
         # can propagate and early warning is structurally possible
         sources = {e.src for e in graph.edges}
-        candidates = [
-            nid for nid in graph.node_ids[: min(4, n_nodes)] if nid in sources
-        ] or ["n0"]
+        candidates = [nid for nid in graph.node_ids[:4] if nid in sources] or ["n0"]
         seed_node = candidates[int(rng.integers(len(candidates)))]
         onset = int(rng.integers(*ONSET_RANGE))
         yield propagate_cascade(

@@ -302,6 +302,9 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
     missing_cols = [c for c in schema_map if c not in header]
     if missing_cols:
         raise SchemaError(f"{path}: missing columns: {missing_cols}")
+    repeated = [c for c in schema_map if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"{path}: column {repeated[0]!r} repeats in the header")
     positions = {schema_map[c]: header.index(c) for c in schema_map}
 
     rows: list[list[float]] = []

@@ -110,7 +110,7 @@ def test_c01_gradient_oracle():
     )
     gnn = init_gnn(graph, seed=11, hidden_widths=(4,))
     edges = edge_arrays(graph)
-    telemetry = {nid: np.full((2, 5), 0.3) for nid in graph.node_ids}
+    telemetry = np.full((3, 2, 5), 0.3)
     h0 = init_embeddings(graph, telemetry, 0).vectors
     labels = np.array([[1.0], [0.0], [1.0]])
     # the GNN's closed-form gradient, as training takes it: the input
@@ -231,12 +231,15 @@ def test_c06_gnn_layer_fixture():
     edges = [("x", "y", 0.8), ("y", "z", 0.6)]
     g1 = ComponentGraph(nodes, edges)
     g2 = ComponentGraph([nodes[1], nodes[2], nodes[0]], edges)
-    telemetry = {"x": np.full((1, 5), 0.2), "y": np.full((1, 5), 0.4),
-                 "z": np.full((1, 5), 0.6)}
+    # each graph's telemetry rows in its own node order
+    series = {"x": np.full((1, 5), 0.2), "y": np.full((1, 5), 0.4),
+              "z": np.full((1, 5), 0.6)}
+    telemetry1 = np.stack([series[nid] for nid in g1.node_ids])
+    telemetry2 = np.stack([series[nid] for nid in g2.node_ids])
     rng = np.random.default_rng(0)
     layer = (rng.normal(size=(11, 3)), rng.normal(size=3), "relu")
-    out1 = gnn_layer(g1, init_embeddings(g1, telemetry, 0), layer)
-    out2 = gnn_layer(g2, init_embeddings(g2, telemetry, 0), layer)
+    out1 = gnn_layer(g1, init_embeddings(g1, telemetry1, 0), layer)
+    out2 = gnn_layer(g2, init_embeddings(g2, telemetry2, 0), layer)
     for nid in ("x", "y", "z"):
         assert np.array_equal(out1.vector(nid), out2.vector(nid))
     _passed(6, "hand-computed layer fixture, zero-W bias case, and equivariance hold")
@@ -254,7 +257,7 @@ def test_c07_cascade_prediction_direction():
     early = 0
     leads = []
     for trace in held:
-        pred = predict_failures(trace.graph, trace.node_telemetry, result.gnn,
+        pred = predict_failures(trace.graph, trace.telemetry, result.gnn,
                                 horizon=trace.ticks)
         lead = mttfp(pred, trace, tick_seconds=1.0)
         if lead is not None and lead > 0:

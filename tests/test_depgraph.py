@@ -27,8 +27,8 @@ from selfheal.depgraph import (
 )
 from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _edge_ends, _inputs_by_tick, _probs_by_tick, _training_batch, edge_arrays,
-    fails_within, gnn_param_shapes,
+    _inputs_by_tick, _training_batch, edge_arrays, fails_within, gnn_param_shapes,
+    scan_failures,
 )
 from selfheal.numerics import (
     Workspace, descend, finite_diff_grad, gnn_loss_and_grad, init_uniform_params, nets, ops,
@@ -36,7 +36,7 @@ from selfheal.numerics import (
 import taped
 from taped import GradientTape, bce_loss, forward_probs, grad, value_of
 from selfheal.simulator import ComponentGraph, propagate_cascade
-from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
+from selfheal.simulator.cascade import NEVER, NODE_KINDS, make_cascade_dataset, make_tree_graph
 
 
 def bits(weights):
@@ -54,7 +54,13 @@ def chain3() -> ComponentGraph:
 
 
 def flat_telemetry(graph, ticks=6, value=0.2):
-    return {nid: np.full((ticks, 5), value) for nid in graph.node_ids}
+    return np.full((len(graph.nodes), ticks, 5), value)
+
+
+def in_node_order(graph, series_by_id):
+    """A telemetry array whose rows are the given per-id series, in the
+    graph's node order."""
+    return np.stack([series_by_id[nid] for nid in graph.node_ids])
 
 
 class TestInitEmbeddings:
@@ -72,7 +78,7 @@ class TestInitEmbeddings:
 
     def test_hand_assembled_concatenation(self):
         graph = ComponentGraph([("a", "index", (0.25, 0.75))], [])
-        telemetry = {"a": np.tile([0.4, 0.5, 20.0, 100.0, 300.0], (8, 1))}
+        telemetry = np.tile([0.4, 0.5, 20.0, 100.0, 300.0], (1, 8, 1))
         emb = init_embeddings(graph, telemetry, tick=7)
         expected = np.array(
             [0, 0, 1, 0, 0, 0.25, 0.75, 0.4, 0.5, 0.2, 0.1, 0.3]
@@ -81,8 +87,27 @@ class TestInitEmbeddings:
 
     def test_missing_telemetry_rejected(self):
         graph = chain3()
-        with pytest.raises(InputError, match="n2"):
-            init_embeddings(graph, {"n0": np.zeros((4, 5)), "n1": np.zeros((4, 5))}, 0)
+        with pytest.raises(InputError, match=re.escape(
+                "telemetry has shape (2, 4, 5), expected (3, ticks, 5)")):
+            init_embeddings(graph, np.zeros((2, 4, 5)), 0)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (3, 4), (3, 4, 5, 1), (4,)], ids=str)
+    def test_telemetry_of_wrong_shape_names_both_shapes(self, shape):
+        # a series with 3 metric columns, or a 1-D one, used to raise numpy's
+        # bare "all input arrays must have the same shape"
+        graph = chain3()
+        message = re.escape(f"telemetry has shape {shape}, expected (3, ticks, 5)")
+        with pytest.raises(InputError, match=message):
+            init_embeddings(graph, np.full(shape, 0.2), 0)
+        with pytest.raises(InputError, match=message):
+            predict_failures(graph, np.full(shape, 0.2), init_gnn(graph, seed=0), horizon=1)
+
+    def test_training_trace_of_wrong_shape_names_both_shapes(self):
+        trace = next(make_cascade_dataset(1, seed=4))
+        bad = replace(trace, telemetry=trace.telemetry[..., :3])
+        with pytest.raises(InputError, match=re.escape(
+                f"telemetry has shape (10, {trace.ticks}, 3), expected (10, ticks, 5)")):
+            train_gnn([bad], epochs=1, seed=0)
 
     @pytest.mark.parametrize("tick", [-1, 6])
     def test_tick_outside_telemetry_rejected(self, tick):
@@ -95,12 +120,12 @@ class TestInitEmbeddings:
         for trace in make_cascade_dataset(8, seed=12):
             for tick in range(trace.ticks):
                 rows = []
-                for node in trace.graph.nodes:
+                for node, series in zip(trace.graph.nodes, trace.telemetry, strict=True):
                     one_hot = np.zeros(len(NODE_KINDS))
                     one_hot[NODE_KINDS.index(node.kind)] = 1.0
-                    reading = trace.node_telemetry[node.id][tick] / scale
+                    reading = series[tick] / scale
                     rows.append(np.concatenate([one_hot, node.static_features, reading]))
-                emb = init_embeddings(trace.graph, trace.node_telemetry, tick)
+                emb = init_embeddings(trace.graph, trace.telemetry, tick)
                 assert emb.vectors.tobytes() == np.stack(rows).tobytes()
 
 
@@ -117,7 +142,7 @@ class TestGnnLayer:
     def test_identity_on_isolated_node(self):
         graph = ComponentGraph([("a", "query", ())], [])
         emb_width = embedding_width(graph)
-        telemetry = {"a": np.full((3, 5), 0.4)}
+        telemetry = np.full((1, 3, 5), 0.4)
         emb = init_embeddings(graph, telemetry, 0)
         out = gnn_layer(graph, emb, (np.eye(emb_width), np.zeros(emb_width), "relu"))
         # h is nonnegative, so relu(I h + 0) == h
@@ -160,8 +185,8 @@ class TestGnnLayer:
         }
         rng = np.random.default_rng(0)
         layer = (rng.normal(size=(12, 3)), rng.normal(size=3), "relu")
-        out1 = gnn_layer(g1, init_embeddings(g1, telemetry, 0), layer)
-        out2 = gnn_layer(g2, init_embeddings(g2, telemetry, 0), layer)
+        out1 = gnn_layer(g1, init_embeddings(g1, in_node_order(g1, telemetry), 0), layer)
+        out2 = gnn_layer(g2, init_embeddings(g2, in_node_order(g2, telemetry), 0), layer)
         for nid in ("x", "y", "z"):
             assert np.array_equal(out1.vector(nid), out2.vector(nid))
 
@@ -173,11 +198,7 @@ class TestGnnLayer:
         ]
         g1 = ComponentGraph(nodes, [("x", "y", 0.5)])
         g2 = ComponentGraph(nodes, [("x", "y", 0.5), ("x", "z", 0.5)])
-        telemetry = {
-            "x": np.full((2, 5), 0.2),
-            "y": np.full((2, 5), 0.4),
-            "z": np.full((2, 5), 0.6),
-        }
+        telemetry = np.stack([np.full((2, 5), value) for value in (0.2, 0.4, 0.6)])
         rng = np.random.default_rng(1)
         layer = (rng.normal(size=(12, 4)), rng.normal(size=4), "relu")
         out1 = gnn_layer(g1, init_embeddings(g1, telemetry, 0), layer)
@@ -190,7 +211,7 @@ class TestGnnLayer:
     def test_bitwise_equal_to_taped_layer(self, activation):
         rng = np.random.default_rng(9)
         for trace in list(make_cascade_dataset(4, seed=6, n_nodes=12)):
-            emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset)
+            emb = init_embeddings(trace.graph, trace.telemetry, trace.onset)
             w, b = rng.normal(size=(emb.width, 5)), rng.normal(size=5)
             leaves = GradientTape([w, b]).leaves
             taped_out = taped.activate(activation, taped.add(taped.matmul(
@@ -219,7 +240,7 @@ class TestGnnLayer:
         trained = train_gnn(traces, hidden_widths=(6, 5), epochs=5, seed=3).gnn
         gnn = replace(trained, hidden_activation=activation)
         trace = traces[-1]
-        emb = init_embeddings(trace.graph, trace.node_telemetry, trace.onset + 1)
+        emb = init_embeddings(trace.graph, trace.telemetry, trace.onset + 1)
         h0 = emb.vectors
         for i in range(len(gnn.hidden_widths)):
             layer = (gnn.weights[2 * i], gnn.weights[2 * i + 1], activation)
@@ -248,7 +269,7 @@ class TestFailureLabels:
         )
         trace = propagate_cascade(graph, "n0", onset=1, horizon=8, fail_threshold=0.5,
                                   seed=0)
-        assert trace.failure_times == {"n0": 1, "n1": 2, "n2": 3, "n3": None}
+        assert trace.failure_ticks.tolist() == [1, 2, 3, NEVER]
         labels = fails_within(trace, tick, horizon)
         assert labels.dtype == np.float64
         assert labels.tolist() == expected
@@ -261,8 +282,7 @@ class TestPredictFailures:
         zeroed = [*gnn.weights[:-2], *(np.zeros(w.shape) for w in gnn.weights[-2:])]
         gnn = GnnParams(gnn.input_width, gnn.hidden_widths, zeroed)
         pred = predict_failures(graph, flat_telemetry(graph), gnn, horizon=3)
-        for prob, _tick in pred.per_node.values():
-            assert prob == 0.5
+        assert pred.probs.tolist() == [0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize("widths, activation", [((), "relu"), ((5,), "tanh"),
                                                     ((16, 16), "relu"), ((4, 3, 2), "linear")],
@@ -272,10 +292,10 @@ class TestPredictFailures:
         trained = train_gnn(traces[:3], hidden_widths=widths, epochs=5, seed=2).gnn
         gnn = replace(trained, hidden_activation=activation)
         for trace in traces[3:]:
-            probs = _probs_by_tick(trace.graph, trace.node_telemetry, gnn, trace.ticks)
+            probs = scan_failures(trace.graph, trace.telemetry, gnn, trace.ticks, 0.5)[0]
             assert probs.shape == (trace.ticks, len(trace.graph.nodes))
             for tick in range(trace.ticks):
-                h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
+                h0 = init_embeddings(trace.graph, trace.telemetry, tick).vectors
                 taped = forward_probs(gnn.weights, edge_arrays(trace.graph), h0, widths,
                                        activation)[:, 0]
                 assert probs[tick].tobytes() == taped.tobytes(), tick
@@ -288,7 +308,37 @@ class TestPredictFailures:
         pred = predict_failures(
             graph, flat_telemetry(graph), gnn, horizon=4, flag_threshold=1.0
         )
-        assert all(tick is None for _, tick in pred.per_node.values())
+        assert pred.flag_ticks.tolist() == [NEVER] * 3
+
+    def test_flag_tick_is_the_first_tick_at_the_threshold(self):
+        traces = list(make_cascade_dataset(8, seed=12))
+        gnn = train_gnn(traces[:4], epochs=30, seed=2).gnn
+        for trace in traces[4:]:
+            probs, pred = scan_failures(trace.graph, trace.telemetry, gnn, trace.ticks, 0.5)
+            for k, (prob, tick) in enumerate(zip(pred.probs, pred.flag_ticks, strict=True)):
+                column = probs[:, k]
+                hits = np.flatnonzero(column >= 0.5)
+                if hits.size:
+                    assert (tick, prob) == (hits[0], column[hits[0]])
+                else:
+                    assert (tick, prob) == (NEVER, max(column.max(), 0.0))
+
+    def test_reversed_node_order_permutes_the_prediction(self):
+        # node position is the caller's contract: the same graph with its
+        # nodes listed backwards, and its telemetry rows reordered to match,
+        # gives the same prediction backwards
+        traces = list(make_cascade_dataset(60, seed=21))
+        gnn = train_gnn(traces[:40], epochs=100, seed=8).gnn
+        flagged = 0
+        for trace in traces[40:]:
+            graph = trace.graph
+            reversed_graph = ComponentGraph(graph.nodes[::-1], graph.edges)
+            pred = predict_failures(graph, trace.telemetry, gnn, trace.ticks)
+            back = predict_failures(reversed_graph, trace.telemetry[::-1], gnn, trace.ticks)
+            assert np.allclose(back.probs[::-1], pred.probs, rtol=0.0, atol=1e-12)
+            assert back.flag_ticks[::-1].tolist() == pred.flag_ticks.tolist()
+            flagged += int(np.count_nonzero(pred.flag_ticks != NEVER))
+        assert flagged > 0
 
 
 class TestTrainGnn:
@@ -388,8 +438,8 @@ class TestTrainGnn:
         graph = ComponentGraph(nodes, edges)
         widths = (4, 3)
         gnn = init_gnn(graph, seed=5, hidden_widths=widths)
-        telemetry = {nid: np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1)
-                     for i, nid in enumerate(graph.node_ids)}
+        telemetry = np.stack([np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1)
+                              for i in range(7)])
         h0 = init_embeddings(graph, telemetry, 1).vectors
         labels = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0]])
         edge_index = edge_arrays(graph)
@@ -437,12 +487,12 @@ class TestTrainGnn:
         trace = propagate_cascade(ComponentGraph(nodes, edges), "n0", onset=3,
                                   horizon=14, fail_threshold=0.5, seed=13)
         pred = predict_failures(
-            trace.graph, trace.node_telemetry, result.gnn, horizon=trace.ticks
+            trace.graph, trace.telemetry, result.gnn, horizon=trace.ticks
         )
-        flags = {nid: tick for nid, (_, tick) in pred.per_node.items()}
-        assert flags["n0"] is not None and flags["n4"] is not None
-        assert flags["n0"] < flags["n4"]
-        assert flags["n4"] < trace.failure_times["n4"]
+        flags = pred.flag_ticks  # n0 .. n4 at positions 0 .. 4
+        assert flags[0] != NEVER and flags[4] != NEVER
+        assert flags[0] < flags[4]
+        assert flags[4] < trace.failure_ticks[4]
 
 
 def reference_batch(traces, label_horizon, rng):
@@ -453,10 +503,12 @@ def reference_batch(traces, label_horizon, rng):
     for trace in traces:
         span = min(6, trace.ticks - trace.onset)
         offsets = rng.integers(0, span, size=2)
-        src, dst = _edge_ends(trace.graph)
+        graph = trace.graph
+        src = np.array([graph.index_of(e.src) for e in graph.edges], dtype=np.intp)
+        dst = np.array([graph.index_of(e.dst) for e in graph.edges], dtype=np.intp)
         for off in sorted(int(o) for o in offsets):
             tick = trace.onset + off
-            h0 = _inputs_by_tick(trace.graph, trace.node_telemetry, [tick])[0]
+            h0 = _inputs_by_tick(graph, trace.telemetry, [tick])[0]
             samples.append((src, dst, h0, fails_within(trace, tick, label_horizon)))
     src_parts, dst_parts, offset = [], [], 0
     for src, dst, h, _ in samples:
@@ -468,20 +520,22 @@ def reference_batch(traces, label_horizon, rng):
 
 
 def multigraph_traces(n_traces, seed, static_width=3):
-    """Cascades on random multigraphs: 1-12 nodes, up to three times as many
-    edges (repeated pairs included, none at all in some), horizons of 1-10
-    ticks and onsets up to the last tick, where both sampled ticks coincide."""
+    """Cascades on random graphs: 1-12 nodes, up to three times as many edges
+    drawn (a pair drawn again keeps its first weight; none at all in some),
+    horizons of 1-10 ticks and onsets up to the last tick, where both sampled
+    ticks coincide."""
     rng = np.random.default_rng(seed)
     for _ in range(n_traces):
         n = int(rng.integers(1, 13))
         nodes = [(f"v{i}", NODE_KINDS[int(rng.integers(5))],
                   tuple(float(x) for x in rng.uniform(0, 1, static_width))) for i in range(n)]
-        edges = []
+        edges = {}
         for _ in range(int(rng.integers(0, 3 * n + 1)) if n > 1 else 0):
             src, dst = rng.choice(n, size=2, replace=False)
-            edges.append((f"v{src}", f"v{dst}", float(rng.uniform(0.05, 1.0))))
+            edges.setdefault((f"v{src}", f"v{dst}"), float(rng.uniform(0.05, 1.0)))
+        graph = ComponentGraph(nodes, [(*pair, weight) for pair, weight in edges.items()])
         horizon = int(rng.integers(1, 11))
-        yield propagate_cascade(ComponentGraph(nodes, edges), f"v{int(rng.integers(n))}",
+        yield propagate_cascade(graph, f"v{int(rng.integers(n))}",
                                 onset=int(rng.integers(horizon)), horizon=horizon,
                                 fail_threshold=0.5, seed=int(rng.integers(2**32)))
 
@@ -517,8 +571,9 @@ class TestTrainingBatch:
         assert any(not t.graph.edges for t in traces)
         # a tick one before the end leaves one offset to draw: the ticks coincide
         assert sum(t.ticks - t.onset == 1 for t in traces) >= 5
-        pairs = [[(e.src, e.dst) for e in t.graph.edges] for t in traces]
-        assert any(len(set(p)) < len(p) for p in pairs)
+        # a node with several in-edges, and one with several out-edges
+        assert any(len(set(t.graph.edge_dst.tolist())) < len(t.graph.edges) for t in traces)
+        assert any(len(set(t.graph.edge_src.tolist())) < len(t.graph.edges) for t in traces)
         rows = edges = 0
         for t in BATCH_CASES["trees-40"]():
             rows, edges = rows + 2 * len(t.graph.nodes), edges + 2 * len(t.graph.edges)
@@ -536,10 +591,10 @@ class TestTrainingBatch:
         outputs, alive = [], []
         inputs_by_tick = gnn_module._inputs_by_tick
 
-        def watched(graph, node_telemetry, ticks):
+        def watched(graph, telemetry, ticks):
             # trace k is being read: the outputs of traces 0 .. k - 2
             alive.append([ref() is not None for ref in outputs[:-1]])
-            h = inputs_by_tick(graph, node_telemetry, ticks)
+            h = inputs_by_tick(graph, telemetry, ticks)
             outputs.append(weakref.ref(h))
             return h
 
@@ -566,8 +621,7 @@ def hub7():
     edges = [(f"n{i}", "n0", 1.0) for i in range(1, 6)]
     edges += [("n0", f"n{i}", 1.0) for i in range(2, 7)] + [("n6", "n5", 1.0)]
     graph = ComponentGraph(nodes, edges)
-    telemetry = {nid: np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1)
-                 for i, nid in enumerate(graph.node_ids)}
+    telemetry = np.stack([np.linspace(0.1, 0.9, 15).reshape(3, 5) * (i + 1) for i in range(7)])
     h0 = init_embeddings(graph, telemetry, 1).vectors
     return edge_arrays(graph), h0, np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
 
@@ -725,7 +779,7 @@ class TestScoreTraces:
         correct = total = 0
         for trace in held:
             tick = min(trace.onset + 1, trace.ticks - 1)
-            h0 = init_embeddings(trace.graph, trace.node_telemetry, tick).vectors
+            h0 = init_embeddings(trace.graph, trace.telemetry, tick).vectors
             probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0,
                                    gnn.hidden_widths, gnn.hidden_activation)[:, 0]
             labels = fails_within(trace, tick, gnn.label_horizon)
@@ -738,9 +792,11 @@ class TestScoreTraces:
         assert len(builds) == len(held)
         assert accuracy == correct / total
         assert node_failure_accuracy(gnn, held, flag_threshold=0.4) == accuracy
-        assert predictions == [
-            predict_failures(t.graph, t.node_telemetry, gnn, t.ticks, flag_threshold=0.4)
-            for t in held]
+        for trace, pred in zip(held, predictions, strict=True):
+            alone = predict_failures(trace.graph, trace.telemetry, gnn, trace.ticks,
+                                     flag_threshold=0.4)
+            assert pred.probs.tobytes() == alone.probs.tobytes()
+            assert pred.flag_ticks.tolist() == alone.flag_ticks.tolist()
 
     def test_no_traces_rejected(self):
         gnn = init_gnn(chain3(), seed=0)
@@ -749,48 +805,49 @@ class TestScoreTraces:
 
 
 class TestMttfp:
-    def _prediction(self, flags):
-        return FailurePrediction(
-            horizon=10, per_node={n: (0.9, t) for n, t in flags.items()}
-        )
+    """Flag and failure ticks of chain3's nodes n0, n1, n2, in that order."""
 
-    def _truth(self, failure_times):
+    def _prediction(self, flags):
+        return FailurePrediction(probs=np.full(len(flags), 0.9), flag_ticks=np.array(flags))
+
+    def _truth(self, failure_ticks):
         trace = propagate_cascade(chain3(), "n0", 0, 10, 0.5, seed=0)
-        trace.failure_times = failure_times
-        return trace
+        return replace(trace, failure_ticks=np.array(failure_ticks))
 
     def test_flags_at_failure_tick_do_not_qualify(self):
-        truth = self._truth({"n0": 2, "n1": 3, "n2": 4})
-        pred = self._prediction({"n0": 2, "n1": 3, "n2": 4})
+        truth = self._truth([2, 3, 4])
+        pred = self._prediction([2, 3, 4])
         assert mttfp(pred, truth, 1.0) is None
 
     def test_uniformly_five_ticks_early(self):
-        truth = self._truth({"n0": 7, "n1": 8, "n2": 9})
-        pred = self._prediction({"n0": 2, "n1": 3, "n2": 4})
+        truth = self._truth([7, 8, 9])
+        pred = self._prediction([2, 3, 4])
         assert mttfp(pred, truth, 1.0) == pytest.approx(5.0)
 
     def test_tick_seconds_scaling(self):
-        truth = self._truth({"n0": 7, "n1": None, "n2": None})
-        pred = self._prediction({"n0": 3, "n1": None, "n2": None})
+        truth = self._truth([7, NEVER, NEVER])
+        pred = self._prediction([3, NEVER, NEVER])
         assert mttfp(pred, truth, 0.5) == pytest.approx(2.0)
 
     def test_nonnegative_when_defined(self):
         traces = list(make_cascade_dataset(10, seed=31))
         gnn = init_gnn(traces[0].graph, seed=0)
         for trace in traces:
-            pred = predict_failures(trace.graph, trace.node_telemetry, gnn, trace.ticks)
+            pred = predict_failures(trace.graph, trace.telemetry, gnn, trace.ticks)
             value = mttfp(pred, trace, 1.0)
             assert value is None or value > 0
 
     def test_graph_mismatch_rejected(self):
-        truth = self._truth({"n0": 2, "n1": 3, "n2": 4})
-        pred = FailurePrediction(horizon=5, per_node={"other": (0.5, None)})
-        with pytest.raises(InputError):
+        truth = self._truth([2, 3, 4])
+        pred = self._prediction([NEVER])
+        with pytest.raises(InputError, match="prediction covers 1 nodes, trace 3"):
             mttfp(pred, truth, 1.0)
+        with pytest.raises(InputError, match="prediction covers 1 nodes, trace 3"):
+            prediction_rates(pred, truth)
 
     def test_rates(self):
-        truth = self._truth({"n0": 2, "n1": None, "n2": None})
-        pred = self._prediction({"n0": 1, "n1": 5, "n2": None})
+        truth = self._truth([2, NEVER, NEVER])
+        pred = self._prediction([1, 5, NEVER])
         rates = prediction_rates(pred, truth)
         assert rates["false_alarm_rate"] == pytest.approx(0.5)
         assert rates["miss_rate"] == 0.0
@@ -939,6 +996,13 @@ class TestGraphIo:
         node = {"id": "a", "kind": "query", "static_features": [0.5]}
         path = self._graph_file(tmp_path, [node, node])
         with pytest.raises(SchemaError, match=r"graph\.json: node 1 repeats .*'a'"):
+            read_graph(path)
+
+    def test_repeated_edge_is_schema_error(self, tmp_path):
+        nodes = [{"id": n, "kind": "query", "static_features": [0.5]} for n in "abc"]
+        edge = {"from": "a", "to": "b", "weight": 0.3}
+        path = self._graph_file(tmp_path, nodes, [edge, {**edge, "from": "c"}, edge])
+        with pytest.raises(SchemaError, match=r"graph\.json: edge 2 repeats .*a->b.* edge 0"):
             read_graph(path)
 
     def test_edge_to_unknown_node_is_schema_error(self, tmp_path):

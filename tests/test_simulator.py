@@ -21,7 +21,7 @@ from selfheal.simulator import (
     propagate_cascade,
 )
 from selfheal.simulator import cascade
-from selfheal.simulator.cascade import NODE_KINDS, make_cascade_dataset, make_tree_graph
+from selfheal.simulator.cascade import NEVER, NODE_KINDS, make_cascade_dataset, make_tree_graph
 from selfheal.simulator.telemetry import CSV_COLUMNS, METRICS, clip_metrics
 
 
@@ -146,11 +146,11 @@ class TestPropagateCascade:
     def test_isolated_seed_only_seed_fails(self):
         graph = ComponentGraph([("a", "query", (0.1,)), ("b", "disk", (0.1,))], [])
         trace = propagate_cascade(graph, "a", onset=0, horizon=10, fail_threshold=0.5, seed=0)
-        assert trace.failure_times == {"a": 0, "b": None}
+        assert trace.failure_ticks.tolist() == [0, NEVER]
 
     def test_chain_timing_matches_threshold_rule(self):
         trace = propagate_cascade(chain_graph(), "a", onset=0, horizon=10, fail_threshold=0.5, seed=0)
-        assert trace.failure_times == {"a": 0, "b": 1, "c": 2}
+        assert trace.failure_ticks.tolist() == [0, 1, 2]
 
     def test_unreachable_threshold_stops_at_seed(self):
         # b depends on a (weight 0.4) and on never-failing d (weight 0.6)
@@ -159,8 +159,7 @@ class TestPropagateCascade:
             [("a", "b", 0.4), ("d", "b", 0.6)],
         )
         trace = propagate_cascade(graph, "a", onset=0, horizon=20, fail_threshold=1.0, seed=0)
-        assert trace.failure_times["b"] is None
-        assert trace.failure_times["d"] is None
+        assert trace.failure_ticks.tolist() == [0, NEVER, NEVER]
 
     def test_unknown_seed_rejected(self):
         with pytest.raises(InputError):
@@ -177,8 +176,8 @@ class TestPropagateCascade:
             low = propagate_cascade(graph, "n0", 0, 15, low_threshold, seed=seed)
             high = propagate_cascade(graph, "n0", 0, 15, high_threshold, seed=seed)
             for tick in range(15):
-                assert high.failed_by(tick) <= low.failed_by(tick)
-                strict += high.failed_by(tick) < low.failed_by(tick)
+                assert failed_by(high, tick) <= failed_by(low, tick)
+                strict += failed_by(high, tick) < failed_by(low, tick)
         return strict
 
     def test_monotone_in_threshold(self):
@@ -196,12 +195,12 @@ class TestPropagateCascade:
         # TelemetryTrace raises InputError on any value outside METRIC_BOUNDS
         for trace in make_cascade_dataset(30, seed=n_nodes, n_nodes=n_nodes,
                                           horizon=horizon):
-            for series in trace.node_telemetry.values():
+            for series in trace.telemetry:
                 TelemetryTrace(series, np.zeros(horizon, dtype=np.int64))
 
     def test_telemetry_degrades_after_failure(self):
         trace = propagate_cascade(chain_graph(), "a", onset=2, horizon=12, fail_threshold=0.5, seed=7)
-        series = trace.node_telemetry["a"]
+        series = trace.telemetry[0]  # node "a"
         healthy_latency = series[:2, 2].mean()
         failed_latency = series[2:, 2].mean()
         assert failed_latency > 2.0 * healthy_latency
@@ -212,25 +211,25 @@ class TestPropagateCascade:
     def test_deterministic(self):
         a = propagate_cascade(chain_graph(), "a", 0, 10, 0.5, seed=3)
         b = propagate_cascade(chain_graph(), "a", 0, 10, 0.5, seed=3)
-        assert a.failure_times == b.failure_times
-        for nid in a.node_telemetry:
-            assert np.array_equal(a.node_telemetry[nid], b.node_telemetry[nid])
+        assert np.array_equal(a.failure_ticks, b.failure_ticks)
+        assert np.array_equal(a.telemetry, b.telemetry)
 
     @staticmethod
     def _oracle_graph(i: int) -> ComponentGraph:
         """Seeded graph `i`: a tree from `make_tree_graph` for even `i`, else a
-        random multigraph whose edges may form cycles and repeat a pair."""
+        random graph whose edges may form cycles; a drawn pair that is already
+        an edge keeps its first weight."""
         rng = np.random.default_rng(i)
         n_nodes = int(rng.integers(1, 30))
         if i % 2 == 0 or n_nodes == 1:
             return make_tree_graph(n_nodes, seed=i)
         nodes = [(f"v{k}", NODE_KINDS[int(rng.integers(len(NODE_KINDS)))], (0.5,))
                  for k in range(n_nodes)]
-        edges = []
+        edges = {}
         for _ in range(int(rng.integers(0, 3 * n_nodes))):
             src, dst = rng.choice(n_nodes, size=2, replace=False)
-            edges.append((f"v{src}", f"v{dst}", float(rng.uniform(0.05, 1.0))))
-        return ComponentGraph(nodes, edges)
+            edges.setdefault((f"v{src}", f"v{dst}"), float(rng.uniform(0.05, 1.0)))
+        return ComponentGraph(nodes, [(*pair, weight) for pair, weight in edges.items()])
 
     @pytest.mark.parametrize("fail_threshold", [0.1, 0.5, 1.0])
     def test_equal_to_the_loop_that_checks_every_node_every_tick(self, fail_threshold):
@@ -243,11 +242,14 @@ class TestPropagateCascade:
             trace = propagate_cascade(graph, seed_node, onset, horizon, fail_threshold, seed=i)
             times, telemetry = _reference_cascade(graph, seed_node, onset, horizon,
                                                   fail_threshold, seed=i)
-            assert list(trace.failure_times.items()) == list(times.items()), i
-            assert list(trace.node_telemetry) == list(telemetry)
-            for nid, series in telemetry.items():
-                assert trace.node_telemetry[nid].tobytes() == series.tobytes(), (i, nid)
-                assert not trace.node_telemetry[nid].flags.writeable
+            assert list(times) == list(telemetry) == list(graph.node_ids), i
+            assert trace.failure_ticks.tolist() == [
+                NEVER if t is None else t for t in times.values()], i
+            assert trace.telemetry.shape == (len(graph.nodes), horizon, len(METRICS)), i
+            for k, series in enumerate(telemetry.values()):
+                assert trace.telemetry[k].tobytes() == series.tobytes(), (i, k)
+            assert not trace.telemetry.flags.writeable
+            assert not trace.failure_ticks.flags.writeable
 
     def test_one_clip_per_cascade(self, monkeypatch):
         calls = []
@@ -255,6 +257,12 @@ class TestPropagateCascade:
                             lambda rows: calls.append(rows.shape) or clip_metrics(rows))
         propagate_cascade(make_tree_graph(40, seed=2), "n0", 2, 24, 0.5, seed=3)
         assert calls == [(40, 24, len(METRICS))]
+
+
+def failed_by(trace, tick: int) -> set[int]:
+    """The positions of the nodes that have failed by `tick`."""
+    return set(np.flatnonzero((trace.failure_ticks != NEVER)
+                              & (trace.failure_ticks <= tick)).tolist())
 
 
 def _reference_cascade(graph, seed_node, onset, horizon, fail_threshold, seed):
@@ -310,6 +318,27 @@ class TestComponentGraph:
             ComponentGraph(nodes, [("a", "b", 0.0)])
         with pytest.raises(InputError):
             ComponentGraph(nodes, [("a", "b", 1.5)])
+
+    def test_repeated_edge_rejected_naming_both_edges(self):
+        # listed twice, a -> b would hold 0.6 of b's in-weight instead of 0.43
+        # and fail b at the default threshold
+        nodes = [("a", "query", ()), ("b", "table", ()), ("c", "disk", ())]
+        with pytest.raises(InputError, match=r"edge 1 repeats .*a->b.* edge 0"):
+            ComponentGraph(nodes, [("a", "b", 0.3), ("a", "b", 0.3), ("c", "b", 0.4)])
+        # the reverse dependency is another pair
+        ComponentGraph(nodes, [("a", "b", 0.3), ("b", "a", 0.3)])
+
+    def test_edge_ends_are_read_only_node_positions(self):
+        graph = ComponentGraph(
+            [("a", "query", ()), ("b", "table", ()), ("c", "disk", ())],
+            [("c", "a", 0.5), ("a", "b", 1.0), ("c", "b", 0.2)],
+        )
+        assert graph.edge_src.tolist() == [2, 0, 2]
+        assert graph.edge_dst.tolist() == [0, 1, 1]
+        assert graph.edge_src.dtype == graph.edge_dst.dtype == np.intp
+        assert not graph.edge_src.flags.writeable and not graph.edge_dst.flags.writeable
+        empty = ComponentGraph([("a", "query", ())], [])
+        assert empty.edge_src.shape == empty.edge_dst.shape == (0,)
 
 
 class TestMakeTasks:
@@ -468,6 +497,13 @@ class TestCsv:
         schema["query_rate"] = schema.pop("qps")
         with pytest.raises(SchemaError, match="query_rate"):
             ingest_csv(path, schema)
+
+    def test_repeated_mapped_column_named(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("tick,cpu,memory,latency_ms,io_ops,qps,label,cpu\n"
+                        "0,0.3,0.4,12.5,100,250,0,0.9\n")
+        with pytest.raises(SchemaError, match=r"twice\.csv: column 'cpu' repeats"):
+            ingest_csv(path, {m: m for m in (*METRICS, "label")})
 
     def test_schema_must_cover_all_metrics(self, tmp_path):
         path = tmp_path / "x.csv"
