@@ -1,10 +1,11 @@
 """Message-passing network over the component graph.
 
-Layer rule: h'_v = act(W @ sum_{u in N(v)} h_u + b) with N(v) the in-neighbors
+Layer rule: h'_v = relu(W @ sum_{u in N(v)} h_u + b) with N(v) the in-neighbors
 of v plus v itself (self-loop added at message time; without it an isolated
 node could never use its own features). Aggregation is the plain unnormalized
-sum. Initial embeddings concatenate a one-hot node kind, the node's static
-features, and its current unit-scaled telemetry.
+sum. A one-column sigmoid readout of the last layer gives each node's
+failure probability. Initial embeddings concatenate a one-hot node kind, the
+node's static features, and its current unit-scaled telemetry.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import numpy as np
 
 from ..errors import ConfigurationError, InputError, TrainingError
 from ..numerics import (
-    Workspace, descend, frozen_weights, gnn_forward, gnn_loss_and_grad,
-    init_uniform_params, mlp_param_shapes, ops,
+    Workspace, descend, frozen_weights, gnn_forward, gnn_loss_and_grad, gnn_param_shapes,
+    gnn_widths, init_uniform_params, ops,
 )
 from ..simulator import METRICS, CascadeTrace, ComponentGraph
 from ..simulator.cascade import NEVER, NODE_KINDS
 from ..simulator.tasks import unit_scaled
 
 DEFAULT_HIDDEN_WIDTHS = (16, 16)
-HIDDEN_ACTIVATIONS = ("relu", "tanh", "linear")
 DEFAULT_FLAG_THRESHOLD = 0.5
 DEFAULT_LABEL_HORIZON = 2
 # initial row and edge capacity of the training batch, which doubles when full
@@ -34,33 +34,30 @@ BATCH_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class GnnParams:
-    """Stacked message-passing layers plus a per-node sigmoid readout.
+    """Stacked relu message-passing layers plus a per-node sigmoid readout.
 
     `weights` is the network's weight list in `gnn_param_shapes` order, the
-    hidden layers' [W0, b0, W1, b1, ...] and then the readout's w and b: the
-    constructor checks the hidden activation (ConfigurationError), each
-    array's shape and finite values (InputError naming the weight), and
-    keeps read-only copies."""
+    hidden layers' [W0, b0, W1, b1, ...] and then the readout's w and b, whose
+    matrices give the widths. The constructor refuses a negative label
+    horizon and weights that do not chain or are not finite (InputError
+    naming the weight), and keeps read-only copies."""
 
-    input_width: int
-    hidden_widths: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    hidden_activation: str = "relu"
     label_horizon: int = DEFAULT_LABEL_HORIZON
 
     def __post_init__(self):
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ConfigurationError(f"hidden activation must be one of "
-                                     f"{list(HIDDEN_ACTIVATIONS)}, got {self.hidden_activation!r}")
+        if self.label_horizon < 0:
+            raise InputError(f"label_horizon must be >= 0, got {self.label_horizon}")
         object.__setattr__(self, "weights", frozen_weights(
-            self.weights, gnn_param_shapes(self.input_width, self.hidden_widths)))
+            self.weights, gnn_param_shapes(*gnn_widths(self.weights))))
 
     @property
-    def layer_spec(self) -> list[tuple[int, str]]:
-        """The layer spec of `weights` for `gnn_forward`: the hidden layers,
-        then the sigmoid readout."""
-        return [(width, self.hidden_activation) for width in self.hidden_widths] + [
-            (1, "sigmoid")]
+    def input_width(self) -> int:
+        return gnn_widths(self.weights)[0]
+
+    @property
+    def hidden_widths(self) -> tuple[int, ...]:
+        return gnn_widths(self.weights)[1]
 
 
 @dataclass(frozen=True)
@@ -130,17 +127,18 @@ def edge_arrays(graph: ComponentGraph) -> ops.EdgeIndex:
 def gnn_layer(
     graph: ComponentGraph, emb: NodeEmbeddings, layer: tuple
 ) -> NodeEmbeddings:
-    """Apply one message-passing layer, act(edge_aggregate(h) @ W + b), to the
-    embeddings: a one-layer `gnn_forward`."""
+    """Apply one message-passing layer, relu(edge_aggregate(h) @ W + b), to
+    the embeddings, with the ops of a `gnn_forward` hidden layer. `layer` is
+    (W, b, "relu")."""
     w, b, activation = layer
-    if activation not in HIDDEN_ACTIVATIONS:
+    if activation != "relu":
         raise ConfigurationError(f"unsupported layer activation '{activation}'")
     w, b = (np.asarray(v, dtype=np.float64) for v in (w, b))
-    if w.ndim != 2:
-        raise ConfigurationError(f"layer weight must be a matrix, got shape {w.shape}")
-    edges = edge_arrays(graph)
-    out = gnn_forward([w, b], ops.edge_aggregate(emb.vectors, edges), edges,
-                      [(w.shape[-1], activation)])
+    if w.ndim != 2 or w.shape[0] != emb.width or b.shape != w.shape[1:]:
+        raise ConfigurationError(f"layer weight must be a matrix of {emb.width} rows and b "
+                                 f"one entry per column, got W{w.shape} and b{b.shape}")
+    z = ops.edge_aggregate(emb.vectors, edge_arrays(graph)) @ w
+    out = np.maximum(np.add(z, b, out=z), 0.0, out=z)
     return NodeEmbeddings(layer_index=emb.layer_index + 1, node_ids=emb.node_ids,
                           vectors=out)
 
@@ -152,24 +150,8 @@ def init_gnn(
     label_horizon: int = DEFAULT_LABEL_HORIZON,
 ) -> GnnParams:
     """Seeded uniform init matching the detector's scheme."""
-    width, hidden_widths = embedding_width(graph), tuple(hidden_widths)
-    return GnnParams(
-        input_width=width,
-        hidden_widths=hidden_widths,
-        weights=init_uniform_params(gnn_param_shapes(width, hidden_widths), seed),
-        label_horizon=label_horizon,
-    )
-
-
-def gnn_param_shapes(
-    input_width: int, hidden_widths: tuple[int, ...]
-) -> dict[str, tuple[int, ...]]:
-    """Parameter name -> shape of a GNN with these widths, in `init_gnn` order:
-    the hidden layers as `mlp_param_shapes` names them, then the readout."""
-    shapes = mlp_param_shapes(input_width, [(width, None) for width in hidden_widths])
-    fan_in = hidden_widths[-1] if hidden_widths else input_width
-    shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
-    return shapes
+    shapes = gnn_param_shapes(embedding_width(graph), tuple(hidden_widths))
+    return GnnParams(init_uniform_params(shapes, seed), label_horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +183,7 @@ def scan_failures(
     edges = edge_arrays(graph)
     h0 = _inputs_by_tick(graph, telemetry, range(horizon))
     x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
-    probs = gnn_forward(gnn.weights, x, edges, gnn.layer_spec)[..., 0]
+    probs = gnn_forward(gnn.weights, x, edges)[..., 0]
     flagged = probs >= flag_threshold
     first, hit = flagged.argmax(axis=0), flagged.any(axis=0)
     at_flag = probs[first, np.arange(probs.shape[1])]
@@ -316,10 +298,10 @@ def train_gnn(
     x = ops.edge_aggregate(h0, edges) if gnn.hidden_widths else h0
     del src, dst, h0
 
-    weights, layer_spec, workspace = gnn.weights, gnn.layer_spec, Workspace()
+    weights, workspace = gnn.weights, Workspace()
     curve: list[float] = []
     for epoch in range(epochs):
-        loss, grads = gnn_loss_and_grad(weights, x, labels, edges, layer_spec, workspace)
+        loss, grads = gnn_loss_and_grad(weights, x, labels, edges, workspace)
         value = float(loss)
         if not np.isfinite(value):
             raise TrainingError("training loss is not finite", epoch)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..errors import ConfigurationError, InputError, SchemaError
+from ..errors import InputError, SchemaError
 from ..files import fields, integer, number, read_json, string
-from ..numerics import params_from_payload, read_model, write_model
+from ..numerics import gnn_param_shapes, params_from_payload, read_model, write_model
 from ..simulator import ComponentGraph, GraphEdge, GraphNode
-from .gnn import GnnParams, gnn_param_shapes
+from .gnn import GnnParams
 
 
 def write_graph(graph: ComponentGraph, path: str | Path) -> None:
@@ -80,34 +80,26 @@ def save_gnn(gnn: GnnParams, path: str | Path) -> None:
     write_model(path, _GNN_FORMAT, {
         "input_width": gnn.input_width,
         "hidden_widths": list(gnn.hidden_widths),
-        "hidden_activation": gnn.hidden_activation,
+        "hidden_activation": "relu",  # a fixed header: every GNN is relu
         "label_horizon": gnn.label_horizon,
     }, gnn_param_shapes(gnn.input_width, gnn.hidden_widths), gnn.weights)
 
 
 def load_gnn(path: str | Path) -> GnnParams:
-    """Read a `save_gnn` file; parameter names and shapes must match its
-    hidden widths and every value must be finite (SchemaError otherwise)."""
+    """Read a `save_gnn` file; its hidden activation must be relu, parameter
+    names and shapes must match its widths and every value must be finite
+    (SchemaError otherwise)."""
     payload = read_model(path, _GNN_FORMAT, (
         "input_width", "hidden_widths", "hidden_activation", "label_horizon"))
+    if payload["hidden_activation"] != "relu":
+        raise SchemaError(f"{path}: field 'hidden_activation' must be 'relu', "
+                          f"got {payload['hidden_activation']!r}")
     input_width = integer(payload["input_width"], f"{path}: field 'input_width'", 1)
     widths = payload["hidden_widths"]
     if not isinstance(widths, list):
         raise SchemaError(f"{path}: field 'hidden_widths' must be a list")
-    hidden_widths = tuple(
-        integer(w, f"{path}: field 'hidden_widths.{i}'", 1) for i, w in enumerate(widths)
-    )
+    hidden_widths = tuple(integer(w, f"{path}: field 'hidden_widths.{i}'", 1)
+                          for i, w in enumerate(widths))
     label_horizon = integer(payload["label_horizon"], f"{path}: field 'label_horizon'", 0)
-    weights = params_from_payload(
-        payload["params"], gnn_param_shapes(input_width, hidden_widths), path
-    )
-    try:
-        return GnnParams(
-            input_width=input_width,
-            hidden_widths=hidden_widths,
-            weights=weights,
-            hidden_activation=payload["hidden_activation"],
-            label_horizon=label_horizon,
-        )
-    except ConfigurationError as err:  # an unknown hidden activation
-        raise SchemaError(f"{path}: field 'hidden_activation': {err}") from None
+    shapes = gnn_param_shapes(input_width, hidden_widths)
+    return GnnParams(params_from_payload(payload["params"], shapes, path), label_horizon)

@@ -11,6 +11,8 @@ from .nets import (
     finite_diff_grad,
     gnn_forward,
     gnn_loss_and_grad,
+    gnn_param_shapes,
+    gnn_widths,
     init_mlp_params,
     init_uniform_params,
     mlp_forward,
@@ -26,6 +28,8 @@ __all__ = [
     "frozen_weights",
     "gnn_forward",
     "gnn_loss_and_grad",
+    "gnn_param_shapes",
+    "gnn_widths",
     "init_mlp_params",
     "init_uniform_params",
     "mlp_forward",

@@ -4,8 +4,9 @@ package is checked against.
 
 Every function here takes a network's parameters as its weight list,
 [W0, b0, W1, b1, ...] in layer order, the form the models hold.
-`mlp_forward` is the MLP and `gnn_forward` the message-passing network;
-detection, evaluation, Shapley attribution and GNN scoring run on them.
+`mlp_forward` is the MLP and `gnn_forward` the message-passing network,
+relu hidden layers and a one-column sigmoid readout; detection, evaluation,
+Shapley attribution and GNN scoring run on them.
 `mlp_loss_and_grad` (optionally batched over tasks) and `gnn_loss_and_grad`
 (on a reused `Workspace`) call them and add the BCE loss and its gradient in
 closed form; the detector and the GNN train with them, stepping with
@@ -178,11 +179,38 @@ def mlp_loss_and_grad(
     return loss, grads
 
 
+def gnn_param_shapes(
+    input_width: int, hidden_widths: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape of a GNN with these widths, in weight-list
+    order: the hidden layers as `mlp_param_shapes` names them, then the
+    readout."""
+    shapes = mlp_param_shapes(input_width, [(width, None) for width in hidden_widths])
+    fan_in = hidden_widths[-1] if hidden_widths else input_width
+    shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
+    return shapes
+
+
+def gnn_widths(weights: Sequence[np.ndarray]) -> tuple[int, tuple[int, ...]]:
+    """The input width and hidden widths of the GNN weight list [W0, b0, ...,
+    w, b], read from its matrices. InputError when the list is empty or odd, or
+    naming the first weight whose shape is not its `gnn_param_shapes` one."""
+    if not weights or len(weights) % 2:
+        raise InputError(f"{len(weights)} weight arrays: a GNN has a W and a b per layer")
+    shapes = [np.shape(w) for w in weights]
+    input_width = shapes[0][0] if shapes[0] else 0
+    hidden_widths = tuple(s[-1] if s else 0 for s in shapes[:-2:2])
+    for (name, expected), shape in zip(gnn_param_shapes(input_width, hidden_widths).items(),
+                                       shapes):
+        if shape != expected:
+            raise InputError(f"weight '{name}' has shape {shape}, expected {expected}")
+    return input_width, hidden_widths
+
+
 # rows of each scratch block of the GNN kernel's scatters
 SCATTER_BLOCK_ROWS = 1024
-# the activations whose vjp reads their output; relu's reads only out > 0
-# and linear's nothing
-_VJP_READS_OUTPUT = ("sigmoid", "tanh")
+_relu, _relu_vjp = ops.ACTIVATIONS["relu"]
+_sigmoid, _sigmoid_vjp = ops.ACTIVATIONS["sigmoid"]
 
 
 def column_sum(g: np.ndarray) -> np.ndarray:
@@ -200,59 +228,45 @@ def column_sum(g: np.ndarray) -> np.ndarray:
 
 
 def readout_adjoint(g: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`np.matmul(g, w.T, out=out)`, bitwise: the adjoint of a readout's input
-    from the adjoint `g` of its (n, 1) output and its (width, 1) weight `w`.
-
-    With one column in `g` the product has K = 1, which BLAS runs slowly for
-    its shape, and so does an elementwise product broadcast along rows of
-    `width`. Each entry is the one product g[r] * w[c] added to +0.0, which
-    turns a -0.0 product into +0.0; `np.einsum` zeroes its output and adds
-    that one product to it, so it gives the same bits in one pass.
-    """
-    if g.shape[-1] != 1:
-        return np.matmul(g, w.T, out=out)
+    """`np.matmul(g, w.T, out=out)`, bitwise, for the readout's (n, 1) output
+    adjoint `g` and (width, 1) weight `w`: a K = 1 product, which BLAS runs
+    slowly. Each entry is the one product g[r] * w[c] added to +0.0 (a -0.0
+    product turns +0.0), which is what `np.einsum` computes in one pass."""
     return np.einsum("ik,kj->ij", g, w.T, out=out)
 
 
-def _gnn_slots(ws: Workspace, n_nodes: int, layer_spec: LayerSpec, lead: tuple[int, ...] = ()):
-    """(slot, output, mask, blocks) of a GNN pass on `ws`, behind the leading
-    axes `lead` of its input.
+def _gnn_slots(ws: Workspace, n_nodes: int, hidden_widths: Sequence[int],
+               lead: tuple[int, ...] = ()):
+    """(slot, blocks) of a GNN pass on `ws`, behind the leading axes `lead`
+    of its input.
 
     slot(name, width, rows=n_nodes): a lead + (rows, width) view of the array
     `name` of `ws`, which holds n_nodes + 1 rows of the widest hidden layer
-    per leading index. output(i): the slot of hidden layer i's output,
-    ("out", i) when its vjp reads it, else "out", which relu and linear
-    layers share. mask(i): the bool array ("mask", i) that keeps a relu
-    layer's out > 0. blocks(width): the scatter's two scratch blocks of at
+    per leading index. blocks(width): the scatter's two scratch blocks of at
     most `SCATTER_BLOCK_ROWS` rows.
     """
-    widest = max((width for width, _ in layer_spec[:-1]), default=0)
+    widest = max(hidden_widths, default=0)
     block_rows = min(SCATTER_BLOCK_ROWS, n_nodes)
 
     def slot(name, width, rows=n_nodes, capacity=n_nodes + 1):
         flat = ws(name, lead + (capacity * widest,))
         return flat[..., :rows * width].reshape(lead + (rows, width))
 
-    def output(i):
-        return ("out", i) if layer_spec[i][1] in _VJP_READS_OUTPUT else "out"
-
-    def mask(i):
-        return ws(("mask", i), lead + (n_nodes, layer_spec[i][0]), np.bool_)
-
     def blocks(width):
         return [slot(("block", k), width, block_rows, block_rows) for k in (0, 1)]
 
-    return slot, output, mask, blocks
+    return slot, blocks
 
 
 def gnn_forward(
     weights: Sequence[np.ndarray], x: np.ndarray, edges: ops.EdgeIndex,
-    layer_spec: LayerSpec, workspace: Workspace | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """A message-passing network on raw arrays, one row of `x` per node of
-    `edges`: layer i computes act(x_i @ W_i + b_i), where x_0 is `x`, every
-    later layer but the last reads `edge_aggregate` of the previous output,
-    and the last (the readout) reads that output itself. A GNN over input
+    `edges`, on the weight list [W0, b0, ..., w, b] that `gnn_widths` reads:
+    hidden layer i computes relu(x_i @ W_i + b_i), where x_0 is `x` and every
+    later x_i is `edge_aggregate` of the previous output, and the readout
+    sigmoid(h @ w + b) reads the last hidden output h itself. A GNN over input
     embeddings h0 so passes `edge_aggregate(h0, edges)` when it has a hidden
     layer, h0 when it has none. The ops are those of the taped reference
     network, so the output equals its bitwise.
@@ -262,65 +276,53 @@ def gnn_forward(
     of the output equals that pass bitwise; stacking the rows of many passes
     on one node axis would not.
 
-    Each hidden layer keeps in `workspace` what its vjp reads: a tanh or
-    sigmoid layer writes its output to its own slot ("out", i), while relu and
-    linear layers write theirs to the one slot "out", which the next layer
-    overwrites once it has aggregated it; a relu layer first keeps its mask
-    out > 0 as ("mask", i). Layer i > 0 writes its input to ("aggregate", i).
-    The output is the workspace's "readout" array, which the next pass on
-    that workspace overwrites.
+    Every hidden output goes to the `workspace` slot "out", which the next
+    layer overwrites once it has aggregated it; layer i keeps its relu mask
+    out > 0 as ("mask", i), and layer i > 0 its input as ("aggregate", i).
+    The output is the workspace's "readout" array, which the next pass
+    overwrites.
     """
     ws = Workspace() if workspace is None else workspace
+    input_width, hidden_widths = gnn_widths(weights)
     h, n_nodes = np.asarray(x, dtype=np.float64), edges.n_nodes
-    if h.ndim < 2 or h.shape[-2] != n_nodes:
-        raise InputError(f"x {h.shape} must have one row per node of the "
-                         f"{n_nodes}-node edges")
+    if h.ndim < 2 or h.shape[-2:] != (n_nodes, input_width):
+        raise InputError(f"x {h.shape} must have one row per node of the {n_nodes}-node "
+                         f"edges and one column per input of the weights, {input_width}")
     lead = h.shape[:-2]
-    slot, output, mask, blocks = _gnn_slots(ws, n_nodes, layer_spec, lead)
-    last = len(layer_spec) - 1
-    for i, (out_width, activation) in enumerate(layer_spec):
-        w, b = weights[2 * i], weights[2 * i + 1]
-        _check_layer(i, activation, h.shape[-1], out_width, w, b)
-        if 0 < i < last:
-            h = ops.scatter_add(slot(output(i - 1), h.shape[-1], n_nodes + 1),
-                                 edges.into_dst, slot(("aggregate", i), h.shape[-1]),
-                                 blocks(h.shape[-1]))
-        z = (slot(output(i), out_width) if i < last
-             else ws("readout", lead + (n_nodes, out_width)))
-        np.add(np.matmul(h, w, out=z), b, out=z)
-        h = ops.ACTIVATIONS[activation][0](z, z)
-        if i < last and activation == "relu":
-            np.greater(h, 0.0, out=mask(i))
-    return h
+    slot, blocks = _gnn_slots(ws, n_nodes, hidden_widths, lead)
+    for i, width in enumerate(hidden_widths):
+        if i:
+            h = ops.scatter_add(slot("out", h.shape[-1], n_nodes + 1), edges.into_dst,
+                                 slot(("aggregate", i), h.shape[-1]), blocks(h.shape[-1]))
+        z = slot("out", width)
+        np.add(np.matmul(h, weights[2 * i], out=z), weights[2 * i + 1], out=z)
+        h = _relu(z, z)
+        np.greater(h, 0.0, out=ws(("mask", i), h.shape, np.bool_))
+    z = ws("readout", lead + (n_nodes, 1))
+    np.add(np.matmul(h, weights[-2], out=z), weights[-1], out=z)
+    return _sigmoid(z, z)
 
 
 def gnn_loss_and_grad(
     weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
-    edges: ops.EdgeIndex, layer_spec: LayerSpec, workspace: Workspace | None = None,
+    edges: ops.EdgeIndex, workspace: Workspace | None = None,
 ) -> tuple[np.floating, list[np.ndarray]]:
     """Mean BCE of `gnn_forward` and its gradient, in closed form on raw
     arrays; `y` holds one 0/1 label per node.
 
     The pass replays the operation order of the taped reverse sweep of the
-    same loss, so the loss and gradient equal the taped ones bitwise.
-    Each hidden layer keeps only what its vjp reads (see `gnn_forward`), so
-    with L hidden layers the node-sized float arrays are L - 1 aggregates
-    plus one slot "out" shared by the relu and linear layers, one slot per
-    tanh or sigmoid layer, and a spare when the last hidden layer is tanh or
-    sigmoid: L arrays for relu and linear nets, 2L for tanh nets; each holds
-    n_nodes + 1 rows of the widest hidden layer. Relu layers add one bool
-    mask each, and the scatters two blocks of at most `SCATTER_BLOCK_ROWS`
-    rows. Backward moves the adjoint of a layer's output between slots dead
-    by then: the readout's goes to the last hidden layer's slot (the spare
-    for tanh and sigmoid), a relu vjp overwrites its adjoint in place and a
-    tanh or sigmoid vjp its output, an aggregate's adjoint overwrites the
-    aggregate, and its scatter lands in the slot the adjoint left. A caller
-    that keeps one workspace across passes so allocates them once. What a
-    pass still allocates is one column wide (the label check's masks and the
-    sigmoid vjp's 1 - p) or returned (loss, gradients); a relu vjp multiplies
-    by its layer's kept mask. The hidden bias gradients and the readout's
-    input adjoint are whole-array passes, `column_sum` and `readout_adjoint`,
-    that give the bits of `.sum(axis=0)` and the K = 1 product.
+    same loss, so the loss and gradient equal the taped ones bitwise. With L
+    hidden layers its node-sized float arrays are the L - 1 aggregates and
+    "out" (see `gnn_forward`), each of n_nodes + 1 rows of the widest hidden
+    layer, beside the L relu masks and the scatters' two blocks of at most
+    `SCATTER_BLOCK_ROWS` rows. Backward moves the adjoint of a layer's output
+    between arrays dead by then: the readout's goes to "out", a relu vjp
+    multiplies it in place by the layer's mask, an aggregate's adjoint
+    overwrites the aggregate, and its scatter lands in "out". A caller that
+    keeps one workspace across passes so allocates them once; what a pass
+    still allocates is one column wide (the label check's masks and the
+    sigmoid vjp's 1 - p) or returned. `column_sum` and `readout_adjoint` give
+    the bits of `.sum(axis=0)` and of the K = 1 product in one pass each.
     """
     ws = Workspace() if workspace is None else workspace
     if np.ndim(x) != 2:
@@ -331,36 +333,28 @@ def gnn_loss_and_grad(
     if labels.shape[0] != edges.n_nodes:
         raise InputError(f"y {labels.shape[:1]} must have one row per node of the "
                          f"{edges.n_nodes}-node edges")
-    h = gnn_forward(weights, x, edges, layer_spec, ws)
-    loss, g = _bce_head(h, labels, ws)
-    slot, output, mask, blocks = _gnn_slots(ws, edges.n_nodes, layer_spec)
-    last = len(layer_spec) - 1
+    p = gnn_forward(weights, x, edges, ws)
+    loss, g = _bce_head(p, labels, ws)
+    hidden_widths = gnn_widths(weights)[1]
+    slot, blocks = _gnn_slots(ws, edges.n_nodes, hidden_widths)
+    x = np.asarray(x, dtype=np.float64)
     grads: list = [None] * len(weights)
-    for i in reversed(range(len(layer_spec))):
-        width, activation = layer_spec[i]
-        vjp = ops.ACTIVATIONS[activation][1]
-        if i == last:
-            g = vjp(g, h, h)
-        elif output(i) == "out":  # relu or linear: the adjoint stays in its slot
-            g = vjp(g, mask(i) if activation == "relu" else None, g)
-        else:  # the vjp moves the adjoint into the output's slot
-            adjoint = output(i)
-            out = slot(adjoint, width)
-            g = vjp(g, out, out)
+    g = _sigmoid_vjp(g, p, p)
+    h = slot("out", hidden_widths[-1]) if hidden_widths else x
+    grads[-2], grads[-1] = h.T @ g, column_sum(g)
+    if hidden_widths:  # the readout's input is dead now: its adjoint goes there
+        g = readout_adjoint(g, weights[-2], h)
+    for i in reversed(range(len(hidden_widths))):
+        g = _relu_vjp(g, ws(("mask", i), g.shape, np.bool_), g)
         grads[2 * i + 1] = column_sum(g)
         if not i:  # x itself is a constant, so layer 0's input gets no adjoint
-            grads[0] = np.asarray(x, dtype=np.float64).T @ g
+            grads[0] = x.T @ g
             break
-        width = layer_spec[i - 1][0]
-        grads[2 * i] = slot(output(i - 1) if i == last else ("aggregate", i), width).T @ g
-        if i == last:
-            # the readout's input is dead now, unless the vjp below reads it
-            adjoint = "out" if output(i - 1) == "out" else "spare"
-            g = readout_adjoint(g, weights[2 * i], slot(adjoint, width))
-            continue
-        padded = slot(("aggregate", i), width, edges.n_nodes + 1)
+        width = hidden_widths[i - 1]
+        padded = slot(("aggregate", i), width, edges.n_nodes + 1)  # the input, then its adjoint
+        grads[2 * i] = padded[:-1].T @ g
         np.matmul(g, weights[2 * i].T, out=padded[:-1])
-        g = ops.scatter_add(padded, edges.into_src, slot(adjoint, width), blocks(width))
+        g = ops.scatter_add(padded, edges.into_src, slot("out", width), blocks(width))
     return loss, grads
 
 

@@ -288,7 +288,8 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
     cover all five metrics and the label. Columns not named in the map are
     ignored; ticks are row order. Out-of-range values are clamped and
     counted; a missing, non-numeric or non-finite cell, or a label other than
-    0 or 1, raises `RowError` with the cell's name and line.
+    0 or 1, raises `RowError` with the cell's name and line, and a row with
+    more cells than the header one with both counts and the line.
     """
     fields(dict.fromkeys(schema_map.values()), "schema map targets", _SCHEMA_TARGETS)
 
@@ -310,6 +311,8 @@ def ingest_csv(path: str | Path, schema_map: dict[str, str]) -> CsvIngest:
     rows: list[list[float]] = []
     labels: list[float] = []
     for line, row in enumerate(reader, start=2):
+        if len(row) > len(header):
+            raise RowError(f"{len(row)} cells, but the header has {len(header)} columns", line)
         rows.append([_parse_cell(row, positions[m], m, line) for m in METRICS])
         label = _parse_cell(row, positions["label"], "label", line)
         if label not in (0.0, 1.0):

@@ -16,6 +16,7 @@ from selfheal.seeding import derive_seed
 from selfheal.numerics import (
     finite_diff_grad,
     gnn_loss_and_grad,
+    gnn_param_shapes,
     init_mlp_params,
     mlp_loss_and_grad,
     ops,
@@ -37,7 +38,7 @@ from selfheal.depgraph import (
     predict_failures,
     train_gnn,
 )
-from selfheal.depgraph.gnn import NodeEmbeddings, edge_arrays, gnn_param_shapes
+from selfheal.depgraph.gnn import NodeEmbeddings, edge_arrays
 from selfheal.explain import BackgroundSet, shapley_attribution
 from selfheal.harness import emit_report, load_config, run_pipeline
 from selfheal.recovery import (
@@ -118,7 +119,7 @@ def test_c01_gradient_oracle():
     x = ops.edge_aggregate(h0, edges)
 
     def kernel(weights):
-        return gnn_loss_and_grad(weights, x, labels, edges, gnn.layer_spec)
+        return gnn_loss_and_grad(weights, x, labels, edges)
 
     names = gnn_param_shapes(gnn.input_width, gnn.hidden_widths)
     reverse = kernel(gnn.weights)[1]

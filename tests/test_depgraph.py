@@ -27,11 +27,11 @@ from selfheal.depgraph import (
 )
 from selfheal.depgraph import gnn as gnn_module
 from selfheal.depgraph.gnn import (
-    _inputs_by_tick, _training_batch, edge_arrays, fails_within, gnn_param_shapes,
-    scan_failures,
+    _inputs_by_tick, _training_batch, edge_arrays, fails_within, scan_failures,
 )
 from selfheal.numerics import (
-    Workspace, descend, finite_diff_grad, gnn_loss_and_grad, init_uniform_params, nets, ops,
+    Workspace, descend, finite_diff_grad, gnn_loss_and_grad, gnn_param_shapes,
+    init_uniform_params, nets, ops,
 )
 import taped
 from taped import GradientTape, bce_loss, forward_probs, grad, value_of
@@ -148,11 +148,9 @@ class TestGnnLayer:
         # h is nonnegative, so relu(I h + 0) == h
         assert np.array_equal(out.vector("a"), emb.vector("a"))
 
-    @pytest.mark.parametrize(
-        "activation, act",
-        [("relu", lambda z: np.maximum(z, 0.0)), ("tanh", np.tanh), ("linear", lambda z: z)],
-        ids=["relu", "tanh", "linear"],
-    )
+    # gnn_layer takes the layer's activation, and relu is the one it computes
+    @pytest.mark.parametrize("activation, act", [("relu", lambda z: np.maximum(z, 0.0))],
+                             ids=["relu"])
     def test_two_node_hand_computed_fixture(self, activation, act):
         graph = ComponentGraph(
             [("a", "query", ()), ("b", "table", ())], [("a", "b", 0.9)]
@@ -207,7 +205,7 @@ class TestGnnLayer:
         assert np.array_equal(out1.vector("y"), out2.vector("y"))
         assert not np.array_equal(out1.vector("z"), out2.vector("z"))
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("activation", ["relu"])
     def test_bitwise_equal_to_taped_layer(self, activation):
         rng = np.random.default_rng(9)
         for trace in list(make_cascade_dataset(4, seed=6, n_nodes=12)):
@@ -226,6 +224,17 @@ class TestGnnLayer:
         emb = init_embeddings(graph, flat_telemetry(graph), 0)
         with pytest.raises(ConfigurationError):
             gnn_layer(graph, emb, (np.zeros((7, 2)), np.zeros(2), "relu"))
+        with pytest.raises(ConfigurationError):
+            gnn_layer(graph, emb, (np.zeros((12, 2)), np.zeros(3), "relu"))
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear", "sigmoid"])
+    def test_activation_other_than_relu_rejected(self, activation):
+        # a GNN's hidden layers are relu: no other activation is computed
+        graph = chain3()
+        emb = init_embeddings(graph, flat_telemetry(graph), 0)
+        with pytest.raises(ConfigurationError, match=f"unsupported layer activation "
+                                                     f"'{activation}'"):
+            gnn_layer(graph, emb, (np.zeros((12, 2)), np.zeros(2), activation))
 
     @pytest.mark.parametrize("w", [np.float64(1.0), np.zeros(12)], ids=["0-d", "1-d"])
     def test_weight_that_is_no_matrix_rejected(self, w):
@@ -234,11 +243,10 @@ class TestGnnLayer:
         with pytest.raises(ConfigurationError, match="must be a matrix"):
             gnn_layer(graph, emb, (w, np.zeros(1), "relu"))
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("activation", ["relu"])
     def test_chained_layers_and_readout_equal_forward_pass(self, activation):
         traces = list(make_cascade_dataset(6, seed=4))
-        trained = train_gnn(traces, hidden_widths=(6, 5), epochs=5, seed=3).gnn
-        gnn = replace(trained, hidden_activation=activation)
+        gnn = train_gnn(traces, hidden_widths=(6, 5), epochs=5, seed=3).gnn
         trace = traces[-1]
         emb = init_embeddings(trace.graph, trace.telemetry, trace.onset + 1)
         h0 = emb.vectors
@@ -247,8 +255,8 @@ class TestGnnLayer:
             emb = gnn_layer(trace.graph, emb, layer)
         z = emb.vectors @ gnn.weights[-2] + gnn.weights[-1]
         chained = 1.0 / (1.0 + np.exp(-z))
-        probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0,
-                               gnn.hidden_widths, activation)
+        probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0, gnn.hidden_widths,
+                              activation)
         assert np.array_equal(chained, probs)
 
 
@@ -280,24 +288,20 @@ class TestPredictFailures:
         graph = chain3()
         gnn = init_gnn(graph, seed=0)
         zeroed = [*gnn.weights[:-2], *(np.zeros(w.shape) for w in gnn.weights[-2:])]
-        gnn = GnnParams(gnn.input_width, gnn.hidden_widths, zeroed)
+        gnn = GnnParams(zeroed)
         pred = predict_failures(graph, flat_telemetry(graph), gnn, horizon=3)
         assert pred.probs.tolist() == [0.5, 0.5, 0.5]
 
-    @pytest.mark.parametrize("widths, activation", [((), "relu"), ((5,), "tanh"),
-                                                    ((16, 16), "relu"), ((4, 3, 2), "linear")],
-                             ids=str)
-    def test_every_tick_bitwise_equal_to_taped_forward(self, widths, activation):
+    @pytest.mark.parametrize("widths", [(), (5,), (16, 16), (4, 3, 2)], ids=str)
+    def test_every_tick_bitwise_equal_to_taped_forward(self, widths):
         traces = list(make_cascade_dataset(5, seed=12))
-        trained = train_gnn(traces[:3], hidden_widths=widths, epochs=5, seed=2).gnn
-        gnn = replace(trained, hidden_activation=activation)
+        gnn = train_gnn(traces[:3], hidden_widths=widths, epochs=5, seed=2).gnn
         for trace in traces[3:]:
             probs = scan_failures(trace.graph, trace.telemetry, gnn, trace.ticks, 0.5)[0]
             assert probs.shape == (trace.ticks, len(trace.graph.nodes))
             for tick in range(trace.ticks):
                 h0 = init_embeddings(trace.graph, trace.telemetry, tick).vectors
-                taped = forward_probs(gnn.weights, edge_arrays(trace.graph), h0, widths,
-                                       activation)[:, 0]
+                taped = forward_probs(gnn.weights, edge_arrays(trace.graph), h0, widths)[:, 0]
                 assert probs[tick].tobytes() == taped.tobytes(), tick
             # the ticks differ, so a scan that read one tick's readout for all would fail
             assert len({row.tobytes() for row in probs}) > 1
@@ -641,13 +645,12 @@ class TestGnnKernel:
     """`gnn_loss_and_grad` against the taped grad(bce_loss(forward_probs(...)))."""
 
     @staticmethod
-    def kernel(params, edges, h0, labels, widths, activation, workspace=None):
-        spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
+    def kernel(params, edges, h0, labels, widths, workspace=None):
         x = ops.edge_aggregate(h0, edges) if widths else h0
-        return gnn_loss_and_grad(params, x, labels, edges, spec, workspace)
+        return gnn_loss_and_grad(params, x, labels, edges, workspace)
 
     @staticmethod
-    def taped(params, edges, h0, labels, widths, activation):
+    def taped(params, edges, h0, labels, widths, activation="relu"):
         recorder = GradientTape(params)
         loss = bce_loss(forward_probs(recorder.leaves, edges, h0, widths, activation),
                         labels.reshape(-1, 1))
@@ -659,47 +662,45 @@ class TestGnnKernel:
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert bits(grads) == bits(ref_grads)
 
+    # the taped reference takes any activation; the kernel's hidden layers are relu
     @pytest.mark.parametrize("graph", sorted(KERNEL_GRAPHS))
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("activation", ["relu"])
     @pytest.mark.parametrize("widths", [(), (5,), (16, 16), (4, 3, 2)], ids=str)
     def test_bitwise_equal_to_tape(self, graph, activation, widths):
         edges, h0, labels = KERNEL_GRAPHS[graph]()
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=31)
-        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
+        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths),
                             self.taped(params, edges, h0, labels, widths, activation))
 
     def test_reused_workspace_leaks_nothing_between_passes(self):
         edges, h0, labels = stacked_batch()
         workspace, passes = Workspace(), []
-        for widths, activation, seed in [((16, 16), "relu", 1), ((16, 16), "relu", 2),
-                                         ((4, 3, 2), "tanh", 3), ((16, 16), "relu", 1)]:
+        for widths, seed in [((16, 16), 1), ((16, 16), 2), ((4, 3, 2), 3), ((16, 16), 1)]:
             params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed)
-            result = self.kernel(params, edges, h0, labels, widths, activation, workspace)
-            reference = self.taped(params, edges, h0, labels, widths, activation)
+            result = self.kernel(params, edges, h0, labels, widths, workspace)
+            reference = self.taped(params, edges, h0, labels, widths)
             self.assert_bitwise(result, reference)
             passes.append((result, reference))
         # later passes overwrite the workspace, never what an earlier pass returned
         for result, reference in passes:
             self.assert_bitwise(result, reference)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
     def test_scatter_blocks_smaller_than_the_groups_bitwise_equal_to_tape(
-            self, monkeypatch, widths, activation):
+            self, monkeypatch, widths):
         edges, h0, labels = stacked_batch()
         assert max(len(r) for groups in (edges.into_dst, edges.into_src)
                    for r, _ in groups.later) > 8
         monkeypatch.setattr(nets, "SCATTER_BLOCK_ROWS", 8)
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=7)
-        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths, activation),
-                            self.taped(params, edges, h0, labels, widths, activation))
+        self.assert_bitwise(self.kernel(params, edges, h0, labels, widths),
+                            self.taped(params, edges, h0, labels, widths))
 
     @pytest.mark.parametrize("block_rows", [8, nets.SCATTER_BLOCK_ROWS])
     @pytest.mark.parametrize("lead", [(3,), (2, 2)], ids=str)
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     @pytest.mark.parametrize("widths", [(), (5,), (16, 16), (4, 3, 2)], ids=str)
-    def test_leading_axes_equal_one_pass_per_slice(self, monkeypatch, widths, activation,
-                                                   lead, block_rows):
+    def test_leading_axes_equal_one_pass_per_slice(self, monkeypatch, widths, lead,
+                                                   block_rows):
         # a pass over stacked inputs (a trace's ticks, say) runs the gemms of
         # one pass per slice, so each slice's output is that pass's, bitwise
         edges, h0, _ = stacked_batch()
@@ -711,24 +712,23 @@ class TestGnnKernel:
         parts = [ops.edge_aggregate(h, edges) if widths else h for h in slices]
         assert [x[k].tobytes() for k in np.ndindex(lead)] == [p.tobytes() for p in parts]
         weights = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=9)
-        spec = [(width, activation) for width in widths] + [(1, "sigmoid")]
-        out = nets.gnn_forward(weights, x, edges, spec)
+        out = nets.gnn_forward(weights, x, edges)
         assert out.shape == (*lead, edges.n_nodes, 1)
         assert [out[k].tobytes() for k in np.ndindex(lead)] == [
-            nets.gnn_forward(weights, part, edges, spec).tobytes() for part in parts]
+            nets.gnn_forward(weights, part, edges).tobytes() for part in parts]
 
     def test_training_takes_no_leading_axis(self):
         edges, h0, labels = hub7()
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], (5,)), seed=0)
         with pytest.raises(InputError, match="no leading axis"):
-            self.kernel(params, edges, np.stack([h0, h0]), labels, (5,), "relu")
+            self.kernel(params, edges, np.stack([h0, h0]), labels, (5,))
 
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
     def test_workspace_holds_two_node_arrays_per_hidden_layer_plus_one(self, widths):
         edges, h0, labels = stacked_batch()
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=5)
         workspace = Workspace()
-        self.kernel(params, edges, h0, labels, widths, "relu", workspace)
+        self.kernel(params, edges, h0, labels, widths, workspace)
         # not counted: the column-wide readout and BCE head arrays; counted in
         # bytes, as the relu masks are bool and the scatter blocks at most
         # node-wide
@@ -736,38 +736,38 @@ class TestGnnKernel:
         node_array_bytes = (edges.n_nodes + 1) * max(widths) * 8
         assert sum(a.nbytes for a in wide) <= (2 * len(widths) + 1) * node_array_bytes
 
-    @pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
     @pytest.mark.parametrize("widths", [(16, 16), (4, 3, 2)], ids=str)
-    def test_workspace_holds_what_each_vjp_reads(self, widths, activation):
+    def test_workspace_holds_what_each_vjp_reads(self, widths):
         edges, h0, labels = stacked_batch(60)
         n, widest = edges.n_nodes, max(widths)
         assert n > nets.SCATTER_BLOCK_ROWS
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], widths), seed=5)
         workspace = Workspace()
-        self.kernel(params, edges, h0, labels, widths, activation, workspace)
+        self.kernel(params, edges, h0, labels, widths, workspace)
         arrays = list(workspace._arrays.values())
         # not counted: the column-wide readout and BCE head arrays
         floats = [a for a in arrays if a.dtype == np.float64 and a.size > n + 1]
         node_wide = [a for a in floats if a.size == (n + 1) * widest]
-        # L slots for relu and linear nets, 2L for tanh, whose outputs are kept
-        assert len(node_wide) <= (2 if activation == "tanh" else 1) * len(widths)
+        # L - 1 aggregates and the one slot "out"
+        assert len(node_wide) == len(widths)
         blocks = [a for a in floats if a.size != (n + 1) * widest]
         assert len(blocks) == 2
         assert all(a.size <= nets.SCATTER_BLOCK_ROWS * widest for a in blocks)
         masks = [a for a in arrays if a.dtype != np.float64]
-        assert len(masks) == (len(widths) if activation == "relu" else 0)
+        assert len(masks) == len(widths)
         assert all(a.dtype == np.bool_ and a.shape[0] == n for a in masks)
 
     def test_rejects_bad_labels_and_shapes(self):
         edges, h0, labels = hub7()
         params = init_uniform_params(gnn_param_shapes(h0.shape[1], (5,)), seed=0)
         with pytest.raises(InputError, match="labels"):
-            self.kernel(params, edges, h0, labels * 2.0, (5,), "relu")
+            self.kernel(params, edges, h0, labels * 2.0, (5,))
         readout_only = init_uniform_params(gnn_param_shapes(h0.shape[1], ()), seed=0)
         with pytest.raises(InputError, match="one row per node"):
-            self.kernel(readout_only, edges, h0[:-1], labels[:-1], (), "relu")
-        with pytest.raises(ConfigurationError, match="layer 0"):
-            self.kernel(params, edges, h0[:, :-1], labels, (5,), "relu")
+            self.kernel(readout_only, edges, h0[:-1], labels[:-1], ())
+        with pytest.raises(InputError, match=re.escape(
+                f"one column per input of the weights, {h0.shape[1]}")):
+            self.kernel(params, edges, h0[:, :-1], labels, (5,))
 
 
 class TestScoreTraces:
@@ -781,7 +781,7 @@ class TestScoreTraces:
             tick = min(trace.onset + 1, trace.ticks - 1)
             h0 = init_embeddings(trace.graph, trace.telemetry, tick).vectors
             probs = forward_probs(gnn.weights, edge_arrays(trace.graph), h0,
-                                   gnn.hidden_widths, gnn.hidden_activation)[:, 0]
+                                   gnn.hidden_widths)[:, 0]
             labels = fails_within(trace, tick, gnn.label_horizon)
             correct += int(np.sum((probs >= 0.4) == (labels == 1.0)))
             total += len(labels)
@@ -865,21 +865,38 @@ class TestGnnParams:
         with pytest.raises(InputError, match="weight 'readout.w' holds non-finite values"):
             replace(gnn, weights=weights)
 
-    @pytest.mark.parametrize("hidden_widths, match", [
-        ((5,), r"weight 'layer0.W' has shape \(\d+, 4\), expected \(\d+, 5\)"),
-        ((4, 4), r"4 weight arrays for the 6 parameters"),
-        ((), r"4 weight arrays for the 2 parameters \['readout.w', 'readout.b'\]"),
-    ], ids=["width", "deeper", "readout-only"])
-    def test_weights_that_do_not_fit_the_widths_refused(self, hidden_widths, match):
-        # such a model used to be built, and failed only at its first forward pass
-        with pytest.raises(InputError, match=match):
-            replace(self.gnn(), hidden_widths=hidden_widths)
-        with pytest.raises(InputError, match=r"weight 'layer0.W' has shape"):
-            replace(self.gnn(), input_width=self.gnn().input_width + 1)
+    def test_widths_are_read_from_the_matrices(self):
+        gnn = init_gnn(chain3(), seed=1, hidden_widths=(4, 3))
+        assert (gnn.input_width, gnn.hidden_widths) == (12, (4, 3))
+        assert (GnnParams(gnn.weights[-2:]).input_width,
+                GnnParams(gnn.weights[-2:]).hidden_widths) == (3, ())
 
-    def test_unknown_activation_refused(self):
-        with pytest.raises(ConfigurationError, match="hidden activation must be one of"):
-            replace(self.gnn(), hidden_activation="gelu")
+    @pytest.mark.parametrize("change, match", [
+        (lambda w: w[:-1], "5 weight arrays: a GNN has a W and a b per layer"),
+        (lambda w: [], "0 weight arrays: a GNN has a W and a b per layer"),
+        (lambda w: [w[0][:, 0], *w[1:]], r"weight 'layer0.W' has shape \(12,\)"),
+        (lambda w: [*w[:4], np.ones((3, 2)), np.ones(2)],
+         r"weight 'readout.w' has shape \(3, 2\), expected \(3, 1\)"),
+        (lambda w: [w[0], w[1], w[2][:3], *w[3:]],
+         r"weight 'layer1.W' has shape \(3, 3\), expected \(4, 3\)"),
+        (lambda w: [*w[:3], np.ones(4), *w[4:]], r"weight 'layer1.b' has shape \(4,\)"),
+    ], ids=["odd-length", "empty", "1-d-matrix", "wide-readout", "broken-chain", "bias"])
+    def test_weights_that_do_not_chain_refused_by_name(self, change, match):
+        # GnnParams and the kernel read the widths with the same check
+        gnn = init_gnn(chain3(), seed=1, hidden_widths=(4, 3))
+        weights = change(list(gnn.weights))
+        with pytest.raises(InputError, match=match):
+            GnnParams(weights)
+        x = init_embeddings(chain3(), flat_telemetry(chain3()), 0).vectors
+        with pytest.raises(InputError, match=match):
+            nets.gnn_forward(weights, x, edge_arrays(chain3()))
+
+    def test_negative_label_horizon_refused(self):
+        # such a model labelled "failed by tick - 3"; load_gnn and the config
+        # already refused it
+        with pytest.raises(InputError, match="label_horizon must be >= 0, got -3"):
+            replace(self.gnn(), label_horizon=-3)
+        assert replace(self.gnn(), label_horizon=0).label_horizon == 0
 
     def test_weights_are_read_only_copies(self):
         gnn = self.gnn()
@@ -1037,7 +1054,7 @@ class TestGraphIo:
         path = tmp_path / "gnn.json"
         save_gnn(gnn, path)
         loaded = load_gnn(path)
-        for field in ("input_width", "hidden_widths", "hidden_activation", "label_horizon"):
+        for field in ("input_width", "hidden_widths", "label_horizon"):
             assert getattr(loaded, field) == getattr(gnn, field), field
         assert bits(loaded.weights) == bits(gnn.weights)
 
@@ -1067,6 +1084,8 @@ class TestGraphIo:
             ("input_width", "twelve"),
             ("input_width", 12.5),
             ("hidden_widths", [4.0]),
+            # a tanh network from an older build is refused, never read as relu
+            ("hidden_activation", "tanh"),
         ],
     )
     def test_gnn_bad_field_names_path_and_field(self, tmp_path, field, value):

@@ -587,11 +587,6 @@ class TestWholeArrayForms:
             assert nets.readout_adjoint(g, w, out).tobytes() == expected.tobytes()
             assert nets.readout_adjoint(g, w).tobytes() == expected.tobytes()
 
-    def test_readout_adjoint_of_a_wider_head_is_the_product(self):
-        rng = np.random.default_rng(5)
-        g, w = rng.normal(size=(30, 3)), rng.normal(size=(8, 3))
-        assert nets.readout_adjoint(g, w).tobytes() == np.matmul(g, w.T).tobytes()
-
 
 class TestSgdStep:
     """`descend`, the one SGD step."""

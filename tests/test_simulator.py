@@ -522,6 +522,17 @@ class TestCsv:
             ingest_csv(path, {m: m for m in (*METRICS, "label")})
         assert err.value.line == 3
 
+    def test_row_longer_than_the_header_reports_line_and_counts(self, tmp_path):
+        # its extra cells used to be dropped, and the row loaded as one tick
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "tick,cpu,memory,latency_ms,io_ops,qps,label\n"
+            "0,0.3,0.4,12.5,100,250,0\n"
+            "1,0.3,0.4,12.5,100,250,0,77,88\n"
+        )
+        with pytest.raises(RowError, match="line 3: 9 cells, but the header has 7 columns"):
+            ingest_csv(path, {m: m for m in (*METRICS, "label")})
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=malformed_csv_rows())
