@@ -12,7 +12,7 @@ from .maml import (
     meta_update,
 )
 from .model import (
-    DEFAULT_LAYER_SPEC,
+    DEFAULT_HIDDEN_WIDTHS,
     DetectorModel,
     detect,
     init_detector,
@@ -22,7 +22,7 @@ from .model import (
 
 __all__ = [
     "ADAPT_LOSS_BOUND",
-    "DEFAULT_LAYER_SPEC",
+    "DEFAULT_HIDDEN_WIDTHS",
     "DetectorModel",
     "EvalReport",
     "MetaConfig",

@@ -8,9 +8,12 @@ differentiates through the inner loop by central finite differences and is
 meant for verification on small models only.
 
 Every entry point takes and returns the model's weight list and runs on one
-loss contract, f(weights, x, y) -> (loss, grads) on arrays with the tasks
-stacked on a leading axis: the fused `mlp_loss_and_grad` by default, or a
-custom `loss_fn` of the same shape.
+loss contract, f(weights, x, y) -> (loss, grads): the fused
+`mlp_loss_and_grad` by default, or a custom `loss_fn` of the same shape,
+which takes the weights in the order the caller passes them. x (B, n, d) and
+y (B, n) carry a leading task axis, the weights may carry it too, and the
+loss is (B,) with each gradient stacked on that axis; a single task, as
+`inner_adapt` gives it, has no task axis.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from ..errors import InputError, TrainingError
 from ..numerics import descend, finite_diff_grad, mlp_forward, mlp_loss_and_grad
 from ..simulator import Task
-from .model import DEFAULT_LAYER_SPEC, DetectorModel
+from .model import DetectorModel
 
 # Support loss level that counts as "adapted" when measuring adaptation steps.
 ADAPT_LOSS_BOUND = 0.35
@@ -62,21 +65,6 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     if len(x) == 0:
         raise InputError("data must be nonempty")
     return x, y
-
-
-def _loss(layer_spec, loss_fn):
-    """The loss f(weights, x, y) -> (loss, grads) on weight lists.
-
-    f is the fused `mlp_loss_and_grad` on the MLP's weights in layer order,
-    unless a custom `loss_fn` is given, which takes the weights in the order
-    the caller passes them (a model's own order for a model's weights) and
-    keeps the kernel's shapes: x (B, n, d) and y (B, n) carry a leading task
-    axis, the weights may carry it too, and the loss is (B,) with each
-    gradient stacked on that axis. A single task, as `inner_adapt` gives it,
-    has no task axis."""
-    if loss_fn is None:
-        return lambda weights, x, y: mlp_loss_and_grad(weights, x, y, layer_spec)
-    return loss_fn
 
 
 def _adapt(weights, loss, x, y, lr: float, steps: int):
@@ -133,35 +121,22 @@ def _fd_gradient(weights, loss, batch, cfg: MetaConfig):
     return finite_diff_grad(lambda w: _first_order(w, loss, batch, cfg)[1], weights, _FD_STEP)
 
 
-def inner_adapt(
-    weights,
-    support,
-    inner_lr: float,
-    steps: int,
-    layer_spec=DEFAULT_LAYER_SPEC,
-    loss_fn=None,
-):
+def inner_adapt(weights, support, inner_lr: float, steps: int, loss_fn=None):
     """`steps` gradient steps on the support loss: the adapted weight list;
     the input weights are untouched.
 
     With inner_lr == 0 or steps == 0 this is exactly the identity. The steps
     run on the fused MLP kernel, or on a custom `loss_fn` of its shape (see
-    `_loss`).
+    the module docstring).
     """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
     if steps == 0 or inner_lr == 0.0:
         return weights
-    return _adapt(weights, _loss(layer_spec, loss_fn), *_as_xy(support), inner_lr, steps)[0]
+    return _adapt(weights, loss_fn or mlp_loss_and_grad, *_as_xy(support), inner_lr, steps)[0]
 
 
-def meta_gradient(
-    weights,
-    tasks: list[Task],
-    cfg: MetaConfig,
-    layer_spec=DEFAULT_LAYER_SPEC,
-    loss_fn=None,
-) -> list[np.ndarray]:
+def meta_gradient(weights, tasks: list[Task], cfg: MetaConfig, loss_fn=None) -> list[np.ndarray]:
     """Gradient of the summed post-adaptation query losses w.r.t. `weights`,
     one array per weight.
 
@@ -171,30 +146,24 @@ def meta_gradient(
     finite differences; intended for small verification models. Both stack
     the tasks on a leading axis, so the tasks must share one shape
     (InputError naming the first that does not), and run on the fused MLP
-    kernel or a custom `loss_fn` of its shape (see `_loss`).
+    kernel or a custom `loss_fn` of its shape (see the module docstring).
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    batch, loss = _stacked(tasks), _loss(layer_spec, loss_fn)
+    batch, loss = _stacked(tasks), loss_fn or mlp_loss_and_grad
     if cfg.meta_mode == "exact_fd_oracle":
         return _fd_gradient(weights, loss, batch, cfg)
     return _first_order(weights, loss, batch, cfg)[0]
 
 
-def meta_update(
-    weights,
-    tasks: list[Task],
-    cfg: MetaConfig,
-    layer_spec=DEFAULT_LAYER_SPEC,
-    loss_fn=None,
-):
+def meta_update(weights, tasks: list[Task], cfg: MetaConfig, loss_fn=None):
     """One meta step, weights - meta_lr * meta_gradient: the new weight list.
     Identity when meta_lr=0."""
     if not tasks:
         raise InputError("tasks must be nonempty")
     if cfg.meta_lr == 0.0:
         return weights
-    g = meta_gradient(weights, tasks, cfg, layer_spec, loss_fn)
+    g = meta_gradient(weights, tasks, cfg, loss_fn)
     return descend(weights, g, cfg.meta_lr)
 
 
@@ -217,7 +186,7 @@ def meta_train(
             f"need at least meta_batch={cfg.meta_batch} tasks, got {len(tasks)}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights, loss = init.weights, _loss(init.layer_spec, None)
+    weights, loss = init.weights, mlp_loss_and_grad
     pool = _stacked(tasks)
     curve: list[float] = []
     for iteration in range(cfg.meta_iterations):
@@ -268,19 +237,17 @@ def evaluate(model: DetectorModel, tasks: list[Task], cfg: MetaConfig) -> list[E
     """
     if not tasks:
         raise InputError("tasks must be nonempty")
-    spec = model.layer_spec
-    loss = _loss(spec, None)
     support_x, support_y, query_x, query_y = _stacked(tasks)
     # one copy of the model per task, so every pass below is stacked alike
     weights = [np.broadcast_to(w, (len(tasks), *w.shape)) for w in model.weights]
-    weights, losses = _adapt(weights, loss, support_x, support_y, cfg.inner_lr,
+    weights, losses = _adapt(weights, mlp_loss_and_grad, support_x, support_y, cfg.inner_lr,
                              cfg.inner_steps)
     met = np.reshape(losses, (len(losses), len(tasks))) <= ADAPT_LOSS_BOUND
 
     # a (1, d) row per query row, behind the task and row axes, scores each
     # row as `detect` does, bitwise; an (n, d) batch can differ from it in
     # the last bits
-    scores = mlp_forward([w[:, None] for w in weights], query_x[:, :, None, :], spec)[-1]
+    scores = mlp_forward([w[:, None] for w in weights], query_x[:, :, None, :])[-1]
     flags, positive = scores[..., 0, 0] >= model.threshold, query_y == 1.0
     reports = []
     for k in range(len(tasks)):

@@ -14,13 +14,13 @@ from ..numerics import (
     init_mlp_params,
     mlp_forward,
     mlp_param_shapes,
-    ops,
+    mlp_widths,
     params_from_payload,
     read_model,
     write_model,
 )
 
-DEFAULT_LAYER_SPEC = ((32, "relu"), (16, "relu"), (1, "sigmoid"))
+DEFAULT_HIDDEN_WIDTHS = (32, 16)
 
 CHECKPOINT_FORMAT = "selfheal-detector"
 
@@ -33,24 +33,30 @@ def check_threshold(threshold: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DetectorModel:
-    """An MLP anomaly scorer with a decision threshold.
+    """An MLP anomaly scorer, relu hidden layers and a one-column sigmoid
+    head, with a decision threshold.
 
     `weights` is the MLP's weight list, [W0, b0, W1, b1, ...] as
-    `mlp_param_shapes` orders it: the constructor checks each array's shape
-    and finite values (InputError naming the weight) and keeps read-only
-    copies."""
+    `mlp_param_shapes` orders it, whose matrices give the widths: the
+    constructor refuses weights that do not chain or are not finite
+    (InputError naming the weight) and keeps read-only copies."""
 
-    input_width: int
-    layer_spec: tuple[tuple[int, str], ...]
     weights: tuple[np.ndarray, ...]
     threshold: float = 0.5
 
     def __post_init__(self):
         check_threshold(self.threshold)
-        if self.layer_spec[-1][0] != 1:
-            raise ConfigurationError("final layer must have width 1")
+        input_width, hidden_widths = mlp_widths(self.weights)
         object.__setattr__(self, "weights", frozen_weights(
-            self.weights, mlp_param_shapes(self.input_width, self.layer_spec)))
+            self.weights, mlp_param_shapes(input_width, (*hidden_widths, 1))))
+
+    @property
+    def input_width(self) -> int:
+        return mlp_widths(self.weights)[0]
+
+    @property
+    def hidden_widths(self) -> tuple[int, ...]:
+        return mlp_widths(self.weights)[1]
 
     def with_weights(self, weights) -> "DetectorModel":
         return replace(self, weights=weights)
@@ -59,41 +65,40 @@ class DetectorModel:
 def init_detector(
     input_width: int,
     seed: int,
-    layer_spec=DEFAULT_LAYER_SPEC,
+    hidden_widths: tuple[int, ...] = DEFAULT_HIDDEN_WIDTHS,
     threshold: float = 0.5,
 ) -> DetectorModel:
-    spec = tuple((int(w), str(a)) for w, a in layer_spec)
-    return DetectorModel(
-        input_width=input_width,
-        layer_spec=spec,
-        weights=init_mlp_params(input_width, spec, seed),
-        threshold=threshold,
-    )
+    return DetectorModel(init_mlp_params(input_width, (*hidden_widths, 1), seed), threshold)
 
 
 def detect(model: DetectorModel, x) -> tuple[float, int]:
-    """Score one feature vector; flag = 1 iff score >= threshold."""
+    """Score one feature vector of the model's input width (InputError
+    otherwise); flag = 1 iff score >= threshold."""
     vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != model.input_width:
-        raise InputError(
-            f"expected a feature vector of width {model.input_width}, "
-            f"got shape {vec.shape}"
-        )
-    score = float(mlp_forward(model.weights, vec[None], model.layer_spec)[-1][0, 0])
+    if vec.ndim != 1:
+        raise InputError(f"expected a feature vector, got shape {vec.shape}")
+    score = float(mlp_forward(model.weights, vec[None])[-1][0, 0])
     return score, int(score >= model.threshold)
 
 
+def _spec_header(hidden_widths) -> list[list]:
+    """The `layer_spec` field of a `save_checkpoint` file."""
+    return [[w, "relu"] for w in hidden_widths] + [[1, "sigmoid"]]
+
+
 def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
+    input_width, hidden_widths = mlp_widths(model.weights)
     write_model(path, CHECKPOINT_FORMAT, {
-        "input_width": model.input_width,
+        "input_width": input_width,
         "threshold": model.threshold,
-        "layer_spec": [[w, a] for w, a in model.layer_spec],
-    }, mlp_param_shapes(model.input_width, model.layer_spec), model.weights)
+        "layer_spec": _spec_header(hidden_widths),
+    }, mlp_param_shapes(input_width, (*hidden_widths, 1)), model.weights)
 
 
 def load_checkpoint(path: str | Path) -> DetectorModel:
-    """Read a `save_checkpoint` file; parameter names and shapes must match
-    its layer spec and every value must be finite (SchemaError otherwise)."""
+    """Read a `save_checkpoint` file; its layer spec must be relu hidden
+    layers and a one-column sigmoid head, parameter names and shapes must
+    match it and every value must be finite (SchemaError otherwise)."""
     payload = read_model(path, CHECKPOINT_FORMAT, ("input_width", "threshold", "layer_spec"))
     input_width = integer(payload["input_width"], f"{path}: field 'input_width'", 1)
     entries = payload["layer_spec"]
@@ -103,23 +108,15 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
         raise SchemaError(
             f"{path}: field 'layer_spec' must be a nonempty list of [width, activation]"
         )
-    layer_spec = []
-    for i, (width, activation) in enumerate(entries):
-        if not isinstance(activation, str) or activation not in ops.ACTIVATIONS:
-            raise SchemaError(
-                f"{path}: field 'layer_spec.{i}' has unknown activation {activation!r}"
-            )
-        layer_spec.append((integer(width, f"{path}: field 'layer_spec.{i}'", 1), activation))
+    widths = [integer(w, f"{path}: field 'layer_spec.{i}'", 1)
+              for i, (w, _) in enumerate(entries)]
+    for i, (entry, expected) in enumerate(zip(entries, _spec_header(widths[:-1]))):
+        if entry != expected:
+            raise SchemaError(f"{path}: field 'layer_spec.{i}' must be {expected}, got {entry}")
     threshold = number(payload["threshold"], f"{path}: field 'threshold'")
-    weights = params_from_payload(
-        payload["params"], mlp_param_shapes(input_width, layer_spec), path
-    )
+    shapes = mlp_param_shapes(input_width, widths)
     try:
-        return DetectorModel(
-            input_width=input_width,
-            layer_spec=tuple(layer_spec),
-            weights=weights,
-            threshold=float(threshold),
-        )
-    except ConfigurationError as err:  # threshold outside (0, 1), final width != 1
+        return DetectorModel(params_from_payload(payload["params"], shapes, path),
+                             float(threshold))
+    except ConfigurationError as err:  # threshold outside (0, 1)
         raise SchemaError(f"{path}: {err}") from None

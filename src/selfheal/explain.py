@@ -5,19 +5,20 @@ metric across the window) and every one of the 2^g coalitions is evaluated,
 so the attribution satisfies the efficiency, dummy, and symmetry axioms by
 construction rather than by sampling. Replacement semantics are marginal:
 out-of-coalition groups take their values from each background row in turn,
-and the coalition value is the mean model output over those rows.
+and the coalition value is the mean score over those rows. The score is any
+function of the feature rows, such as the detector's forward pass; the
+explainer does not see the model's layers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .detector.model import DetectorModel
-from .numerics import mlp_forward
 from .recovery import ACTIONS, Policy, RecoveryAction, state_positions
 from .simulator import METRICS
 
@@ -58,24 +59,24 @@ def metric_groups(window_width: int) -> dict[str, list[int]]:
 
 
 def shapley_attribution(
-    model: DetectorModel,
+    score: Callable[[np.ndarray], np.ndarray],
     x,
     background: BackgroundSet,
     groups: dict[str, list[int]],
 ) -> Attribution:
-    """Exact Shapley values of the model score for each feature group.
+    """Exact Shapley values of `score`, which maps a (coalitions, rows, width)
+    stack of feature rows to one score per row, for each feature group.
 
     phi_j = sum over coalitions S not containing j of
-    |S|!(g-|S|-1)!/g! * (v(S + j) - v(S)), with v(S) the mean model output
+    |S|!(g-|S|-1)!/g! * (v(S + j) - v(S)), with v(S) the mean score
     when in-S groups come from x and the rest from each background row.
     """
     vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != model.input_width:
-        raise InputError(
-            f"expected a feature vector of width {model.input_width}, got {vec.shape}"
-        )
-    if background.width != model.input_width:
-        raise InputError("background width does not match the model")
+    if vec.ndim != 1:
+        raise InputError(f"expected a feature vector, got shape {vec.shape}")
+    width = vec.shape[0]
+    if background.width != width:
+        raise InputError("background width does not match the feature vector")
     names = tuple(groups)
     g = len(names)
     if g > MAX_GROUPS:
@@ -84,17 +85,16 @@ def shapley_attribution(
             f"to at most {MAX_GROUPS} groups"
         )
     covered = sorted(i for name in names for i in groups[name])
-    if covered != list(range(model.input_width)):
+    if covered != list(range(width)):
         raise InputError("groups must partition all feature indices exactly once")
 
     # coalition `bits` takes group j from x iff bit j is set: all 2^g
     # coalitions as one (2^g, n_rows, width) stack, scored in one pass
-    in_coalition = np.zeros((2 ** g, model.input_width), dtype=bool)
+    in_coalition = np.zeros((2 ** g, width), dtype=bool)
     for j, name in enumerate(names):
         in_coalition[:, groups[name]] = (np.arange(2 ** g) >> j & 1).astype(bool)[:, None]
     data = np.where(in_coalition[:, None, :], vec, background.rows)
-    scores = mlp_forward(model.weights, data, model.layer_spec)
-    values = [float(block.mean()) for block in scores[-1]]
+    values = [float(block.mean()) for block in score(data)]
 
     fact = [math.factorial(k) for k in range(g + 1)]
     contributions = []

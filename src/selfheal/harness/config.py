@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .. import files
-from ..depgraph.gnn import check_flag_threshold
+from ..depgraph import gnn as gnn_model
 from ..depgraph.metrics import check_tick_seconds
 from ..detector import MetaConfig
-from ..detector.model import check_threshold
+from ..detector import model as detector_model
 from ..errors import ConfigurationError, InputError
 from ..numerics.nets import check_learning_rate
 from ..recovery import QHyper, RecoveryAction, RewardWeights
@@ -84,13 +84,13 @@ class SimulatorSection:
 @dataclass(frozen=True)
 class DetectorSection(MetaConfig):
     threshold: float = 0.5
-    hidden_widths: tuple[int, ...] = (32, 16)
+    hidden_widths: tuple[int, ...] = detector_model.DEFAULT_HIDDEN_WIDTHS
     eval_inner_steps: int = 5
     adapt_max_steps: int = 25
 
     def __post_init__(self):
         super().__post_init__()
-        _owned("detector.threshold", check_threshold, self.threshold)
+        _owned("detector.threshold", detector_model.check_threshold, self.threshold)
         # the floor `load_checkpoint` enforces, so a trained detector loads back
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'detector.hidden_widths.{i}'", 1, ConfigurationError)
@@ -98,18 +98,18 @@ class DetectorSection(MetaConfig):
 
 @dataclass(frozen=True)
 class GnnSection:
-    hidden_widths: tuple[int, ...] = (16, 16)
+    hidden_widths: tuple[int, ...] = gnn_model.DEFAULT_HIDDEN_WIDTHS
     epochs: int = 300
     lr: float = 0.3
-    label_horizon: int = 2
-    flag_threshold: float = 0.5
+    label_horizon: int = gnn_model.DEFAULT_LABEL_HORIZON
+    flag_threshold: float = gnn_model.DEFAULT_FLAG_THRESHOLD
     train_fraction: float = 0.8
 
     def __post_init__(self):
         # the ranges `load_gnn` enforces, so a trained GNN always loads back
         files.integer(self.label_horizon, "'gnn.label_horizon'", 0, ConfigurationError)
         _owned("gnn.lr", check_learning_rate, self.lr)
-        _owned("gnn.flag_threshold", check_flag_threshold, self.flag_threshold)
+        _owned("gnn.flag_threshold", gnn_model.check_flag_threshold, self.flag_threshold)
         for i, width in enumerate(self.hidden_widths):
             files.integer(width, f"'gnn.hidden_widths.{i}'", 1, ConfigurationError)
         # the share of `simulator.n_cascades` that trains; the rest is held out

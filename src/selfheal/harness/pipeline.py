@@ -36,6 +36,7 @@ from ..depgraph import (
     train_gnn,
 )
 from ..explain import BackgroundSet, metric_groups, shapley_attribution
+from ..numerics import mlp_forward
 from ..recovery import (
     RecoveryEnv,
     RewardWeights,
@@ -135,9 +136,8 @@ def detector_stage(cfg: RunConfig, train_tasks, eval_tasks):
     det = cfg.detector
     seed = derive_seed(cfg.seed, "detector")
     width = train_tasks[0].feature_width
-    layer_spec = tuple((w, "relu") for w in det.hidden_widths) + ((1, "sigmoid"),)
     init = init_detector(width, seed=derive_seed(seed, "init"),
-                         layer_spec=layer_spec, threshold=det.threshold)
+                         hidden_widths=det.hidden_widths, threshold=det.threshold)
     result = meta_train(init, train_tasks, det, seed=derive_seed(seed, "train"))
 
     eval_cfg = MetaConfig(inner_lr=det.inner_lr, inner_steps=det.eval_inner_steps)
@@ -152,7 +152,7 @@ def detector_stage(cfg: RunConfig, train_tasks, eval_tasks):
     }
 
     baseline = init_detector(width, seed=derive_seed(seed, "baseline-init"),
-                             layer_spec=layer_spec, threshold=det.threshold)
+                             hidden_widths=det.hidden_widths, threshold=det.threshold)
     pairs = compare_adaptation(
         result.model, baseline, eval_tasks, det.inner_lr, det.adapt_max_steps
     )
@@ -378,9 +378,7 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
     groups = metric_groups(cfg.simulator.window_width)
     for task in eval_tasks:
         adapted = model.with_weights(inner_adapt(
-            model.weights, (task.support_x, task.support_y), det.inner_lr,
-            det.eval_inner_steps, model.layer_spec,
-        ))
+            model.weights, (task.support_x, task.support_y), det.inner_lr, det.eval_inner_steps))
         normals = np.concatenate(
             [task.support_x[task.support_y == 0.0], task.query_x[task.query_y == 0.0]]
         )
@@ -389,7 +387,8 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
         background = BackgroundSet(normals[: cfg.eval.background_rows])
         for row, label in zip(task.query_x, task.query_y):
             if label == 1.0 and detect(adapted, row)[1] == 1:
-                att = shapley_attribution(adapted, row, background, groups)
+                att = shapley_attribution(lambda data: mlp_forward(adapted.weights, data)[-1],
+                                          row, background, groups)
                 return {
                     "groups": list(att.group_names),
                     "contributions": list(att.contributions),

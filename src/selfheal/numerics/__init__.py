@@ -18,6 +18,7 @@ from .nets import (
     mlp_forward,
     mlp_loss_and_grad,
     mlp_param_shapes,
+    mlp_widths,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "mlp_forward",
     "mlp_loss_and_grad",
     "mlp_param_shapes",
+    "mlp_widths",
     "ops",
     "params_from_payload",
     "read_model",

@@ -85,22 +85,27 @@ def params_from_payload(
     """The weights of a saved {name: {"shape", "values"}} map, in `expected`
     order, as `frozen_weights` gives them.
 
-    Names must be exactly those of `expected`, each shape must equal the
-    expected one and every value must be finite; anything else raises a
-    SchemaError that names the offending field.
+    Names must be exactly those of `expected`, each shape must be the
+    expected one as a list of ints and every value a finite JSON number (an
+    int or float, not a bool or a string); anything else raises a SchemaError
+    that names the offending field.
     """
     fields(entries, f"{source}: field 'params'", expected)
     arrays = []
     for name, shape in expected.items():
         where = f"{source}: field 'params.{name}'"
         entry = fields(entries[name], where, ("shape", "values"))
-        if entry["shape"] != list(shape):
+        # [true] equals [1], and true equals 1.0: a bool must not pass as a number
+        if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
             raise SchemaError(f"{where} has shape {entry['shape']}, expected {list(shape)}")
+        values = entry["values"]
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise SchemaError(f"{where} holds non-numbers")
         try:
-            values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{where} holds non-numbers") from None
-        if values.size != int(np.prod(shape)) or values.ndim != 1:
+            values = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past float's range
+            raise SchemaError(f"{where} holds a number past float's range") from None
+        if values.size != int(np.prod(shape)):
             raise SchemaError(f"{where} has {values.size} values for shape {list(shape)}")
         arrays.append(values.reshape(shape))
     return frozen_weights(arrays, expected, source)

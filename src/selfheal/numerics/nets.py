@@ -3,10 +3,11 @@ and gradient, SGD, and the finite-difference oracle every gradient in this
 package is checked against.
 
 Every function here takes a network's parameters as its weight list,
-[W0, b0, W1, b1, ...] in layer order, the form the models hold.
+[W0, b0, W1, b1, ...] in layer order, the form the models hold, and reads
+the widths from its matrices (`mlp_widths`, `gnn_widths`: one chain check).
 `mlp_forward` is the MLP and `gnn_forward` the message-passing network,
-relu hidden layers and a one-column sigmoid readout; detection, evaluation,
-Shapley attribution and GNN scoring run on them.
+both relu hidden layers and a one-column sigmoid head; detection,
+evaluation, Shapley attribution and GNN scoring run on them.
 `mlp_loss_and_grad` (optionally batched over tasks) and `gnn_loss_and_grad`
 (on a reused `Workspace`) call them and add the BCE loss and its gradient in
 closed form; the detector and the GNN train with them, stepping with
@@ -16,29 +17,27 @@ equal it bitwise."""
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, InputError
+from ..errors import InputError
 from . import ops
 
 LOG_CLAMP = 1e-7
-
-LayerSpec = Sequence[tuple[int, str]]
 
 
 def layer_param_names(layer_index: int) -> tuple[str, str]:
     return f"layer{layer_index}.W", f"layer{layer_index}.b"
 
 
-def mlp_param_shapes(
-    input_width: int, layer_spec: LayerSpec
-) -> dict[str, tuple[int, ...]]:
-    """Parameter name -> shape of the MLP described by `layer_spec`."""
+def mlp_param_shapes(input_width: int, widths: Sequence[int]) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape of the dense layers of these output widths."""
     shapes: dict[str, tuple[int, ...]] = {}
     fan_in = input_width
-    for i, (width, _activation) in enumerate(layer_spec):
+    for i, width in enumerate(widths):
         w_name, b_name = layer_param_names(i)
         shapes[w_name], shapes[b_name] = (fan_in, width), (width,)
         fan_in = width
@@ -63,25 +62,58 @@ def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> list[n
     return weights
 
 
-def init_mlp_params(
-    input_width: int, layer_spec: LayerSpec, seed: int
-) -> list[np.ndarray]:
+def init_mlp_params(input_width: int, widths: Sequence[int], seed: int) -> list[np.ndarray]:
     """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)] per layer."""
-    return init_uniform_params(mlp_param_shapes(input_width, layer_spec), seed)
+    return init_uniform_params(mlp_param_shapes(input_width, widths), seed)
 
 
-def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> None:
-    """Layer `i` must name an activation of `ops.ACTIVATIONS` and take W
-    (width, out_width) and b (out_width,), behind the same leading task axes."""
-    if activation not in ops.ACTIVATIONS:
-        raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
-    w_shape, b_shape = w.shape, b.shape
-    lead = w_shape[:-2]
-    if w_shape != lead + (width, out_width) or b_shape != lead + (out_width,):
-        raise ConfigurationError(
-            f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
-            f"got W{tuple(w_shape)} and b{tuple(b_shape)}"
-        )
+_SHAPE = operator.attrgetter("shape")
+
+
+def _chain(weights: Sequence, kind: str, head: tuple[str, str] | None,
+           lead: tuple[int, ...] | None = ()) -> tuple[int, tuple[int, ...]]:
+    """The input width and hidden widths of the weight list [W0, b0, ..., w,
+    b] of dense layers and a one-column head, read from its matrices behind
+    the leading axes `lead` (None: those of W0). InputError when the list is
+    empty or odd, or naming the first weight that does not chain; the head's
+    pair is named `head`, or by its layer when `head` is None."""
+    if not weights or len(weights) % 2:
+        raise InputError(f"{len(weights)} weight arrays: {kind} has a W and a b per layer")
+    try:
+        shapes = tuple(map(_SHAPE, weights))
+    except AttributeError:  # not all arrays
+        shapes = tuple(map(np.shape, weights))
+    return _chain_shapes(shapes, head, shapes[0][:-2] if lead is None else lead)
+
+
+@functools.lru_cache(maxsize=256)
+def _chain_shapes(shapes, head, lead) -> tuple[int, tuple[int, ...]]:
+    """`_chain` on the weights' shapes, one comparison per layer. A kernel
+    sees few shape patterns, so each is walked once and then looked up."""
+    last, n_lead = len(shapes) - 2, len(lead)
+    input_width = fan_in = shapes[0][n_lead] if len(shapes[0]) > n_lead else 0
+    widths = []
+    for k in range(0, len(shapes), 2):
+        w_shape = shapes[k]
+        width = 1 if k == last else w_shape[-1] if w_shape else 0
+        if w_shape != lead + (fan_in, width) or shapes[k + 1] != lead + (width,):
+            bad = int(w_shape == lead + (fan_in, width))
+            name = (head if head and k == last else layer_param_names(k // 2))[bad]
+            expected = lead + ((width,) if bad else (fan_in, width))
+            raise InputError(f"weight '{name}' has shape {shapes[k + bad]}, "
+                             f"expected {expected}")
+        widths.append(width)
+        fan_in = width
+    return input_width, tuple(widths[:-1])
+
+
+def mlp_widths(weights: Sequence) -> tuple[int, tuple[int, ...]]:
+    """The input width and hidden widths of the MLP weight list [W0, b0, ...,
+    w, b], read from its matrices behind the leading axes of W0 (a task axis,
+    say), which every weight must share. InputError when the list is empty or
+    odd, or naming the first weight whose shape is not its `mlp_param_shapes`
+    one for these widths and a one-column head."""
+    return _chain(weights, "an MLP", None, None)
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -132,25 +164,30 @@ def _bce_head(out: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
     return loss, np.multiply(g, mask, out=g)
 
 
-def mlp_forward(
-    weights: Sequence[np.ndarray], x: np.ndarray, layer_spec: LayerSpec
-) -> list[np.ndarray]:
+def mlp_forward(weights: Sequence[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     """The MLP's input and each layer's output on raw arrays, [x, h_1, ..., h_L].
 
-    `weights` is [W0, b0, W1, b1, ...]. Each layer is
-    act(h @ W + b), the ops of the taped reference forward, so a row scored
-    alone, as (1, d) or on an (n, 1, d) stack, equals its taped score bitwise.
+    `weights` is [W0, b0, W1, b1, ...] as `mlp_widths` reads it, and `x` must
+    have one column per input (InputError otherwise). Each hidden layer is
+    relu(h @ W + b) and the head sigmoid(h @ w + b), the ops of the taped
+    reference forward, so a row scored alone, as (1, d) or on an (n, 1, d)
+    stack, equals its taped score bitwise.
     """
-    activations = [np.asarray(x, dtype=np.float64)]
-    for i, (out_width, activation) in enumerate(layer_spec):
-        w, b, h = weights[2 * i], weights[2 * i + 1], activations[-1]
-        _check_layer(i, activation, h.shape[-1], out_width, w, b)
-        activations.append(ops.ACTIVATIONS[activation][0](h @ w + b[..., None, :]))
+    input_width = mlp_widths(weights)[0]
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[-1:] != (input_width,):
+        raise InputError(f"x {h.shape} must have one column per input of the weights, "
+                         f"{input_width}")
+    activations, last = [h], len(weights) - 2
+    for k in range(0, len(weights), 2):
+        z = h @ weights[k] + weights[k + 1][..., None, :]
+        h = ops.sigmoid(z, z) if k == last else ops.relu(z, z)
+        activations.append(h)
     return activations
 
 
 def mlp_loss_and_grad(
-    weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray, layer_spec: LayerSpec
+    weights: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Mean BCE of `mlp_forward` and its gradient, in closed form on raw arrays.
 
@@ -167,15 +204,15 @@ def mlp_loss_and_grad(
     if x.ndim < 2 or labels.ndim < 2 or labels.shape[-2] != x.shape[-2]:
         raise InputError(f"y {np.shape(y)} must hold one label per row of x {x.shape}")
     _check_labels(labels)
-    activations = mlp_forward(weights, x, layer_spec)
+    activations = mlp_forward(weights, x)
     loss, g = _bce_head(activations[-1], labels)
     grads: list = [None] * len(weights)
-    for i in reversed(range(len(layer_spec))):
-        g = ops.ACTIVATIONS[layer_spec[i][1]][1](g, activations[i + 1])
-        grads[2 * i + 1] = g.sum(axis=-2)
-        grads[2 * i] = np.swapaxes(activations[i], -1, -2) @ g
-        if i:
-            g = g @ np.swapaxes(weights[2 * i], -1, -2)
+    g = ops.sigmoid_vjp(g, activations[-1])
+    for k in range(len(weights) - 2, -1, -2):
+        grads[k + 1] = g.sum(axis=-2)
+        grads[k] = np.swapaxes(activations[k // 2], -1, -2) @ g
+        if k:  # the adjoint of this layer's input, the previous relu's output
+            g = ops.relu_vjp(g @ np.swapaxes(weights[k], -1, -2), activations[k // 2])
     return loss, grads
 
 
@@ -185,7 +222,7 @@ def gnn_param_shapes(
     """Parameter name -> shape of a GNN with these widths, in weight-list
     order: the hidden layers as `mlp_param_shapes` names them, then the
     readout."""
-    shapes = mlp_param_shapes(input_width, [(width, None) for width in hidden_widths])
+    shapes = mlp_param_shapes(input_width, hidden_widths)
     fan_in = hidden_widths[-1] if hidden_widths else input_width
     shapes["readout.w"], shapes["readout.b"] = (fan_in, 1), (1,)
     return shapes
@@ -195,22 +232,11 @@ def gnn_widths(weights: Sequence[np.ndarray]) -> tuple[int, tuple[int, ...]]:
     """The input width and hidden widths of the GNN weight list [W0, b0, ...,
     w, b], read from its matrices. InputError when the list is empty or odd, or
     naming the first weight whose shape is not its `gnn_param_shapes` one."""
-    if not weights or len(weights) % 2:
-        raise InputError(f"{len(weights)} weight arrays: a GNN has a W and a b per layer")
-    shapes = [np.shape(w) for w in weights]
-    input_width = shapes[0][0] if shapes[0] else 0
-    hidden_widths = tuple(s[-1] if s else 0 for s in shapes[:-2:2])
-    for (name, expected), shape in zip(gnn_param_shapes(input_width, hidden_widths).items(),
-                                       shapes):
-        if shape != expected:
-            raise InputError(f"weight '{name}' has shape {shape}, expected {expected}")
-    return input_width, hidden_widths
+    return _chain(weights, "a GNN", ("readout.w", "readout.b"))
 
 
 # rows of each scratch block of the GNN kernel's scatters
 SCATTER_BLOCK_ROWS = 1024
-_relu, _relu_vjp = ops.ACTIVATIONS["relu"]
-_sigmoid, _sigmoid_vjp = ops.ACTIVATIONS["sigmoid"]
 
 
 def column_sum(g: np.ndarray) -> np.ndarray:
@@ -296,11 +322,11 @@ def gnn_forward(
                                  slot(("aggregate", i), h.shape[-1]), blocks(h.shape[-1]))
         z = slot("out", width)
         np.add(np.matmul(h, weights[2 * i], out=z), weights[2 * i + 1], out=z)
-        h = _relu(z, z)
+        h = ops.relu(z, z)
         np.greater(h, 0.0, out=ws(("mask", i), h.shape, np.bool_))
     z = ws("readout", lead + (n_nodes, 1))
     np.add(np.matmul(h, weights[-2], out=z), weights[-1], out=z)
-    return _sigmoid(z, z)
+    return ops.sigmoid(z, z)
 
 
 def gnn_loss_and_grad(
@@ -339,13 +365,13 @@ def gnn_loss_and_grad(
     slot, blocks = _gnn_slots(ws, edges.n_nodes, hidden_widths)
     x = np.asarray(x, dtype=np.float64)
     grads: list = [None] * len(weights)
-    g = _sigmoid_vjp(g, p, p)
+    g = ops.sigmoid_vjp(g, p, p)
     h = slot("out", hidden_widths[-1]) if hidden_widths else x
     grads[-2], grads[-1] = h.T @ g, column_sum(g)
     if hidden_widths:  # the readout's input is dead now: its adjoint goes there
         g = readout_adjoint(g, weights[-2], h)
     for i in reversed(range(len(hidden_widths))):
-        g = _relu_vjp(g, ws(("mask", i), g.shape, np.bool_), g)
+        g = ops.relu_vjp(g, ws(("mask", i), g.shape, np.bool_), g)
         grads[2 * i + 1] = column_sum(g)
         if not i:  # x itself is a constant, so layer 0's input gets no adjoint
             grads[0] = x.T @ g

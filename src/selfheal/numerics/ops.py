@@ -1,6 +1,6 @@
 """The array ops that the closed-form kernels share.
 
-`ACTIVATIONS` defines each activation once, as a forward and its
+`relu` and `sigmoid`, the networks' two activations, each with its
 vector-Jacobian product on raw arrays. `EdgeIndex` groups a graph's edges
 once by the occurrence rank of their ends, and `scatter_add` runs the
 message-passing aggregation over those groups, so that `edge_aggregate` and
@@ -11,7 +11,7 @@ arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,40 +20,31 @@ from ..errors import InputError
 Array = np.ndarray
 
 
-# Each activation as (forward(z, into), vjp(g, out, into)) on raw arrays, with
-# `out` = forward(z): the one definition that the forwards and the closed-form
-# kernels read. A vjp reads the output only, so a kernel can drop z once it is
-# activated; relu's reads just np.greater(out, 0.0), which equals z > 0 (for
-# -0.0 and NaN too), so it takes the output or the bool mask out > 0 alike, and
-# linear's reads nothing. `into`, when given, is an array of the result's shape
-# that receives the result: a forward's may be `z`, a vjp's may be `out`, and
-# relu's may also be `g`. Linear returns its input itself.
-def _sigmoid(z, into=None):
-    e = np.exp(np.negative(z, out=into), out=into)
-    return np.divide(1.0, np.add(1.0, e, out=e), out=e)
+# Each activation and its vjp on raw arrays, with `out` = forward(z): the one
+# definition that the forwards and the closed-form kernels call. A vjp reads
+# the output only, so a kernel can drop z once it is activated; relu's reads
+# just np.greater(out, 0.0), which equals z > 0 (for -0.0 and NaN too), so it
+# takes the output or the bool mask out > 0 alike. `into`, when given, is an
+# array of the result's shape that receives the result: a forward's may be
+# `z`, a vjp's may be `out`, and relu's may also be `g`.
+def relu(z, into=None):
+    return np.maximum(z, 0.0, out=into)
 
 
-def _sigmoid_vjp(g, out, into=None):
-    complement = 1.0 - out  # before `into` may overwrite `out`
-    return np.multiply(np.multiply(g, out, out=into), complement, out=into)
-
-
-def _relu_vjp(g, out, into=None):
+def relu_vjp(g, out, into=None):
     # a bool `out` is the mask out > 0 itself, which np.greater would copy
     keep = out if out.dtype == np.bool_ else np.greater(out, 0.0)
     return np.multiply(g, keep, out=into)
 
 
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (lambda z, into=None: np.maximum(z, 0.0, out=into), _relu_vjp),
-    "sigmoid": (_sigmoid, _sigmoid_vjp),
-    "tanh": (
-        lambda z, into=None: np.tanh(z, out=into),
-        lambda g, out, into=None: np.multiply(
-            g, np.subtract(1.0, np.multiply(out, out, out=into), out=into), out=into),
-    ),
-    "linear": (lambda z, into=None: z, lambda g, out, into=None: g),
-}
+def sigmoid(z, into=None):
+    e = np.exp(np.negative(z, out=into), out=into)
+    return np.divide(1.0, np.add(1.0, e, out=e), out=e)
+
+
+def sigmoid_vjp(g, out, into=None):
+    complement = 1.0 - out  # before `into` may overwrite `out`
+    return np.multiply(np.multiply(g, out, out=into), complement, out=into)
 
 
 class RankGroups(NamedTuple):

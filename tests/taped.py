@@ -24,11 +24,21 @@ from typing import Callable
 
 import numpy as np
 
-from selfheal.errors import InputError
+from selfheal.errors import ConfigurationError, InputError
 from selfheal.numerics import ops
-from selfheal.numerics.nets import LOG_CLAMP, _check_labels, _check_layer
+from selfheal.numerics.nets import LOG_CLAMP, _check_labels
 
 Array = np.ndarray
+
+# Each activation as (forward, vjp(g, out)) on raw arrays, with out =
+# forward(z). relu and sigmoid are the kernels' own `ops` functions, so the
+# two compare bitwise; tanh and linear keep the tape generic.
+ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (ops.relu, ops.relu_vjp),
+    "sigmoid": (ops.sigmoid, ops.sigmoid_vjp),
+    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
+    "linear": (lambda z: z, lambda g, out: g),
+}
 
 
 class Node:
@@ -143,8 +153,8 @@ def matmul(a, b):
 
 
 def activate(name: str, x):
-    """The activation `name` of `ops.ACTIVATIONS`, applied elementwise."""
-    forward, vjp = ops.ACTIVATIONS[name]
+    """The activation `name` of `ACTIVATIONS`, applied elementwise."""
+    forward, vjp = ACTIVATIONS[name]
     xv = _val(x)
     out = forward(xv)
     if not _is_node(x):
@@ -268,6 +278,24 @@ def grad(loss, weights) -> list[Array]:
         out.append(np.zeros(shape) if g is None
                    else np.asarray(g, dtype=np.float64).reshape(shape))
     return out
+
+
+def _check_layer(i: int, activation: str, width: int, out_width: int, w, b) -> None:
+    """Layer `i` must name an activation of `ACTIVATIONS` and take W
+    (width, out_width) and b (out_width,)."""
+    if activation not in ACTIVATIONS:
+        raise ConfigurationError(f"layer {i}: unknown activation '{activation}'")
+    if w.shape != (width, out_width) or b.shape != (out_width,):
+        raise ConfigurationError(
+            f"layer {i}: expected W{(width, out_width)} and b{(out_width,)}, "
+            f"got W{w.shape} and b{b.shape}"
+        )
+
+
+def detector_spec(hidden_widths):
+    """The layer spec of the detector's kernel: relu hidden layers of these
+    widths and a one-column sigmoid head."""
+    return tuple((w, "relu") for w in hidden_widths) + ((1, "sigmoid"),)
 
 
 def forward_mlp(weights, x, layer_spec):

@@ -18,6 +18,7 @@ from selfheal.numerics import (
     gnn_loss_and_grad,
     gnn_param_shapes,
     init_mlp_params,
+    mlp_forward,
     mlp_loss_and_grad,
     ops,
 )
@@ -81,8 +82,7 @@ def test_c01_gradient_oracle():
         rng = np.random.default_rng(seed)
         width = int(rng.integers(2, 5))
         hidden = int(rng.integers(2, 6))
-        spec = [(hidden, "relu"), (1, "sigmoid")]
-        params = init_mlp_params(width, spec, seed=seed + 50_000)
+        params = init_mlp_params(width, [hidden, 1], seed=seed + 50_000)
         x = rng.normal(size=(6, width))
         y = rng.integers(0, 2, size=(6, 1)).astype(float)
         # a +-1e-4 step of W0 or b0 moves row r's pre-activations by at most
@@ -96,9 +96,9 @@ def test_c01_gradient_oracle():
 
         # the detector's closed-form gradient against central differences of
         # its loss
-        reverse = mlp_loss_and_grad(params, x, y[:, 0], spec)[1]
+        reverse = mlp_loss_and_grad(params, x, y[:, 0])[1]
         oracle = finite_diff_grad(
-            lambda p: float(mlp_loss_and_grad(p, x, y[:, 0], spec)[0]), params, 1e-4,
+            lambda p: float(mlp_loss_and_grad(p, x, y[:, 0])[0]), params, 1e-4,
         )
         for k, (a, b) in enumerate(zip(reverse, oracle, strict=True)):
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8), f"MLP seed {seed}, weight {k}"
@@ -133,17 +133,16 @@ def test_c01_gradient_oracle():
 
 
 def test_c02_maml_identity_cases():
-    spec = ((4, "relu"), (1, "sigmoid"))
-    params = init_detector(3, seed=1, layer_spec=spec).weights
+    params = init_detector(3, seed=1, hidden_widths=(4,)).weights
     rng = np.random.default_rng(0)
     task = Task(rng.normal(size=(4, 3)), np.array([0.0, 1.0, 0.0, 1.0]),
                 rng.normal(size=(4, 3)), np.array([1.0, 0.0, 1.0, 0.0]), "t")
     support = (task.support_x, task.support_y)
-    assert _bits(inner_adapt(params, support, 0.0, 5, spec)) == _bits(params)
-    assert _bits(inner_adapt(params, support, 0.5, 0, spec)) == _bits(params)
+    assert _bits(inner_adapt(params, support, 0.0, 5)) == _bits(params)
+    assert _bits(inner_adapt(params, support, 0.5, 0)) == _bits(params)
     cfg = MetaConfig(inner_lr=0.5, meta_lr=0.0, inner_steps=1, meta_batch=1,
                      meta_iterations=1)
-    assert _bits(meta_update(params, [task], cfg, spec)) == _bits(params)
+    assert _bits(meta_update(params, [task], cfg)) == _bits(params)
     _passed(2, "inner_adapt and meta_update are exact identities at zero rates")
 
 
@@ -350,40 +349,32 @@ def test_c10_shapley_properties():
     # efficiency on 50 random models/instances
     for trial in range(50):
         rng = np.random.default_rng(derive_seed(ROOT_SEED, "acc10", trial))
-        model = init_detector(10, seed=trial + 900,
-                              layer_spec=((6, "relu"), (1, "sigmoid")))
+        model = init_detector(10, seed=trial + 900, hidden_widths=(6,))
         background = BackgroundSet(rng.normal(size=(5, 10)))
         x = rng.normal(size=10)
         groups = {f"g{i}": [2 * i, 2 * i + 1] for i in range(5)}
-        att = shapley_attribution(model, x, background, groups)
+        att = shapley_attribution(lambda data: mlp_forward(model.weights, data)[-1],
+                                  x, background, groups)
         gap = abs(sum(att.contributions) + att.base_value - att.instance_value)
         assert gap <= 1e-9, f"efficiency violated by {gap:.2e} at trial {trial}"
 
     # linear closed form
     rng = np.random.default_rng(derive_seed(ROOT_SEED, "acc10", "linear"))
     w = rng.normal(size=6)
-    params = [w.reshape(-1, 1), np.array([0.3])]
-    from selfheal.detector import DetectorModel
-
-    linear = DetectorModel(6, ((1, "linear"),), params)
     background = BackgroundSet(rng.normal(size=(9, 6)))
     x = rng.normal(size=6)
-    att = shapley_attribution(linear, x, background,
+    att = shapley_attribution(lambda data: data @ w + 0.3, x, background,
                               {f"f{i}": [i] for i in range(6)})
     closed_form = w * (x - background.rows.mean(axis=0))
     assert np.all(np.abs(np.array(att.contributions) - closed_form) <= 1e-9)
 
     # dummy and symmetry axioms
-    dummy_params = [np.array([[1.0], [0.0]]), np.array([0.0])]
-    dummy_model = DetectorModel(2, ((1, "linear"),), dummy_params)
-    att = shapley_attribution(dummy_model, np.array([3.0, 9.0]),
+    att = shapley_attribution(lambda data: data @ np.array([1.0, 0.0]), np.array([3.0, 9.0]),
                               BackgroundSet(np.zeros((3, 2))),
                               {"used": [0], "ignored": [1]})
     assert abs(att.contributions[1]) <= 1e-9
 
-    sym_params = [np.array([[2.0], [2.0]]), np.array([0.0])]
-    sym_model = DetectorModel(2, ((1, "linear"),), sym_params)
-    att = shapley_attribution(sym_model, np.array([1.0, 1.0]),
+    att = shapley_attribution(lambda data: data @ np.array([2.0, 2.0]), np.array([1.0, 1.0]),
                               BackgroundSet(np.full((2, 2), 0.25)),
                               {"a": [0], "b": [1]})
     assert abs(att.contributions[0] - att.contributions[1]) <= 1e-9

@@ -1076,6 +1076,25 @@ class TestGraphIo:
         with pytest.raises(SchemaError, match="params.readout.b"):
             load_gnn(path)
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("values", ["0.25"], "holds non-numbers"),
+        ("values", [True], "holds non-numbers"),
+        ("values", [False], "holds non-numbers"),
+        ("values", [None], "holds non-numbers"),
+        ("shape", [True], r"has shape \[True\], expected \[1\]"),
+    ], ids=["string", "true", "false", "null", "bool-shape"])
+    def test_gnn_value_that_is_not_a_number_refused_by_name(self, tmp_path, key, value,
+                                                            problem):
+        # each used to load: "0.25" as 0.25, true and false as 1.0 and 0.0, and
+        # a shape [true] as [1]
+        path = tmp_path / "gnn.json"
+        save_gnn(init_gnn(chain3(), seed=8, hidden_widths=(4,)), path)
+        payload = json.loads(path.read_text())
+        payload["params"]["readout.b"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=rf"field 'params.readout.b' {problem}"):
+            load_gnn(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selfheal.errors import ConfigurationError, InputError, SchemaError
+from selfheal.errors import InputError, SchemaError
 from selfheal.detector import (
     ADAPT_LOSS_BOUND,
+    DEFAULT_HIDDEN_WIDTHS,
     DetectorModel,
     MetaConfig,
     detect,
@@ -21,9 +22,9 @@ from selfheal.detector import (
     meta_update,
     save_checkpoint,
 )
-from selfheal.numerics import descend, mlp_loss_and_grad
+from selfheal.numerics import descend, mlp_forward, mlp_loss_and_grad
 from selfheal.simulator import Task, default_patterns, make_tasks
-from taped import GradientTape, bce_loss, forward_mlp, grad, value_of
+from taped import GradientTape, bce_loss, detector_spec, forward_mlp, grad, value_of
 
 
 def bits(weights):
@@ -32,9 +33,7 @@ def bits(weights):
 
 
 def constant_half_model(width=4) -> DetectorModel:
-    spec = ((1, "sigmoid"),)
-    return DetectorModel(input_width=width, layer_spec=spec,
-                         weights=[np.zeros((width, 1)), np.zeros(1)])
+    return DetectorModel([np.zeros((width, 1)), np.zeros(1)])
 
 
 def tiny_task(seed=0, n=8, width=4) -> Task:
@@ -68,47 +67,45 @@ class TestTaskLoss:
     as the detector's `mlp_loss_and_grad` gives it."""
 
     @staticmethod
-    def loss(params, x, y, spec) -> float:
-        return float(mlp_loss_and_grad(params, x, y, spec)[0])
+    def loss(params, x, y) -> float:
+        return float(mlp_loss_and_grad(params, x, y)[0])
 
     def test_constant_half_output_gives_ln2(self):
         model = constant_half_model()
         x, y = np.ones((6, 4)), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        loss = self.loss(model.weights, x, y, model.layer_spec)
+        loss = self.loss(model.weights, x, y)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_correct_predictions_near_zero(self):
-        spec = ((1, "sigmoid"),)
         params = [np.full((1, 1), 50.0), np.array([0.0])]
         x, y = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
-        assert self.loss(params, x, y, spec) <= 1.1e-7
+        assert self.loss(params, x, y) <= 1.1e-7
 
     def test_singleton_equals_bce(self):
         model = constant_half_model()
         x, y = np.ones((1, 4)), np.array([1.0])
-        assert self.loss(model.weights, x, y, model.layer_spec) == pytest.approx(
+        assert self.loss(model.weights, x, y) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
     def test_width_mismatch_rejected(self):
         model = constant_half_model(width=4)
-        with pytest.raises(ConfigurationError, match="layer 0"):
-            self.loss(model.weights, np.ones((2, 7)), np.zeros(2), model.layer_spec)
+        with pytest.raises(InputError, match=r"x \(2, 7\) must have one column per input "
+                                             r"of the weights, 4"):
+            self.loss(model.weights, np.ones((2, 7)), np.zeros(2))
 
 
 class TestInnerAdapt:
     def test_zero_lr_is_identity(self):
         task = tiny_task()
-        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).weights
-        out = inner_adapt(params, (task.support_x, task.support_y), 0.0, 5,
-                          ((3, "relu"), (1, "sigmoid")))
+        params = init_detector(4, seed=1, hidden_widths=(3,)).weights
+        out = inner_adapt(params, (task.support_x, task.support_y), 0.0, 5)
         assert out is params and bits(out) == bits(params)
 
     def test_zero_steps_is_identity(self):
         task = tiny_task()
-        params = init_detector(4, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))).weights
-        out = inner_adapt(params, (task.support_x, task.support_y), 0.5, 0,
-                          ((3, "relu"), (1, "sigmoid")))
+        params = init_detector(4, seed=1, hidden_widths=(3,)).weights
+        out = inner_adapt(params, (task.support_x, task.support_y), 0.5, 0)
         assert out is params and bits(out) == bits(params)
 
     def test_scalar_square_surrogate_single_step(self):
@@ -126,30 +123,27 @@ class TestInnerAdapt:
 
     def test_input_params_not_modified(self):
         task = tiny_task()
-        spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=2, layer_spec=spec).weights
+        params = init_detector(4, seed=2, hidden_widths=(3,)).weights
         before = bits(params)
-        inner_adapt(params, (task.support_x, task.support_y), 0.5, 3, spec)
+        inner_adapt(params, (task.support_x, task.support_y), 0.5, 3)
         assert bits(params) == before
 
     @pytest.mark.parametrize("labels", [[1.0], [1.0, 0.0, 1.0]], ids=["one", "three"])
     def test_labels_of_another_length_refused(self, labels):
         # one label used to broadcast over every row and adapt silently
-        spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=2, layer_spec=spec).weights
+        params = init_detector(4, seed=2, hidden_widths=(3,)).weights
         x = tiny_task(n=10).support_x
         with pytest.raises(InputError, match=r"y \(\d,\) must hold one label per row "
                                              r"of x \(5, 4\)"):
-            inner_adapt(params, (x, labels), 0.5, 1, spec)
+            inner_adapt(params, (x, labels), 0.5, 1)
 
 
 class TestMetaUpdate:
     def test_zero_meta_lr_is_identity(self):
         task = tiny_task()
-        spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=3, layer_spec=spec).weights
+        params = init_detector(4, seed=3, hidden_widths=(3,)).weights
         cfg = MetaConfig(meta_lr=0.0, meta_iterations=1)
-        out = meta_update(params, [task], cfg, spec)
+        out = meta_update(params, [task], cfg)
         assert out is params and bits(out) == bits(params)
 
     def test_empty_tasks_rejected(self):
@@ -219,51 +213,47 @@ class TestMetaUpdate:
         assert cosine >= 0.95
 
     def test_permutation_invariant_up_to_reassociation(self):
-        spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=4, layer_spec=spec).weights
+        params = init_detector(4, seed=4, hidden_widths=(3,)).weights
         tasks = [tiny_task(s) for s in range(4)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1,
                          meta_batch=4, meta_iterations=1)
-        fwd = meta_update(params, tasks, cfg, spec)
-        rev = meta_update(params, list(reversed(tasks)), cfg, spec)
+        fwd = meta_update(params, tasks, cfg)
+        rev = meta_update(params, list(reversed(tasks)), cfg)
         for a, b in zip(fwd, rev, strict=True):
             assert np.allclose(a, b, atol=1e-12)
 
     def test_default_loss_exact_fd_equals_first_order_when_inner_loop_is_identity(self):
         # inner_lr = 0 makes the inner loop the identity, so the two-loop
         # objective is the summed query loss and its gradient the first-order one
-        spec = ((3, "tanh"), (1, "sigmoid"))
-        params = init_detector(4, seed=6, layer_spec=spec).weights
+        params = init_detector(4, seed=6, hidden_widths=(3,)).weights
         tasks = [tiny_task(s) for s in range(3)]
         base = dict(inner_lr=0.0, inner_steps=2, meta_batch=3)
-        fd = meta_gradient(params, tasks, MetaConfig(**base, meta_mode="exact_fd_oracle"),
-                           spec)
-        fo = meta_gradient(params, tasks, MetaConfig(**base), spec)
+        fd = meta_gradient(params, tasks, MetaConfig(**base, meta_mode="exact_fd_oracle"))
+        fo = meta_gradient(params, tasks, MetaConfig(**base))
         fd, fo = (np.concatenate([g.ravel() for g in grads]) for grads in (fd, fo))
         assert np.abs(fo).max() > 1e-3
         assert np.allclose(fd, fo, rtol=1e-5, atol=1e-8)
 
     def test_fixed_order_bitwise_deterministic(self):
-        spec = ((3, "relu"), (1, "sigmoid"))
-        params = init_detector(4, seed=4, layer_spec=spec).weights
+        params = init_detector(4, seed=4, hidden_widths=(3,)).weights
         tasks = [tiny_task(s) for s in range(3)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1,
                          meta_batch=3, meta_iterations=1)
-        a = meta_update(params, tasks, cfg, spec)
-        b = meta_update(params, tasks, cfg, spec)
+        a = meta_update(params, tasks, cfg)
+        b = meta_update(params, tasks, cfg)
         assert bits(a) == bits(b)
 
 
 class TestMetaTrain:
     def test_zero_iterations_returns_init(self):
-        model = init_detector(4, seed=5, layer_spec=((3, "relu"), (1, "sigmoid")))
+        model = init_detector(4, seed=5, hidden_widths=(3,))
         cfg = MetaConfig(meta_iterations=0, meta_batch=2)
         result = meta_train(model, [tiny_task(0), tiny_task(1)], cfg, seed=0)
         assert bits(result.model.weights) == bits(model.weights)
         assert result.loss_curve == []
 
     def test_fixed_seed_reproducible(self):
-        model = init_detector(4, seed=6, layer_spec=((3, "relu"), (1, "sigmoid")))
+        model = init_detector(4, seed=6, hidden_widths=(3,))
         tasks = [tiny_task(s) for s in range(4)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.05, inner_steps=1,
                          meta_batch=2, meta_iterations=20)
@@ -273,14 +263,13 @@ class TestMetaTrain:
         assert a.loss_curve == b.loss_curve
 
     def test_exact_fd_oracle_iteration_is_one_meta_update(self):
-        spec = ((3, "tanh"), (1, "sigmoid"))
-        model = init_detector(4, seed=5, layer_spec=spec)
+        model = init_detector(4, seed=5, hidden_widths=(3,))
         tasks = [tiny_task(s) for s in range(3)]
         cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1, meta_batch=2,
                          meta_iterations=1, meta_mode="exact_fd_oracle")
         result = meta_train(model, tasks, cfg, seed=1)
         picked = np.random.Generator(np.random.PCG64(1)).choice(3, size=2, replace=False)
-        expected = meta_update(model.weights, [tasks[int(i)] for i in picked], cfg, spec)
+        expected = meta_update(model.weights, [tasks[int(i)] for i in picked], cfg)
         assert len(result.loss_curve) == 1 and np.isfinite(result.loss_curve[0])
         assert bits(result.model.weights) == bits(expected) != bits(model.weights)
 
@@ -306,7 +295,7 @@ class TestMetaTrain:
         poison = np.zeros((4, 4))
         poison[:, 0] = 1e300
         tasks.append(Task(poison, np.ones(4), poison, np.ones(4), "poison"))
-        model = DetectorModel(4, ((1, "sigmoid"),), [np.zeros((4, 1)), np.zeros(1)])
+        model = DetectorModel([np.zeros((4, 1)), np.zeros(1)])
 
         def cfg(iterations):
             return MetaConfig(inner_lr=1e9, meta_lr=0.05, inner_steps=1,
@@ -329,7 +318,7 @@ class TestMetaTrain:
             x = rng.normal(size=(24, 4))
             y = (x @ direction + rng.normal(0, 0.05, 24) > 0).astype(float)
             tasks.append(Task(x[:8], y[:8], x[8:], y[8:], "sep"))
-        model = init_detector(4, seed=7, layer_spec=((8, "relu"), (1, "sigmoid")))
+        model = init_detector(4, seed=7, hidden_widths=(8,))
         cfg = MetaConfig(inner_lr=0.5, meta_lr=0.1, inner_steps=1,
                          meta_batch=4, meta_iterations=200)
         result = meta_train(model, tasks, cfg, seed=3)
@@ -363,7 +352,7 @@ def bce_mlp(spec):
 def taped_meta_train(init, tasks, cfg, seed):
     """Reference first-order meta-training: one task at a time on the tape."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    spec = init.layer_spec
+    spec = detector_spec(init.hidden_widths)
 
     def loss_and_grad(params, x, y):
         recorder = GradientTape(params)
@@ -389,10 +378,11 @@ def taped_meta_train(init, tasks, cfg, seed):
 
 
 class TestBatchedMetaTrain:
-    SPEC = ((8, "relu"), (4, "tanh"), (1, "sigmoid"))
+    HIDDEN = (8, 4)
+    SPEC = detector_spec(HIDDEN)
 
     def _check_against_reference(self, tasks, cfg, width):
-        model = init_detector(width, seed=21, layer_spec=self.SPEC)
+        model = init_detector(width, seed=21, hidden_widths=self.HIDDEN)
         result = meta_train(model, tasks, cfg, seed=5)
         params, curve = taped_meta_train(model, tasks, cfg, seed=5)
         assert result.loss_curve == curve
@@ -411,14 +401,14 @@ class TestBatchedMetaTrain:
         tasks = [tiny_task(s, n=8 + 2 * (s % 3)) for s in range(6)]
         cfg = MetaConfig(inner_lr=0.4, meta_lr=0.1, inner_steps=2,
                          meta_batch=3, meta_iterations=12)
-        model = init_detector(4, seed=21, layer_spec=self.SPEC)
+        model = init_detector(4, seed=21, hidden_widths=self.HIDDEN)
         with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
             meta_train(model, tasks, cfg, seed=5)
         for loss_fn in (None, bce_mlp(self.SPEC)):
             for mode in ("first_order", "exact_fd_oracle"):
                 with pytest.raises(InputError, match="task 'tiny-1' has shapes"):
                     meta_gradient(model.weights, tasks[:3], replace(cfg, meta_mode=mode),
-                                  self.SPEC, loss_fn)
+                                  loss_fn)
 
     @pytest.mark.parametrize("loss", ["taped-bce", "quadratic"])
     def test_custom_loss_on_stacked_tasks_equals_one_task_calls_summed(self, loss):
@@ -428,11 +418,11 @@ class TestBatchedMetaTrain:
             tasks = [quad_task(1.2, 0.9, -0.7, 0.1), quad_task(-0.3, 0.5, 0.8, -0.2),
                      quad_task(2.0, -1.0, 0.4, 0.6)]
         else:
-            params = init_detector(4, seed=21, layer_spec=self.SPEC).weights
+            params = init_detector(4, seed=21, hidden_widths=self.HIDDEN).weights
             loss_fn = bce_mlp(self.SPEC)
             tasks = [tiny_task(s) for s in range(3)]
-        stacked = meta_gradient(params, tasks, cfg, self.SPEC, loss_fn)
-        alone = [meta_gradient(params, [t], cfg, self.SPEC, loss_fn) for t in tasks]
+        stacked = meta_gradient(params, tasks, cfg, loss_fn)
+        alone = [meta_gradient(params, [t], cfg, loss_fn) for t in tasks]
         assert max(np.abs(g).max() for g in stacked) > 1e-3
         for k, g in enumerate(stacked):
             total = alone[0][k] + alone[1][k] + alone[2][k]
@@ -444,34 +434,31 @@ class TestBatchedMetaTrain:
         seen = []
         real = maml.mlp_loss_and_grad
 
-        def spy(weights, x, y, layer_spec):
+        def spy(weights, x, y):
             seen.append(np.shape(x))
-            return real(weights, x, y, layer_spec)
+            return real(weights, x, y)
 
         monkeypatch.setattr(maml, "mlp_loss_and_grad", spy)
-        params = init_detector(4, seed=3, layer_spec=self.SPEC).weights
+        params = init_detector(4, seed=3, hidden_widths=self.HIDDEN).weights
         cfg = MetaConfig(inner_lr=0.4, inner_steps=1, meta_batch=3)
         same = [tiny_task(s) for s in range(3)]
-        meta_gradient(params, same, cfg, self.SPEC)
+        meta_gradient(params, same, cfg)
         assert seen == [(3, 4, 4), (3, 4, 4)]
 
     @pytest.mark.parametrize("meta_mode", ["first_order", "exact_fd_oracle"])
     def test_taped_loss_equals_fused_bitwise(self, meta_mode):
-        spec = ((3, "relu"), (2, "tanh"), (1, "sigmoid"))
-        params = init_detector(4, seed=8, layer_spec=spec).weights
+        params = init_detector(4, seed=8, hidden_widths=(3, 2)).weights
         tasks = [tiny_task(s) for s in range(3)]
         cfg = MetaConfig(inner_lr=0.4, inner_steps=2, meta_batch=3, meta_mode=meta_mode)
-        fused = meta_gradient(params, tasks, cfg, spec)
-        taped = meta_gradient(params, tasks, cfg, spec, bce_mlp(spec))
+        fused = meta_gradient(params, tasks, cfg)
+        taped = meta_gradient(params, tasks, cfg, bce_mlp(detector_spec((3, 2))))
         assert max(np.abs(g).max() for g in fused) > 1e-3
         assert bits(taped) == bits(fused)
 
 
 class TestDetect:
     def test_threshold_rule(self):
-        model = constant_half_model()
-        spec = ((1, "sigmoid"),)
-        model = DetectorModel(4, spec, [np.zeros((4, 1)), np.array([0.847298])], threshold=0.5)
+        model = DetectorModel([np.zeros((4, 1)), np.array([0.847298])], threshold=0.5)
         score, flag = detect(model, np.zeros(4))
         assert score == pytest.approx(0.7, abs=1e-6)
         assert flag == 1
@@ -491,15 +478,15 @@ class TestDetect:
         with pytest.raises(InputError):
             detect(constant_half_model(), np.zeros(5))
 
-    @pytest.mark.parametrize("spec", [None, ((8, "tanh"), (4, "linear"), (1, "sigmoid"))],
-                             ids=["default", "tanh-linear"])
-    def test_score_bitwise_equal_to_taped_forward(self, spec):
+    @pytest.mark.parametrize("hidden_widths", [DEFAULT_HIDDEN_WIDTHS, ()],
+                             ids=["default", "no-hidden"])
+    def test_score_bitwise_equal_to_taped_forward(self, hidden_widths):
         tasks = make_tasks(default_patterns(3, seed=17, anomaly_rate=0.15), 6, 40, 4, seed=3)
         rows = np.vstack([t.query_x for t in tasks])
         for seed in range(3):
-            model = init_detector(20, seed, **({} if spec is None else {"layer_spec": spec}))
+            model = init_detector(20, seed, hidden_widths)
             for row in rows:
-                taped = forward_mlp(model.weights, row, model.layer_spec)[0]
+                taped = forward_mlp(model.weights, row, detector_spec(hidden_widths))[0]
                 score, flag = detect(model, row)
                 assert np.float64(score).tobytes() == taped.tobytes()
                 assert flag == int(taped >= model.threshold)
@@ -507,8 +494,7 @@ class TestDetect:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        spec = ((1, "sigmoid"),)
-        model = DetectorModel(1, spec, [np.full((1, 1), 60.0), np.array([0.0])])
+        model = DetectorModel([np.full((1, 1), 60.0), np.array([0.0])])
         x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([1.0, 1.0, 0.0, 0.0])
         task = Task(x, y, x, y, "perfect")
@@ -534,8 +520,8 @@ class TestEvaluate:
 
         scored = []
 
-        def spy(weights, x, layer_spec):
-            scored.append(real(weights, x, layer_spec)[-1])
+        def spy(weights, x):
+            scored.append(real(weights, x)[-1])
             return [scored[-1]]
 
         real = maml.mlp_forward
@@ -550,7 +536,7 @@ class TestEvaluate:
             for task, report, scores in zip(tasks, reports, scored[-1][:, :, 0, 0]):
                 adapted = model.with_weights(inner_adapt(
                     model.weights, (task.support_x, task.support_y), cfg.inner_lr,
-                    cfg.inner_steps, model.layer_spec))
+                    cfg.inner_steps))
                 tp = fp = fn = tn = 0
                 for row, label, score in zip(task.query_x, task.query_y, scores):
                     reference, flag = detect(adapted, row)
@@ -571,12 +557,11 @@ class TestEvaluate:
     def reference_adaptation_steps(model, task, cfg):
         """The count as evaluate took it with a loop of its own: the support
         loss after 0, 1, ..., inner_steps steps, the first within the bound."""
-        spec, weights = model.layer_spec, model.weights
-        found = None
+        weights, found = model.weights, None
         for step in range(cfg.inner_steps + 1):
             if step:
                 weights = [w - cfg.inner_lr * g for w, g in zip(weights, grads)]
-            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y, spec)
+            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y)
             if found is None and loss <= ADAPT_LOSS_BOUND:
                 found = step
         return cfg.inner_steps if found is None else found
@@ -592,11 +577,11 @@ class TestEvaluate:
         self, model_seed, task_seed, inner_lr, inner_steps, expected
     ):
         if model_seed is None:
-            model = DetectorModel(1, ((1, "sigmoid"),), [np.full((1, 1), 60.0), np.array([0.0])])
+            model = DetectorModel([np.full((1, 1), 60.0), np.array([0.0])])
             x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
             task = Task(x, np.array([1.0, 1.0, 0.0, 0.0]), x, np.ones(4), "perfect")
         else:
-            model = init_detector(4, seed=model_seed, layer_spec=((3, "relu"), (1, "sigmoid")))
+            model = init_detector(4, seed=model_seed, hidden_widths=(3,))
             task = tiny_task(task_seed)
         cfg = MetaConfig(inner_lr=inner_lr, inner_steps=inner_steps)
         assert self.reference_adaptation_steps(model, task, cfg) == expected
@@ -607,18 +592,16 @@ class TestEvaluate:
         """`evaluate` as first written, one task at a time: (its report, the
         adapted weights)."""
         from selfheal.detector.maml import EvalReport, _prf
-        from selfheal.numerics import mlp_forward
 
-        spec = model.layer_spec
         weights, losses = model.weights, []
         for _ in range(cfg.inner_steps if cfg.inner_lr else min(cfg.inner_steps, 1)):
-            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y, spec)
+            loss, grads = mlp_loss_and_grad(weights, task.support_x, task.support_y)
             losses.append(loss)
             if cfg.inner_lr:
                 weights = [w - cfg.inner_lr * g for w, g in zip(weights, grads)]
         steps = next((step for step, value in enumerate(losses) if value <= ADAPT_LOSS_BOUND),
                      cfg.inner_steps)
-        scores = mlp_forward(weights, task.query_x[:, None, :], spec)[-1][:, 0, 0]
+        scores = mlp_forward(weights, task.query_x[:, None, :])[-1][:, 0, 0]
         flags, positive = scores >= model.threshold, task.query_y == 1.0
         tp, fp, fn, tn = (int(np.count_nonzero(f & p)) for f, p in (
             (flags, positive), (flags, ~positive), (~flags, positive), (~flags, ~positive)))
@@ -634,9 +617,9 @@ class TestEvaluate:
 
         scored_with = []
 
-        def spy(weights, x, layer_spec):
+        def spy(weights, x):
             scored_with.append(weights)
-            return real(weights, x, layer_spec)
+            return real(weights, x)
 
         real = maml.mlp_forward
         monkeypatch.setattr(maml, "mlp_forward", spy)
@@ -680,40 +663,57 @@ def test_meta_trained_init_dominates_random_init(detector_runs):
 
 
 class TestDetectorModel:
-    SPEC = ((3, "relu"), (1, "sigmoid"))
-
     def weights(self):
-        return [np.array(w) for w in init_detector(4, seed=1, layer_spec=self.SPEC).weights]
+        return [np.array(w) for w in init_detector(4, seed=1, hidden_widths=(3,)).weights]
 
     def test_non_finite_weight_refused_by_name(self):
         weights = self.weights()
         weights[3] = np.array([np.nan])
         with pytest.raises(InputError, match="weight 'layer1.b' holds non-finite values"):
-            DetectorModel(4, self.SPEC, weights)
+            DetectorModel(weights)
         weights[3] = np.array([0.0])
         weights[0][1, 2] = np.inf
         with pytest.raises(InputError, match="weight 'layer0.W' holds non-finite values"):
-            DetectorModel(4, self.SPEC, weights)
+            DetectorModel(weights)
 
-    @pytest.mark.parametrize("input_width, spec, match", [
-        (5, SPEC, r"weight 'layer0.W' has shape \(4, 3\), expected \(5, 3\)"),
-        (4, ((2, "relu"), (1, "sigmoid")), r"weight 'layer0.W' has shape \(4, 3\), "
-                                           r"expected \(4, 2\)"),
-        (4, ((3, "relu"), (3, "relu"), (1, "sigmoid")),
-         r"4 weight arrays for the 6 parameters \['layer0.W', 'layer0.b', 'layer1.W'"),
-    ], ids=["input-width", "layer-width", "layer-count"])
-    def test_weights_that_do_not_fit_the_layer_spec_refused(self, input_width, spec, match):
-        # such a model used to be built, and failed only at its first forward pass
+    def test_widths_are_read_from_the_matrices(self):
+        model = init_detector(12, seed=1, hidden_widths=(4, 3))
+        assert (model.input_width, model.hidden_widths) == (12, (4, 3))
+        head = DetectorModel(model.weights[-2:])
+        assert (head.input_width, head.hidden_widths) == (3, ())
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda w: w[:-1], "5 weight arrays: an MLP has a W and a b per layer"),
+        (lambda w: [], "0 weight arrays: an MLP has a W and a b per layer"),
+        (lambda w: [w[0][:, 0], *w[1:]], r"weight 'layer0.W' has shape \(12,\)"),
+        (lambda w: [*w[:4], np.ones((3, 2)), np.ones(2)],
+         r"weight 'layer2.W' has shape \(3, 2\), expected \(3, 1\)"),
+        (lambda w: [w[0], w[1], w[2][:3], *w[3:]],
+         r"weight 'layer1.W' has shape \(3, 3\), expected \(4, 3\)"),
+        (lambda w: [*w[:3], np.ones(4), *w[4:]], r"weight 'layer1.b' has shape \(4,\)"),
+        (lambda w: [w[0][None], *w[1:]],
+         r"weight 'layer0.b' has shape \(4,\), expected \(1, 4\)"),
+    ], ids=["odd-length", "empty", "1-d-matrix", "wide-head", "broken-chain", "bias",
+            "task-axis-not-shared"])
+    def test_weights_that_do_not_chain_refused_by_name(self, change, match):
+        # DetectorModel and the kernel read the widths with the same check
+        weights = change(list(init_detector(12, seed=1, hidden_widths=(4, 3)).weights))
         with pytest.raises(InputError, match=match):
-            DetectorModel(input_width, spec, self.weights())
-        model = DetectorModel(4, self.SPEC, self.weights())
-        with pytest.raises(InputError, match="weight 'layer0.b' has shape"):
-            model.with_weights([model.weights[0], np.zeros(4), *model.weights[2:]])
+            DetectorModel(weights)
+        with pytest.raises(InputError, match=match):
+            mlp_forward(weights, np.zeros((2, 12)))
+
+    def test_stacked_weights_are_for_the_kernel_only(self):
+        weights = [w[None] for w in init_detector(4, seed=1, hidden_widths=(3,)).weights]
+        assert mlp_forward(weights, np.zeros((1, 2, 4)))[-1].shape == (1, 2, 1)
+        with pytest.raises(InputError, match=r"weight 'layer0.W' has shape \(1, 4, 3\), "
+                                             r"expected \(4, 3\)"):
+            DetectorModel(weights)
 
     def test_weights_are_read_only_copies(self):
         source = self.weights()
         source[0] = np.asfortranarray(source[0])
-        model = DetectorModel(4, self.SPEC, source)
+        model = DetectorModel(source)
         assert isinstance(model.weights, tuple)
         assert all(w.dtype == np.float64 and w.flags.c_contiguous and not w.flags.writeable
                    for w in model.weights)
@@ -732,9 +732,27 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.input_width == model.input_width
-        assert loaded.layer_spec == model.layer_spec
+        assert loaded.hidden_widths == model.hidden_widths
         assert loaded.threshold == model.threshold
         assert bits(loaded.weights) == bits(model.weights)
+        # the header spells out the one form every detector takes
+        assert json.loads(path.read_text())["layer_spec"] == [
+            [32, "relu"], [16, "relu"], [1, "sigmoid"]]
+
+    def test_zero_hidden_layers_train_and_load_back(self, tmp_path):
+        # `detector.hidden_widths: []` is a config the run accepts
+        tasks = [tiny_task(s) for s in range(4)]
+        cfg = MetaConfig(inner_lr=0.3, meta_lr=0.1, inner_steps=1, meta_batch=2,
+                         meta_iterations=20)
+        init = init_detector(4, seed=3, hidden_widths=())
+        model = meta_train(init, tasks, cfg, seed=1).model
+        assert model.hidden_widths == () and bits(model.weights) != bits(init.weights)
+        path = tmp_path / "detector.json"
+        save_checkpoint(model, path)
+        assert json.loads(path.read_text())["layer_spec"] == [[1, "sigmoid"]]
+        loaded = load_checkpoint(path)
+        assert loaded.hidden_widths == () and bits(loaded.weights) == bits(model.weights)
+        assert detect(loaded, tasks[0].query_x[0]) == detect(model, tasks[0].query_x[0])
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -744,7 +762,7 @@ class TestCheckpoint:
 
     def _saved(self, tmp_path):
         path = tmp_path / "detector.json"
-        save_checkpoint(init_detector(6, seed=1, layer_spec=((3, "relu"), (1, "sigmoid"))), path)
+        save_checkpoint(init_detector(6, seed=1, hidden_widths=(3,)), path)
         return path, json.loads(path.read_text())
 
     def test_shape_disagreeing_with_layer_spec_rejected(self, tmp_path):
@@ -786,3 +804,36 @@ class TestCheckpoint:
         with pytest.raises(SchemaError, match=re.escape(str(path))) as err:
             load_checkpoint(path)
         assert named in str(err.value)
+
+    @pytest.mark.parametrize("spec, named", [
+        ([[3, "tanh"], [1, "sigmoid"]], "layer_spec.0"),
+        ([[3, "sigmoid"], [1, "sigmoid"]], "layer_spec.0"),
+        ([[3, "relu"], [1, "linear"]], "layer_spec.1"),
+        ([[3, "relu"], [1, "relu"]], "layer_spec.1"),
+        ([[3, "relu"], [2, "sigmoid"]], "layer_spec.1"),
+    ], ids=["tanh-hidden", "sigmoid-hidden", "linear-head", "relu-head", "wide-head"])
+    def test_layer_spec_other_than_relu_and_a_sigmoid_head_refused(
+        self, tmp_path, spec, named
+    ):
+        # the first four used to load, as networks the kernel no longer computes
+        path, payload = self._saved(tmp_path)
+        payload["layer_spec"] = spec
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: field '{named}' must be")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("values", ["0.25"], "holds non-numbers"),
+        ("values", [True], "holds non-numbers"),
+        ("values", [False], "holds non-numbers"),
+        ("values", [None], "holds non-numbers"),
+        ("shape", [True], r"has shape \[True\], expected \[1\]"),
+    ], ids=["string", "true", "false", "null", "bool-shape"])
+    def test_value_that_is_not_a_number_refused_by_name(self, tmp_path, key, value, problem):
+        # each used to load: "0.25" as 0.25, true and false as 1.0 and 0.0, and
+        # a shape [true] as [1]
+        path, payload = self._saved(tmp_path)
+        payload["params"]["layer1.b"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=rf"field 'params.layer1.b' {problem}"):
+            load_checkpoint(path)

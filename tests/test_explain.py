@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 
 from selfheal.errors import CapacityError, InputError
-from selfheal.detector import DetectorModel, init_detector
+from selfheal.detector import DEFAULT_HIDDEN_WIDTHS, init_detector
 from selfheal.explain import (
     BackgroundSet,
     explain_recovery,
     metric_groups,
     shapley_attribution,
 )
+from selfheal.numerics import mlp_forward
 from selfheal.recovery import ACTIONS, N_STATES, Policy, RecoveryAction, named_state
-from taped import forward_mlp
+from taped import detector_spec, forward_mlp
 
 
-def linear_model(weights, bias=0.0) -> DetectorModel:
-    w = np.asarray(weights, dtype=float).reshape(-1, 1)
-    return DetectorModel(
-        input_width=w.shape[0], layer_spec=((1, "linear"),), weights=[w, np.array([bias])]
-    )
+def linear_model(weights, bias=0.0):
+    """The score data @ w + bias of a linear model."""
+    w = np.asarray(weights, dtype=float)
+    return lambda data: data @ w + bias
+
+
+def detector_score(model):
+    """The detector's score, as the pipeline explains it."""
+    return lambda data: mlp_forward(model.weights, data)[-1]
 
 
 def single_groups(width):
@@ -53,22 +58,23 @@ class TestShapley:
     def test_efficiency_on_random_mlps(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
-            model = init_detector(10, seed=trial, layer_spec=((6, "relu"), (1, "sigmoid")))
+            model = init_detector(10, seed=trial, hidden_widths=(6,))
             bg = BackgroundSet(rng.normal(size=(6, 10)))
             x = rng.normal(size=10)
-            att = shapley_attribution(model, x, bg, {f"g{i}": [2 * i, 2 * i + 1] for i in range(5)})
+            att = shapley_attribution(detector_score(model), x, bg,
+                                      {f"g{i}": [2 * i, 2 * i + 1] for i in range(5)})
             assert sum(att.contributions) + att.base_value == pytest.approx(
                 att.instance_value, abs=1e-9
             )
 
-    @pytest.mark.parametrize("spec", [None, ((6, "tanh"), (1, "sigmoid"))],
-                             ids=["default", "tanh"])
-    def test_bitwise_equal_to_per_coalition_taped_forward(self, spec):
+    @pytest.mark.parametrize("hidden_widths", [DEFAULT_HIDDEN_WIDTHS, (6,)],
+                             ids=["default", "one-hidden"])
+    def test_bitwise_equal_to_per_coalition_taped_forward(self, hidden_widths):
         rng = np.random.default_rng(11)
         groups = metric_groups(4)
         names = tuple(groups)
         for seed in range(3):
-            model = init_detector(20, seed, **({} if spec is None else {"layer_spec": spec}))
+            model = init_detector(20, seed, hidden_widths)
             bg = BackgroundSet(rng.normal(size=(16, 20)))
             x = rng.normal(size=20)
             values = []
@@ -77,8 +83,8 @@ class TestShapley:
                 for j, name in enumerate(names):
                     if bits >> j & 1:
                         data[:, groups[name]] = x[groups[name]]
-                values.append(float(forward_mlp(model.weights, data, model.layer_spec)
-                                    .mean()))
+                values.append(float(forward_mlp(model.weights, data,
+                                                detector_spec(hidden_widths)).mean()))
             g, fact = len(names), [math.factorial(k) for k in range(len(names) + 1)]
             expected = []
             for j in range(g):
@@ -89,7 +95,7 @@ class TestShapley:
                         weight = fact[size] * fact[g - size - 1] / fact[g]
                         phi += weight * (values[bits | (1 << j)] - values[bits])
                 expected.append(phi)
-            att = shapley_attribution(model, x, bg, groups)
+            att = shapley_attribution(detector_score(model), x, bg, groups)
             assert np.array(att.contributions).tobytes() == np.array(expected).tobytes()
             assert np.float64(att.base_value).tobytes() == np.float64(values[0]).tobytes()
             assert (np.float64(att.instance_value).tobytes()

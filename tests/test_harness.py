@@ -695,7 +695,7 @@ class TestCli:
             assert main([command, "--config", str(config)]) == 0
         out, cfg = tmp_path / "out", config_from_dict(FAST_CONFIG)
         detector = load_checkpoint(out / "detector.json")
-        assert [w for w, _ in detector.layer_spec] == [*cfg.detector.hidden_widths, 1]
+        assert detector.hidden_widths == cfg.detector.hidden_widths
         assert load_gnn(out / "gnn.json").hidden_widths == cfg.gnn.hidden_widths
         assert load_policy(out / "policy.tsv").q.any()
         for curve in ("detector-loss.json", "gnn-loss.json", "agent-returns.json"):

@@ -128,7 +128,7 @@ class TestForwardMlp:
 
     def test_shape_mismatch_names_offending_layer(self):
         spec = [(2, "relu"), (1, "sigmoid")]
-        params = init_mlp_params(3, spec, seed=0)
+        params = init_mlp_params(3, [2, 1], seed=0)
         with pytest.raises(ConfigurationError, match="layer 0"):
             forward_mlp(params, np.zeros(5), spec)
 
@@ -184,7 +184,7 @@ class TestGrad:
     def test_random_mlp_bce_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         spec = [(4, "relu"), (1, "sigmoid")]
-        params = init_mlp_params(2, spec, seed=seed + 1000)
+        params = init_mlp_params(2, [4, 1], seed=seed + 1000)
         x = rng.normal(size=(8, 2))
         y = rng.integers(0, 2, size=(8, 1)).astype(float)
 
@@ -199,7 +199,7 @@ class TestGrad:
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8), k
 
     def test_gradients_deterministic_for_fixed_tape(self):
-        params = init_mlp_params(3, [(2, "tanh"), (1, "sigmoid")], seed=5)
+        params = init_mlp_params(3, [2, 1], seed=5)
         x = np.linspace(-1, 1, 12).reshape(4, 3)
         y = np.array([[0.0], [1.0], [1.0], [0.0]])
 
@@ -219,13 +219,18 @@ def _taped_loss_and_grad(params, x, y, spec):
     return float(taped.value_of(loss)), grad(loss, params)
 
 
+# the taped networks that the kernel must equal: relu hidden layers and a
+# one-column sigmoid head, the one form it computes; its widths come from the
+# weights
 FUSED_SPECS = [
     [(4, "relu"), (1, "sigmoid")],
-    [(5, "tanh"), (3, "relu"), (1, "sigmoid")],
-    [(3, "linear"), (1, "sigmoid")],
-    [(4, "sigmoid"), (2, "tanh"), (1, "sigmoid")],
-    [(2, "relu"), (1, "linear")],
+    [(5, "relu"), (3, "relu"), (1, "sigmoid")],
+    [(1, "sigmoid")],
 ]
+
+
+def _widths(spec):
+    return [width for width, _ in spec]
 
 
 class TestFusedMlpKernel:
@@ -233,20 +238,20 @@ class TestFusedMlpKernel:
     @pytest.mark.parametrize("seed", range(5))
     def test_bitwise_equal_to_tape(self, spec, seed):
         rng = np.random.default_rng(seed)
-        params = init_mlp_params(3, spec, seed=seed + 2000)
+        params = init_mlp_params(3, _widths(spec), seed=seed + 2000)
         x = rng.normal(size=(7, 3)) * 2.0
         y = rng.integers(0, 2, size=7).astype(float)
-        loss, grads = mlp_loss_and_grad(params, x, y, spec)
+        loss, grads = mlp_loss_and_grad(params, x, y)
         taped_loss, taped = _taped_loss_and_grad(params, x, y, spec)
         assert loss.tobytes() == np.float64(taped_loss).tobytes()
         for k, (fused, reference) in enumerate(zip(grads, taped, strict=True)):
             assert np.array_equal(fused, reference), k
 
-    @pytest.mark.parametrize("spec", FUSED_SPECS[:4], ids=str)
+    @pytest.mark.parametrize("spec", FUSED_SPECS, ids=str)
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, spec, seed):
         rng = np.random.default_rng(seed + 100)
-        params = init_mlp_params(3, spec, seed=seed + 3000)
+        params = init_mlp_params(3, _widths(spec), seed=seed + 3000)
 
         def min_relu_margin(x):
             # |pre-activation| of every relu unit: central differences are
@@ -261,9 +266,9 @@ class TestFusedMlpKernel:
         while min_relu_margin(x) < 1e-2:
             x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6).astype(float)
-        _, grads = mlp_loss_and_grad(params, x, y, spec)
+        _, grads = mlp_loss_and_grad(params, x, y)
         oracle = finite_diff_grad(
-            lambda p: float(mlp_loss_and_grad(p, x, y, spec)[0]), params, 1e-4,
+            lambda p: float(mlp_loss_and_grad(p, x, y)[0]), params, 1e-4,
         )
         for k, (fused, reference) in enumerate(zip(grads, oracle, strict=True)):
             assert np.allclose(fused, reference, rtol=1e-5, atol=1e-8), k
@@ -277,7 +282,7 @@ class TestFusedMlpKernel:
         y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
         out = forward_mlp(params, x, spec)[:, 0]
         assert np.all(out[:2] > 1.0 - LOG_CLAMP) and np.all(out[2:4] < LOG_CLAMP)
-        loss, fused = mlp_loss_and_grad(params, x, y, spec)
+        loss, fused = mlp_loss_and_grad(params, x, y)
         taped_loss, taped = _taped_loss_and_grad(params, x, y, spec)
         assert float(loss) == taped_loss
         for k, (a, b) in enumerate(zip(fused, taped, strict=True)):
@@ -286,61 +291,55 @@ class TestFusedMlpKernel:
         p4 = out[4]
         assert fused[1][0] == pytest.approx((p4 - 1.0) / 5, rel=1e-12)
         oracle = finite_diff_grad(
-            lambda p: float(mlp_loss_and_grad(p, x, y, spec)[0]), params, 1e-4,
+            lambda p: float(mlp_loss_and_grad(p, x, y)[0]), params, 1e-4,
         )
         for k, (a, b) in enumerate(zip(fused, oracle, strict=True)):
             assert np.allclose(a, b, rtol=1e-5, atol=1e-8), k
 
     def test_task_axis_equals_one_task_at_a_time(self):
         rng = np.random.default_rng(7)
-        spec = [(5, "relu"), (3, "tanh"), (1, "sigmoid")]
-        shared = init_mlp_params(4, spec, seed=1)
+        shared = init_mlp_params(4, [5, 3, 1], seed=1)
         x = rng.normal(size=(3, 6, 4))
         y = rng.integers(0, 2, size=(3, 6)).astype(float)
-        per_task = [mlp_loss_and_grad(shared, x[b], y[b], spec) for b in range(3)]
+        per_task = [mlp_loss_and_grad(shared, x[b], y[b]) for b in range(3)]
         # shared weights broadcast over the task axis
-        loss, grads = mlp_loss_and_grad(shared, x, y, spec)
+        loss, grads = mlp_loss_and_grad(shared, x, y)
         # per-task weights stacked on the task axis
         stacked = [np.stack([w - 0.1 * b for b in range(3)]) for w in shared]
-        loss_s, grads_s = mlp_loss_and_grad(stacked, x, y, spec)
+        loss_s, grads_s = mlp_loss_and_grad(stacked, x, y)
         for b, (task_loss, task_grads) in enumerate(per_task):
             assert loss[b] == task_loss
             for g, ref in zip(grads, task_grads):
                 assert np.array_equal(g[b], ref)
-            own = mlp_loss_and_grad([w[b] for w in stacked], x[b], y[b], spec)
+            own = mlp_loss_and_grad([w[b] for w in stacked], x[b], y[b])
             assert loss_s[b] == own[0]
             for g, ref in zip(grads_s, own[1]):
                 assert np.array_equal(g[b], ref)
 
     def test_rejects_bad_labels_and_shapes(self):
-        spec = [(2, "relu"), (1, "sigmoid")]
-        weights = init_mlp_params(3, spec, seed=0)
+        weights = init_mlp_params(3, [2, 1], seed=0)
         with pytest.raises(InputError):
-            mlp_loss_and_grad(weights, np.zeros((2, 3)), np.array([0.0, 2.0]), spec)
-        with pytest.raises(ConfigurationError, match="layer 0"):
-            mlp_loss_and_grad(weights, np.zeros((2, 4)), np.zeros(2), spec)
-        with pytest.raises(ConfigurationError, match="unknown activation"):
-            mlp_loss_and_grad(weights, np.zeros((2, 3)), np.zeros(2),
-                              [(2, "gelu"), (1, "sigmoid")])
+            mlp_loss_and_grad(weights, np.zeros((2, 3)), np.array([0.0, 2.0]))
+        with pytest.raises(InputError, match=r"x \(2, 4\) must have one column per input "
+                                             r"of the weights, 3"):
+            mlp_loss_and_grad(weights, np.zeros((2, 4)), np.zeros(2))
 
     @pytest.mark.parametrize("labels", [[1.0], [1.0, 0.0, 1.0]], ids=["one", "three"])
     def test_labels_must_fit_the_rows(self, labels):
         # one label used to broadcast over all five rows, and three to raise a
         # bare numpy error
-        spec = [(2, "relu"), (1, "sigmoid")]
-        weights = init_mlp_params(3, spec, seed=0)
+        weights = init_mlp_params(3, [2, 1], seed=0)
         with pytest.raises(InputError, match=rf"y \({len(labels)},\) must hold one label "
                                              r"per row of x \(5, 3\)"):
-            mlp_loss_and_grad(weights, np.zeros((5, 3)), labels, spec)
+            mlp_loss_and_grad(weights, np.zeros((5, 3)), labels)
         with pytest.raises(InputError, match=r"x \(2, 5, 3\)"):
-            mlp_loss_and_grad(weights, np.zeros((2, 5, 3)), np.zeros((2, len(labels))), spec)
+            mlp_loss_and_grad(weights, np.zeros((2, 5, 3)), np.zeros((2, len(labels))))
 
     def test_labels_broadcast_over_the_task_axis(self):
-        spec = [(2, "relu"), (1, "sigmoid")]
-        weights = init_mlp_params(3, spec, seed=0)
+        weights = init_mlp_params(3, [2, 1], seed=0)
         x, y = np.linspace(-1, 1, 30).reshape(2, 5, 3), np.array([1.0, 0.0, 0.0, 1.0, 1.0])
-        loss, _ = mlp_loss_and_grad(weights, x, y, spec)
-        assert loss.tolist() == [float(mlp_loss_and_grad(weights, x[k], y, spec)[0])
+        loss, _ = mlp_loss_and_grad(weights, x, y)
+        assert loss.tolist() == [float(mlp_loss_and_grad(weights, x[k], y)[0])
                                  for k in range(2)]
 
 
@@ -517,34 +516,35 @@ class TestActivations:
     Z = np.array([[-2.0, -0.0, 0.0, 0.5, 3.0], [np.nan, -np.inf, np.inf, 1e-300, -1e-300]])
     G = np.array([[1.0, -1.0, -2.0, 0.5, -0.0], [-3.0, 2.0, -1.0, 4.0, -1.0]])
 
-    @pytest.mark.parametrize("name", sorted(ops.ACTIVATIONS))
+    ACTIVATIONS = {"relu": (ops.relu, ops.relu_vjp), "sigmoid": (ops.sigmoid, ops.sigmoid_vjp)}
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_vjp_into_its_own_output_equals_out_of_place(self, name):
-        forward, vjp = ops.ACTIVATIONS[name]
+        forward, vjp = self.ACTIVATIONS[name]
         out = forward(self.Z.copy())
         expected = vjp(self.G, out.copy())
         into = out.copy()
         assert vjp(self.G, into, into).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name", sorted(ops.ACTIVATIONS))
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_forward_into_its_input_equals_out_of_place(self, name):
-        forward, _ = ops.ACTIVATIONS[name]
+        forward, _ = self.ACTIVATIONS[name]
         z = self.Z.copy()
         assert forward(z, z).tobytes() == forward(self.Z.copy()).tobytes()
 
     def test_relu_vjp_reads_the_mask_of_z_from_the_output(self):
-        forward, vjp = ops.ACTIVATIONS["relu"]
         z, g = self.Z, self.G
-        assert vjp(g, forward(z)).tobytes() == np.multiply(g, np.greater(z, 0.0)).tobytes()
+        expected = np.multiply(g, np.greater(z, 0.0))
+        assert ops.relu_vjp(g, ops.relu(z)).tobytes() == expected.tobytes()
 
 
     def test_relu_vjp_on_the_mask_equals_it_on_the_output(self):
-        forward, vjp = ops.ACTIVATIONS["relu"]
-        out = forward(self.Z.copy())
+        out = ops.relu(self.Z.copy())
         g = np.array([[-0.0, 0.0, -0.0, -0.0, 0.0], [-0.0, 1.0, -0.0, -2.0, -0.0]])
-        expected = vjp(g, out).tobytes()
-        assert vjp(g, out > 0.0).tobytes() == expected
+        expected = ops.relu_vjp(g, out).tobytes()
+        assert ops.relu_vjp(g, out > 0.0).tobytes() == expected
         into = g.copy()
-        assert vjp(into, out > 0.0, into).tobytes() == expected
+        assert ops.relu_vjp(into, out > 0.0, into).tobytes() == expected
 
 
 def _heavy_tailed(rng, shape):
@@ -651,7 +651,7 @@ class TestFiniteDiff:
 
 def test_ops_are_pure_and_bitwise_repeatable():
     spec = [(3, "relu"), (1, "sigmoid")]
-    params = init_mlp_params(4, spec, seed=2)
+    params = init_mlp_params(4, [3, 1], seed=2)
     x = np.linspace(0, 1, 8).reshape(2, 4)
     first = forward_mlp(params, x, spec)
     second = forward_mlp(params, x, spec)
