@@ -121,7 +121,13 @@ def _fd_gradient(weights, loss, batch, cfg: MetaConfig):
     return finite_diff_grad(lambda w: _first_order(w, loss, batch, cfg)[1], weights, _FD_STEP)
 
 
-def inner_adapt(weights, support, inner_lr: float, steps: int, loss_fn=None):
+def inner_adapt(
+    weights,
+    support,
+    inner_lr: float,
+    steps: int,
+    loss_fn=None,
+):
     """`steps` gradient steps on the support loss: the adapted weight list;
     the input weights are untouched.
 
@@ -136,7 +142,12 @@ def inner_adapt(weights, support, inner_lr: float, steps: int, loss_fn=None):
     return _adapt(weights, loss_fn or mlp_loss_and_grad, *_as_xy(support), inner_lr, steps)[0]
 
 
-def meta_gradient(weights, tasks: list[Task], cfg: MetaConfig, loss_fn=None) -> list[np.ndarray]:
+def meta_gradient(
+    weights,
+    tasks: list[Task],
+    cfg: MetaConfig,
+    loss_fn=None,
+) -> list[np.ndarray]:
     """Gradient of the summed post-adaptation query losses w.r.t. `weights`,
     one array per weight.
 
@@ -156,7 +167,12 @@ def meta_gradient(weights, tasks: list[Task], cfg: MetaConfig, loss_fn=None) -> 
     return _first_order(weights, loss, batch, cfg)[0]
 
 
-def meta_update(weights, tasks: list[Task], cfg: MetaConfig, loss_fn=None):
+def meta_update(
+    weights,
+    tasks: list[Task],
+    cfg: MetaConfig,
+    loss_fn=None,
+):
     """One meta step, weights - meta_lr * meta_gradient: the new weight list.
     Identity when meta_lr=0."""
     if not tasks:

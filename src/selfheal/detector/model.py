@@ -68,7 +68,10 @@ def init_detector(
     hidden_widths: tuple[int, ...] = DEFAULT_HIDDEN_WIDTHS,
     threshold: float = 0.5,
 ) -> DetectorModel:
-    return DetectorModel(init_mlp_params(input_width, (*hidden_widths, 1), seed), threshold)
+    return DetectorModel(
+        weights=init_mlp_params(input_width, (*hidden_widths, 1), seed),
+        threshold=threshold,
+    )
 
 
 def detect(model: DetectorModel, x) -> tuple[float, int]:
@@ -87,12 +90,11 @@ def _spec_header(hidden_widths) -> list[list]:
 
 
 def save_checkpoint(model: DetectorModel, path: str | Path) -> None:
-    input_width, hidden_widths = mlp_widths(model.weights)
     write_model(path, CHECKPOINT_FORMAT, {
-        "input_width": input_width,
+        "input_width": model.input_width,
         "threshold": model.threshold,
-        "layer_spec": _spec_header(hidden_widths),
-    }, mlp_param_shapes(input_width, (*hidden_widths, 1)), model.weights)
+        "layer_spec": _spec_header(model.hidden_widths),
+    }, mlp_param_shapes(model.input_width, (*model.hidden_widths, 1)), model.weights)
 
 
 def load_checkpoint(path: str | Path) -> DetectorModel:
@@ -114,9 +116,13 @@ def load_checkpoint(path: str | Path) -> DetectorModel:
         if entry != expected:
             raise SchemaError(f"{path}: field 'layer_spec.{i}' must be {expected}, got {entry}")
     threshold = number(payload["threshold"], f"{path}: field 'threshold'")
-    shapes = mlp_param_shapes(input_width, widths)
+    weights = params_from_payload(
+        payload["params"], mlp_param_shapes(input_width, widths), path
+    )
     try:
-        return DetectorModel(params_from_payload(payload["params"], shapes, path),
-                             float(threshold))
+        return DetectorModel(
+            weights=weights,
+            threshold=float(threshold),
+        )
     except ConfigurationError as err:  # threshold outside (0, 1)
         raise SchemaError(f"{path}: {err}") from None

@@ -72,11 +72,9 @@ def shapley_attribution(
     when in-S groups come from x and the rest from each background row.
     """
     vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1:
-        raise InputError(f"expected a feature vector, got shape {vec.shape}")
-    width = vec.shape[0]
-    if background.width != width:
-        raise InputError("background width does not match the feature vector")
+    if vec.shape != (background.width,):
+        raise InputError(f"expected a feature vector of the background's width "
+                         f"{background.width}, got shape {vec.shape}")
     names = tuple(groups)
     g = len(names)
     if g > MAX_GROUPS:
@@ -85,12 +83,12 @@ def shapley_attribution(
             f"to at most {MAX_GROUPS} groups"
         )
     covered = sorted(i for name in names for i in groups[name])
-    if covered != list(range(width)):
+    if covered != list(range(background.width)):
         raise InputError("groups must partition all feature indices exactly once")
 
     # coalition `bits` takes group j from x iff bit j is set: all 2^g
     # coalitions as one (2^g, n_rows, width) stack, scored in one pass
-    in_coalition = np.zeros((2 ** g, width), dtype=bool)
+    in_coalition = np.zeros((2 ** g, background.width), dtype=bool)
     for j, name in enumerate(names):
         in_coalition[:, groups[name]] = (np.arange(2 ** g) >> j & 1).astype(bool)[:, None]
     data = np.where(in_coalition[:, None, :], vec, background.rows)

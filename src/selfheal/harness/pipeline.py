@@ -378,7 +378,9 @@ def _attribution(cfg: RunConfig, model: DetectorModel, eval_tasks):
     groups = metric_groups(cfg.simulator.window_width)
     for task in eval_tasks:
         adapted = model.with_weights(inner_adapt(
-            model.weights, (task.support_x, task.support_y), det.inner_lr, det.eval_inner_steps))
+            model.weights, (task.support_x, task.support_y), det.inner_lr,
+            det.eval_inner_steps,
+        ))
         normals = np.concatenate(
             [task.support_x[task.support_y == 0.0], task.query_x[task.query_y == 0.0]]
         )

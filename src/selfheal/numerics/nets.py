@@ -17,8 +17,6 @@ equal it bitwise."""
 
 from __future__ import annotations
 
-import functools
-import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +31,9 @@ def layer_param_names(layer_index: int) -> tuple[str, str]:
     return f"layer{layer_index}.W", f"layer{layer_index}.b"
 
 
-def mlp_param_shapes(input_width: int, widths: Sequence[int]) -> dict[str, tuple[int, ...]]:
+def mlp_param_shapes(
+    input_width: int, widths: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape of the dense layers of these output widths."""
     shapes: dict[str, tuple[int, ...]] = {}
     fan_in = input_width
@@ -62,46 +62,36 @@ def init_uniform_params(shapes: dict[str, tuple[int, ...]], seed: int) -> list[n
     return weights
 
 
-def init_mlp_params(input_width: int, widths: Sequence[int], seed: int) -> list[np.ndarray]:
+def init_mlp_params(
+    input_width: int, widths: Sequence[int], seed: int
+) -> list[np.ndarray]:
     """Uniform init in [-0.5/sqrt(fan_in), +0.5/sqrt(fan_in)] per layer."""
     return init_uniform_params(mlp_param_shapes(input_width, widths), seed)
-
-
-_SHAPE = operator.attrgetter("shape")
 
 
 def _chain(weights: Sequence, kind: str, head: tuple[str, str] | None,
            lead: tuple[int, ...] | None = ()) -> tuple[int, tuple[int, ...]]:
     """The input width and hidden widths of the weight list [W0, b0, ..., w,
     b] of dense layers and a one-column head, read from its matrices behind
-    the leading axes `lead` (None: those of W0). InputError when the list is
-    empty or odd, or naming the first weight that does not chain; the head's
-    pair is named `head`, or by its layer when `head` is None."""
+    the leading axes `lead` (None: those of W0), one comparison per layer.
+    InputError when the list is empty or odd, or naming the first weight that
+    does not chain; the head's pair is named `head`, or by its layer when
+    `head` is None."""
     if not weights or len(weights) % 2:
         raise InputError(f"{len(weights)} weight arrays: {kind} has a W and a b per layer")
-    try:
-        shapes = tuple(map(_SHAPE, weights))
-    except AttributeError:  # not all arrays
-        shapes = tuple(map(np.shape, weights))
-    return _chain_shapes(shapes, head, shapes[0][:-2] if lead is None else lead)
-
-
-@functools.lru_cache(maxsize=256)
-def _chain_shapes(shapes, head, lead) -> tuple[int, tuple[int, ...]]:
-    """`_chain` on the weights' shapes, one comparison per layer. A kernel
-    sees few shape patterns, so each is walked once and then looked up."""
+    shapes = [np.shape(w) for w in weights]
+    lead = shapes[0][:-2] if lead is None else lead
     last, n_lead = len(shapes) - 2, len(lead)
     input_width = fan_in = shapes[0][n_lead] if len(shapes[0]) > n_lead else 0
     widths = []
     for k in range(0, len(shapes), 2):
-        w_shape = shapes[k]
-        width = 1 if k == last else w_shape[-1] if w_shape else 0
-        if w_shape != lead + (fan_in, width) or shapes[k + 1] != lead + (width,):
-            bad = int(w_shape == lead + (fan_in, width))
+        width = 1 if k == last else shapes[k][-1] if shapes[k] else 0
+        expected = lead + (fan_in, width), lead + (width,)
+        if shapes[k] != expected[0] or shapes[k + 1] != expected[1]:
+            bad = int(shapes[k] == expected[0])
             name = (head if head and k == last else layer_param_names(k // 2))[bad]
-            expected = lead + ((width,) if bad else (fan_in, width))
             raise InputError(f"weight '{name}' has shape {shapes[k + bad]}, "
-                             f"expected {expected}")
+                             f"expected {expected[bad]}")
         widths.append(width)
         fan_in = width
     return input_width, tuple(widths[:-1])
@@ -164,7 +154,9 @@ def _bce_head(out: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
     return loss, np.multiply(g, mask, out=g)
 
 
-def mlp_forward(weights: Sequence[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+def mlp_forward(
+    weights: Sequence[np.ndarray], x: np.ndarray
+) -> list[np.ndarray]:
     """The MLP's input and each layer's output on raw arrays, [x, h_1, ..., h_L].
 
     `weights` is [W0, b0, W1, b1, ...] as `mlp_widths` reads it, and `x` must
